@@ -5,8 +5,8 @@
 
 BASE and CAND each name one set of runs: a results file written by run.sh
 ({"runs": [...]}), a single run record, a directory of run records (such
-as bench-out/ after several run.sh calls), or one set of a baseline file
-as PATH:SET (e.g. bench/suite/baseline.json:a).
+as build-bench/out/ after several run.sh calls), or one set of a baseline
+file as PATH:SET (e.g. bench/suite/baseline.json:a).
 Several sources may be joined with commas.
 
 For every metric and workload it prints each side's median and quartiles
@@ -21,8 +21,9 @@ and a verdict. End-to-end metrics carry the bound BENCHMARK.json fixes:
               not every candidate run beats (or loses to) every base run
   same        within the bound
 
-Per-layer metrics have no bound and get no verdict. The exit status is 1
-when any end-to-end metric regresses or any run was incorrect.
+Per-layer metrics have no bound: they get GAIN by the same rule, or "-".
+The exit status is 1 when any end-to-end metric regresses or any run was
+incorrect.
 Standard library only.
 """
 
@@ -102,15 +103,17 @@ def verdict(base, cand, bound, lower_is_better):
     def better(x, y):
         return x < y if lower_is_better else x > y
 
+    matched = pairs(base, cand)
+    wins = sum(1 for x, y in matched if better(y, x))
+    gain = (matched and wins >= 0.9 * len(matched) and better(cmed, bmed)
+            and abs(cmed - bmed) > bq3 - bq1)
+    if bound is None:
+        return "GAIN" if gain else "-"
     if bmed == 0:
         return "same" if cmed == 0 else "unresolved"
     worse = (cmed - bmed) / bmed * (1 if lower_is_better else -1)
     spread = max((bq3 - bq1) / abs(bmed),
                  (cq3 - cq1) / abs(cmed) if cmed else 0.0)
-    matched = pairs(base, cand)
-    wins = sum(1 for x, y in matched if better(y, x))
-    gain = (matched and wins >= 0.9 * len(matched) and better(cmed, bmed)
-            and abs(cmed - bmed) > bq3 - bq1)
     if spread > bound:
         if all(better(y, x) for x in b for y in c):
             return "GAIN" if gain else "better (every run)"
@@ -168,11 +171,9 @@ def main():
                 cq1, cmed, cq3 = quartiles([v for _, v in cand[(w, name)]])
                 change = (f"{(cmed - bmed) / abs(bmed):+.1%}" if bmed
                           else "n/a")
-                result = "-"
-                if bound is not None:
-                    result = verdict(base[(w, name)], cand[(w, name)], bound,
-                                     lower)
-                    failed |= result == "REGRESSION"
+                result = verdict(base[(w, name)], cand[(w, name)], bound,
+                                 lower)
+                failed |= result == "REGRESSION"
                 print(row.format(w, f"{bq1:.4g}", f"{bmed:.4g}", f"{bq3:.4g}",
                                  f"{cq1:.4g}", f"{cmed:.4g}", f"{cq3:.4g}",
                                  change, result))

@@ -2,12 +2,17 @@
 // process and prints its metrics. See bench/suite/README.md.
 //
 //   cej_suite --workload scan_topk --seed 1 --seconds 20 --trace 0
-//             [--out-dir bench-out] [--commit <sha>]
+//             [--commit <sha>]
+//
+// Run records and traces go to build-bench/out/ under the working
+// directory, which must exist.
 //
 // Untraced runs (--trace 0) report the end-to-end metrics. Traced runs
 // (--trace 1) run half of the measured time untraced and half with spans
-// on, and report the per-layer metrics, the traced/untraced p50 ratio,
-// a per-layer span table, and a Chrome trace-event file. Every run checks
+// on, and report the per-layer metrics (latency, throughput and peak
+// memory from the untraced half, the rest from the traced half), the
+// traced/untraced p50 ratio, a per-layer span table, and a Chrome
+// trace-event file. Every run checks
 // a sample of its outputs against the brute-force oracle. The last line
 // of stdout is one JSON object: {"correct", "attempted", "failed",
 // "metrics"}. The exit code is 0 only when every checked output is right.
@@ -30,6 +35,7 @@
 namespace cej::suite {
 namespace {
 
+constexpr char kOutDir[] = "build-bench/out";
 constexpr double kWarmupSeconds = 2.0;
 // A set-up takes 20-90 ms, so one scheduler hiccup shifts a sample by a
 // tenth or more; setup_s is the median of this many.
@@ -40,7 +46,6 @@ struct Args {
   uint64_t seed = 1;
   double seconds = 20.0;
   bool trace = false;
-  std::string out_dir = "bench-out";
   std::string commit = "unknown";
 };
 
@@ -79,8 +84,6 @@ bool ParseArgs(int argc, char** argv, Args* args, std::string* error) {
         return false;
       }
       args->trace = value == "1";
-    } else if (flag == "--out-dir") {
-      args->out_dir = value;
     } else if (flag == "--commit") {
       args->commit = value;
     } else {
@@ -119,10 +122,19 @@ std::string Number(double value) {
   return buf;
 }
 
-double PeakRssMb() {
+struct rusage Usage() {
   struct rusage usage {};
   getrusage(RUSAGE_SELF, &usage);
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux.
+  return usage;
+}
+
+double PeakRssMb() {
+  return static_cast<double>(Usage().ru_maxrss) / 1024.0;  // KiB on Linux.
+}
+
+double Ms(const timeval& t) {
+  return static_cast<double>(t.tv_sec) * 1e3 +
+         static_cast<double>(t.tv_usec) / 1e3;
 }
 
 double Ratio(double num, double den) { return den > 0.0 ? num / den : 0.0; }
@@ -214,11 +226,13 @@ int Main(int argc, char** argv) {
   }
 #ifdef __GLIBC__
   // glibc raises its mmap threshold the first time a large block is freed,
-  // and whether later multi-megabyte result columns are then re-mapped or
-  // reused depends on which threads allocated them. That flips a run of
-  // graph_pipeline between ~30 ms and ~70 ms per query. Pinning the
-  // threshold at its documented default makes every run pay the same
-  // allocation cost.
+  // after which whether graph_pipeline's multi-megabyte result columns sit
+  // on the heap depends on which threads allocated them: its median query
+  // time then flips between about 30 and 70 ms from run to run, and its
+  // peak RSS varies by 15-21%. Pinned at the documented 128 KiB default,
+  // every larger block is mapped fresh and faulted in, the same way in
+  // every run (os.minor_faults_per_query and os.sys_cpu_share show the
+  // cost). See "Allocator settings" in bench/suite/README.md.
   mallopt(M_MMAP_THRESHOLD, 128 * 1024);
 #endif
 
@@ -253,8 +267,6 @@ int Main(int argc, char** argv) {
     return status.ok();
   };
   if (!setup()) return 1;
-  const double gemm_gflops =
-      args.trace ? GemmCeilingGflops(workload->engine()->pool()) : 0.0;
   workload->Run(kWarmupSeconds, PhaseKind::kWarmup);
 
   std::vector<Metric> metrics;
@@ -265,30 +277,35 @@ int Main(int argc, char** argv) {
     const PhaseResult phase = workload->Run(args.seconds, PhaseKind::kMeasure);
     attempted = phase.attempted;
     failed = phase.failed;
-    // Read before the repeated set-ups below, so the high-water mark covers
-    // one engine's life and not the allocator churn of rebuilding it.
     const double peak_rss_mb = PeakRssMb();
     while (setup_seconds.size() < static_cast<size_t>(kSetupRuns)) {
       if (!setup()) return 1;
     }
-    metrics = {
-        {"setup_s", Quantile(setup_seconds, 0.5), "s"},
-        {"query_p50_ms", Quantile(phase.latency_ms, 0.5), "ms"},
-        {"query_p90_ms", Quantile(phase.latency_ms, 0.9), "ms"},
-        {"throughput_qps", phase.throughput_qps, "1/s"},
-        {"peak_rss_mb", peak_rss_mb, "MB"},
-    };
-    std::printf("# %zu timed queries\n", phase.latency_ms.size());
+    metrics = {{"setup_s", Quantile(setup_seconds, 0.5), "s"}};
+    // Latency, throughput and memory are per-layer metrics: their
+    // run-to-run spread on the reference host exceeds their bounds (see
+    // bench/suite/README.md). A traced run reports them from its untraced
+    // half; they are printed here for reading only.
+    std::printf(
+        "# %zu timed queries: p50 %.3f ms, p90 %.3f ms, %.1f ops/s, "
+        "peak RSS %.1f MB\n",
+        phase.latency_ms.size(), Quantile(phase.latency_ms, 0.5),
+        Quantile(phase.latency_ms, 0.9), phase.throughput_qps, peak_rss_mb);
   } else {
     const double half = args.seconds / 2;
     const PhaseResult plain = workload->Run(half, PhaseKind::kMeasure);
+    // Before the tracer's spans and the GEMM ceiling below add their own
+    // memory.
+    const double peak_rss_mb = PeakRssMb();
     EmbeddingCache* cache = workload->engine()->embedding_cache();
     const EmbeddingCache::Stats cache_before = cache->stats();
     const uint64_t calls_before = base_model.embed_calls();
     const int64_t busy_before = timed_model.busy_ns();
+    const struct rusage usage_before = Usage();
     tracer.set_enabled(true);
     const PhaseResult traced = workload->Run(half, PhaseKind::kTraced);
     tracer.set_enabled(false);
+    const struct rusage usage_after = Usage();
     tracer.FlushRuns();
     const EmbeddingCache::Stats cache_after = cache->stats();
     const double calls =
@@ -311,7 +328,15 @@ int Main(int argc, char** argv) {
       auto it = l.operator_queries.find(name);
       return it == l.operator_queries.end() ? 0.0 : Ratio(it->second, q);
     };
+    const double user_ms = Ms(usage_after.ru_utime) - Ms(usage_before.ru_utime);
+    const double sys_ms = Ms(usage_after.ru_stime) - Ms(usage_before.ru_stime);
+    // After both halves, so that neither runs against caches it flushed.
+    const double gemm_gflops = GemmCeilingGflops(workload->engine()->pool());
     metrics = {
+        {"query_p50_ms", Quantile(plain.latency_ms, 0.5), "ms"},
+        {"query_p90_ms", Quantile(plain.latency_ms, 0.9), "ms"},
+        {"throughput_qps", plain.throughput_qps, "1/s"},
+        {"peak_rss_mb", peak_rss_mb, "MB"},
         {"model.calls_per_query", Ratio(calls, q), "count"},
         {"model.busy_ms_per_query", Ratio(busy_ms, q), "ms"},
         {"model.us_per_call", Ratio(busy_ms * 1e3, calls), "us"},
@@ -341,6 +366,10 @@ int Main(int argc, char** argv) {
         {"sink.pairs_per_query", Ratio(l.sink_pairs, q), "count"},
         {"storage.rows_out_per_query", Ratio(l.rows_out, q), "count"},
         {"storage.bytes_out_per_query", Ratio(l.bytes_out, q), "bytes"},
+        {"os.minor_faults_per_query",
+         Ratio(delta(usage_after.ru_minflt, usage_before.ru_minflt), q),
+         "count"},
+        {"os.sys_cpu_share", Ratio(sys_ms, user_ms + sys_ms), "ratio"},
         {"serve.queue_wait_p50_ms", Quantile(traced.queue_wait_ms, 0.5), "ms"},
         {"serve.queue_wait_p99_ms", Quantile(traced.queue_wait_ms, 0.99), "ms"},
         {"serve.exec_ms_p50", Quantile(traced.exec_ms, 0.5), "ms"},
@@ -378,8 +407,8 @@ int Main(int argc, char** argv) {
   }
 
   const std::string provenance = ProvenanceJson(args, *workload);
-  const std::string base =
-      args.out_dir + "/" + args.workload + "-seed" + std::to_string(args.seed);
+  const std::string base = std::string(kOutDir) + "/" + args.workload +
+                           "-seed" + std::to_string(args.seed);
   const std::string stem = base + (args.trace ? "-trace" : "");
   if (args.trace && !Tracer::WriteChromeTrace(base + ".trace.json",
                                               tracer.Collect(), provenance)) {

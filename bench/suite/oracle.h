@@ -108,11 +108,11 @@ class Oracle {
   }
 
   /// One left row of a threshold join: every id scoring >= t + tolerance
-  /// present, none scoring < t - tolerance, no repeats. Reported scores
-  /// are checked when `check_scores`.
+  /// present, none scoring < t - tolerance, no repeats, and each reported
+  /// score equal to the oracle's.
   static std::string CheckThreshold(const std::vector<double>& scores,
-                                    double t, const std::vector<ScoredId>& got,
-                                    bool check_scores) {
+                                    double t,
+                                    const std::vector<ScoredId>& got) {
     std::unordered_set<uint32_t> seen;
     for (const auto& [id, sim] : got) {
       if (id >= scores.size() || !seen.insert(id).second) {
@@ -123,7 +123,7 @@ class Oracle {
         return "threshold id " + std::to_string(id) + " scores " +
                std::to_string(scores[id]) + " below " + std::to_string(t);
       }
-      if (check_scores && std::fabs(sim - scores[id]) > kTolerance) {
+      if (std::fabs(sim - scores[id]) > kTolerance) {
         return "threshold id " + std::to_string(id) + " reported score " +
                std::to_string(sim) + ", oracle " + std::to_string(scores[id]);
       }

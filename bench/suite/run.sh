@@ -9,10 +9,10 @@
 #
 # A single-workload run passes cej_suite's output through: its last line
 # is the JSON result. Without --workload every workload runs in turn and
-# the run records are gathered into bench-out/results.json.
+# the run records are gathered into build-bench/out/results.json.
 # The exit status is non-zero when the build fails, an op fails or the
-# oracle finds a wrong output. Build files go to .bench_build/, results
-# and traces to bench-out/, both at the repository root.
+# oracle finds a wrong output. Build files go to build-bench/suite/, run
+# records and traces to build-bench/out/, both at the repository root.
 set -euo pipefail
 
 here="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
@@ -39,9 +39,10 @@ if [ ! -f "$root/CMakeLists.txt" ] || [ ! -d "$root/src/cej" ]; then
   exit 2
 fi
 
-build="$root/.bench_build/suite"
+build="$root/build-bench/suite"
+out_dir=build-bench/out
 log="$build/build.log"
-mkdir -p "$build/tmp" "$root/bench-out"
+mkdir -p "$build/tmp" "$root/$out_dir"
 # Keep the compiler's temporary files inside the checkout.
 export TMPDIR="$build/tmp"
 
@@ -80,7 +81,7 @@ fi
 cd "$root"
 run_one() {
   "$build/cej_suite" --workload "$1" --seed "$seed" --seconds "$seconds" \
-    --trace "$trace" --out-dir bench-out --commit "$commit"
+    --trace "$trace" --commit "$commit"
 }
 
 if [ -n "$workload" ]; then
@@ -88,14 +89,14 @@ if [ -n "$workload" ]; then
   exit $?
 fi
 
-out=bench-out/results.json
+out="$out_dir/results.json"
 suffix=""
 [ "$trace" = 1 ] && suffix="-trace"
 status=0
 records=()
 for name in scan_topk ingest_stream graph_pipeline serve_probe; do
   echo "## $name (seed $seed, ${seconds}s, trace $trace)"
-  record="bench-out/$name-seed$seed$suffix.json"
+  record="$out_dir/$name-seed$seed$suffix.json"
   rm -f "$record"
   run_one "$name" || status=1
   records+=("$record")

@@ -12,6 +12,9 @@ namespace {
 
 // Model calls closer together than this on one thread extend the same run.
 constexpr int64_t kRunGapNs = 50'000;
+// Spans past this many are counted as dropped, which bounds the tracer's
+// memory in a long traced run.
+constexpr uint64_t kMaxSpans = 200'000;
 
 }  // namespace
 
@@ -30,7 +33,7 @@ struct Tracer::ThreadBuffer {
   bool run_open = false;
 };
 
-Tracer::Tracer(size_t max_spans) : max_spans_(max_spans) {}
+Tracer::Tracer() = default;
 
 Tracer::~Tracer() = default;
 
@@ -53,7 +56,7 @@ void Tracer::SetCurrent(int64_t request, uint64_t span_id) {
 }
 
 void Tracer::PushLocked(ThreadBuffer* buffer, const Span& span) {
-  if (recorded_.fetch_add(1, std::memory_order_relaxed) >= max_spans_) {
+  if (recorded_.fetch_add(1, std::memory_order_relaxed) >= kMaxSpans) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }

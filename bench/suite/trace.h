@@ -54,7 +54,7 @@ struct LayerRow {
 /// threads may record into it, and destroy it after them.
 class Tracer {
  public:
-  explicit Tracer(size_t max_spans = 200000);
+  Tracer();
   ~Tracer();
 
   Tracer(const Tracer&) = delete;
@@ -101,7 +101,6 @@ class Tracer {
   void PushLocked(ThreadBuffer* buffer, const Span& span);
   void FlushRunLocked(ThreadBuffer* buffer);
 
-  const size_t max_spans_;
   std::atomic<bool> enabled_{false};
   std::atomic<uint64_t> next_id_{1};
   std::atomic<uint64_t> recorded_{0};

@@ -208,8 +208,8 @@ class ClosedLoop : public Workload {
   PhaseResult Run(double seconds, PhaseKind kind) final {
     PhaseResult result;
     Tracer* tracer = kind == PhaseKind::kTraced ? env_.tracer : nullptr;
-    double busy_ms = 0.0;
-    const int64_t deadline = NowNs() + static_cast<int64_t>(seconds * 1e9);
+    const int64_t start = NowNs();
+    const int64_t deadline = start + static_cast<int64_t>(seconds * 1e9);
     while (NowNs() < deadline) {
       const uint64_t i = next_op_++;
       double latency_ms = 0.0;
@@ -228,14 +228,10 @@ class ClosedLoop : public Workload {
         continue;
       }
       result.latency_ms.push_back(latency_ms);
-      busy_ms += latency_ms;
     }
-    // Completed ops per second of time spent inside the library: the
-    // client's own input generation and bookkeeping are excluded.
-    if (busy_ms > 0.0) {
-      result.throughput_qps =
-          static_cast<double>(result.latency_ms.size()) / (busy_ms / 1e3);
-    }
+    const double elapsed = static_cast<double>(NowNs() - start) / 1e9;
+    result.throughput_qps =
+        static_cast<double>(result.latency_ms.size()) / elapsed;
     result.layers.queries = static_cast<double>(result.latency_ms.size());
     return result;
   }
@@ -417,15 +413,19 @@ class ScanTopK final : public ClosedLoop {
 };
 
 // ---------------------------------------------------------------------------
-// ingest_stream: every op replaces a 20k-string table with fresh contents,
+// ingest_stream: every op replaces a 20k-string table with other contents,
 // then streams a threshold E-join of 64 probe strings against it. The
 // replaced column is never cached, so model embedding (overlapped with
-// the sweep by the pipelined operator) dominates.
+// the sweep by the pipelined operator) dominates. The contents cycle
+// through a few tables built before any timing, so the client generates
+// no input inside the timed loop; the cache is keyed by table name and
+// dropped on every ReplaceTable, so a repeated table embeds again.
 // ---------------------------------------------------------------------------
 class IngestStream final : public ClosedLoop {
  public:
   static constexpr size_t kProbeRows = 64;
   static constexpr size_t kFreshRows = 20000;
+  static constexpr size_t kFreshVersions = 4;
   static constexpr double kFreshFamilyFraction = 0.05;
 
   explicit IngestStream(const Environment& env)
@@ -439,11 +439,22 @@ class IngestStream final : public ClosedLoop {
     probes_ = MakeRelation({{"qid", DataType::kInt64, 0},
                             {"word", DataType::kString, 0}},
                            std::move(columns));
+    for (size_t v = 0; v < kFreshVersions; ++v) {
+      std::vector<storage::Column> fresh_columns;
+      fresh_columns.push_back(storage::Column::Int64(Iota(kFreshRows)));
+      fresh_columns.push_back(storage::Column::String(
+          MixedWords(*env.corpus, kFreshRows, 0, env.corpus->num_families(),
+                     kFreshFamilyFraction, SubSeed(env.seed, 21, v))));
+      fresh_.push_back(MakeRelation({{"fid", DataType::kInt64, 0},
+                                     {"word", DataType::kString, 0}},
+                                    std::move(fresh_columns)));
+    }
   }
 
   std::vector<std::pair<std::string, double>> Sizes() const override {
     return {{"probe_rows", kProbeRows},
             {"fresh_rows_per_op", kFreshRows},
+            {"fresh_versions", kFreshVersions},
             {"threshold", kThreshold}};
   }
 
@@ -465,8 +476,7 @@ class IngestStream final : public ClosedLoop {
       for (size_t q = 0; q < kProbeRows; ++q) {
         ++checked_;
         const std::string why = Oracle::CheckThreshold(
-            Oracle::Scores(probes.row(q), fresh), kThreshold, by_probe[q],
-            /*check_scores=*/true);
+            Oracle::Scores(probes.row(q), fresh), kThreshold, by_probe[q]);
         if (!why.empty()) {
           ReportMismatch("ingest_stream",
                          "op " + std::to_string(sample.op) + " probe " +
@@ -485,17 +495,10 @@ class IngestStream final : public ClosedLoop {
 
   bool Op(uint64_t i, PhaseKind kind, Tracer* tracer, LayerCounters* layers,
           double* latency_ms) override {
-    std::vector<storage::Column> columns;
-    columns.push_back(storage::Column::Int64(Iota(kFreshRows)));
-    columns.push_back(storage::Column::String(FreshWords(i)));
-    std::shared_ptr<const storage::Relation> fresh = MakeRelation(
-        {{"fid", DataType::kInt64, 0}, {"word", DataType::kString, 0}},
-        std::move(columns));
-
     const int64_t replace_start = NowNs();
     const Status replaced = [&] {
       ScopedSpan span(tracer, "api.ReplaceTable", static_cast<int64_t>(i));
-      return engine_->ReplaceTable("fresh", fresh);
+      return engine_->ReplaceTable("fresh", fresh_[i % kFreshVersions]);
     }();
     const int64_t replace_ns = NowNs() - replace_start;
     if (!replaced.ok()) return Failed(replaced);
@@ -535,13 +538,16 @@ class IngestStream final : public ClosedLoop {
     std::vector<join::JoinPair> pairs;
   };
 
-  std::vector<std::string> FreshWords(uint64_t op) const {
-    return MixedWords(*env_.corpus, kFreshRows, 0, env_.corpus->num_families(),
-                      kFreshFamilyFraction, SubSeed(env_.seed, 21, op));
+  // The strings op `op` registered as "fresh".
+  const std::vector<std::string>& FreshWords(uint64_t op) const {
+    auto column = fresh_[op % kFreshVersions]->ColumnByName("word");
+    CEJ_CHECK(column.ok());
+    return (*column)->string_values();
   }
 
   std::vector<std::string> probe_words_;
   std::shared_ptr<const storage::Relation> probes_;
+  std::vector<std::shared_ptr<const storage::Relation>> fresh_;
   std::vector<Sample> samples_;
 };
 
