@@ -3,7 +3,9 @@
 // Scale control: CEJ_BENCH_SCALE=full runs paper-sized inputs; the default
 // ("laptop") divides relation sizes so each binary finishes in minutes on a
 // single core. Shapes (who wins, crossover positions, slopes) are the
-// reproduction target, not absolute times — see EXPERIMENTS.md.
+// reproduction target, not absolute times. Recorded, oracle-checked
+// numbers come from the benchmark suite instead — see
+// bench/suite/README.md.
 
 #ifndef CEJ_BENCH_BENCH_COMMON_H_
 #define CEJ_BENCH_BENCH_COMMON_H_

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <optional>
 
@@ -244,9 +243,10 @@ class PlanExecutor {
                                      "' is not a string column");
     }
     // Shared straight into the result column: a full-table cache hit is
-    // zero-copy, and a miss shares the freshly embedded matrix between
-    // the cache and the column without cloning either way.
-    std::shared_ptr<const la::Matrix> embedded;
+    // zero-copy, a filtered hit is a view of the cached matrix, and a miss
+    // shares the freshly embedded matrix between the cache and the column
+    // without cloning either way.
+    std::optional<Column> embedded;
     EmbeddingCache* cache = context_.embedding_cache;
     const bool cacheable = cache != nullptr && !base_table.empty();
     if (cacheable) {
@@ -254,45 +254,39 @@ class PlanExecutor {
           cache->Get(base_table, embed.input_column, embed.model);
       if (hit != nullptr && hit->cols() == embed.model->dim()) {
         if (base_rows == nullptr) {
-          if (hit->rows() == input.num_rows()) embedded = hit;
-        } else {
-          la::Matrix gathered(base_rows->size(), hit->cols());
-          bool ok = true;
-          for (size_t i = 0; i < base_rows->size(); ++i) {
-            const uint32_t r = (*base_rows)[i];
-            if (r >= hit->rows()) {
-              ok = false;
-              break;
-            }
-            std::memcpy(gathered.Row(i), hit->Row(r),
-                        hit->cols() * sizeof(float));
+          if (hit->rows() == input.num_rows()) {
+            embedded = Column::Vector(std::move(hit));
           }
-          if (ok) {
-            embedded =
-                std::make_shared<const la::Matrix>(std::move(gathered));
-          }
+        } else if (std::all_of(base_rows->begin(), base_rows->end(),
+                               [&](uint32_t r) { return r < hit->rows(); })) {
+          embedded = Column::Vector(std::move(hit)).Gather(*base_rows);
         }
       }
       if (stats_ != nullptr) {
-        if (embedded != nullptr) {
+        if (embedded.has_value()) {
           ++stats_->embedding_cache_hits;
         } else {
           ++stats_->embedding_cache_misses;
         }
       }
     }
-    if (embedded == nullptr) {
+    if (!embedded.has_value()) {
+      WallTimer embed_timer;
       la::Matrix fresh =
           embed.model->EmbedBatch(col->string_values(), context_.pool);
-      if (stats_ != nullptr) stats_->model_calls += fresh.rows();
-      embedded = std::make_shared<const la::Matrix>(std::move(fresh));
-      if (cacheable && base_rows == nullptr) {
-        cache->Put(base_table, embed.input_column, embed.model, embedded);
+      if (stats_ != nullptr) {
+        stats_->model_calls += fresh.rows();
+        stats_->join_stats.embed_seconds += embed_timer.ElapsedSeconds();
       }
+      auto shared = std::make_shared<const la::Matrix>(std::move(fresh));
+      if (cacheable && base_rows == nullptr) {
+        cache->Put(base_table, embed.input_column, embed.model, shared);
+      }
+      embedded = Column::Vector(std::move(shared));
     }
     return input.WithColumn(
         Field{embed.output_column, DataType::kVector, embed.model->dim()},
-        Column::Vector(std::move(embedded)));
+        std::move(*embedded));
   }
 
   Result<Relation> RunEmbed(const NodePtr& node) {

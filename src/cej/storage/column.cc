@@ -50,13 +50,29 @@ size_t Column::size() const {
     case DataType::kDate:
       return date_.size();
     case DataType::kVector:
-      return matrix_->rows();
+      return view_ != nullptr ? view_->rows.size() : matrix_->rows();
   }
   return 0;
 }
 
 size_t Column::vector_dim() const {
   return type_ == DataType::kVector ? matrix_->cols() : 0;
+}
+
+const std::shared_ptr<const la::Matrix>& Column::shared_vector_values()
+    const {
+  CEJ_CHECK(type_ == DataType::kVector);
+  if (view_ == nullptr) return matrix_;
+  std::call_once(view_->densify_once, [this] {
+    const size_t dim = matrix_->cols();
+    la::Matrix dense(view_->rows.size(), dim);
+    for (size_t i = 0; i < view_->rows.size(); ++i) {
+      std::memcpy(dense.Row(i), matrix_->Row(view_->rows[i]),
+                  dim * sizeof(float));
+    }
+    view_->dense = std::make_shared<const la::Matrix>(std::move(dense));
+  });
+  return view_->dense;
 }
 
 Column Column::Gather(const std::vector<uint32_t>& rows) const {
@@ -86,13 +102,17 @@ Column Column::Gather(const std::vector<uint32_t>& rows) const {
       return Date(std::move(out));
     }
     case DataType::kVector: {
-      la::Matrix out(rows.size(), matrix_->cols());
+      const size_t n = size();
+      auto view = std::make_shared<View>();
+      view->rows.resize(rows.size());
       for (size_t i = 0; i < rows.size(); ++i) {
-        CEJ_CHECK(rows[i] < matrix_->rows());
-        std::memcpy(out.Row(i), matrix_->Row(rows[i]),
-                    matrix_->cols() * sizeof(float));
+        CEJ_CHECK(rows[i] < n);
+        view->rows[i] = view_ != nullptr ? view_->rows[rows[i]] : rows[i];
       }
-      return Vector(std::move(out));
+      Column c(DataType::kVector);
+      c.matrix_ = matrix_;
+      c.view_ = std::move(view);
+      return c;
     }
   }
   CEJ_CHECK(false);

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,11 @@ namespace cej::storage {
 
 /// A single column of values, type-tagged. Columns are immutable once
 /// built; Relation shares them via shared_ptr.
+///
+/// A vector column is either dense (one matrix row per tuple) or a view:
+/// a shared source matrix plus a shared row-id vector, as produced by
+/// Gather. Views keep their source matrix alive and copy no embedding
+/// rows; a gather of a view composes the ids against the same source.
 class Column {
  public:
   static Column Int64(std::vector<int64_t> values);
@@ -56,27 +62,41 @@ class Column {
     CEJ_CHECK(type_ == DataType::kDate);
     return date_;
   }
+  /// The column as one dense matrix (row i = tuple i). A dense column
+  /// returns its own matrix; a view builds a dense copy of its rows on the
+  /// first call (thread-safe) and returns that same copy afterwards.
   const la::Matrix& vector_values() const {
-    CEJ_CHECK(type_ == DataType::kVector);
-    return *matrix_;
+    return *shared_vector_values();
   }
-  /// The shared matrix behind a vector column — readers that outlive the
-  /// column (e.g. a flat index built over it) share instead of cloning.
-  std::shared_ptr<const la::Matrix> shared_vector_values() const {
-    CEJ_CHECK(type_ == DataType::kVector);
-    return matrix_;
-  }
+  /// The shared dense matrix behind a vector column (densified once for
+  /// views, as vector_values()) — readers that outlive the column (e.g. a
+  /// flat index built over it) share instead of cloning.
+  const std::shared_ptr<const la::Matrix>& shared_vector_values() const;
 
-  /// Pointer to row `r` of a vector column.
+  /// Pointer to row `r` of a vector column. For a view this points into
+  /// the source matrix, never into a densified copy.
   const float* VectorAt(size_t r) const {
     CEJ_CHECK(type_ == DataType::kVector);
-    return matrix_->Row(r);
+    if (view_ == nullptr) return matrix_->Row(r);
+    CEJ_DCHECK(r < view_->rows.size());
+    return matrix_->Row(view_->rows[r]);
   }
 
-  /// Materializes a new column containing rows[i] for each i (gather).
+  /// A new column containing rows[i] for each i (gather). Scalar and
+  /// string columns copy their values; a vector column returns a view that
+  /// shares this column's source matrix and copies no embedding rows.
   Column Gather(const std::vector<uint32_t>& rows) const;
 
  private:
+  // A vector view's source row per tuple, and its dense copy, built once
+  // on first request. Held by shared_ptr so Column stays movable
+  // (std::once_flag is not).
+  struct View {
+    std::vector<uint32_t> rows;
+    std::once_flag densify_once;
+    std::shared_ptr<const la::Matrix> dense;
+  };
+
   explicit Column(DataType type) : type_(type) {}
 
   DataType type_;
@@ -85,8 +105,10 @@ class Column {
   std::vector<std::string> string_;
   std::vector<int32_t> date_;
   // Non-null iff type_ == kVector; shared so cached embeddings flow into
-  // result columns without a copy.
+  // result columns without a copy. For a view this is the source matrix.
   std::shared_ptr<const la::Matrix> matrix_;
+  // Non-null iff this is a vector view.
+  std::shared_ptr<View> view_;
 };
 
 }  // namespace cej::storage

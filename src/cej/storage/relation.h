@@ -32,7 +32,9 @@ class Relation {
   Result<const Column*> ColumnByName(const std::string& name) const;
 
   /// Materializes the subset of rows given by `rows` (in order, possibly
-  /// with repeats) across all columns.
+  /// with repeats) across all columns. Vector columns come out as views of
+  /// this relation's matrices (see Column::Gather); no embedding row is
+  /// copied.
   Relation Take(const std::vector<uint32_t>& rows) const;
 
   /// Returns a new relation sharing this one's columns plus `column`

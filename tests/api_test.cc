@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "cej/cej.h"
+#include "cej/common/timer.h"
 #include "cej/workload/generators.h"
 
 namespace cej {
@@ -641,6 +642,20 @@ TEST_F(EngineCacheTest, WarmCacheSkipsModelCallsEntirely) {
       engine_.embedding_cache()->stats();
   EXPECT_EQ(cache_stats.entries, 2u);
   EXPECT_GE(cache_stats.hits, 2u);
+}
+
+TEST_F(EngineCacheTest, ColdEmbeddingTimeIsReportedWithinTheWall) {
+  // Cold cache: the rewritten plan's Embed nodes run the model on both
+  // sides, and that time is reported next to the join phase — never more
+  // than the query took end to end.
+  WallTimer wall;
+  auto cold = RunJoin();
+  const double wall_seconds = wall.ElapsedSeconds();
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  ASSERT_EQ(cold->stats.model_calls, left_words_.size() + right_words_.size());
+  const join::JoinStats& js = cold->stats.join_stats;
+  EXPECT_GT(js.embed_seconds, 0.0);
+  EXPECT_LE(js.embed_seconds + js.join_seconds, wall_seconds);
 }
 
 TEST_F(EngineCacheTest, ReplaceTableInvalidatesItsEntries) {

@@ -2,12 +2,14 @@
 // (plan/join_order), the chained/QueryGraph builder surfaces, canonical
 // output naming, order independence (every forced order byte-identical to
 // the DP order, through Execute and Stream), intermediate embedding reuse
-// (zero model calls on a warm second run), and the per-edge
-// estimated-vs-observed cardinality feed.
+// (zero model calls on a warm second run), hoisted embedding columns
+// reaching the output as views of the embedding cache (no row copied), and
+// the per-edge estimated-vs-observed cardinality feed.
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <set>
 #include <string>
 #include <thread>
@@ -564,6 +566,97 @@ TEST_F(NamingTest, UnknownUnqualifiedKeySuggestsQualification) {
   EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(plan.status().message().find("table.column"), std::string::npos)
       << plan.status().ToString();
+}
+
+// ---------------------------------------------------------------------------
+// Zero-copy intermediates
+// ---------------------------------------------------------------------------
+
+// `table` with an int64 row-id column `id_name` (0, 1, ...) ahead of the
+// string columns, so output rows can be traced back to base-table rows.
+std::shared_ptr<const Relation> IdTable(
+    const std::string& id_name,
+    std::vector<std::pair<std::string, std::vector<std::string>>> columns) {
+  const size_t rows = columns.front().second.size();
+  std::vector<int64_t> ids(rows);
+  for (size_t i = 0; i < rows; ++i) ids[i] = static_cast<int64_t>(i);
+  std::vector<storage::Field> fields = {{id_name, DataType::kInt64, 0}};
+  std::vector<Column> cols;
+  cols.push_back(Column::Int64(std::move(ids)));
+  for (auto& [name, values] : columns) {
+    fields.push_back({name, DataType::kString, 0});
+    cols.push_back(Column::String(std::move(values)));
+  }
+  auto schema = Schema::Create(std::move(fields));
+  CEJ_CHECK(schema.ok());
+  auto rel = Relation::Create(std::move(schema).value(), std::move(cols));
+  CEJ_CHECK(rel.ok());
+  return std::make_shared<const Relation>(std::move(rel).value());
+}
+
+TEST(ZeroCopyGraphTest, HoistedEmbeddingColumnsPointIntoTheEmbeddingCache) {
+  model::SubwordHashModel model;
+  Engine engine;  // Default options: embedding cache enabled.
+  ASSERT_TRUE(engine.RegisterModel("hash", &model).ok());
+  ASSERT_TRUE(engine
+                  .RegisterTable(
+                      "A", IdTable("aid", {{"dedup", CycleWords(40, kDedupVocab)},
+                                           {"tag", CycleWords(40, kTagVocab)}}))
+                  .ok());
+  ASSERT_TRUE(
+      engine
+          .RegisterTable("B", IdTable("bid", {{"bkey", CycleWords(
+                                                   90, kDedupVocab)}}))
+          .ok());
+  ASSERT_TRUE(
+      engine
+          .RegisterTable("C", IdTable("cid", {{"ckey", CycleWords(
+                                                   12, kTagVocab)}}))
+          .ok());
+  JoinGraphSpec spec;
+  spec.tables = {"A", "B", "C"};
+  spec.edges = {
+      {"A.dedup", "B.bkey", join::JoinCondition::Threshold(0.95f), ""},
+      {"A.tag", "C.ckey", join::JoinCondition::Threshold(0.95f), ""}};
+  auto result = engine.QueryGraph(spec).Execute();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const Relation& out = result->relation;
+  ASSERT_GT(out.num_rows(), 0u);
+
+  // Every hoisted embedding column, with the base table and row-id column
+  // behind it.
+  struct Source {
+    const char* table;
+    const char* key;
+    const char* id;
+  };
+  const Source sources[] = {{"A", "dedup", "aid"},
+                            {"A", "tag", "aid"},
+                            {"B", "bkey", "bid"},
+                            {"C", "ckey", "cid"}};
+  for (const Source& src : sources) {
+    SCOPED_TRACE(std::string(src.table) + "." + src.key);
+    auto emb = out.ColumnByName(std::string(src.key) + "_emb");
+    ASSERT_TRUE(emb.ok()) << emb.status().ToString();
+    const std::shared_ptr<const la::Matrix> cached =
+        engine.embedding_cache()->Peek(src.table, src.key, &model);
+    ASSERT_NE(cached, nullptr);
+    const auto& ids = out.ColumnByName(src.id).value()->int64_values();
+    const auto& keys = out.ColumnByName(src.key).value()->string_values();
+    const la::Matrix fresh = model.EmbedBatch(keys);
+    ASSERT_EQ((*emb)->size(), out.num_rows());
+    for (size_t i = 0; i < out.num_rows(); ++i) {
+      // The output row IS the cached row of its base tuple: nothing was
+      // copied on the way through either join.
+      ASSERT_EQ((*emb)->VectorAt(i),
+                cached->Row(static_cast<size_t>(ids[i])))
+          << "row " << i;
+      ASSERT_EQ(std::memcmp((*emb)->VectorAt(i), fresh.Row(i),
+                            model.dim() * sizeof(float)),
+                0)
+          << "row " << i;
+    }
+  }
 }
 
 }  // namespace

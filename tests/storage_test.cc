@@ -1,5 +1,10 @@
 // Tests for cej/storage: schema validation, typed columns, relation
-// assembly, gather/take, column appending.
+// assembly, gather/take, column appending, and gathered vector columns as
+// zero-copy views (id composition, lazy thread-safe densification).
+
+#include <atomic>
+#include <cstring>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -90,7 +95,7 @@ TEST(ColumnTest, GatherReordersAndRepeats) {
   EXPECT_EQ(g.string_values()[3], "b");
 }
 
-TEST(ColumnTest, GatherVectorCopiesRows) {
+TEST(ColumnTest, GatherVectorReadsSourceRowsInPlace) {
   la::Matrix m(3, 2);
   m.At(0, 0) = 1.0f;
   m.At(1, 0) = 2.0f;
@@ -98,9 +103,94 @@ TEST(ColumnTest, GatherVectorCopiesRows) {
   Column c = Column::Vector(std::move(m));
   Column g = c.Gather({1, 1, 0});
   EXPECT_EQ(g.size(), 3u);
+  EXPECT_EQ(g.vector_dim(), 2u);
   EXPECT_FLOAT_EQ(g.VectorAt(0)[0], 2.0f);
   EXPECT_FLOAT_EQ(g.VectorAt(1)[0], 2.0f);
   EXPECT_FLOAT_EQ(g.VectorAt(2)[0], 1.0f);
+  // No row was copied: the gathered rows are the source's rows.
+  EXPECT_EQ(g.VectorAt(0), c.VectorAt(1));
+  EXPECT_EQ(g.VectorAt(1), c.VectorAt(1));
+  EXPECT_EQ(g.VectorAt(2), c.VectorAt(0));
+}
+
+TEST(ColumnTest, GatherOfGatherComposesToBaseRows) {
+  Column base = Column::Vector(workload::RandomUnitVectors(6, 8, 3));
+  Column first = base.Gather({5, 3, 1, 0});
+  Column second = first.Gather({2, 0, 2, 3});
+  ASSERT_EQ(second.size(), 4u);
+  // 2 -> 1, 0 -> 5, 2 -> 1, 3 -> 0 in base rows.
+  EXPECT_EQ(second.VectorAt(0), base.VectorAt(1));
+  EXPECT_EQ(second.VectorAt(1), base.VectorAt(5));
+  EXPECT_EQ(second.VectorAt(2), base.VectorAt(1));
+  EXPECT_EQ(second.VectorAt(3), base.VectorAt(0));
+  // Densifying the intermediate view does not redirect later gathers.
+  (void)first.vector_values();
+  Column third = first.Gather({1});
+  EXPECT_EQ(third.VectorAt(0), base.VectorAt(3));
+}
+
+// The rows of `column` copied one by one: the bytes a dense gather holds.
+la::Matrix EagerGather(const Column& column,
+                       const std::vector<uint32_t>& rows) {
+  const la::Matrix& source = column.vector_values();
+  la::Matrix out(rows.size(), source.cols());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    std::memcpy(out.Row(i), source.Row(rows[i]),
+                source.cols() * sizeof(float));
+  }
+  return out;
+}
+
+TEST(ColumnTest, ViewDensifiesOnceToTheEagerBytes) {
+  Column base = Column::Vector(workload::RandomUnitVectors(16, 12, 4));
+  const std::vector<uint32_t> rows = {15, 2, 2, 9, 0, 7};
+  Column view = base.Gather(rows);
+  const la::Matrix eager = EagerGather(base, rows);
+  const la::Matrix& dense = view.vector_values();
+  ASSERT_EQ(dense.rows(), eager.rows());
+  ASSERT_EQ(dense.cols(), eager.cols());
+  EXPECT_EQ(std::memcmp(dense.data(), eager.data(),
+                        eager.size() * sizeof(float)),
+            0);
+  // Built once: repeated calls return the same matrix.
+  EXPECT_EQ(&view.vector_values(), &dense);
+  EXPECT_EQ(view.shared_vector_values().get(), &dense);
+  // A dense column hands out its own matrix, never a copy.
+  EXPECT_EQ(&base.vector_values(), base.shared_vector_values().get());
+}
+
+TEST(ColumnTest, ConcurrentFirstDensifyBuildsOneMatrix) {
+  Column base = Column::Vector(workload::RandomUnitVectors(512, 32, 6));
+  std::vector<uint32_t> rows;
+  for (uint32_t r = 0; r < 512; r += 3) rows.push_back(r);
+  const auto view = std::make_shared<const Column>(base.Gather(rows));
+  constexpr int kThreads = 8;
+  std::vector<const la::Matrix*> seen(kThreads, nullptr);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      seen[t] = &view->vector_values();
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t], seen[0]);
+  const la::Matrix eager = EagerGather(base, rows);
+  ASSERT_EQ(seen[0]->rows(), rows.size());
+  EXPECT_EQ(std::memcmp(seen[0]->data(), eager.data(),
+                        eager.size() * sizeof(float)),
+            0);
+}
+
+TEST(ColumnDeathTest, OutOfRangeGatherDies) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Column base = Column::Vector(workload::RandomUnitVectors(4, 8, 7));
+  EXPECT_DEATH(base.Gather({0, 4}), "CEJ_CHECK");
+  // A view is bounded by its own length, not its source matrix's.
+  Column view = base.Gather({3, 1});
+  EXPECT_DEATH(view.Gather({2}), "CEJ_CHECK");
 }
 
 TEST(ColumnTest, GatherEmptyProducesEmpty) {
@@ -108,6 +198,12 @@ TEST(ColumnTest, GatherEmptyProducesEmpty) {
   Column g = c.Gather({});
   EXPECT_EQ(g.size(), 0u);
   EXPECT_EQ(g.type(), DataType::kDate);
+
+  Column v = Column::Vector(workload::RandomUnitVectors(3, 4, 5)).Gather({});
+  EXPECT_EQ(v.size(), 0u);
+  EXPECT_EQ(v.vector_dim(), 4u);
+  EXPECT_EQ(v.vector_values().rows(), 0u);
+  EXPECT_EQ(v.vector_values().cols(), 4u);
 }
 
 // ---------------------------------------------------------------------------
@@ -213,6 +309,43 @@ TEST(RelationTest, WithColumnRejectsTypeMismatch) {
   auto extended = rel.WithColumn({"s", DataType::kDouble, 0},
                                  Column::Int64({1, 2, 3, 4}));
   EXPECT_FALSE(extended.ok());
+}
+
+Relation MakeVectorRelation(size_t rows) {
+  Schema schema = MakeSchema(
+      {{"id", DataType::kInt64, 0}, {"emb", DataType::kVector, 8}});
+  std::vector<int64_t> ids(rows);
+  for (size_t i = 0; i < rows; ++i) ids[i] = static_cast<int64_t>(i);
+  std::vector<Column> columns;
+  columns.push_back(Column::Int64(std::move(ids)));
+  columns.push_back(Column::Vector(workload::RandomUnitVectors(rows, 8, 8)));
+  auto rel = Relation::Create(std::move(schema), std::move(columns));
+  CEJ_CHECK(rel.ok());
+  return std::move(rel).value();
+}
+
+TEST(RelationTest, TakeAndProjectOnViewColumns) {
+  Relation rel = MakeVectorRelation(10);
+  const Column& base = *rel.ColumnByName("emb").value();
+  Relation first = rel.Take({9, 4, 6, 1});
+  Relation second = first.Take({3, 3, 0});
+  const Column& emb = *second.ColumnByName("emb").value();
+  ASSERT_EQ(second.num_rows(), 3u);
+  EXPECT_EQ(emb.size(), 3u);
+  EXPECT_EQ(emb.VectorAt(0), base.VectorAt(1));
+  EXPECT_EQ(emb.VectorAt(1), base.VectorAt(1));
+  EXPECT_EQ(emb.VectorAt(2), base.VectorAt(9));
+  EXPECT_EQ(second.ColumnByName("id").value()->int64_values(),
+            (std::vector<int64_t>{1, 1, 9}));
+
+  auto projected = second.Project(
+      MakeSchema({{"vec", DataType::kVector, 8}, {"key", DataType::kInt64, 0}}),
+      {1, 0});
+  ASSERT_TRUE(projected.ok()) << projected.status().ToString();
+  EXPECT_EQ(&projected->column(0), &emb);
+  EXPECT_EQ(projected->ColumnByName("vec").value()->VectorAt(2),
+            base.VectorAt(9));
+  EXPECT_EQ(projected->column(0).vector_values().rows(), 3u);
 }
 
 TEST(RelationTest, WithVectorColumn) {
