@@ -59,7 +59,7 @@ int main() {
                      "Section IV.A cost model (predicted vs measured)");
 
   model::SubwordHashModel model;
-  plan::CostParams params = plan::Calibrate(model);
+  join::CostParams params = plan::Calibrate(model);
   std::printf("# calibrated: A=%.1f ns  M=%.1f ns  C=%.1f ns\n",
               params.access, params.model, params.compute);
 
@@ -77,7 +77,7 @@ int main() {
   Row rows[3];
 
   rows[0].name = "naive E-NLJ";
-  rows[0].predicted_ns = plan::NaiveENljCost(m, n, params);
+  rows[0].predicted_ns = join::NaiveENljCost(m, n, params);
   rows[0].measured_ms = bench::TimeMs([&] {
     join::JoinOptions options;
     options.pool = &bench::Pool();
@@ -86,7 +86,7 @@ int main() {
   });
 
   rows[1].name = "prefetch E-NLJ";
-  rows[1].predicted_ns = plan::PrefetchENljCost(m, n, params);
+  rows[1].predicted_ns = join::PrefetchENljCost(m, n, params);
   rows[1].measured_ms = bench::TimeMs([&] {
     join::NljOptions options;
     options.pool = &bench::Pool();
@@ -97,7 +97,7 @@ int main() {
   });
 
   rows[2].name = "tensor join";
-  rows[2].predicted_ns = plan::TensorJoinCost(m, n, params);
+  rows[2].predicted_ns = join::TensorJoinCost(m, n, params);
   rows[2].measured_ms = bench::TimeMs([&] {
     join::TensorJoinOptions options;
     options.pool = &bench::Pool();

@@ -23,42 +23,50 @@ std::string EmbeddingCache::Key(const std::string& table,
   return key;
 }
 
+const EmbeddingCache::Entry* EmbeddingCache::FindLocked(
+    const std::string& key,
+    const std::shared_ptr<const storage::Relation>& relation) const {
+  auto it = entries_.find(key);
+  if (it == entries_.end()) return nullptr;
+  const std::weak_ptr<const storage::Relation>& source = it->second.source;
+  const bool same_owner =
+      !source.owner_before(relation) && !relation.owner_before(source);
+  return same_owner ? &it->second : nullptr;
+}
+
 std::shared_ptr<const la::Matrix> EmbeddingCache::Get(
     const std::string& table, const std::string& column,
-    const model::EmbeddingModel* model) {
+    const model::EmbeddingModel* model,
+    const std::shared_ptr<const storage::Relation>& relation) {
   if (options_.max_bytes == 0) return nullptr;
   const std::string key = Key(table, column, model);
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
+  const Entry* entry = FindLocked(key, relation);
+  if (entry == nullptr) {
     ++misses_;
     return nullptr;
   }
   ++hits_;
-  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-  return it->second.matrix;
+  lru_.splice(lru_.begin(), lru_, entry->lru_it);
+  return entry->matrix;
 }
 
 std::shared_ptr<const la::Matrix> EmbeddingCache::Peek(
     const std::string& table, const std::string& column,
-    const model::EmbeddingModel* model) const {
+    const model::EmbeddingModel* model,
+    const std::shared_ptr<const storage::Relation>& relation) const {
   if (options_.max_bytes == 0) return nullptr;
   const std::string key = Key(table, column, model);
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(key);
-  return it == entries_.end() ? nullptr : it->second.matrix;
+  const Entry* entry = FindLocked(key, relation);
+  return entry == nullptr ? nullptr : entry->matrix;
 }
 
-void EmbeddingCache::Put(const std::string& table, const std::string& column,
-                         const model::EmbeddingModel* model,
-                         la::Matrix embedding) {
-  Put(table, column, model,
-      std::make_shared<const la::Matrix>(std::move(embedding)));
-}
-
-void EmbeddingCache::Put(const std::string& table, const std::string& column,
-                         const model::EmbeddingModel* model,
-                         std::shared_ptr<const la::Matrix> embedding) {
+void EmbeddingCache::Put(
+    const std::string& table, const std::string& column,
+    const model::EmbeddingModel* model,
+    const std::shared_ptr<const storage::Relation>& relation,
+    std::shared_ptr<const la::Matrix> embedding) {
   if (embedding == nullptr) return;
   const size_t entry_bytes = embedding->MemoryBytes();
   if (options_.max_bytes == 0 || entry_bytes > options_.max_bytes) return;
@@ -68,6 +76,7 @@ void EmbeddingCache::Put(const std::string& table, const std::string& column,
   lru_.push_front(key);
   Entry entry;
   entry.table = table;
+  entry.source = relation;
   entry.matrix = std::move(embedding);
   entry.lru_it = lru_.begin();
   entries_.emplace(key, std::move(entry));

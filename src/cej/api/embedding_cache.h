@@ -1,13 +1,17 @@
 // Engine-owned cache of full-column embeddings, keyed by
-// (table, column, model).
+// (table, column, model) and tied to the relation snapshot they were
+// computed from.
 //
 // Model invocation dominates context-enhanced join cost (paper Section V),
 // and a registered table's key column embeds to the same matrix on every
 // query — so the executor embeds a base-table column once, parks the
 // matrix here, and every later query over the same (table, column, model)
 // reuses it with zero model calls (filtered queries gather the surviving
-// rows out of the cached full-table matrix). Entries are invalidated when
-// a table is re-registered (Engine::ReplaceTable) and evicted LRU-first
+// rows out of the cached full-table matrix). Each entry remembers (weakly)
+// the relation it embeds; a lookup with any other relation — a plan made
+// before or after Engine::ReplaceTable swapped the table's contents — is
+// a miss, so one snapshot's vectors are never served to another. Entries
+// are also dropped when a table is re-registered and evicted LRU-first
 // under a byte budget.
 //
 // Thread-safe: queries running concurrently share the cache. Cached
@@ -28,6 +32,10 @@
 
 namespace cej::model {
 class EmbeddingModel;
+}
+
+namespace cej::storage {
+class Relation;
 }
 
 namespace cej {
@@ -58,11 +66,14 @@ class EmbeddingCache {
   EmbeddingCache(const EmbeddingCache&) = delete;
   EmbeddingCache& operator=(const EmbeddingCache&) = delete;
 
-  /// The cached full-table embedding of `table`.`column` under `model`, or
-  /// nullptr. A hit refreshes the entry's recency.
-  std::shared_ptr<const la::Matrix> Get(const std::string& table,
-                                        const std::string& column,
-                                        const model::EmbeddingModel* model);
+  /// The cached full-table embedding of `table`.`column` under `model`
+  /// computed from `relation` (the caller's snapshot of `table`), or
+  /// nullptr — also when the entry was computed from another snapshot. A
+  /// hit refreshes the entry's recency.
+  std::shared_ptr<const la::Matrix> Get(
+      const std::string& table, const std::string& column,
+      const model::EmbeddingModel* model,
+      const std::shared_ptr<const storage::Relation>& relation);
 
   /// Like Get, but side-effect-free: neither the LRU order nor the
   /// hit/miss counters move. The planner peeks at expected cache state to
@@ -70,16 +81,16 @@ class EmbeddingCache {
   /// statistics queries observe.
   std::shared_ptr<const la::Matrix> Peek(
       const std::string& table, const std::string& column,
-      const model::EmbeddingModel* model) const;
+      const model::EmbeddingModel* model,
+      const std::shared_ptr<const storage::Relation>& relation) const;
 
-  /// Parks a freshly computed full-table embedding, evicting LRU entries
-  /// until the budget holds. Replaces any existing entry for the key.
-  /// The shared form is copy-free: the caller keeps using the same matrix
-  /// it handed over (e.g. inside a result column).
-  void Put(const std::string& table, const std::string& column,
-           const model::EmbeddingModel* model, la::Matrix embedding);
+  /// Parks a full-table embedding computed from `relation`, evicting LRU
+  /// entries until the budget holds. Replaces any existing entry for the
+  /// key. Copy-free: the caller keeps using the same matrix it handed over
+  /// (e.g. inside a result column).
   void Put(const std::string& table, const std::string& column,
            const model::EmbeddingModel* model,
+           const std::shared_ptr<const storage::Relation>& relation,
            std::shared_ptr<const la::Matrix> embedding);
 
   /// Drops every entry belonging to `table` (any column, any model) —
@@ -93,12 +104,20 @@ class EmbeddingCache {
  private:
   struct Entry {
     std::string table;
+    // The snapshot the matrix embeds. Held weakly: the cache must not keep
+    // a replaced table alive, and the control block outlives the relation,
+    // so a later relation can never compare equal to it.
+    std::weak_ptr<const storage::Relation> source;
     std::shared_ptr<const la::Matrix> matrix;
     std::list<std::string>::iterator lru_it;
   };
 
   static std::string Key(const std::string& table, const std::string& column,
                          const model::EmbeddingModel* model);
+  // The entry under `key` computed from `relation`, or nullptr.
+  const Entry* FindLocked(
+      const std::string& key,
+      const std::shared_ptr<const storage::Relation>& relation) const;
   void EvictToBudgetLocked();
   void RemoveLocked(const std::string& key);
 

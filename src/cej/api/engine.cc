@@ -259,7 +259,7 @@ void Engine::CalibrateCosts(const model::EmbeddingModel& model) {
   set_cost_params(plan::Calibrate(model));
 }
 
-void Engine::set_cost_params(const plan::CostParams& params) {
+void Engine::set_cost_params(const join::CostParams& params) {
   cost_params_ = params;
   // The seed changed under the calibrator: restart learning from it (the
   // observation history ring is kept for diagnostics).
@@ -665,7 +665,6 @@ Result<std::string> QueryBuilder::Explain() const {
       plan::ExecContext context = engine_->MakeExecContext();
       plan::JoinOrderOptions order_options;
       order_options.cost_params = context.cost_params;
-      order_options.registry = context.operators;
       order_options.pool_threads =
           context.pool != nullptr ? context.pool->num_threads() + 1 : 1;
       order_options.shard_count = context.shard_count;
@@ -721,8 +720,8 @@ Result<std::string> QueryBuilder::Explain() const {
   // with, and the recent per-join misprediction history feeding them.
   if (engine_->calibrator() != nullptr) {
     const stats::CostCalibrator& calibrator = *engine_->calibrator();
-    const plan::CostParams seed = calibrator.seed();
-    const plan::CostParams current = *calibrator.Current();
+    const join::CostParams seed = calibrator.seed();
+    const join::CostParams current = *calibrator.Current();
     const auto calibrator_stats = calibrator.stats();
     char line[160];
     out += "— adaptive stats —\n";

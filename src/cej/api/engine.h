@@ -50,7 +50,8 @@ namespace cej {
 class QueryBuilder;
 
 /// A query's materialized output plus execution diagnostics (chosen
-/// physical operator, access path, cost estimates, operator counters).
+/// physical operator, its quote and the rejected runner-up's, operator
+/// counters).
 struct QueryResult {
   storage::Relation relation;
   plan::ExecStats stats;
@@ -258,10 +259,10 @@ class Engine {
   /// cost-model parameters (plan::Calibrate). With adaptive stats enabled
   /// this re-seeds the calibrator (discarding what it learned).
   void CalibrateCosts(const model::EmbeddingModel& model);
-  void set_cost_params(const plan::CostParams& params);
+  void set_cost_params(const join::CostParams& params);
   /// The SEED parameters. With adaptive stats enabled, queries price with
   /// the calibrator's current snapshot instead: calibrator()->Current().
-  const plan::CostParams& cost_params() const { return cost_params_; }
+  const join::CostParams& cost_params() const { return cost_params_; }
 
   // --- Adaptive statistics ------------------------------------------------
 
@@ -306,7 +307,7 @@ class Engine {
   Options options_;
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<EmbeddingCache> embedding_cache_;
-  plan::CostParams cost_params_;
+  join::CostParams cost_params_;
   /// Non-null iff Options::adaptive_stats. Queries borrow the pointer for
   /// observation recording; refits publish immutable snapshots, so plans
   /// copied their prices at MakeExecContext time and never race one.

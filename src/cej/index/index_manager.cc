@@ -134,13 +134,14 @@ IndexManager::IndexManager(Options options, ThreadPool* pool,
 IndexManager::~IndexManager() { WaitForBackgroundBuilds(); }
 
 Result<std::shared_ptr<const la::Matrix>> IndexManager::SourceVectors(
-    const std::string& table, const storage::Relation& relation,
+    const std::string& table,
+    const std::shared_ptr<const storage::Relation>& relation,
     const std::string& column, const model::EmbeddingModel* model,
     uint64_t generation, IndexBuildStats* stats) {
   CEJ_ASSIGN_OR_RETURN(const storage::Column* col,
-                       relation.ColumnByName(column));
-  stats->rows = relation.num_rows();
-  if (relation.num_rows() == 0) {
+                       relation->ColumnByName(column));
+  stats->rows = relation->num_rows();
+  if (relation->num_rows() == 0) {
     return Status::InvalidArgument("BuildIndex: table '" + table +
                                    "' is empty");
   }
@@ -163,8 +164,9 @@ Result<std::shared_ptr<const la::Matrix>> IndexManager::SourceVectors(
   // (and warm the cache) otherwise — the same sourcing discipline the
   // executor's Embed nodes use.
   if (cache_ != nullptr) {
-    std::shared_ptr<const la::Matrix> hit = cache_->Get(table, column, model);
-    if (hit != nullptr && hit->rows() == relation.num_rows() &&
+    std::shared_ptr<const la::Matrix> hit =
+        cache_->Get(table, column, model, relation);
+    if (hit != nullptr && hit->rows() == relation->num_rows() &&
         hit->cols() == model->dim()) {
       stats->embedding_cache_hit = true;
       return hit;
@@ -184,7 +186,7 @@ Result<std::shared_ptr<const la::Matrix>> IndexManager::SourceVectors(
       std::lock_guard<std::mutex> lock(mu_);
       current = table_generations_[table] == generation;
     }
-    if (current) cache_->Put(table, column, model, fresh);
+    if (current) cache_->Put(table, column, model, relation, fresh);
   }
   return fresh;
 }
@@ -280,7 +282,7 @@ Result<IndexBuildStats> IndexManager::Build(
   IndexBuildStats stats;
   CEJ_ASSIGN_OR_RETURN(
       std::shared_ptr<const la::Matrix> vectors,
-      SourceVectors(table, *relation, column, model, generation, &stats));
+      SourceVectors(table, relation, column, model, generation, &stats));
   CEJ_ASSIGN_OR_RETURN(std::shared_ptr<const VectorIndex> built,
                        Construct(std::move(vectors), options, &stats));
 

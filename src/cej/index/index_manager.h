@@ -314,7 +314,8 @@ class IndexManager {
   // the cache warm-up: embeddings of a since-replaced table are never
   // parked under the live key.
   Result<std::shared_ptr<const la::Matrix>> SourceVectors(
-      const std::string& table, const storage::Relation& relation,
+      const std::string& table,
+      const std::shared_ptr<const storage::Relation>& relation,
       const std::string& column, const model::EmbeddingModel* model,
       uint64_t generation, IndexBuildStats* stats);
 

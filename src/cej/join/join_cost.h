@@ -12,8 +12,7 @@
 //
 // The tensor formulation performs the same |R|*|S| similarity work with a
 // cache-efficiency factor < 1 relative to the NLJ (calibrated, not assumed).
-// plan/cost_model.h re-exports these names for planner-side callers and
-// adds host calibration.
+// plan/cost_model.h adds host calibration (plan::Calibrate).
 
 #ifndef CEJ_JOIN_JOIN_COST_H_
 #define CEJ_JOIN_JOIN_COST_H_

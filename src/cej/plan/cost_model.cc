@@ -11,8 +11,9 @@
 
 namespace cej::plan {
 
-CostParams Calibrate(const model::EmbeddingModel& model, size_t sample) {
-  CostParams p;
+join::CostParams Calibrate(const model::EmbeddingModel& model,
+                           size_t sample) {
+  join::CostParams p;
   const size_t dim = model.dim();
   // M: average embedding latency over `sample` random strings.
   const auto strings = workload::RandomStrings(sample, 5, 12, /*seed=*/99);

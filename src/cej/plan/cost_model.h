@@ -1,10 +1,10 @@
-// Planner-side view of the paper's abstract cost model (Section IV.A).
+// Host calibration of the paper's abstract cost model (Section IV.A).
 //
 // The parameters and per-operator cost formulas live with the operators in
 // cej/join/join_cost.h — each physical JoinOperator prices itself via
-// EstimateCost() — and are re-exported here for planner callers. This
-// header adds the piece only the planner can do: calibrating A, M and C
-// against the host machine and a concrete embedding model.
+// EstimateCost(). This header adds the piece only the planner can do:
+// calibrating A, M and C against the host machine and a concrete
+// embedding model.
 
 #ifndef CEJ_PLAN_COST_MODEL_H_
 #define CEJ_PLAN_COST_MODEL_H_
@@ -16,27 +16,10 @@
 
 namespace cej::plan {
 
-using join::CostParams;
-using join::JoinWorkload;
-
-using join::ESelectionCost;
-using join::IndexJoinCost;
-using join::IndexProbeCost;
-using join::NaiveENljCost;
-using join::PrefetchENljCost;
-using join::TensorJoinCost;
-
-// The calibration feature decomposition (each operator's quote is
-// PriceFeatures(FeaturesForOperator(...)) — what the adaptive calibrator
-// in cej/stats refits against).
-using join::CostFeatures;
-using join::FeaturesForOperator;
-using join::ParallelSpeedup;
-using join::PriceFeatures;
-
 /// Micro-benchmarks the host to fill in A, M and C for a concrete model and
 /// dimensionality. Cheap (a few milliseconds).
-CostParams Calibrate(const model::EmbeddingModel& model, size_t sample = 256);
+join::CostParams Calibrate(const model::EmbeddingModel& model,
+                           size_t sample = 256);
 
 }  // namespace cej::plan
 

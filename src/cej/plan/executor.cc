@@ -176,9 +176,6 @@ class PlanExecutor {
   PlanExecutor(const ExecContext& context, ExecStats* stats,
                size_t fused_queries = 1)
       : context_(context),
-        registry_(context.operators != nullptr
-                      ? *context.operators
-                      : JoinOperatorRegistry::Global()),
         stats_(stats),
         fused_queries_(fused_queries < 1 ? 1 : fused_queries) {}
 
@@ -228,13 +225,16 @@ class PlanExecutor {
   };
 
   // Embeds `input`'s embed-input column per `embed`, serving from — and
-  // populating — the engine embedding cache when `base_table` names the
-  // base table the rows came from. `base_rows` are the base-table row ids
-  // behind `input`'s rows (nullptr = `input` IS the full base table; only
-  // full-table embeddings are cached, but filtered pipelines gather their
-  // survivors out of a cached full-table matrix on a hit).
+  // populating — the engine embedding cache when `scan` is the base-table
+  // Scan the rows came from (nullptr = uncached). Cache entries are tied
+  // to the Scan's relation snapshot, so a plan made before or after a
+  // ReplaceTable never sees the other snapshot's vectors. `base_rows` are
+  // the base-table row ids behind `input`'s rows (nullptr = `input` IS the
+  // full base table; only full-table embeddings are cached, but filtered
+  // pipelines gather their survivors out of a cached full-table matrix on
+  // a hit).
   Result<Relation> ApplyEmbed(const Relation& input, const LogicalNode& embed,
-                              const std::string& base_table,
+                              const LogicalNode* scan,
                               const std::vector<uint32_t>* base_rows) {
     CEJ_ASSIGN_OR_RETURN(const Column* col,
                          input.ColumnByName(embed.input_column));
@@ -248,10 +248,10 @@ class PlanExecutor {
     // without cloning either way.
     std::optional<Column> embedded;
     EmbeddingCache* cache = context_.embedding_cache;
-    const bool cacheable = cache != nullptr && !base_table.empty();
+    const bool cacheable = cache != nullptr && scan != nullptr;
     if (cacheable) {
-      std::shared_ptr<const la::Matrix> hit =
-          cache->Get(base_table, embed.input_column, embed.model);
+      std::shared_ptr<const la::Matrix> hit = cache->Get(
+          scan->table_name, embed.input_column, embed.model, scan->relation);
       if (hit != nullptr && hit->cols() == embed.model->dim()) {
         if (base_rows == nullptr) {
           if (hit->rows() == input.num_rows()) {
@@ -280,7 +280,8 @@ class PlanExecutor {
       }
       auto shared = std::make_shared<const la::Matrix>(std::move(fresh));
       if (cacheable && base_rows == nullptr) {
-        cache->Put(base_table, embed.input_column, embed.model, shared);
+        cache->Put(scan->table_name, embed.input_column, embed.model,
+                   scan->relation, shared);
       }
       embedded = Column::Vector(std::move(shared));
     }
@@ -300,10 +301,10 @@ class PlanExecutor {
     // Full base table: the cacheable shape.
     if (base->kind == NodeKind::kScan) {
       if (below->kind == NodeKind::kScan) {
-        return ApplyEmbed(*base->relation, *node, base->table_name, nullptr);
+        return ApplyEmbed(*base->relation, *node, base, nullptr);
       }
       CEJ_ASSIGN_OR_RETURN(Relation input, Run(node->child));
-      return ApplyEmbed(input, *node, base->table_name, nullptr);
+      return ApplyEmbed(input, *node, base, nullptr);
     }
     // Filtered base table: evaluate the predicate once, then embed only
     // the survivors (or gather them from a cached full-table matrix).
@@ -315,14 +316,14 @@ class PlanExecutor {
           expr::Filter(*scan->relation, base->predicate));
       if (below == base) {
         const Relation filtered = scan->relation->Take(rows);
-        return ApplyEmbed(filtered, *node, scan->table_name, &rows);
+        return ApplyEmbed(filtered, *node, scan, &rows);
       }
       CEJ_ASSIGN_OR_RETURN(Relation input, Run(node->child));
-      return ApplyEmbed(input, *node, scan->table_name, &rows);
+      return ApplyEmbed(input, *node, scan, &rows);
     }
     // Arbitrary subtree: embed whatever it produced, uncached.
     CEJ_ASSIGN_OR_RETURN(Relation input, Run(node->child));
-    return ApplyEmbed(input, *node, "", nullptr);
+    return ApplyEmbed(input, *node, nullptr, nullptr);
   }
 
   Result<Relation> RunEJoin(const NodePtr& node) {
@@ -341,11 +342,7 @@ class PlanExecutor {
   Result<JoinOrderPlan> EnumerateGraph(const NodePtr& node) {
     JoinOrderOptions options;
     options.cost_params = context_.cost_params;
-    options.registry = &registry_;
-    options.pool_threads =
-        context_.pool != nullptr
-            ? static_cast<size_t>(context_.pool->num_threads()) + 1
-            : 1;
+    options.pool_threads = PoolThreads();
     options.shard_count = context_.shard_count;
     options.force_edge_order = context_.force_join_order;
     CEJ_ASSIGN_OR_RETURN(JoinOrderPlan plan,
@@ -410,8 +407,6 @@ class PlanExecutor {
       if (stats_ != nullptr) {
         stats_->model_calls += run->model_calls;
         stats_->join_stats += *run;
-        // Mirror of the merged operator counter (single source of truth).
-        stats_->index_probe_rows = stats_->join_stats.index_probe_rows;
         if (edge_counter != nullptr) {
           const size_t edge = static_cast<size_t>(node->graph_edge);
           if (stats_->edge_card_est.size() <= edge) {
@@ -453,8 +448,8 @@ class PlanExecutor {
     const bool adaptive = context_.calibrator != nullptr &&
                           node->model != nullptr && node->model->dim() > 0;
     Selection selection;
+    join::JoinWorkload workload;
     if (adaptive) {
-      join::JoinWorkload workload;
       workload.left_rows = left_key.string_values().size();
       workload.right_rows = right.num_rows();
       workload.dim = node->model->dim();
@@ -462,38 +457,32 @@ class PlanExecutor {
       // The operators receive raw right strings: with workers to overlap
       // against, the pipelined operator can hide the right embedding.
       workload.right_strings_streamable = context_.pool != nullptr;
-      workload.pool_threads =
-          context_.pool != nullptr
-              ? static_cast<size_t>(context_.pool->num_threads()) + 1
-              : 1;
+      workload.pool_threads = PoolThreads();
       workload.shard_count = context_.shard_count;
       workload.fused_queries = fused_queries_;
       CEJ_ASSIGN_OR_RETURN(
           selection,
           SelectOperator(workload, /*have_index=*/false,
                          /*string_domain=*/true));
-      if (stats_ != nullptr) {
-        stats_->join_operator = std::string(selection.op->Name());
-      }
-      CEJ_ASSIGN_OR_RETURN(JoinStats run_stats,
-                           selection.op->Run(inputs, node->condition,
-                                             BaseOptions(), sink));
+    } else {
+      CEJ_ASSIGN_OR_RETURN(selection.op,
+                           JoinOperatorRegistry::Global().Find(
+                               context_.force_operator.empty()
+                                   ? "naive_nlj"
+                                   : context_.force_operator));
+    }
+    if (stats_ != nullptr) {
+      stats_->join_operator = std::string(selection.op->Name());
+    }
+    CEJ_ASSIGN_OR_RETURN(JoinStats run_stats,
+                         selection.op->Run(inputs, node->condition,
+                                           BaseOptions(), sink));
+    if (adaptive) {
       RecordJoinObservation(
-          selection.op, workload, selection,
+          workload, selection,
           run_stats.embed_seconds + run_stats.join_seconds, run_stats,
           *node, edge_counter);
-      if (materialize_sides) sides->right = std::move(right);
-      return run_stats;
     }
-
-    const std::string op_name = context_.force_operator.empty()
-                                    ? "naive_nlj"
-                                    : context_.force_operator;
-    CEJ_ASSIGN_OR_RETURN(const JoinOperator* op, registry_.Find(op_name));
-    if (stats_ != nullptr) stats_->join_operator = std::string(op->Name());
-    CEJ_ASSIGN_OR_RETURN(JoinStats run_stats,
-                         op->Run(inputs, node->condition, BaseOptions(),
-                                 sink));
     if (materialize_sides) sides->right = std::move(right);
     return run_stats;
   }
@@ -509,35 +498,26 @@ class PlanExecutor {
     if (left_key.type() != DataType::kVector) {
       return Status::InvalidArgument("EJoin: left key is not a vector");
     }
-    // Index discovery over the probe-eligible right-subtree patterns:
-    // the engine-managed catalog snapshot first (shared_ptr-pinned for
-    // the whole query — a concurrent ReplaceTable cannot free a probed
-    // index), then the plan-layer borrowed map.
+    // Index discovery over the probe-eligible right-subtree patterns, in
+    // the catalog snapshot (shared_ptr-pinned for the whole query — a
+    // concurrent ReplaceTable cannot free a probed index).
     const ProbePattern pattern =
         MatchProbePattern(node->right, node->right_key);
     const index::VectorIndex* idx = nullptr;
     const index::IndexCatalogEntry* catalog_entry = nullptr;
-    if (pattern.matches) {
-      const std::string column = pattern.embed != nullptr
-                                     ? pattern.embed->output_column
-                                     : node->right_key;
-      if (context_.index_catalog != nullptr) {
-        catalog_entry = context_.index_catalog->Find(
-            pattern.scan->table_name, column,
-            pattern.embed != nullptr ? pattern.embed->model : nullptr);
-        if (catalog_entry != nullptr) idx = catalog_entry->index.get();
-        if (stats_ != nullptr) {
-          if (catalog_entry != nullptr) {
-            ++stats_->index_catalog_hits;
-          } else {
-            ++stats_->index_catalog_misses;
-          }
+    if (pattern.matches && context_.index_catalog != nullptr) {
+      catalog_entry = context_.index_catalog->Find(
+          pattern.scan->table_name,
+          pattern.embed != nullptr ? pattern.embed->output_column
+                                   : node->right_key,
+          pattern.embed != nullptr ? pattern.embed->model : nullptr);
+      if (catalog_entry != nullptr) idx = catalog_entry->index.get();
+      if (stats_ != nullptr) {
+        if (catalog_entry != nullptr) {
+          ++stats_->index_catalog_hits;
+        } else {
+          ++stats_->index_catalog_misses;
         }
-      }
-      if (idx == nullptr) {
-        auto it =
-            context_.indexes.find(pattern.scan->table_name + "." + column);
-        if (it != context_.indexes.end()) idx = it->second;
       }
     }
 
@@ -642,11 +622,7 @@ class PlanExecutor {
     workload.right_embed_cached =
         right_embed_cached || workload.right_intermediate;
     workload.right_strings_streamable = fusion_candidate;
-    // Caller-runs pool: the calling thread works alongside the workers.
-    workload.pool_threads =
-        context_.pool != nullptr
-            ? static_cast<size_t>(context_.pool->num_threads()) + 1
-            : 1;
+    workload.pool_threads = PoolThreads();
     workload.shard_count = context_.shard_count;
     workload.fused_queries = fused_queries_;
 
@@ -654,12 +630,7 @@ class PlanExecutor {
         Selection selection,
         SelectOperator(workload, idx != nullptr, /*string_domain=*/false));
     const JoinOperator* op = selection.op;
-    if (stats_ != nullptr) {
-      stats_->join_operator = std::string(op->Name());
-      stats_->join_access_path = op->Traits().needs_index
-                                     ? AccessPath::kProbe
-                                     : AccessPath::kScan;
-    }
+    if (stats_ != nullptr) stats_->join_operator = std::string(op->Name());
 
     // The cost scope the observation's measured time will cover: the left
     // side always arrives embedded in the vector domain (its model term
@@ -677,9 +648,8 @@ class PlanExecutor {
     if (pattern.matches && idx == nullptr &&
         context_.index_manager != nullptr &&
         context_.index_catalog != nullptr &&
-        context_.force_operator.empty() && !context_.force_scan &&
-        !context_.force_probe && !context_.require_exact) {
-      auto index_op = registry_.Find("index");
+        context_.force_operator.empty() && !context_.require_exact) {
+      auto index_op = JoinOperatorRegistry::Global().Find("index");
       if (index_op.ok()) {
         join::JoinWorkload hypothetical = workload;
         hypothetical.index_available = true;
@@ -709,38 +679,29 @@ class PlanExecutor {
       }
     }
 
+    // Each physical form fills in the operator's right-side inputs and the
+    // part of the cost scope its measured window covers; the join then
+    // runs and is recorded once.
+    JoinInputs inputs;
+    inputs.left_vectors = &left_key.vector_values();
+    std::optional<Column> gathered;  // Fused: the filtered key strings.
+    Relation right;                  // Scan: the materialized right side.
+    double right_prep_seconds = 0.0;
     if (op->Traits().needs_index) {
       if (stats_ != nullptr && catalog_entry != nullptr) {
         stats_->index_build_seconds += catalog_entry->build_seconds;
       }
-      JoinInputs inputs;
-      inputs.left_vectors = &left_key.vector_values();
       inputs.right_index = idx;
       inputs.right_filter = &bitmap;
-      CEJ_ASSIGN_OR_RETURN(JoinStats run_stats,
-                           op->Run(inputs, node->condition, BaseOptions(),
-                                   sink));
       // Probes never embed the right side.
       observed.right_embed_cached = true;
-      RecordJoinObservation(
-          op, observed, selection,
-          run_stats.embed_seconds + run_stats.join_seconds, run_stats,
-          *node, edge_counter);
-      // Probe ids address base-table rows; materialize the right side as
-      // base relation (+ embedding column for rewritten plans) so the
-      // output schema matches the scan path's.
-      if (materialize_sides) {
-        CEJ_ASSIGN_OR_RETURN(sides->right, RightBaseRelation(pattern));
-      }
-      return run_stats;
-    }
-
-    // Fused path: hand the operator the (filtered) join-key strings and
-    // the model; it embeds tiles itself, overlapped with the sweep. Pair
-    // right-ids address the same filtered positions the scan path emits.
-    // Only the key column is gathered — the whole point of this path is
-    // not materializing the rest.
-    if (fusion_candidate && op->Traits().streams_right_strings) {
+    } else if (fusion_candidate && op->Traits().streams_right_strings) {
+      // Fused path: hand the operator the (filtered) join-key strings and
+      // the model; it embeds tiles itself, overlapped with the sweep,
+      // inside the measured window. Pair right-ids address the same
+      // filtered positions the scan path emits. Only the key column is
+      // gathered — the whole point of this path is not materializing the
+      // rest.
       CEJ_ASSIGN_OR_RETURN(
           const Column* base_col,
           pattern.scan->relation->ColumnByName(pattern.embed->input_column));
@@ -749,70 +710,67 @@ class PlanExecutor {
                                        pattern.embed->input_column +
                                        "' is not a string column");
       }
-      std::optional<Column> gathered;
       if (selected_rows.has_value()) {
         gathered.emplace(base_col->Gather(*selected_rows));
       }
-      JoinInputs inputs;
-      inputs.left_vectors = &left_key.vector_values();
       inputs.right_strings = gathered.has_value()
                                  ? &gathered->string_values()
                                  : &base_col->string_values();
       inputs.model = pattern.embed->model;
-      CEJ_ASSIGN_OR_RETURN(
-          JoinStats run_stats,
-          op->Run(inputs, node->condition, BaseOptions(), sink));
-      // Fused: the operator embedded the right side inside the run.
-      RecordJoinObservation(
-          op, observed, selection,
-          run_stats.embed_seconds + run_stats.join_seconds, run_stats,
-          *node, edge_counter);
-      return run_stats;
+    } else {
+      // Scan path: the right-side preparation below (predicate Take, cache
+      // gather, or a full embedding on a cold cache) is part of the cost
+      // the quote priced, so it belongs to the measured window.
+      WallTimer right_prep_timer;
+      if (right_prematerialized.has_value()) {
+        right = std::move(*right_prematerialized);
+      } else if (pattern.matches && selected_rows.has_value()) {
+        // The pushed-down predicate was already evaluated for the bitmap /
+        // fusion decision: feed that row set straight into the scan-side
+        // materialization instead of letting Run(node->right) re-evaluate
+        // it.
+        const Relation filtered =
+            pattern.scan->relation->Take(*selected_rows);
+        if (pattern.embed != nullptr) {
+          CEJ_ASSIGN_OR_RETURN(
+              right, ApplyEmbed(filtered, *pattern.embed, pattern.scan,
+                                &*selected_rows));
+        } else {
+          right = filtered;
+        }
+      } else {
+        CEJ_ASSIGN_OR_RETURN(right, Run(node->right));
+      }
+      right_prep_seconds = right_prep_timer.ElapsedSeconds();
+      CEJ_ASSIGN_OR_RETURN(const Column* right_key,
+                           right.ColumnByName(node->right_key));
+      if (right_key->type() != DataType::kVector) {
+        return Status::InvalidArgument("EJoin: right key is not a vector");
+      }
+      inputs.right_vectors = &right_key->vector_values();
+      // Stored-vector and pre-materialized right sides never pay model
+      // calls inside the measured window — only a cold-cache Embed
+      // pipeline does.
+      if (pattern.embed == nullptr) observed.right_embed_cached = true;
     }
 
-    // Scan path: the right-side preparation below (predicate Take, cache
-    // gather, or a full embedding on a cold cache) is part of the cost the
-    // quote priced, so it belongs to the measured window.
-    WallTimer right_prep_timer;
-    Relation right;
-    if (right_prematerialized.has_value()) {
-      right = std::move(*right_prematerialized);
-    } else if (pattern.matches && selected_rows.has_value()) {
-      // The pushed-down predicate was already evaluated for the bitmap /
-      // fusion decision: feed that row set straight into the scan-side
-      // materialization instead of letting Run(node->right) re-evaluate it.
-      const Relation filtered =
-          pattern.scan->relation->Take(*selected_rows);
-      if (pattern.embed != nullptr) {
-        CEJ_ASSIGN_OR_RETURN(
-            right, ApplyEmbed(filtered, *pattern.embed,
-                              pattern.scan->table_name, &*selected_rows));
-      } else {
-        right = filtered;
-      }
-    } else {
-      CEJ_ASSIGN_OR_RETURN(right, Run(node->right));
-    }
-    const double right_prep_seconds = right_prep_timer.ElapsedSeconds();
-    CEJ_ASSIGN_OR_RETURN(const Column* right_key,
-                         right.ColumnByName(node->right_key));
-    if (right_key->type() != DataType::kVector) {
-      return Status::InvalidArgument("EJoin: right key is not a vector");
-    }
-    JoinInputs inputs;
-    inputs.left_vectors = &left_key.vector_values();
-    inputs.right_vectors = &right_key->vector_values();
     CEJ_ASSIGN_OR_RETURN(
         JoinStats run_stats,
         op->Run(inputs, node->condition, BaseOptions(), sink));
-    // Stored-vector and pre-materialized right sides never pay model calls
-    // inside the measured window — only a cold-cache Embed pipeline does.
-    if (pattern.embed == nullptr) observed.right_embed_cached = true;
-    RecordJoinObservation(op, observed, selection,
+    RecordJoinObservation(observed, selection,
                           right_prep_seconds + run_stats.embed_seconds +
                               run_stats.join_seconds,
                           run_stats, *node, edge_counter);
-    if (materialize_sides) sides->right = std::move(right);
+    if (materialize_sides) {
+      if (op->Traits().needs_index) {
+        // Probe ids address base-table rows; materialize the right side
+        // as base relation (+ embedding column for rewritten plans) so the
+        // output schema matches the scan path's.
+        CEJ_ASSIGN_OR_RETURN(sides->right, RightBaseRelation(pattern));
+      } else {
+        sides->right = std::move(right);
+      }
+    }
     return run_stats;
   }
 
@@ -832,11 +790,10 @@ class PlanExecutor {
   };
 
   // Registry-wide pricing: every eligible operator quotes a cost, the
-  // cheapest runs. Overrides (force_operator, force_scan, force_probe)
-  // bypass pricing but not eligibility checks at Run() time; the returned
-  // quote stays +infinity on overrides. `string_domain` scans the
-  // string-capable operator set (adaptive string-key joins) instead of the
-  // vector-domain set.
+  // cheapest runs. force_operator bypasses pricing but not eligibility
+  // checks at Run() time; the returned quote stays +infinity then.
+  // `string_domain` scans the string-capable operator set (adaptive
+  // string-key joins) instead of the vector-domain set.
   //
   // Exploration (calibrated scans only): an eligible EXACT operator that
   // has never produced an observation is chosen once — earliest
@@ -847,36 +804,12 @@ class PlanExecutor {
   // correct a rival's distinct coefficients.
   Result<Selection> SelectOperator(const join::JoinWorkload& workload,
                                    bool have_index, bool string_domain) {
-    // Legacy-diagnostic costs: the two canonical access paths, exposed in
-    // ExecStats regardless of which operator wins.
-    if (stats_ != nullptr && !string_domain) {
-      auto scan_op = registry_.Find("tensor");
-      auto probe_op = registry_.Find("index");
-      if (scan_op.ok()) {
-        stats_->scan_cost_estimate =
-            (*scan_op)->EstimateCost(workload, context_.cost_params);
-      }
-      if (probe_op.ok()) {
-        stats_->probe_cost_estimate =
-            (*probe_op)->EstimateCost(workload, context_.cost_params);
-      }
-    }
-
+    const JoinOperatorRegistry& registry = JoinOperatorRegistry::Global();
     Selection selection;
     if (!context_.force_operator.empty()) {
       CEJ_ASSIGN_OR_RETURN(selection.op,
-                           registry_.Find(context_.force_operator));
+                           registry.Find(context_.force_operator));
       return selection;
-    }
-    if (!string_domain) {
-      if (context_.force_probe && have_index) {
-        CEJ_ASSIGN_OR_RETURN(selection.op, registry_.Find("index"));
-        return selection;
-      }
-      if (context_.force_scan) {
-        CEJ_ASSIGN_OR_RETURN(selection.op, registry_.Find("tensor"));
-        return selection;
-      }
     }
 
     struct Quote {
@@ -885,7 +818,7 @@ class PlanExecutor {
       bool exact;
     };
     std::vector<Quote> eligible;
-    for (const JoinOperator* op : registry_.operators()) {
+    for (const JoinOperator* op : registry.operators()) {
       const join::JoinOperatorTraits traits = op->Traits();
       if (string_domain) {
         // String domain: every non-index operator competes — the naive
@@ -964,17 +897,17 @@ class PlanExecutor {
   }
 
   // Feeds the adaptive calibrator — and the estimated-vs-actual ExecStats
-  // fields — after a join ran. `workload` must describe the cost scope
-  // `measured_seconds` covers: in the vector domain the left side always
-  // arrives embedded (its model term was paid before pricing), so callers
-  // pass left_embed_cached = true there.
-  void RecordJoinObservation(const JoinOperator* op,
-                             const join::JoinWorkload& workload,
+  // fields — after `selection.op` ran. `workload` must describe the cost
+  // scope `measured_seconds` covers: in the vector domain the left side
+  // always arrives embedded (its model term was paid before pricing), so
+  // callers pass left_embed_cached = true there.
+  void RecordJoinObservation(const join::JoinWorkload& workload,
                              const Selection& selection,
                              double measured_seconds,
                              const JoinStats& run_stats,
                              const LogicalNode& node,
                              const EdgeCountingSink* edge_counter) {
+    const JoinOperator* op = selection.op;
     const double measured_ns = measured_seconds * 1e9;
     const double estimated_ns =
         op->EstimateCost(workload, context_.cost_params);
@@ -984,7 +917,8 @@ class PlanExecutor {
     // measured window never covers (e.g. the already-paid left embed).
     double runner_up_ns = 0.0;
     if (!selection.runner_up.empty()) {
-      auto runner_up_op = registry_.Find(selection.runner_up);
+      auto runner_up_op =
+          JoinOperatorRegistry::Global().Find(selection.runner_up);
       if (runner_up_op.ok()) {
         const double quote =
             (*runner_up_op)->EstimateCost(workload, context_.cost_params);
@@ -1059,9 +993,9 @@ class PlanExecutor {
       return false;
     }
     const std::shared_ptr<const la::Matrix> warm =
-        context_.embedding_cache->Peek(pattern.scan->table_name,
-                                       pattern.embed->input_column,
-                                       pattern.embed->model);
+        context_.embedding_cache->Peek(
+            pattern.scan->table_name, pattern.embed->input_column,
+            pattern.embed->model, pattern.scan->relation);
     return warm != nullptr &&
            warm->rows() == pattern.scan->relation->num_rows() &&
            warm->cols() == pattern.embed->model->dim();
@@ -1075,8 +1009,15 @@ class PlanExecutor {
   Result<Relation> RightBaseRelation(const ProbePattern& pattern) {
     const Relation& base = *pattern.scan->relation;
     if (pattern.embed == nullptr) return base;
-    return ApplyEmbed(base, *pattern.embed, pattern.scan->table_name,
-                      nullptr);
+    return ApplyEmbed(base, *pattern.embed, pattern.scan, nullptr);
+  }
+
+  // Worker threads the operators get: a caller-runs pool of T workers
+  // supplies T + 1 (the calling thread works alongside them).
+  size_t PoolThreads() const {
+    return context_.pool != nullptr
+               ? static_cast<size_t>(context_.pool->num_threads()) + 1
+               : 1;
   }
 
   join::JoinOptions BaseOptions() const {
@@ -1088,7 +1029,6 @@ class PlanExecutor {
   }
 
   const ExecContext& context_;
-  const JoinOperatorRegistry& registry_;
   ExecStats* stats_;
   // Client queries stacked into the probe batch (ExecuteToDemuxSinks);
   // priced into every workload so the cost scan sees the fused shape.

@@ -2,35 +2,34 @@
 //
 // The executor materializes bottom-up. For EJoin it performs access-path
 // selection (Section VI.E) as a *registry scan*: every physical operator
-// registered in join::JoinOperatorRegistry that can serve the workload
-// (declared via its traits — string-domain, vector-domain, or index-backed)
-// prices itself through JoinOperator::EstimateCost, and the cheapest
-// eligible one runs. New operators (sharded, async, remote) participate in
-// planning by registering — no executor changes.
+// registered in join::JoinOperatorRegistry::Global() that can serve the
+// workload (declared via its traits — string-domain, vector-domain, or
+// index-backed) prices itself through JoinOperator::EstimateCost, and the
+// cheapest eligible one runs. New operators (sharded, async, remote)
+// participate in planning by registering — no executor changes. The
+// decision is reported in ExecStats::join_operator with its quote and the
+// rejected runner-up.
 //
 // When the right subtree is an Embed([Select(]Scan[)]) pipeline — or a
-// bare [Select(]Scan[)] over a stored vector column — and a prebuilt
-// vector index is registered for that table/column, the index operator
-// becomes eligible (pre-filtered probes); otherwise the scan-family
-// operators compete. String-key joins (un-rewritten plans) execute the
-// naive NLJ — deliberately, so un-optimized plans behave like Figure 8's
-// baseline. Run plan::Optimize first for production behaviour.
+// bare [Select(]Scan[)] over a stored vector column — and the index
+// catalog snapshot holds an index for that table/column, the index
+// operator becomes eligible (pre-filtered probes); otherwise the
+// scan-family operators compete. String-key joins (un-rewritten plans)
+// execute the naive NLJ — deliberately, so un-optimized plans behave like
+// Figure 8's baseline. Run plan::Optimize first for production behaviour.
 
 #ifndef CEJ_PLAN_EXECUTOR_H_
 #define CEJ_PLAN_EXECUTOR_H_
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cej/common/status.h"
 #include "cej/common/thread_pool.h"
 #include "cej/index/index_manager.h"
-#include "cej/index/vector_index.h"
 #include "cej/join/join_operator.h"
 #include "cej/join/join_sink.h"
-#include "cej/plan/access_path.h"
 #include "cej/plan/cost_model.h"
 #include "cej/plan/logical_plan.h"
 
@@ -48,35 +47,32 @@ namespace cej::plan {
 struct ExecContext {
   ThreadPool* pool = nullptr;
   la::SimdMode simd = la::SimdMode::kAuto;
-  CostParams cost_params;
+  join::CostParams cost_params;
   /// Right-relation shard count handed to sharding operators
   /// (join::JoinOptions::shard_count; 0 = auto from the pool width).
   size_t shard_count = 0;
-  /// Prebuilt vector indexes keyed by "<table>.<vector_column>" — the
-  /// Embed output column for rewritten plans, or a stored vector column.
-  /// An index must cover the *base table* rows of its Scan. Borrowed for
-  /// the duration of the call (plan-layer API); engine-managed queries
-  /// use `index_catalog` below instead.
-  std::unordered_map<std::string, const index::VectorIndex*> indexes;
-  /// Engine-managed index catalog, snapshotted at plan time. Entries are
-  /// shared_ptr-held by the snapshot, so an invalidation racing this
-  /// query (Engine::ReplaceTable) can never free an index mid-probe.
-  /// Consulted before `indexes`; lookups are counted in ExecStats.
+  /// Index catalog snapshot, taken at plan time: the only source of
+  /// indexes. Entries are keyed (table, vector column, model) — the Embed
+  /// output column for rewritten plans, or a stored vector column — and
+  /// must cover the *base table* rows of their Scan. They are
+  /// shared_ptr-held by the snapshot, so an invalidation racing this query
+  /// (Engine::ReplaceTable) can never free an index mid-probe. Borrowed
+  /// indexes enter through IndexManager::RegisterExternal. Lookups are
+  /// counted in ExecStats.
   std::shared_ptr<const index::IndexCatalogSnapshot> index_catalog;
   /// When set, the executor reports cost-scan losses (an index plan would
   /// have won but no index existed) here — feeding the manager's
   /// auto-build policy.
   index::IndexManager* index_manager = nullptr;
-  /// Physical operators to select from; nullptr = the global registry.
-  const join::JoinOperatorRegistry* operators = nullptr;
   /// Engine-owned cache of full-column embeddings keyed by
-  /// (table, column, model); nullptr = no caching. Embed nodes over a base
-  /// table serve from (and populate) it; filtered Embed pipelines gather
-  /// surviving rows out of a cached full-table matrix on a hit. The
-  /// executor also PEEKS it at plan time: warm columns drop their model
-  /// term from every quote (cache-aware costing), and a warm right column
-  /// withdraws string-stream fusion (nothing left to overlap — plain
-  /// `tensor` takes the tie from `pipelined_tensor`).
+  /// (table, column, model) and tied to the Scan's relation snapshot;
+  /// nullptr = no caching. Embed nodes over a base table serve from (and
+  /// populate) it; filtered Embed pipelines gather surviving rows out of a
+  /// cached full-table matrix on a hit. The executor also PEEKS it at
+  /// plan time: warm columns drop their model term from every quote
+  /// (cache-aware costing), and a warm right column withdraws
+  /// string-stream fusion (nothing left to overlap — plain `tensor` takes
+  /// the tie from `pipelined_tensor`).
   EmbeddingCache* embedding_cache = nullptr;
   /// Adaptive cost calibration (cej/stats): when set, every executed join
   /// is recorded as an observation (workload features, quote, measured
@@ -92,15 +88,12 @@ struct ExecContext {
   /// immutable.
   stats::CostCalibrator* calibrator = nullptr;
   /// Forces the named registered operator for every EJoin ("" = cost
-  /// based). Takes precedence over force_scan / force_probe.
+  /// based): "tensor" forces the scan path, "index" the probe path.
   std::string force_operator;
   /// Restricts cost-based selection to operators whose traits declare
-  /// exact results (excludes approximate index probes). Ignored by the
-  /// force_* overrides.
+  /// exact results (excludes approximate index probes). Ignored by
+  /// force_operator.
   bool require_exact = false;
-  /// Access-path override for experiments: kScan/kProbe forced when set.
-  bool force_scan = false;
-  bool force_probe = false;
   /// Join-graph order override (test hook): executes a kJoinGraph's edges
   /// in exactly this order (a permutation of the edge submission indexes)
   /// instead of letting the JoinOrderEnumerator choose. Empty = enumerate.
@@ -109,13 +102,10 @@ struct ExecContext {
 
 /// Post-execution diagnostics.
 struct ExecStats {
-  AccessPath join_access_path = AccessPath::kScan;
   /// Name of the physical operator that ran the plan's last EJoin —
   /// string-key (naive) or vector-key alike; empty when the plan had no
   /// EJoin at all. Multi-join plans report only the last join executed.
   std::string join_operator;
-  double scan_cost_estimate = 0.0;
-  double probe_cost_estimate = 0.0;
   uint64_t model_calls = 0;
   /// Embedding-cache lookups made while executing this plan (counted only
   /// when an EmbeddingCache is configured). A hit means a whole-column
@@ -133,8 +123,6 @@ struct ExecStats {
   /// probe paths ran against — the amortized cost side of the probe
   /// decision (0 when no managed index served the plan).
   double index_build_seconds = 0.0;
-  /// Left rows actually probed by index operators across the plan.
-  uint64_t index_probe_rows = 0;
   /// Estimated-vs-actual accounting for the plan's last EJoin: the chosen
   /// operator's quote (cost-model units — nanoseconds once calibrated),
   /// the nanoseconds it actually took (right-side preparation + operator
@@ -170,7 +158,8 @@ struct ExecStats {
   /// (nodes tagged with graph_edge >= 0).
   std::vector<double> edge_card_est;
   std::vector<uint64_t> edge_card_obs;
-  /// Merged operator counters across every join in the plan.
+  /// Merged operator counters across every join in the plan (e.g.
+  /// index_probe_rows: left rows actually probed by index operators).
   join::JoinStats join_stats;
 };
 

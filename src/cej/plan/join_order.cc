@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "cej/common/macros.h"
+#include "cej/join/join_operator.h"
 
 namespace cej::plan {
 namespace {
@@ -96,7 +97,6 @@ struct JoinQuote {
 // joins price with both sides' model terms dropped; un-hoisted string
 // graphs execute the naive NLJ per edge, priced as such.
 JoinQuote PriceJoin(const GraphContext& ctx, const JoinOrderOptions& options,
-                    const join::JoinOperatorRegistry& registry,
                     const DPJoinEntry& left, const DPJoinEntry& right,
                     size_t edge) {
   const JoinGraphEdge& e = ctx.graph->edges[edge];
@@ -120,7 +120,8 @@ JoinQuote PriceJoin(const GraphContext& ctx, const JoinOrderOptions& options,
   workload.pool_threads = options.pool_threads;
   workload.shard_count = options.shard_count;
   JoinQuote best;
-  for (const join::JoinOperator* op : registry.operators()) {
+  for (const join::JoinOperator* op :
+       join::JoinOperatorRegistry::Global().operators()) {
     const join::JoinOperatorTraits traits = op->Traits();
     if (traits.needs_strings || traits.needs_index) continue;
     if (workload.condition.kind == join::JoinCondition::Kind::kTopK &&
@@ -156,13 +157,11 @@ std::shared_ptr<const DPJoinEntry> MakeLeafEntry(const GraphContext& ctx,
 
 std::shared_ptr<const DPJoinEntry> MakeJoinEntry(
     const GraphContext& ctx, const JoinOrderOptions& options,
-    const join::JoinOperatorRegistry& registry,
     std::shared_ptr<const DPJoinEntry> left,
     std::shared_ptr<const DPJoinEntry> right, size_t edge, bool swapped) {
   auto entry = std::make_shared<DPJoinEntry>();
   entry->relations = left->relations | right->relations;
-  const JoinQuote quote =
-      PriceJoin(ctx, options, registry, *left, *right, edge);
+  const JoinQuote quote = PriceJoin(ctx, options, *left, *right, edge);
   entry->cost = left->cost + right->cost + quote.cost;
   entry->estimated_rows = EstimateJoinRows(
       left->estimated_rows, right->estimated_rows,
@@ -182,7 +181,6 @@ std::shared_ptr<const DPJoinEntry> MakeJoinEntry(
 // swapped (threshold symmetry; top-k graphs never reach the DP).
 Result<std::shared_ptr<const DPJoinEntry>> RunDp(
     const GraphContext& ctx, const JoinOrderOptions& options,
-    const join::JoinOperatorRegistry& registry,
     std::vector<std::shared_ptr<const DPJoinEntry>>* memo_out) {
   const size_t n = ctx.graph->inputs.size();
   const uint64_t full = (uint64_t{1} << n) - 1;
@@ -211,8 +209,7 @@ Result<std::shared_ptr<const DPJoinEntry>> RunDp(
         } else {
           continue;
         }
-        auto candidate =
-            MakeJoinEntry(ctx, options, registry, left, right, j, swapped);
+        auto candidate = MakeJoinEntry(ctx, options, left, right, j, swapped);
         if (best == nullptr || candidate->cost < best->cost) {
           best = std::move(candidate);
         }
@@ -244,7 +241,6 @@ Result<std::shared_ptr<const DPJoinEntry>> RunDp(
 // holding the edge's left endpoint. Also serves submission-order pinning.
 Result<std::shared_ptr<const DPJoinEntry>> RunForced(
     const GraphContext& ctx, const JoinOrderOptions& options,
-    const join::JoinOperatorRegistry& registry,
     const std::vector<size_t>& order) {
   const size_t num_edges = ctx.graph->edges.size();
   if (order.size() != num_edges) {
@@ -275,7 +271,7 @@ Result<std::shared_ptr<const DPJoinEntry>> RunForced(
     if (left == right) {
       return Status::Internal("forced join order revisits a component");
     }
-    auto joined = MakeJoinEntry(ctx, options, registry, std::move(left),
+    auto joined = MakeJoinEntry(ctx, options, std::move(left),
                                 std::move(right), j, /*swapped=*/false);
     for (size_t i = 0; i < component.size(); ++i) {
       if ((joined->relations >> i) & 1) component[i] = joined;
@@ -468,9 +464,6 @@ Result<JoinOrderPlan> JoinOrderEnumerator::Enumerate(
   // the schema check — ill-formed graphs fail here, before any pricing.
   CEJ_RETURN_IF_ERROR(OutputSchema(graph).status());
   CEJ_ASSIGN_OR_RETURN(GraphContext ctx, MakeContext(graph));
-  const join::JoinOperatorRegistry& registry =
-      options_.registry != nullptr ? *options_.registry
-                                   : join::JoinOperatorRegistry::Global();
 
   bool has_topk = false;
   for (const JoinGraphEdge& e : graph->edges) {
@@ -480,8 +473,7 @@ Result<JoinOrderPlan> JoinOrderEnumerator::Enumerate(
   JoinOrderPlan plan;
   if (!options_.force_edge_order.empty()) {
     CEJ_ASSIGN_OR_RETURN(plan.best,
-                         RunForced(ctx, options_, registry,
-                                   options_.force_edge_order));
+                         RunForced(ctx, options_, options_.force_edge_order));
     plan.source = JoinOrderSource::kForced;
   } else if (has_topk || graph->inputs.size() > kMaxDpInputs) {
     // Top-k matches depend on which rows sit on the probe side, so
@@ -489,12 +481,10 @@ Result<JoinOrderPlan> JoinOrderEnumerator::Enumerate(
     // submission order (also the fallback past the DP width ceiling).
     std::vector<size_t> submission(graph->edges.size());
     std::iota(submission.begin(), submission.end(), size_t{0});
-    CEJ_ASSIGN_OR_RETURN(plan.best,
-                         RunForced(ctx, options_, registry, submission));
+    CEJ_ASSIGN_OR_RETURN(plan.best, RunForced(ctx, options_, submission));
     plan.source = JoinOrderSource::kSubmission;
   } else {
-    CEJ_ASSIGN_OR_RETURN(plan.best,
-                         RunDp(ctx, options_, registry, &plan.memo));
+    CEJ_ASSIGN_OR_RETURN(plan.best, RunDp(ctx, options_, &plan.memo));
     plan.source = JoinOrderSource::kDp;
   }
 

@@ -41,7 +41,6 @@
 
 #include "cej/common/status.h"
 #include "cej/join/join_cost.h"
-#include "cej/join/join_operator.h"
 #include "cej/plan/logical_plan.h"
 
 namespace cej::plan {
@@ -85,8 +84,6 @@ struct JoinOrderOptions {
   /// Pricing snapshot — pass the SAME params the executor will run with
   /// (the calibrated snapshot under adaptive stats).
   join::CostParams cost_params;
-  /// Operators to price against; nullptr = the global registry.
-  const join::JoinOperatorRegistry* registry = nullptr;
   /// Worker threads the executor will hand the operators (see
   /// join::JoinWorkload::pool_threads).
   size_t pool_threads = 1;

@@ -228,7 +228,6 @@ TEST_F(EngineCrossValidationTest, ExactIndexMatchesScanExactly) {
                    .Execute();
   ASSERT_TRUE(scan.ok() && probe.ok());
   EXPECT_EQ(probe->stats.join_operator, "index");
-  EXPECT_EQ(probe->stats.join_access_path, plan::AccessPath::kProbe);
   EXPECT_EQ(RenderPairs(probe->relation), RenderPairs(scan->relation));
 }
 
@@ -362,7 +361,6 @@ TEST(EngineShardedSelectionTest, LargeWideJoinSelectsShardedTensorByCost) {
                  .Stream(&chosen_sink, &stats);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_EQ(stats.join_operator, "sharded_tensor");
-  EXPECT_EQ(stats.join_access_path, plan::AccessPath::kScan);
   EXPECT_GE(stats.join_stats.shards_used, 2u);
   ASSERT_TRUE(engine.Query("l")
                   .EJoin("r", "emb", condition)
@@ -512,7 +510,7 @@ TEST(EngineVectorTest, RequireExactExcludesApproximateOperators) {
 
   // Skew the cost model so the (approximate-traited) index operator wins
   // every cost comparison...
-  plan::CostParams params;
+  join::CostParams params;
   params.tensor_efficiency = 1e6;
   params.compute = 1e6;
   params.probe_base = 0.0;
@@ -533,7 +531,6 @@ TEST(EngineVectorTest, RequireExactExcludesApproximateOperators) {
                    .Execute();
   ASSERT_TRUE(exact.ok());
   EXPECT_NE(exact->stats.join_operator, "index");
-  EXPECT_EQ(exact->stats.join_access_path, plan::AccessPath::kScan);
 }
 
 // ---------------------------------------------------------------------------
@@ -716,22 +713,119 @@ TEST(EmbeddingCacheTest, LruEvictionRespectsTheByteBudget) {
   EmbeddingCache::Options options;
   options.max_bytes = 2 * 4 * 4 * sizeof(float);  // Exactly two 4x4 entries.
   EmbeddingCache cache(options);
-  cache.Put("t1", "c", &model, workload::RandomUnitVectors(4, 4, 1));
-  cache.Put("t2", "c", &model, workload::RandomUnitVectors(4, 4, 2));
-  ASSERT_NE(cache.Get("t1", "c", &model), nullptr);  // Refresh t1's recency.
-  cache.Put("t3", "c", &model, workload::RandomUnitVectors(4, 4, 3));
+  auto table = std::make_shared<const Relation>();
+  auto vectors = [](size_t rows, uint64_t seed) {
+    return std::make_shared<const la::Matrix>(
+        workload::RandomUnitVectors(rows, rows, seed));
+  };
+  cache.Put("t1", "c", &model, table, vectors(4, 1));
+  cache.Put("t2", "c", &model, table, vectors(4, 2));
+  // Refresh t1's recency.
+  ASSERT_NE(cache.Get("t1", "c", &model, table), nullptr);
+  cache.Put("t3", "c", &model, table, vectors(4, 3));
 
-  EXPECT_EQ(cache.Get("t2", "c", &model), nullptr);  // LRU victim.
-  EXPECT_NE(cache.Get("t1", "c", &model), nullptr);
-  EXPECT_NE(cache.Get("t3", "c", &model), nullptr);
+  EXPECT_EQ(cache.Get("t2", "c", &model, table), nullptr);  // LRU victim.
+  EXPECT_NE(cache.Get("t1", "c", &model, table), nullptr);
+  EXPECT_NE(cache.Get("t3", "c", &model, table), nullptr);
   const EmbeddingCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.entries, 2u);
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_LE(stats.bytes, options.max_bytes);
 
   // An entry bigger than the whole budget is refused outright.
-  cache.Put("huge", "c", &model, workload::RandomUnitVectors(64, 64, 4));
-  EXPECT_EQ(cache.Get("huge", "c", &model), nullptr);
+  cache.Put("huge", "c", &model, table, vectors(64, 4));
+  EXPECT_EQ(cache.Get("huge", "c", &model, table), nullptr);
+}
+
+TEST(EmbeddingCacheTest, EntriesServeOnlyTheSnapshotTheyEmbed) {
+  model::SubwordHashModel model;
+  EmbeddingCache cache;
+  auto old_table = std::make_shared<const Relation>();
+  auto new_table = std::make_shared<const Relation>();
+  cache.Put("t", "c", &model, old_table,
+            std::make_shared<const la::Matrix>(
+                workload::RandomUnitVectors(4, 4, 1)));
+  EXPECT_NE(cache.Peek("t", "c", &model, old_table), nullptr);
+  EXPECT_EQ(cache.Peek("t", "c", &model, new_table), nullptr);
+  EXPECT_EQ(cache.Get("t", "c", &model, new_table), nullptr);
+  EXPECT_NE(cache.Get("t", "c", &model, old_table), nullptr);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+}
+
+// A plan holds the relation snapshot it was made against. Running it
+// across a ReplaceTable must neither park that snapshot's embeddings where
+// queries over the new contents find them, nor be served theirs.
+class StaleSnapshotCacheTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    left_words_ = workload::RandomStrings(20, 4, 8, 91);
+    old_words_ = workload::RandomStrings(200, 4, 8, 92);
+    new_words_ = workload::RandomStrings(200, 4, 8, 93);
+    ASSERT_TRUE(engine_.RegisterTable("l", WordsTable(left_words_, 94)).ok());
+    ASSERT_TRUE(engine_.RegisterTable("r", WordsTable(old_words_, 95)).ok());
+    ASSERT_TRUE(engine_.RegisterModel("subword", &model_).ok());
+  }
+
+  // The optimized top-1 plan over the engine's current "l" and "r".
+  plan::NodePtr PlanAgainstCurrentTables() {
+    return plan::Optimize(plan::EJoin(
+        plan::Scan("l", *engine_.Table("l")),
+        plan::Scan("r", *engine_.Table("r")), "word", "word", &model_,
+        join::JoinCondition::TopK(1)));
+  }
+
+  Result<QueryResult> FreshQuery(const Engine& engine) {
+    return engine.Query("l")
+        .EJoin("r", "word", join::JoinCondition::TopK(1))
+        .Via("tensor")
+        .Execute();
+  }
+
+  // The pairs a clean engine returns over `right_words`.
+  std::vector<std::string> CleanPairs(
+      const std::vector<std::string>& right_words) {
+    Engine clean;
+    CEJ_CHECK(clean.RegisterTable("l", WordsTable(left_words_, 94)).ok());
+    CEJ_CHECK(clean.RegisterTable("r", WordsTable(right_words, 95)).ok());
+    CEJ_CHECK(clean.RegisterModel("subword", &model_).ok());
+    auto result = FreshQuery(clean);
+    CEJ_CHECK(result.ok());
+    return RenderPairs(result->relation);
+  }
+
+  model::SubwordHashModel model_;
+  std::vector<std::string> left_words_, old_words_, new_words_;
+  Engine engine_;
+};
+
+TEST_F(StaleSnapshotCacheTest, OldPlanRunAfterReplaceDoesNotPoisonNewQueries) {
+  plan::NodePtr old_plan = PlanAgainstCurrentTables();
+  plan::ExecContext context = engine_.MakeExecContext();
+  context.force_operator = "tensor";
+  ASSERT_TRUE(engine_.ReplaceTable("r", WordsTable(new_words_, 95)).ok());
+  ASSERT_TRUE(plan::Execute(old_plan, context).ok());
+
+  auto fresh = FreshQuery(engine_);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  // The new contents are embedded, not served the old plan's vectors.
+  EXPECT_EQ(fresh->stats.model_calls, new_words_.size());
+  EXPECT_EQ(RenderPairs(fresh->relation), CleanPairs(new_words_));
+}
+
+TEST_F(StaleSnapshotCacheTest, NewQueryBeforeOldPlanDoesNotServeItNewVectors) {
+  plan::NodePtr old_plan = PlanAgainstCurrentTables();
+  plan::ExecContext context = engine_.MakeExecContext();
+  context.force_operator = "tensor";
+  ASSERT_TRUE(engine_.ReplaceTable("r", WordsTable(new_words_, 95)).ok());
+  ASSERT_TRUE(FreshQuery(engine_).ok());
+
+  plan::ExecStats stats;
+  auto old_result = plan::Execute(old_plan, context, &stats);
+  ASSERT_TRUE(old_result.ok()) << old_result.status().ToString();
+  // The old snapshot is embedded, not served the new table's vectors.
+  EXPECT_EQ(stats.model_calls, old_words_.size());
+  EXPECT_EQ(RenderPairs(*old_result), CleanPairs(old_words_));
 }
 
 // ---------------------------------------------------------------------------

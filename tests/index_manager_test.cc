@@ -164,10 +164,10 @@ TEST_F(IndexManagerFamilyTest, AllFamiliesMatchTensorAtRecallOne) {
     ASSERT_TRUE(probe_topk.ok()) << name << ": "
                                  << probe_topk.status().ToString();
     EXPECT_EQ(probe_topk->stats.join_operator, "index") << name;
-    EXPECT_EQ(probe_topk->stats.join_access_path, plan::AccessPath::kProbe)
-        << name;
     EXPECT_GT(probe_topk->stats.index_catalog_hits, 0u) << name;
-    EXPECT_EQ(probe_topk->stats.index_probe_rows, left_words_.size()) << name;
+    EXPECT_EQ(probe_topk->stats.join_stats.index_probe_rows,
+              left_words_.size())
+        << name;
     EXPECT_EQ(RenderPairs(probe_topk->relation), expected_topk) << name;
 
     auto probe_range =
@@ -407,10 +407,9 @@ TEST(IndexSelectionTest, EngineBuiltIndexWinsTheCostScanUnforced) {
                  .Stream(&chosen_sink, &stats);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_EQ(stats.join_operator, "index");
-  EXPECT_EQ(stats.join_access_path, plan::AccessPath::kProbe);
   EXPECT_GE(stats.join_stats.shards_used, 2u)
       << "pooled probe run did not shard the left batch";
-  EXPECT_EQ(stats.index_probe_rows, m);
+  EXPECT_EQ(stats.join_stats.index_probe_rows, m);
   EXPECT_EQ(stats.index_catalog_hits, 1u);
   EXPECT_GT(stats.index_build_seconds, 0.0);
 
@@ -434,7 +433,7 @@ TEST(IndexSelectionTest, AutoBuildPublishesInBackgroundAfterLosses) {
   ASSERT_TRUE(engine.RegisterTable("q", VectorTable(left.Clone())).ok());
   ASSERT_TRUE(engine.RegisterTable("db", VectorTable(right.Clone())).ok());
   // Make probes overwhelmingly cheap so every scan is a recorded loss.
-  plan::CostParams params;
+  join::CostParams params;
   params.probe_base = 0.0;
   params.probe_per_candidate = 1e-9;
   engine.set_cost_params(params);
@@ -483,7 +482,7 @@ TEST(IndexSelectionTest, DisabledPolicyOnlyCountsLosses) {
   ASSERT_TRUE(engine.RegisterTable(
                   "db", VectorTable(workload::RandomUnitVectors(200, 8, 166)))
                   .ok());
-  plan::CostParams params;
+  join::CostParams params;
   params.probe_base = 0.0;
   params.probe_per_candidate = 1e-9;
   engine.set_cost_params(params);
@@ -523,7 +522,7 @@ TEST(IndexSnapshotTest, ReplaceTableCannotFreeAProbedIndex) {
       plan::Scan("q", *engine.Table("q")), plan::Scan("db", *old_db), "emb",
       "emb", nullptr, join::JoinCondition::TopK(1)));
   plan::ExecContext context = engine.MakeExecContext();
-  context.force_probe = true;
+  context.force_operator = "index";
 
   // Concurrent-replacement hazard, serialized: the catalog drops the
   // index, but the held snapshot must keep it probe-safe.

@@ -146,7 +146,7 @@ TEST(DecodeIntegrationTest, JoinResultsDecodeBackToWords) {
 // rather than time.
 // ---------------------------------------------------------------------------
 
-TEST(AccessPathIntegrationTest, FilteredScanAndProbeAgreeOnTopK) {
+TEST(ScanVsProbeIntegrationTest, FilteredScanAndProbeAgreeOnTopK) {
   const size_t n_right = 3000, n_left = 25, dim = 32;
   la::Matrix left = workload::RandomUnitVectors(n_left, dim, 26);
   la::Matrix right = workload::RandomUnitVectors(n_right, dim, 27);

@@ -639,7 +639,8 @@ TEST(ZeroCopyGraphTest, HoistedEmbeddingColumnsPointIntoTheEmbeddingCache) {
     auto emb = out.ColumnByName(std::string(src.key) + "_emb");
     ASSERT_TRUE(emb.ok()) << emb.status().ToString();
     const std::shared_ptr<const la::Matrix> cached =
-        engine.embedding_cache()->Peek(src.table, src.key, &model);
+        engine.embedding_cache()->Peek(src.table, src.key, &model,
+                                       *engine.Table(src.table));
     ASSERT_NE(cached, nullptr);
     const auto& ids = out.ColumnByName(src.id).value()->int64_values();
     const auto& keys = out.ColumnByName(src.key).value()->string_values();

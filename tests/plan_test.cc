@@ -1,14 +1,16 @@
 // Tests for cej/plan: logical algebra typing, rewrite-rule semantics
-// preservation, the cost model's ordering properties, access-path
-// selection crossovers, and executor correctness on all paths.
+// preservation, the cost model's ordering properties, scan-vs-probe
+// pricing crossovers, and executor correctness on all paths.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "cej/index/flat_index.h"
 #include "cej/index/hnsw_index.h"
+#include "cej/index/index_manager.h"
 #include "cej/index/ivf_index.h"
 #include "cej/model/subword_hash_model.h"
-#include "cej/plan/access_path.h"
 #include "cej/plan/cost_model.h"
 #include "cej/plan/executor.h"
 #include "cej/plan/logical_plan.h"
@@ -237,43 +239,45 @@ TEST(RewriteTest, OptimizeReducesModelCalls) {
 // ---------------------------------------------------------------------------
 
 TEST(CostModelTest, PrefetchBeatsNaive) {
-  CostParams p;
+  join::CostParams p;
   for (size_t n : {10u, 100u, 1000u, 100000u}) {
-    EXPECT_LT(PrefetchENljCost(n, n, p), NaiveENljCost(n, n, p)) << n;
+    EXPECT_LT(join::PrefetchENljCost(n, n, p), join::NaiveENljCost(n, n, p))
+        << n;
   }
 }
 
 TEST(CostModelTest, NaiveGapGrowsQuadratically) {
-  CostParams p;
+  join::CostParams p;
   const double gap_small =
-      NaiveENljCost(100, 100, p) / PrefetchENljCost(100, 100, p);
-  const double gap_large =
-      NaiveENljCost(10000, 10000, p) / PrefetchENljCost(10000, 10000, p);
+      join::NaiveENljCost(100, 100, p) / join::PrefetchENljCost(100, 100, p);
+  const double gap_large = join::NaiveENljCost(10000, 10000, p) /
+                           join::PrefetchENljCost(10000, 10000, p);
   EXPECT_GT(gap_large, gap_small);
 }
 
 TEST(CostModelTest, TensorBeatsPrefetchNlj) {
-  CostParams p;
-  EXPECT_LT(TensorJoinCost(10000, 10000, p),
-            PrefetchENljCost(10000, 10000, p));
+  join::CostParams p;
+  EXPECT_LT(join::TensorJoinCost(10000, 10000, p),
+            join::PrefetchENljCost(10000, 10000, p));
 }
 
 TEST(CostModelTest, SelectionCostIsLinear) {
-  CostParams p;
-  EXPECT_DOUBLE_EQ(ESelectionCost(2000, p), 2 * ESelectionCost(1000, p));
+  join::CostParams p;
+  EXPECT_DOUBLE_EQ(join::ESelectionCost(2000, p),
+                   2 * join::ESelectionCost(1000, p));
 }
 
 TEST(CostModelTest, ProbeCostGrowsLogarithmically) {
-  CostParams p;
-  const double c1k = IndexProbeCost(1000, p);
-  const double c1m = IndexProbeCost(1000000, p);
+  join::CostParams p;
+  const double c1k = join::IndexProbeCost(1000, p);
+  const double c1m = join::IndexProbeCost(1000000, p);
   EXPECT_GT(c1m, c1k);
   EXPECT_LT(c1m, 3.0 * c1k);  // log(1e6)/log(1e3) = 2.
 }
 
 TEST(CostModelTest, CalibrationProducesPositiveParams) {
   model::SubwordHashModel model;
-  CostParams p = Calibrate(model, 64);
+  join::CostParams p = Calibrate(model, 64);
   EXPECT_GT(p.model, 0.0);
   EXPECT_GT(p.compute, 0.0);
   EXPECT_GT(p.access, 0.0);
@@ -282,91 +286,81 @@ TEST(CostModelTest, CalibrationProducesPositiveParams) {
 }
 
 // ---------------------------------------------------------------------------
-// Access-path selection
+// Scan-vs-probe pricing: the registry's tensor and index operators
 // ---------------------------------------------------------------------------
 
-TEST(AccessPathTest, NoIndexMeansScan) {
-  AccessPathQuery query;
-  query.left_rows = 100;
-  query.right_rows = 100000;
-  query.index_available = false;
-  auto d = ChooseAccessPath(query, CostParams{});
-  EXPECT_EQ(d.path, AccessPath::kScan);
-}
-
-TEST(AccessPathTest, LowSelectivityFavoursScan) {
-  // Few right tuples survive the relational filter: scanning the survivors
-  // is cheaper than full-index probes (Figure 15's left region).
-  AccessPathQuery query;
-  query.left_rows = 10000;
-  query.right_rows = 1000000;
-  query.condition = join::JoinCondition::TopK(1);
-  query.right_selectivity = 0.001;
-  auto d = ChooseAccessPath(query, CostParams{});
-  EXPECT_EQ(d.path, AccessPath::kScan);
-}
-
-TEST(AccessPathTest, HighSelectivityTopK1FavoursProbe) {
-  // At ~100% selectivity with top-1 probes, the index wins (Figure 15's
-  // right region).
-  AccessPathQuery query;
-  query.left_rows = 10000;
-  query.right_rows = 1000000;
-  query.condition = join::JoinCondition::TopK(1);
-  query.right_selectivity = 1.0;
-  auto d = ChooseAccessPath(query, CostParams{});
-  EXPECT_EQ(d.path, AccessPath::kProbe);
-}
-
-TEST(AccessPathTest, CrossoverSelectivityIsMonotone) {
-  // Scanning must win below the crossover and probing above it; the
-  // decision flips exactly once as selectivity rises.
-  AccessPathQuery query;
-  query.left_rows = 10000;
-  query.right_rows = 1000000;
-  query.condition = join::JoinCondition::TopK(1);
-  CostParams p;
-  int flips = 0;
-  AccessPath last = AccessPath::kScan;
-  for (double sel = 0.0; sel <= 1.0; sel += 0.01) {
-    query.right_selectivity = sel;
-    auto d = ChooseAccessPath(query, p);
-    if (d.path != last) {
-      ++flips;
-      last = d.path;
-    }
-  }
-  EXPECT_LE(flips, 1);
-  EXPECT_EQ(last, AccessPath::kProbe);
-}
-
-TEST(AccessPathTest, RangeConditionShiftsCrossoverRight) {
-  // Range probes are costlier (Figure 17): the scan region must grow.
-  AccessPathQuery topk;
-  topk.left_rows = 10000;
-  topk.right_rows = 1000000;
-  topk.condition = join::JoinCondition::TopK(1);
-  AccessPathQuery range = topk;
-  range.condition = join::JoinCondition::Threshold(0.9f);
-  CostParams p;
-  auto crossover = [&](AccessPathQuery q) {
-    for (double sel = 0.0; sel <= 1.0; sel += 0.01) {
-      q.right_selectivity = sel;
-      if (ChooseAccessPath(q, p).path == AccessPath::kProbe) return sel;
-    }
-    return 2.0;  // Never probes.
+TEST(ScanVsProbePricingTest, RegistryQuotesReproduceTheFigure15Surface) {
+  auto& registry = join::JoinOperatorRegistry::Global();
+  auto scan_op = registry.Find("tensor");
+  auto probe_op = registry.Find("index");
+  ASSERT_TRUE(scan_op.ok() && probe_op.ok());
+  const join::CostParams params;
+  // Ties go to the scan.
+  auto probe_wins = [&](const join::JoinWorkload& w) {
+    return (*probe_op)->EstimateCost(w, params) <
+           (*scan_op)->EstimateCost(w, params);
   };
-  EXPECT_GE(crossover(range), crossover(topk));
-}
+  auto workload = [](size_t left_rows, size_t right_rows,
+                     join::JoinCondition condition, double selectivity,
+                     bool index_available) {
+    join::JoinWorkload w;
+    w.left_rows = left_rows;
+    w.right_rows = right_rows;
+    w.condition = condition;
+    w.right_selectivity = selectivity;
+    w.index_available = index_available;
+    return w;
+  };
+  const join::JoinCondition top1 = join::JoinCondition::TopK(1);
 
-TEST(AccessPathTest, DecisionExposesBothCosts) {
-  AccessPathQuery query;
-  query.left_rows = 100;
-  query.right_rows = 10000;
-  query.condition = join::JoinCondition::TopK(1);
-  auto d = ChooseAccessPath(query, CostParams{});
-  EXPECT_GT(d.scan_cost, 0.0);
-  EXPECT_GT(d.probe_cost, 0.0);
+  // Point decisions. Few right tuples surviving the relational filter
+  // favour scanning the survivors (Figure 15's left region); at ~100%
+  // selectivity top-1 probes win (its right region).
+  struct Case {
+    const char* name;
+    join::JoinWorkload workload;
+    bool expect_probe;
+  };
+  const Case cases[] = {
+      {"no index -> scan", workload(100, 100000, top1, 1.0, false), false},
+      {"0.1% selectivity -> scan", workload(10000, 1000000, top1, 0.001, true),
+       false},
+      {"100% top-1 -> probe", workload(10000, 1000000, top1, 1.0, true),
+       true},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(probe_wins(c.workload), c.expect_probe) << c.name;
+    EXPECT_GT((*scan_op)->EstimateCost(c.workload, params), 0.0) << c.name;
+    EXPECT_GT((*probe_op)->EstimateCost(c.workload, params), 0.0) << c.name;
+  }
+
+  // Selectivity sweeps: the decision flips exactly once, from scan to
+  // probe, and range probes — costlier, Figure 17 — never cross over
+  // earlier than top-1 probes.
+  struct Sweep {
+    double crossover = 2.0;  // First probing selectivity; 2 = never.
+    int flips = 0;
+    bool probes_at_end = false;
+  };
+  auto sweep = [&](join::JoinWorkload w) {
+    Sweep out;
+    bool last = false;
+    for (double sel = 0.0; sel <= 1.0; sel += 0.01) {
+      w.right_selectivity = sel;
+      const bool probe = probe_wins(w);
+      if (probe && out.crossover > 1.0) out.crossover = sel;
+      if (probe != last) ++out.flips;
+      last = probe;
+    }
+    out.probes_at_end = last;
+    return out;
+  };
+  const Sweep topk = sweep(workload(10000, 1000000, top1, 1.0, true));
+  EXPECT_EQ(topk.flips, 1);
+  EXPECT_TRUE(topk.probes_at_end);
+  const Sweep range = sweep(workload(
+      10000, 1000000, join::JoinCondition::Threshold(0.9f), 1.0, true));
+  EXPECT_GE(range.crossover, topk.crossover);
 }
 
 // ---------------------------------------------------------------------------
@@ -383,6 +377,16 @@ class ExecutorJoinTest : public ::testing::Test {
     right_emb_ = model_.EmbedBatch(right_words_);
   }
 
+  // A catalog snapshot serving `index` for r's hoisted embedding column,
+  // registered as a borrowed external index (the test keeps it alive).
+  std::shared_ptr<const index::IndexCatalogSnapshot> CatalogServing(
+      const index::VectorIndex* index) {
+    EXPECT_TRUE(catalog_.RegisterExternal("r", "word_emb", index).ok());
+    return catalog_.Snapshot();
+  }
+
+  index::IndexManager catalog_{index::IndexManager::Options{}, nullptr,
+                               nullptr, la::SimdMode::kAuto};
   model::SubwordHashModel model_;
   std::vector<std::string> left_words_, right_words_;
   std::shared_ptr<const Relation> left_table_, right_table_;
@@ -398,7 +402,7 @@ TEST_F(ExecutorJoinTest, ScanPathTopKProducesKRowsPerLeftTuple) {
   auto result = Execute(plan, context, &stats);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->num_rows(), 15u * 3u);
-  EXPECT_EQ(stats.join_access_path, AccessPath::kScan);
+  EXPECT_EQ(stats.join_operator, "tensor");
 }
 
 TEST_F(ExecutorJoinTest, ProbePathMatchesScanPath) {
@@ -407,17 +411,17 @@ TEST_F(ExecutorJoinTest, ProbePathMatchesScanPath) {
                              Scan("r", right_table_), "word", "word",
                              &model_, join::JoinCondition::TopK(2)));
   ExecContext scan_context;
-  scan_context.force_scan = true;
+  scan_context.force_operator = "tensor";
   ExecContext probe_context;
-  probe_context.indexes["r.word_emb"] = &flat;
-  probe_context.force_probe = true;
+  probe_context.index_catalog = CatalogServing(&flat);
+  probe_context.force_operator = "index";
 
   ExecStats scan_stats, probe_stats;
   auto scan_result = Execute(plan, scan_context, &scan_stats);
   auto probe_result = Execute(plan, probe_context, &probe_stats);
   ASSERT_TRUE(scan_result.ok() && probe_result.ok());
-  EXPECT_EQ(scan_stats.join_access_path, AccessPath::kScan);
-  EXPECT_EQ(probe_stats.join_access_path, AccessPath::kProbe);
+  EXPECT_EQ(scan_stats.join_operator, "tensor");
+  EXPECT_EQ(probe_stats.join_operator, "index");
   ASSERT_EQ(scan_result->num_rows(), probe_result->num_rows());
 
   auto render = [](const Relation& rel) {
@@ -441,8 +445,8 @@ TEST_F(ExecutorJoinTest, ProbePathRespectsRelationalPreFilter) {
   auto plan = Optimize(EJoin(Scan("l", left_table_), filtered_right, "word",
                              "word", &model_, join::JoinCondition::TopK(1)));
   ExecContext context;
-  context.indexes["r.word_emb"] = &flat;
-  context.force_probe = true;
+  context.index_catalog = CatalogServing(&flat);
+  context.force_operator = "index";
   auto result = Execute(plan, context);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // Every matched right row satisfies the predicate.
@@ -463,10 +467,10 @@ TEST_F(ExecutorJoinTest, ProbePathWorksWithAnyIndexFamily) {
                              Scan("r", right_table_), "word", "word",
                              &model_, join::JoinCondition::TopK(2)));
   ExecContext scan_context;
-  scan_context.force_scan = true;
+  scan_context.force_operator = "tensor";
   ExecContext probe_context;
-  probe_context.indexes["r.word_emb"] = ivf->get();
-  probe_context.force_probe = true;
+  probe_context.index_catalog = CatalogServing(ivf->get());
+  probe_context.force_operator = "index";
   auto scan_result = Execute(plan, scan_context);
   auto probe_result = Execute(plan, probe_context);
   ASSERT_TRUE(scan_result.ok() && probe_result.ok());
@@ -500,11 +504,13 @@ TEST_F(ExecutorJoinTest, StatsExposeCostEstimates) {
                              Scan("r", right_table_), "word", "word",
                              &model_, join::JoinCondition::TopK(1)));
   ExecContext context;
-  context.indexes["r.word_emb"] = &flat;
+  context.index_catalog = CatalogServing(&flat);
   ExecStats stats;
   ASSERT_TRUE(Execute(plan, context, &stats).ok());
-  EXPECT_GT(stats.scan_cost_estimate, 0.0);
-  EXPECT_GT(stats.probe_cost_estimate, 0.0);
+  EXPECT_GT(stats.estimated_cost_ns, 0.0);
+  EXPECT_FALSE(stats.runner_up_operator.empty());
+  EXPECT_TRUE(std::isfinite(stats.runner_up_cost_ns));
+  EXPECT_GT(stats.runner_up_cost_ns, 0.0);
 }
 
 TEST(ExecutorTest, SelectExecutesPredicates) {

@@ -189,16 +189,19 @@ TEST(AdaptiveEngineTest, SkewedSeedScanFlipsFromNaiveToTensorWithinEight) {
   options.simd = la::SimdMode::kForceScalar;  // Cross-operator identity.
   options.adaptive_stats = true;
   options.stats_refit_interval = 1;
-  // A tight exploration bound: the mispriced naive baseline (quoted at
-  // parity under the skew) gets its one exploratory run, while the
-  // prefetched NLJ — quoted far above the blocked sweep once the model
-  // coefficient is learned — never does, keeping the flip deterministic.
-  options.stats_explore_cost_ratio = 16.0;
+  // A tight exploration bound: the mispriced naive baseline (quoted
+  // ~6.6x the blocked sweep under the skew) gets its one exploratory run,
+  // while the prefetched NLJ never does. Once the model coefficient is
+  // learned its quote sits ~13-16x above the calibrated tensor quote, so
+  // a bound of 16 would let it run on some hosts; measured, the two
+  // scalar sweeps cost the same here, and the scan would then settle on
+  // either. A bound of 8 keeps the flip independent of timing noise.
+  options.stats_explore_cost_ratio = 8.0;
   Engine engine(options);
   model::SubwordHashModel model;
   // Sweep-dominant shape: |R| x |S| pair work dwarfs the |R| + |S| embed
-  // work, so the blocked tensor kernel beats the prefetched NLJ by a
-  // stable margin (not timing noise) once both are observed.
+  // work, so the naive NLJ's per-pair model calls price it far above the
+  // embed-once operators once the model coefficient is learned.
   auto left_words = workload::RandomStrings(96, 3, 6, 301);
   auto right_words = workload::RandomStrings(1404, 3, 6, 302);
   // Guarantee matches: every left word appears verbatim on the right.
@@ -208,7 +211,7 @@ TEST(AdaptiveEngineTest, SkewedSeedScanFlipsFromNaiveToTensorWithinEight) {
   ASSERT_TRUE(engine.RegisterTable("r", WordsTable(right_words)).ok());
   ASSERT_TRUE(engine.RegisterModel("subword", &model).ok());
 
-  plan::CostParams skewed;  // Default A/C/efficiency, but free embedding.
+  join::CostParams skewed;  // Default A/C/efficiency, but free embedding.
   skewed.model = 0.01;
   engine.set_cost_params(skewed);
 
@@ -230,7 +233,9 @@ TEST(AdaptiveEngineTest, SkewedSeedScanFlipsFromNaiveToTensorWithinEight) {
   // Query 1 ran the mispriced naive baseline (exploration, earliest
   // registration order); by query 8 the unforced scan settled on tensor.
   EXPECT_EQ(chosen.front(), "naive_nlj");
-  EXPECT_EQ(chosen.back(), "tensor");
+  std::string sequence;
+  for (const std::string& name : chosen) sequence += name + " ";
+  EXPECT_EQ(chosen.back(), "tensor") << "operators chosen: " << sequence;
   EXPECT_NE(std::find(chosen.begin(), chosen.end(), "tensor"),
             chosen.end());
 
@@ -343,8 +348,8 @@ TEST(AdaptiveEngineTest, CalibrationSaveLoadRoundTripAndCorruptRejection) {
                     .ok());
   }
   ASSERT_TRUE(engine.Recalibrate().ok());
-  const plan::CostParams trained = *engine.calibrator()->Current();
-  EXPECT_NE(trained.model, plan::CostParams{}.model);
+  const join::CostParams trained = *engine.calibrator()->Current();
+  EXPECT_NE(trained.model, join::CostParams{}.model);
 
   const std::string path = TempPath("cej_calibration.bin");
   ASSERT_TRUE(engine.SaveCalibration(path).ok());
@@ -354,7 +359,7 @@ TEST(AdaptiveEngineTest, CalibrationSaveLoadRoundTripAndCorruptRejection) {
   fresh_options.adaptive_stats = true;
   Engine fresh(fresh_options);
   ASSERT_TRUE(fresh.LoadCalibration(path).ok());
-  const plan::CostParams loaded = *fresh.calibrator()->Current();
+  const join::CostParams loaded = *fresh.calibrator()->Current();
   EXPECT_DOUBLE_EQ(loaded.model, trained.model);
   EXPECT_DOUBLE_EQ(loaded.compute, trained.compute);
   EXPECT_DOUBLE_EQ(loaded.tensor_efficiency, trained.tensor_efficiency);
@@ -474,7 +479,7 @@ TEST(CacheAwareCostingTest, WarmCacheStreamPicksPlainTensorOverPipelined) {
 TEST(ExactnessTest, RequireExactAdmitsFlatIndexPlansButNotGraphs) {
   la::Matrix left = workload::RandomUnitVectors(4, 8, 341);
   la::Matrix right = workload::RandomUnitVectors(1500, 8, 342);
-  plan::CostParams cheap_probes;
+  join::CostParams cheap_probes;
   cheap_probes.probe_base = 0.0;
   cheap_probes.probe_per_candidate = 0.01;
   const auto condition = join::JoinCondition::TopK(2);
@@ -499,7 +504,6 @@ TEST(ExactnessTest, RequireExactAdmitsFlatIndexPlansButNotGraphs) {
                    .Execute();
   ASSERT_TRUE(exact.ok()) << exact.status().ToString();
   EXPECT_EQ(exact->stats.join_operator, "index");
-  EXPECT_EQ(exact->stats.join_access_path, plan::AccessPath::kProbe);
   auto tensor = flat_engine.Query("q")
                     .EJoin("db", "emb", condition)
                     .Via("tensor")
@@ -572,7 +576,7 @@ TEST(FamilyAwareAutoBuildTest, PolicyOverridesTheConfiguredFamily) {
   ASSERT_TRUE(engine.RegisterTable(
                   "db", VectorTable(workload::RandomUnitVectors(500, 8, 352)))
                   .ok());
-  plan::CostParams cheap_probes;
+  join::CostParams cheap_probes;
   cheap_probes.probe_base = 0.0;
   cheap_probes.probe_per_candidate = 1e-9;
   engine.set_cost_params(cheap_probes);
@@ -615,7 +619,7 @@ TEST(FamilyAwareAutoBuildTest, LargeThresholdWorkloadsGetIvf) {
           .RegisterTable(
               "db", VectorTable(workload::RandomUnitVectors(21'000, 4, 362)))
           .ok());
-  plan::CostParams cheap_probes;
+  join::CostParams cheap_probes;
   cheap_probes.probe_base = 0.0;
   cheap_probes.probe_per_candidate = 1e-9;
   engine.set_cost_params(cheap_probes);
@@ -737,7 +741,7 @@ TEST(AdaptiveEngineTest, ExplorationBudgetStopsEngineExploration) {
     CEJ_CHECK(engine.RegisterTable("l", WordsTable(left_words)).ok());
     CEJ_CHECK(engine.RegisterTable("r", WordsTable(right_words)).ok());
     CEJ_CHECK(engine.RegisterModel("subword", &model).ok());
-    plan::CostParams skewed;
+    join::CostParams skewed;
     skewed.model = 0.01;
     engine.set_cost_params(skewed);
     for (int query = 0; query < 5; ++query) {
