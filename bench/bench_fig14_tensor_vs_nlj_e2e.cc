@@ -13,9 +13,9 @@
 //       end-to-end wall, the pipelined operator's hidden model time is
 //       the separate "hidden" column (a subset of join, never added);
 //   [4] cold vs warm embedding-cache runs of the same query;
-//   [5] the sharded tensor join across shard counts on one prefetched
-//       matrix join (whole-right-relation parallelism vs the tensor
-//       operator's left-tile splitting).
+//   [5] the tensor sweep's right-shard layout across shard counts on
+//       one prefetched matrix join (whole-right-relation parallelism vs
+//       the left-tile layout of the `tensor` operator).
 //
 // Expected shape: [1] tensor ~an order of magnitude faster, both linear
 // in |R|*|S|; [2] parallel embedding scales with cores; [3] pipelined <=
@@ -33,7 +33,6 @@
 #include "cej/api/engine.h"
 #include "cej/common/cpu_info.h"
 #include "cej/join/nlj_prefetch.h"
-#include "cej/join/sharded_join.h"
 #include "cej/join/tensor_join.h"
 #include "cej/model/subword_hash_model.h"
 #include "cej/workload/generators.h"
@@ -258,8 +257,8 @@ void BenchColdWarmCache(const model::SubwordHashModel& model) {
   }
 }
 
-// [5] The sharded tensor join: one prefetched matrix join swept at
-// growing shard counts. Shards parallelize over the RIGHT relation, so
+// [5] The tensor sweep's right-shard layout (`sharded_tensor`): one
+// prefetched matrix join swept at growing shard counts. Shards parallelize over the RIGHT relation, so
 // the sweep keeps scaling even when |R| is below one left tile (where the
 // tensor operator's left-tile parallelism starves).
 void BenchShardSweep() {
@@ -290,14 +289,15 @@ void BenchShardSweep() {
               static_cast<unsigned long long>(baseline_sink.count()));
   for (size_t shard_count : {size_t{1}, size_t{2}, size_t{4}, size_t{8},
                              size_t{0}}) {
-    join::ShardedJoinOptions options;
+    join::TensorJoinOptions options;
     options.pool = &bench::Pool();
     options.shard_count = shard_count;
     join::CountingSink sink;
     size_t shards_used = 0;
     const double ms = bench::TimeMs([&] {
-      auto r = join::ShardedTensorJoinMatricesToSink(left, right, condition,
-                                                     options, &sink);
+      auto r = join::TensorSweepToSink(
+          left, join::SweepRight::Vectors(right), condition,
+          join::SweepLayout::kRightShards, options, &sink);
       CEJ_CHECK(r.ok());
       shards_used = r->shards_used;
     });

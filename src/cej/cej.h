@@ -33,7 +33,7 @@
 #include "cej/join/join_cost.h"
 #include "cej/join/join_operator.h"
 #include "cej/join/join_sink.h"
-#include "cej/join/sharded_join.h"
+#include "cej/join/tensor_join.h"
 #include "cej/model/embedding_model.h"
 #include "cej/model/subword_hash_model.h"
 #include "cej/plan/executor.h"

@@ -5,7 +5,7 @@
 
 #include "cej/common/timer.h"
 #include "cej/join/join_sink.h"
-#include "cej/join/sharded_join.h"
+#include "cej/join/tensor_join.h"
 
 namespace cej::join {
 

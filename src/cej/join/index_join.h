@@ -5,14 +5,15 @@
 // parallelism" (Section II.A.3). Supports the Milvus-style relational
 // pre-filter bitmap the selectivity experiments (Figures 15-17) sweep.
 //
-// Parallelism uses the sharded-merge discipline of the sharded tensor
-// join, applied to the LEFT probe batch: contiguous left-row shards run
-// concurrently on the pool and fan into ONE locked sink (SinkFeed), with
-// cooperative early termination biting at probe granularity. Every left
-// row's matches come from a single probe inside a single shard, so the
-// top-k merge degenerates — no cross-shard re-collection pass is needed —
-// and results are byte-identical across shard counts by construction.
-// Shard resolution shares ResolveShardCount with the sharded tensor join,
+// Parallelism uses the sharded-merge discipline of the tensor sweep's
+// right-shard layout (tensor_join.h), applied to the LEFT probe batch:
+// contiguous left-row shards run concurrently on the pool and fan into ONE
+// locked sink (SinkFeed), with cooperative early termination biting at
+// probe granularity. Every left row's matches come from a single probe
+// inside a single shard, so the top-k merge degenerates — no cross-shard
+// re-collection pass is needed — and results are byte-identical across
+// shard counts by construction.
+// Shard resolution shares ResolveShardCount with the sharded tensor sweep,
 // so the planner's probe-parallelism quote (ShardedIndexJoinCost) matches
 // the executed configuration.
 

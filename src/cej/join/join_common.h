@@ -5,16 +5,16 @@
 // threshold (range join) or per-left-tuple top-k. The physical operators
 // implementing it (see join_operator.h for the full registry):
 //
-//   NaiveNljJoin        embeds inside the pair loop — |R|·|S| model calls
-//   PrefetchNljJoin     embeds once, then NLJ       — |R|+|S| model calls
-//   TensorJoin          blocked GEMM formulation    — Figure 6/7
-//   IndexJoin           per-tuple index probes      — Section IV.B
-//   PipelinedTensorJoin right-tile embedding overlapped with the sweep
-//   ShardedTensorJoin   the sweep partitioned over right row shards
+//   NaiveNljJoin       embeds inside the pair loop — |R|·|S| model calls
+//   PrefetchNljJoin    embeds once, then NLJ       — |R|+|S| model calls
+//   TensorSweepToSink  blocked GEMM formulation    — Figure 6/7, with the
+//                      frame split over left tiles, right row shards, or
+//                      a right string stream embedded alongside the sweep
+//   IndexJoin          per-tuple index probes      — Section IV.B
 //
 // All return identical pairs on exact paths (the index path is
-// approximate); the tensor family shares one sweep kernel, and tests
-// cross-validate everything.
+// approximate); the tensor layouts share one driver and one sweep kernel,
+// and tests cross-validate everything.
 //
 // The operators are registrable implementations of the polymorphic
 // join::JoinOperator interface (join_operator.h) and stream their output
@@ -125,10 +125,11 @@ struct JoinOptions {
   la::SimdMode simd = la::SimdMode::kAuto;
   /// Worker pool; nullptr = single-threaded on the caller.
   ThreadPool* pool = nullptr;
-  /// Sharding operators: number of right-relation row shards (0 = auto,
-  /// sized from the pool width and the shard-row floor). Ignored by
-  /// non-sharded operators; lives on the common options so the knob
-  /// survives the polymorphic JoinOperator::Run interface.
+  /// Shard count (0 = auto, sized from the pool width and a shard-row
+  /// floor): right-relation row shards for `sharded_tensor`, left probe
+  /// shards for `index`; the other operators ignore it. Lives on the
+  /// common options so the knob survives the polymorphic
+  /// JoinOperator::Run interface.
   size_t shard_count = 0;
 };
 

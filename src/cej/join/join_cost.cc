@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "cej/join/index_join.h"
-#include "cej/join/sharded_join.h"
+#include "cej/join/tensor_join.h"
 
 namespace cej::join {
 namespace {
@@ -162,7 +162,7 @@ CostFeatures FeaturesForOperator(std::string_view op_name,
   } else if (op_name == "sharded_tensor") {
     const size_t shards =
         ResolveShardCount(FilteredRight(w), w.pool_threads, w.shard_count,
-                          ShardedJoinOptions{}.min_shard_rows);
+                          kMinShardRows);
     const double speedup = ParallelSpeedup(shards, w.pool_threads, p);
     f.model = UncachedModelCalls(w, FilteredRight(w));
     f.sweep = m * filtered / speedup;

@@ -8,8 +8,6 @@
 #include "cej/join/index_join.h"
 #include "cej/join/nlj_naive.h"
 #include "cej/join/nlj_prefetch.h"
-#include "cej/join/pipelined_tensor.h"
-#include "cej/join/sharded_join.h"
 #include "cej/join/tensor_join.h"
 
 namespace cej::join {
@@ -180,20 +178,57 @@ class PrefetchNljOperator : public JoinOperator {
 };
 
 // ---------------------------------------------------------------------------
-// tensor — blocked-GEMM similarity sweep (Figures 6/7).
+// tensor, sharded_tensor, pipelined_tensor — the blocked-GEMM similarity
+// sweep (Figures 6/7) under one of its three layouts (TensorSweepToSink).
+// Each name is a separate candidate in the registry cost scan, which is
+// the one place a layout is chosen.
 // ---------------------------------------------------------------------------
-class TensorJoinOperator : public JoinOperator {
+class TensorSweepOperator : public JoinOperator {
  public:
-  std::string_view Name() const override { return "tensor"; }
+  explicit TensorSweepOperator(SweepLayout layout) : layout_(layout) {}
+
+  std::string_view Name() const override {
+    if (layout_ == SweepLayout::kRightShards) return "sharded_tensor";
+    if (layout_ == SweepLayout::kRightStream) return "pipelined_tensor";
+    return "tensor";
+  }
 
   JoinOperatorTraits Traits() const override {
     JoinOperatorTraits t;
+    // Validation-wise every layout accepts vectors, or strings plus a
+    // model, per side; the right-stream layout also tells the planner it
+    // prefers the right side as a raw string stream.
     t.needs_vectors = true;
+    t.streams_right_strings = layout_ == SweepLayout::kRightStream;
     return t;
   }
 
   double EstimateCost(const JoinWorkload& w,
                       const CostParams& p) const override {
+    if (layout_ == SweepLayout::kRightShards) {
+      // Price the shard count Run() will ACTUALLY use — the same resolver
+      // execution calls, so a pinned knob is never quoted at the auto
+      // shape.
+      const size_t n = FilteredRight(w);
+      const size_t shards = ResolveShardCount(n, w.pool_threads,
+                                              w.shard_count, kMinShardRows);
+      // Eligibility: with no workers to fan out across, or a single shard
+      // (below the shard-row floor), this IS the tensor operator — bow out
+      // and let it take those shapes.
+      if (w.pool_threads <= 1 || shards <= 1) return kInf;
+    } else if (layout_ == SweepLayout::kRightStream) {
+      // Without a string-streamable right side there is no embedding left
+      // to hide — the plain tensor operator covers that shape, so bow out
+      // of the cost scan entirely. (The executor also withdraws
+      // streamability when the embedding cache already holds the right
+      // column: a warm cache leaves nothing to overlap, and plain `tensor`
+      // wins the tie.)
+      if (!w.right_strings_streamable) return kInf;
+      return static_cast<double>(w.right_rows) * p.access +
+             PipelinedTensorJoinCost(w.left_rows, FilteredRight(w), p,
+                                     w.left_embed_cached,
+                                     w.right_embed_cached);
+    }
     // Filter S (linear), then tensor-join against the survivors — the
     // "scan" access path of Section VI.E. Warm embedding-cache columns
     // drop their side's model term (cache-aware costing).
@@ -207,18 +242,32 @@ class TensorJoinOperator : public JoinOperator {
     CEJ_RETURN_IF_ERROR(ValidateInputs(inputs, condition));
     JoinStats total;
     const la::Matrix* left = nullptr;
-    const la::Matrix* right = nullptr;
+    SweepRight right;
     std::pair<la::Matrix, la::Matrix> storage;
-    CEJ_RETURN_IF_ERROR(MaterializeVectors(inputs, options.pool, &left,
-                                           &right, &storage, &total));
+    // Stream only when the right side NEEDS embedding: supplied vectors
+    // are never ignored or recomputed (the MaterializeVectors contract).
+    if (layout_ == SweepLayout::kRightStream &&
+        inputs.right_vectors == nullptr && inputs.right_strings != nullptr &&
+        HasModel(inputs)) {
+      CEJ_RETURN_IF_ERROR(MaterializeLeftVectors(inputs, options.pool, &left,
+                                                 &storage.first, &total));
+      right = SweepRight::Stream(*inputs.right_strings, *inputs.model);
+    } else {
+      CEJ_RETURN_IF_ERROR(MaterializeVectors(inputs, options.pool, &left,
+                                             &right.vectors, &storage,
+                                             &total));
+    }
     TensorJoinOptions tensor_options;
     static_cast<JoinOptions&>(tensor_options) = options;
     CEJ_ASSIGN_OR_RETURN(JoinStats join_stats,
-                         TensorJoinMatricesToSink(*left, *right, condition,
-                                                  tensor_options, sink));
+                         TensorSweepToSink(*left, right, condition, layout_,
+                                           tensor_options, sink));
     total += join_stats;
     return total;
   }
+
+ private:
+  const SweepLayout layout_;
 };
 
 // ---------------------------------------------------------------------------
@@ -269,127 +318,6 @@ class IndexJoinOperator : public JoinOperator {
   }
 };
 
-// ---------------------------------------------------------------------------
-// pipelined_tensor — right-side embedding overlapped with the GEMM sweep.
-// ---------------------------------------------------------------------------
-class PipelinedTensorOperator : public JoinOperator {
- public:
-  std::string_view Name() const override { return "pipelined_tensor"; }
-
-  JoinOperatorTraits Traits() const override {
-    JoinOperatorTraits t;
-    // Validation-wise the operator accepts whatever the tensor join does
-    // (vectors, or strings plus a model, per side); the extra trait tells
-    // the planner it prefers the right side as a raw string stream.
-    t.needs_vectors = true;
-    t.streams_right_strings = true;
-    return t;
-  }
-
-  double EstimateCost(const JoinWorkload& w,
-                      const CostParams& p) const override {
-    // Without a string-streamable right side there is no embedding left to
-    // hide — the plain tensor operator covers that shape, so bow out of
-    // the cost scan entirely. (The executor also withdraws streamability
-    // when the embedding cache already holds the right column: a warm
-    // cache leaves nothing to overlap, and plain `tensor` wins the tie.)
-    if (!w.right_strings_streamable) return kInf;
-    return static_cast<double>(w.right_rows) * p.access +
-           PipelinedTensorJoinCost(w.left_rows, FilteredRight(w), p,
-                                   w.left_embed_cached,
-                                   w.right_embed_cached);
-  }
-
-  Result<JoinStats> Run(const JoinInputs& inputs,
-                        const JoinCondition& condition,
-                        const JoinOptions& options,
-                        JoinSink* sink) const override {
-    CEJ_RETURN_IF_ERROR(ValidateInputs(inputs, condition));
-    PipelinedTensorOptions pipe_options;
-    static_cast<JoinOptions&>(pipe_options) = options;
-    // Pipeline only when the right side NEEDS embedding: supplied vectors
-    // are never ignored or recomputed (the MaterializeVectors contract).
-    if (inputs.right_vectors == nullptr && inputs.right_strings != nullptr &&
-        HasModel(inputs)) {
-      JoinStats total;
-      const la::Matrix* left = nullptr;
-      la::Matrix storage;
-      CEJ_RETURN_IF_ERROR(MaterializeLeftVectors(inputs, options.pool, &left,
-                                                 &storage, &total));
-      CEJ_ASSIGN_OR_RETURN(
-          JoinStats join_stats,
-          PipelinedTensorJoinToSink(*left, *inputs.right_strings,
-                                    *inputs.model, condition, pipe_options,
-                                    sink));
-      total += join_stats;
-      return total;
-    }
-    // Both sides already in the vector domain: nothing to pipeline —
-    // degrade gracefully to the plain blocked sweep.
-    JoinStats total;
-    const la::Matrix* left = nullptr;
-    const la::Matrix* right = nullptr;
-    std::pair<la::Matrix, la::Matrix> storage;
-    CEJ_RETURN_IF_ERROR(MaterializeVectors(inputs, options.pool, &left,
-                                           &right, &storage, &total));
-    CEJ_ASSIGN_OR_RETURN(JoinStats join_stats,
-                         TensorJoinMatricesToSink(*left, *right, condition,
-                                                  pipe_options, sink));
-    total += join_stats;
-    return total;
-  }
-};
-
-// ---------------------------------------------------------------------------
-// sharded_tensor — the blocked sweep partitioned over right-relation row
-// shards, one shard per pool worker, merged through one sink.
-// ---------------------------------------------------------------------------
-class ShardedTensorOperator : public JoinOperator {
- public:
-  std::string_view Name() const override { return "sharded_tensor"; }
-
-  JoinOperatorTraits Traits() const override {
-    JoinOperatorTraits t;
-    t.needs_vectors = true;
-    return t;
-  }
-
-  double EstimateCost(const JoinWorkload& w,
-                      const CostParams& p) const override {
-    // Price the shard count Run() will ACTUALLY use — the same resolver
-    // execution calls, so a pinned knob is never quoted at the auto shape.
-    const size_t n = FilteredRight(w);
-    const size_t shards = ResolveShardCount(
-        n, w.pool_threads, w.shard_count, ShardedJoinOptions{}.min_shard_rows);
-    // Eligibility: with no workers to fan out across, or a single shard
-    // (below the shard-row floor), this IS the tensor operator — bow out
-    // and let it take those shapes.
-    if (w.pool_threads <= 1 || shards <= 1) return kInf;
-    return PriceFeatures(FeaturesForOperator(Name(), w, p), p);
-  }
-
-  Result<JoinStats> Run(const JoinInputs& inputs,
-                        const JoinCondition& condition,
-                        const JoinOptions& options,
-                        JoinSink* sink) const override {
-    CEJ_RETURN_IF_ERROR(ValidateInputs(inputs, condition));
-    JoinStats total;
-    const la::Matrix* left = nullptr;
-    const la::Matrix* right = nullptr;
-    std::pair<la::Matrix, la::Matrix> storage;
-    CEJ_RETURN_IF_ERROR(MaterializeVectors(inputs, options.pool, &left,
-                                           &right, &storage, &total));
-    ShardedJoinOptions sharded_options;
-    static_cast<JoinOptions&>(sharded_options) = options;
-    CEJ_ASSIGN_OR_RETURN(
-        JoinStats join_stats,
-        ShardedTensorJoinMatricesToSink(*left, *right, condition,
-                                        sharded_options, sink));
-    total += join_stats;
-    return total;
-  }
-};
-
 }  // namespace
 
 Status JoinOperator::ValidateInputs(const JoinInputs& inputs,
@@ -435,10 +363,16 @@ JoinOperatorRegistry& JoinOperatorRegistry::Global() {
     auto* r = new JoinOperatorRegistry();
     CEJ_CHECK(r->Register(MakeNaiveNljOperator()).ok());
     CEJ_CHECK(r->Register(MakePrefetchNljOperator()).ok());
-    CEJ_CHECK(r->Register(MakeTensorJoinOperator()).ok());
+    CEJ_CHECK(r->Register(
+                   MakeTensorSweepOperator(SweepLayout::kLeftTiles))
+                  .ok());
     CEJ_CHECK(r->Register(MakeIndexJoinOperator()).ok());
-    CEJ_CHECK(r->Register(MakePipelinedTensorOperator()).ok());
-    CEJ_CHECK(r->Register(MakeShardedTensorOperator()).ok());
+    CEJ_CHECK(r->Register(
+                   MakeTensorSweepOperator(SweepLayout::kRightStream))
+                  .ok());
+    CEJ_CHECK(r->Register(
+                   MakeTensorSweepOperator(SweepLayout::kRightShards))
+                  .ok());
     return r;
   }();
   return *registry;
@@ -488,17 +422,12 @@ std::unique_ptr<const JoinOperator> MakeNaiveNljOperator() {
 std::unique_ptr<const JoinOperator> MakePrefetchNljOperator() {
   return std::make_unique<PrefetchNljOperator>();
 }
-std::unique_ptr<const JoinOperator> MakeTensorJoinOperator() {
-  return std::make_unique<TensorJoinOperator>();
+std::unique_ptr<const JoinOperator> MakeTensorSweepOperator(
+    SweepLayout layout) {
+  return std::make_unique<TensorSweepOperator>(layout);
 }
 std::unique_ptr<const JoinOperator> MakeIndexJoinOperator() {
   return std::make_unique<IndexJoinOperator>();
-}
-std::unique_ptr<const JoinOperator> MakePipelinedTensorOperator() {
-  return std::make_unique<PipelinedTensorOperator>();
-}
-std::unique_ptr<const JoinOperator> MakeShardedTensorOperator() {
-  return std::make_unique<ShardedTensorOperator>();
 }
 
 }  // namespace cej::join

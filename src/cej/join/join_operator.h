@@ -7,7 +7,7 @@
 // prefetched embedding matrices, or a prebuilt vector index), streams
 // matched pairs into a JoinSink, and prices itself via EstimateCost so the
 // planner's access-path selection is a registry scan instead of a
-// hard-wired if/else. New operators (sharded, async, remote) plug in by
+// hard-wired if/else. New operators (a remote backend, say) plug in by
 // registering — the planner and the cej::Engine facade pick them up
 // without modification.
 //
@@ -24,6 +24,10 @@
 //                    row shards, one shard per pool worker, merged
 //                    through one sink — whole-right-relation parallelism
 //                    (the `tensor` operator only splits the left side)
+//
+// The three tensor names are one operator class over one driver
+// (TensorSweepToSink), each constructed with its SweepLayout. They stay
+// separate registry entries so the cost scan chooses the layout.
 
 #ifndef CEJ_JOIN_JOIN_OPERATOR_H_
 #define CEJ_JOIN_JOIN_OPERATOR_H_
@@ -39,6 +43,7 @@
 #include "cej/join/join_common.h"
 #include "cej/join/join_cost.h"
 #include "cej/join/join_sink.h"
+#include "cej/join/tensor_join.h"
 #include "cej/la/matrix.h"
 #include "cej/model/embedding_model.h"
 
@@ -139,10 +144,11 @@ class JoinOperatorRegistry {
 /// registries; the global registry already holds one of each).
 std::unique_ptr<const JoinOperator> MakeNaiveNljOperator();
 std::unique_ptr<const JoinOperator> MakePrefetchNljOperator();
-std::unique_ptr<const JoinOperator> MakeTensorJoinOperator();
+/// The tensor family: `tensor` (kLeftTiles), `sharded_tensor`
+/// (kRightShards) or `pipelined_tensor` (kRightStream).
+std::unique_ptr<const JoinOperator> MakeTensorSweepOperator(
+    SweepLayout layout);
 std::unique_ptr<const JoinOperator> MakeIndexJoinOperator();
-std::unique_ptr<const JoinOperator> MakePipelinedTensorOperator();
-std::unique_ptr<const JoinOperator> MakeShardedTensorOperator();
 
 }  // namespace cej::join
 

@@ -2,22 +2,23 @@
 // bounded dense tile of the similarity matrix, scan it for qualifying
 // pairs, stream them out, reuse the buffer.
 //
-// Exactly ONE copy of this loop exists; `tensor`, `pipelined_tensor`, and
-// `sharded_tensor` all execute it, so byte-identity of their results holds
-// by construction rather than only by cross-validation tests. The callers
-// differ in two ways the spec parameterizes:
+// Exactly ONE copy of this loop exists. The tensor-sweep driver
+// (TensorSweepToSink in tensor_join.h) runs it for every layout, so the
+// byte-identity of `tensor`, `sharded_tensor` and `pipelined_tensor`
+// results holds by construction rather than only by cross-validation
+// tests. A sweep covers one right-relation *slice*; the spec
+// parameterizes what differs between slices:
 //
-//   * the right-side coordinate frame — the plain tensor join sweeps the
-//     whole right matrix ([0, n), ids as-is), a pipelined tile sweeps a
+//   * the right-side coordinate frame — a slice of the whole right matrix
+//     is the range [s0, s1) with ids as-is (one slice [0, n) for left
+//     tiles, a shard otherwise), while an embedded pipeline tile is a
 //     small local matrix whose row 0 is global row `tile.begin`
-//     (right_id_offset), a shard sweeps a sub-range [s0, s1) of the global
-//     matrix — and
-//   * collector ownership for top-k — self-contained sweeps finalize
-//     per-left-tile collectors themselves once the tile has seen the whole
-//     right range, while sweeps covering only a SLICE of the right
-//     relation (pipelined tiles, shards) push into externally-owned
+//     (right_id_offset) — and
+//   * collector ownership for top-k — a sweep over the whole right range
+//     finalizes per-left-tile collectors itself, while a sweep covering
+//     only a SLICE of the right relation pushes into externally-owned
 //     collectors that survive across sweeps, because a per-slice top-k
-//     alone would be wrong.
+//     alone would be wrong; the driver merges them once at the end.
 //
 // Threshold conditions stream row by row (early termination bites inside a
 // tile); the cooperative stop flag is polled at tile and row granularity.
@@ -51,8 +52,8 @@ struct SweepSpec {
   /// Left rows covered by the whole sweep (kernel frame).
   size_t left_begin = 0;
   size_t left_end = 0;
-  /// Right rows covered (kernel frame): the full matrix for the tensor
-  /// join, [0, tile_rows) for a pipelined tile, [s0, s1) for a shard.
+  /// Right rows covered (kernel frame): [0, n) for left tiles, [s0, s1)
+  /// for a shard, [0, tile_rows) for an embedded pipeline tile.
   size_t right_begin = 0;
   size_t right_end = 0;
   /// Added to kernel-frame right coordinates when emitting pair ids /

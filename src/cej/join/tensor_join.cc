@@ -2,11 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
+#include <deque>
+#include <mutex>
+#include <thread>
 
 #include "cej/common/timer.h"
 #include "cej/join/join_sink.h"
 #include "cej/join/sweep_kernel.h"
 #include "cej/la/gemm.h"
+#include "cej/la/topk.h"
 
 namespace cej::join {
 namespace {
@@ -17,44 +22,376 @@ namespace {
 constexpr size_t kDefaultLeftBatch = 256;
 constexpr size_t kL1BudgetFloats = 4096;  // 16 KB of B-tile per sweep.
 
+// Merge grain: left rows re-collected per worker chunk in the top-k merge
+// pass. Coarse enough to amortize scheduling, fine enough to balance.
+constexpr size_t kMergeGrainRows = 64;
+
+// Auto pipeline tile bounds: small enough that a handful of tiles exist to
+// overlap (and that two in-flight tiles stay cheap to hold), large enough
+// that one embed batch amortizes pool scheduling.
+constexpr size_t kMinPipelineTile = 512;
+constexpr size_t kMaxPipelineTile = 8192;
+
 size_t DefaultRightBatch(size_t dim) {
   const size_t rows = kL1BudgetFloats / std::max<size_t>(dim, 1);
   return std::clamp<size_t>(rows, 16, 2048);
 }
 
-// Runs the shared sweep kernel over the full m x n frame (the tensor
-// join's self-contained shape: whole right range, sweep-owned top-k
-// collectors) and wraps the counters into JoinStats.
-Result<JoinStats> RunTiledToSink(size_t m, size_t n,
-                                 const TileShape& tile,
-                                 const JoinCondition& condition,
-                                 const TensorJoinOptions& options,
-                                 const TileKernel& kernel, JoinSink* sink) {
-  JoinStats stats;
-  if (m == 0 || n == 0) {
-    sink->Finish();
-    return stats;
+// The pipeline tile height for a right stream of `right_rows` > 0 rows:
+// sized so several tiles exist to overlap.
+size_t ResolvePipelineTileRows(size_t right_rows) {
+  const size_t target = right_rows / 8 + 1;
+  return std::min(right_rows,
+                  std::clamp(target, kMinPipelineTile, kMaxPipelineTile));
+}
+
+// The one place that decides how a layout splits the right relation
+// [0, n), n > 0: slice s covers [bounds[s], bounds[s + 1]).
+std::vector<size_t> SliceBounds(SweepLayout layout, size_t n,
+                                const JoinOptions& options) {
+  std::vector<size_t> bounds = {0};
+  if (layout == SweepLayout::kRightShards) {
+    const size_t shards = ResolveShardCount(n, options);
+    for (size_t s = 1; s < shards; ++s) bounds.push_back(n * s / shards);
+  } else if (layout == SweepLayout::kRightStream) {
+    const size_t rows = ResolvePipelineTileRows(n);
+    for (size_t begin = rows; begin < n; begin += rows) {
+      bounds.push_back(begin);
+    }
   }
-  WallTimer timer;
-  SinkFeed feed(sink);
-  std::atomic<uint64_t> sims{0};
-  SweepSpec spec;
-  spec.left_end = m;
-  spec.right_end = n;
-  spec.tile = tile;
-  spec.condition = condition;
-  spec.kernel = &kernel;
-  spec.feed = &feed;
-  spec.sims = &sims;
-  const size_t used_buffers = RunSweep(spec, options.pool);
-  stats.join_seconds = timer.ElapsedSeconds();
-  stats.similarity_computations = sims.load(std::memory_order_relaxed);
-  stats.peak_buffer_bytes = tile.buffer_bytes() * used_buffers;
-  sink->Finish();
-  return stats;
+  bounds.push_back(n);
+  return bounds;
+}
+
+size_t MaxSliceRows(const std::vector<size_t>& bounds) {
+  size_t rows = 0;
+  for (size_t s = 0; s + 1 < bounds.size(); ++s) {
+    rows = std::max(rows, bounds[s + 1] - bounds[s]);
+  }
+  return rows;
+}
+
+// State one sweep shares across all of its slices: the feed into the sink,
+// the similarity counter, and — for top-k over slices that each cover only
+// part of the right relation — the collector sets the slices push into.
+class SweepRun {
+ public:
+  SweepRun(size_t m, const TileShape& tile, const JoinCondition& condition,
+           JoinSink* sink)
+      : m_(m), tile_(tile), condition_(condition), sink_(sink), feed_(sink) {}
+
+  size_t m() const { return m_; }
+  const TileShape& tile() const { return tile_; }
+  const JoinCondition& condition() const { return condition_; }
+  bool topk() const { return condition_.kind == JoinCondition::Kind::kTopK; }
+  bool stopped() const { return feed_.stopped(); }
+
+  // Every left row against right rows [begin, end) of `kernel`'s frame.
+  // Without collectors the sweep owns per-left-tile top-k collectors.
+  SweepSpec Spec(const TileKernel& kernel, size_t begin, size_t end) {
+    SweepSpec spec;
+    spec.left_end = m_;
+    spec.right_begin = begin;
+    spec.right_end = end;
+    spec.tile = tile_;
+    spec.condition = condition_;
+    spec.kernel = &kernel;
+    spec.feed = &feed_;
+    spec.sims = &sims_;
+    return spec;
+  }
+
+  // Top-k only: makes room for `count` collector sets, which the one
+  // finalize merges per left row.
+  void ReserveCollectorSets(size_t count) {
+    if (topk()) sets_.resize(count);
+  }
+
+  // Collector set `s` (one collector per left row), allocated on first use
+  // by the thread that sweeps its slice; nullptr for threshold joins.
+  // Distinct sets may be used concurrently.
+  std::vector<la::TopKCollector>* CollectorSet(size_t s) {
+    if (!topk()) return nullptr;
+    std::vector<la::TopKCollector>& set = sets_[s];
+    if (set.empty()) {
+      set.reserve(m_);
+      for (size_t i = 0; i < m_; ++i) set.emplace_back(condition_.k);
+    }
+    return &set;
+  }
+
+  // The one top-k finalize: per left row, re-collects the k best across
+  // every collector set and emits them. Then fills the shared counters —
+  // join_seconds excludes embed_seconds the caller paid inside the span —
+  // and finishes the sink.
+  void Finish(ThreadPool* pool, JoinStats* stats) {
+    if (!sets_.empty() && !feed_.stopped()) {
+      // Workers own disjoint left-row ranges, so collector access stays
+      // synchronization-free.
+      auto merge_rows = [this](size_t begin, size_t end) {
+        std::vector<JoinPair> local;
+        for (size_t i = begin; i < end && !feed_.stopped(); ++i) {
+          la::TopKCollector merged(condition_.k);
+          for (auto& set : sets_) {
+            if (set.empty()) continue;  // Slice never ran.
+            for (const auto& scored : set[i].TakeSorted()) {
+              merged.Push(scored.score, scored.id);
+            }
+          }
+          for (const auto& scored : merged.TakeSorted()) {
+            local.push_back({static_cast<uint32_t>(i),
+                             static_cast<uint32_t>(scored.id),
+                             scored.score});
+          }
+          feed_.MaybeDeliver(&local);
+        }
+        feed_.Deliver(&local);
+      };
+      if (pool != nullptr && m_ > kMergeGrainRows) {
+        pool->ParallelForRange(0, m_, merge_rows, kMergeGrainRows);
+      } else {
+        merge_rows(0, m_);
+      }
+    }
+    stats->join_seconds =
+        std::max(0.0, timer_.ElapsedSeconds() - stats->embed_seconds);
+    stats->similarity_computations = sims_.load(std::memory_order_relaxed);
+    sink_->Finish();
+  }
+
+ private:
+  const size_t m_;
+  const TileShape tile_;
+  const JoinCondition condition_;
+  JoinSink* const sink_;
+  WallTimer timer_;
+  SinkFeed feed_;
+  std::atomic<uint64_t> sims_{0};
+  std::vector<std::vector<la::TopKCollector>> sets_;
+};
+
+// kLeftTiles: the whole right range as one slice, its left tiles spread
+// over the pool; each left tile finalizes its own top-k.
+void SweepLeftTiles(size_t n, const TileKernel& kernel, ThreadPool* pool,
+                    SweepRun* run, JoinStats* stats) {
+  const size_t used_buffers = RunSweep(run->Spec(kernel, 0, n), pool);
+  stats->peak_buffer_bytes = run->tile().buffer_bytes() * used_buffers;
+}
+
+// kRightShards: one worker owns each shard's whole sweep of R against its
+// slice — the parallelism is ACROSS shards, not within one — and top-k
+// keeps one collector set per shard.
+void SweepRightShards(const std::vector<size_t>& bounds,
+                      const TileKernel& kernel, ThreadPool* pool,
+                      SweepRun* run, JoinStats* stats) {
+  const size_t shards = bounds.size() - 1;
+  run->ReserveCollectorSets(shards);
+  auto run_shard = [&](size_t s) {
+    if (run->stopped()) return;
+    SweepSpec spec = run->Spec(kernel, bounds[s], bounds[s + 1]);
+    spec.collectors = run->CollectorSet(s);
+    SweepLeftRows(spec, 0, run->m());
+  };
+  if (pool != nullptr && shards > 1) {
+    pool->ParallelForRange(
+        0, shards,
+        [&run_shard](size_t begin, size_t end) {
+          for (size_t s = begin; s < end; ++s) run_shard(s);
+        },
+        1);
+  } else {
+    for (size_t s = 0; s < shards; ++s) run_shard(s);
+  }
+  const size_t concurrency =
+      pool == nullptr
+          ? 1
+          : std::min<size_t>(static_cast<size_t>(pool->num_threads()) + 1,
+                             shards);
+  stats->shards_used = shards;
+  stats->peak_buffer_bytes =
+      run->tile().buffer_bytes() * concurrency +
+      (run->topk()
+           ? shards * run->m() * run->condition().k * sizeof(la::ScoredId)
+           : 0);
+}
+
+// One embedded pipeline tile covering right rows [begin, begin + rows).
+struct EmbeddedTile {
+  size_t begin = 0;
+  la::Matrix vectors;
+};
+
+// Bounded single-producer/single-consumer handoff. Capacity 2 is double
+// buffering: one tile being swept while the next is being embedded — more
+// depth only grows memory without adding overlap.
+class TileQueue {
+ public:
+  void Push(EmbeddedTile tile) {
+    std::unique_lock<std::mutex> lock(mu_);
+    space_.wait(lock, [this] { return tiles_.size() < 2 || aborted_; });
+    if (aborted_) return;
+    tiles_.push_back(std::move(tile));
+    ready_.notify_one();
+  }
+
+  // Blocks for the next tile; false once the producer is done and the
+  // queue has drained.
+  bool Pop(EmbeddedTile* out) {
+    std::unique_lock<std::mutex> lock(mu_);
+    ready_.wait(lock, [this] { return !tiles_.empty() || done_; });
+    if (tiles_.empty()) return false;
+    *out = std::move(tiles_.front());
+    tiles_.pop_front();
+    space_.notify_one();
+    return true;
+  }
+
+  void MarkDone() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      done_ = true;
+    }
+    ready_.notify_all();
+  }
+
+  // Early termination: unblocks a Push-waiting producer and stops further
+  // tiles from entering. Idempotent.
+  void Abort() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      aborted_ = true;
+    }
+    space_.notify_all();
+  }
+
+  bool aborted() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return aborted_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::condition_variable ready_, space_;
+  std::deque<EmbeddedTile> tiles_;
+  bool done_ = false;
+  bool aborted_ = false;
+};
+
+// kRightStream: a producer thread embeds pipeline tile t+1 (in parallel
+// over the pool) while the caller sweeps tile t against all of R, every
+// tile pushing into one shared top-k collector set. Without a pool, or
+// with a single tile, embedding and sweeping alternate on the caller.
+void SweepRightStream(const la::Matrix& left,
+                      const std::vector<std::string>& right,
+                      const model::EmbeddingModel& model,
+                      const std::vector<size_t>& bounds,
+                      const TensorJoinOptions& options, SweepRun* run,
+                      JoinStats* stats) {
+  const size_t num_tiles = bounds.size() - 1;
+  run->ReserveCollectorSets(1);
+  std::vector<la::TopKCollector>* collectors = run->CollectorSet(0);
+
+  // Sweeps one embedded tile, a SLICE of the right stream: kernel-frame
+  // right row 0 is global row tile.begin. Concurrently live sweep buffers
+  // are measured by the shared kernel (written by the consumer only).
+  size_t sweep_buffers = 0;
+  auto sweep_tile = [&](const EmbeddedTile& tile) {
+    const la::Matrix& rt = tile.vectors;
+    TileKernel kernel = [&](size_t i0, size_t i1, size_t j0, size_t j1,
+                            float* buffer) {
+      la::GemmTile(left, rt, i0, i1, j0, j1, buffer, options.simd);
+    };
+    SweepSpec spec = run->Spec(kernel, 0, rt.rows());
+    spec.right_id_offset = tile.begin;
+    spec.collectors = collectors;
+    sweep_buffers = std::max(sweep_buffers, RunSweep(spec, options.pool));
+  };
+
+  // Producer state: written by the embedder, read by the caller only after
+  // the join() below (which synchronizes).
+  double embed_seconds = 0.0;
+  uint64_t embedded_rows = 0;
+  auto embed_tile = [&](size_t t) {
+    WallTimer timer;
+    EmbeddedTile tile{bounds[t], model.EmbedRange(right, bounds[t],
+                                                  bounds[t + 1],
+                                                  options.pool)};
+    embed_seconds += timer.ElapsedSeconds();
+    embedded_rows += bounds[t + 1] - bounds[t];
+    return tile;
+  };
+
+  const bool overlapped = options.pool != nullptr && num_tiles > 1;
+  if (!overlapped) {
+    // The memory bound — at most one embedded tile live — still holds.
+    for (size_t t = 0; t < num_tiles && !run->stopped(); ++t) {
+      sweep_tile(embed_tile(t));
+    }
+  } else {
+    TileQueue queue;
+    std::thread producer([&] {
+      for (size_t t = 0; t < num_tiles; ++t) {
+        if (queue.aborted()) break;
+        queue.Push(embed_tile(t));
+      }
+      queue.MarkDone();
+    });
+    EmbeddedTile tile;
+    while (!run->stopped() && queue.Pop(&tile)) {
+      sweep_tile(tile);
+    }
+    queue.Abort();
+    producer.join();
+  }
+
+  if (overlapped) {
+    // The producer's model time runs CONCURRENTLY with the sweep, inside
+    // the join_seconds wall span: report it as the overlapped component so
+    // embed_seconds + join_seconds stays a faithful end-to-end total.
+    stats->embed_overlapped_seconds = embed_seconds;
+  } else {
+    // Nothing overlapped: the model time is ordinary embed_seconds, which
+    // SweepRun::Finish carves out of the wall span.
+    stats->embed_seconds = embed_seconds;
+  }
+  stats->model_calls = embedded_rows;
+  // Embedded tiles live at once in the overlapped path: one held by the
+  // consumer during its sweep, up to two parked in the queue, one being
+  // embedded by the producer.
+  const size_t live_tiles = overlapped ? std::min<size_t>(num_tiles, 4) : 1;
+  const size_t tile_rows = bounds[1] - bounds[0];
+  stats->peak_buffer_bytes =
+      live_tiles * tile_rows * left.cols() * sizeof(float) +
+      sweep_buffers * run->tile().buffer_bytes();
 }
 
 }  // namespace
+
+size_t AutoShardCount(size_t rows, size_t workers, size_t min_shard_rows) {
+  if (rows == 0) return 1;
+  min_shard_rows = std::max<size_t>(min_shard_rows, 1);
+  workers = std::max<size_t>(workers, 1);
+  return std::clamp<size_t>(rows / min_shard_rows, 1, workers);
+}
+
+size_t ResolveShardCount(size_t rows, size_t workers,
+                         size_t pinned_shard_count, size_t min_shard_rows) {
+  if (rows == 0) return 1;
+  if (pinned_shard_count != 0) {
+    return std::min(rows, pinned_shard_count);
+  }
+  return AutoShardCount(rows, workers, min_shard_rows);
+}
+
+size_t ResolveShardCount(size_t right_rows, const JoinOptions& options) {
+  // The caller-runs pool contributes its own thread on top of the workers.
+  const size_t workers =
+      options.pool == nullptr
+          ? 1
+          : static_cast<size_t>(options.pool->num_threads()) + 1;
+  return ResolveShardCount(right_rows, workers, options.shard_count,
+                           kMinShardRows);
+}
 
 TileShape ResolveTileShape(size_t left_rows, size_t right_rows, size_t dim,
                            const TensorJoinOptions& options) {
@@ -83,21 +420,70 @@ TileShape ResolveTileShape(size_t left_rows, size_t right_rows, size_t dim,
   return shape;
 }
 
+Result<JoinStats> TensorSweepToSink(const la::Matrix& left,
+                                    const SweepRight& right,
+                                    const JoinCondition& condition,
+                                    SweepLayout layout,
+                                    const TensorJoinOptions& options,
+                                    JoinSink* sink) {
+  const bool streamed = right.vectors == nullptr;
+  if (streamed) {
+    CEJ_RETURN_IF_ERROR(ValidateJoinCondition(condition));
+    if (layout != SweepLayout::kRightStream || right.strings == nullptr ||
+        right.model == nullptr) {
+      return Status::InvalidArgument(
+          "tensor join: needs a right matrix, or right strings plus a "
+          "model under the right-stream layout");
+    }
+    if (right.model->dim() == 0) {
+      return Status::InvalidArgument("pipelined tensor join: model has dim 0");
+    }
+    CEJ_RETURN_IF_ERROR(ValidateJoinDims(left.cols(), right.model->dim()));
+  } else {
+    CEJ_RETURN_IF_ERROR(ValidateJoinInputs(left, *right.vectors));
+    CEJ_RETURN_IF_ERROR(ValidateJoinCondition(condition));
+    if (layout == SweepLayout::kRightStream) layout = SweepLayout::kLeftTiles;
+  }
+  const size_t m = left.rows();
+  const size_t n = streamed ? right.strings->size() : right.vectors->rows();
+  if (m == 0 || n == 0) {
+    sink->Finish();
+    return JoinStats{};
+  }
+
+  // Inner blocking is sized for ONE slice's sweep: the whole left side
+  // against at most the widest slice.
+  const std::vector<size_t> bounds = SliceBounds(layout, n, options);
+  const TileShape tile =
+      ResolveTileShape(m, MaxSliceRows(bounds), left.cols(), options);
+  SweepRun run(m, tile, condition, sink);
+  JoinStats stats;
+  if (streamed) {
+    SweepRightStream(left, *right.strings, *right.model, bounds, options,
+                     &run, &stats);
+  } else {
+    TileKernel kernel = [&](size_t i0, size_t i1, size_t j0, size_t j1,
+                            float* buffer) {
+      la::GemmTile(left, *right.vectors, i0, i1, j0, j1, buffer,
+                   options.simd);
+    };
+    if (layout == SweepLayout::kRightShards) {
+      SweepRightShards(bounds, kernel, options.pool, &run, &stats);
+    } else {
+      SweepLeftTiles(n, kernel, options.pool, &run, &stats);
+    }
+  }
+  run.Finish(options.pool, &stats);
+  return stats;
+}
+
 Result<JoinStats> TensorJoinMatricesToSink(const la::Matrix& left,
                                            const la::Matrix& right,
                                            const JoinCondition& condition,
                                            const TensorJoinOptions& options,
                                            JoinSink* sink) {
-  CEJ_RETURN_IF_ERROR(ValidateJoinInputs(left, right));
-  CEJ_RETURN_IF_ERROR(ValidateJoinCondition(condition));
-  const TileShape tile =
-      ResolveTileShape(left.rows(), right.rows(), left.cols(), options);
-  TileKernel kernel = [&](size_t i0, size_t i1, size_t j0, size_t j1,
-                          float* buffer) {
-    la::GemmTile(left, right, i0, i1, j0, j1, buffer, options.simd);
-  };
-  return RunTiledToSink(left.rows(), right.rows(), tile, condition, options,
-                        kernel, sink);
+  return TensorSweepToSink(left, SweepRight::Vectors(right), condition,
+                           SweepLayout::kLeftTiles, options, sink);
 }
 
 Result<JoinResult> TensorJoinMatrices(const la::Matrix& left,
@@ -123,6 +509,7 @@ Result<JoinResult> TensorJoinMatricesHalf(const la::HalfMatrix& left,
   const size_t m = left.rows();
   const size_t n = right.rows();
   const size_t dim = left.cols();
+  if (m == 0 || n == 0) return JoinResult{};
 
   // FP16 rows are half-width: the same L1 budget fits twice the tile.
   TensorJoinOptions half_options = options;
@@ -131,7 +518,6 @@ Result<JoinResult> TensorJoinMatricesHalf(const la::HalfMatrix& left,
         ResolveTileShape(m, n, std::max<size_t>(dim / 2, 1), options)
             .rows_right;
   }
-  const TileShape tile = ResolveTileShape(m, n, dim, half_options);
   TileKernel kernel = [&](size_t i0, size_t i1, size_t j0, size_t j1,
                           float* buffer) {
     const size_t tile_cols = j1 - j0;
@@ -141,12 +527,12 @@ Result<JoinResult> TensorJoinMatricesHalf(const la::HalfMatrix& left,
     }
   };
   MaterializingSink sink;
-  CEJ_ASSIGN_OR_RETURN(
-      JoinStats stats,
-      RunTiledToSink(m, n, tile, condition, options, kernel, &sink));
   JoinResult result;
+  SweepRun run(m, ResolveTileShape(m, n, dim, half_options), condition,
+               &sink);
+  SweepLeftTiles(n, kernel, options.pool, &run, &result.stats);
+  run.Finish(options.pool, &result.stats);
   result.pairs = sink.TakePairs();
-  result.stats = stats;
   return result;
 }
 

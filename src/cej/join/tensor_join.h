@@ -7,6 +7,31 @@
 // is scanned for qualifying pairs and immediately reused — this is how the
 // operator trades repeated kernel invocations for a constrained memory
 // footprint (Figure 13) instead of materializing the full |R| x |S| matrix.
+//
+// One driver, TensorSweepToSink, runs that sweep. Its layout decides how
+// the |R| x |S| frame is split into right-relation *slices* and how the
+// slices are scheduled; every slice runs the shared sweep kernel
+// (sweep_kernel.h), so per-pair similarities do not depend on the layout:
+//
+//   kLeftTiles    one slice [0, |S|); the pool splits R into left tiles
+//                 (the `tensor` operator);
+//   kRightShards  |S| split into contiguous row shards, one pool worker
+//                 per shard sweeping all of R — parallelism that keeps
+//                 scaling when |R| is below one left tile
+//                 (`sharded_tensor`);
+//   kRightStream  S consumed as raw strings in pipeline tiles: a producer
+//                 thread embeds tile t+1 while the caller sweeps tile t,
+//                 so a tile costs max(embed, sweep) instead of their sum
+//                 and only a bounded number of embedded tiles is live
+//                 (`pipelined_tensor`; paper Section V observes that model
+//                 cost dominates end-to-end join time).
+//
+// Threshold slices stream pairs through one locked sink as they are found,
+// with early termination biting mid-slice. Top-k over one whole-relation
+// slice finalizes per left tile inside the sweep; top-k over several
+// slices pushes into collector sets that survive the slices, and one
+// finalize merges the k best per left row across them (a per-slice top-k
+// alone would be wrong).
 
 #ifndef CEJ_JOIN_TENSOR_JOIN_H_
 #define CEJ_JOIN_TENSOR_JOIN_H_
@@ -35,15 +60,55 @@ struct TensorJoinOptions : JoinOptions {
   size_t memory_budget_bytes = 0;
 };
 
+/// How the tensor sweep splits the |R| x |S| frame (see file comment).
+enum class SweepLayout {
+  kLeftTiles,
+  kRightShards,
+  kRightStream,
+};
+
+/// The right side of a tensor sweep: a prefetched embedding matrix, or raw
+/// strings plus the model that embeds them (kRightStream only). Borrowed.
+struct SweepRight {
+  const la::Matrix* vectors = nullptr;
+  const std::vector<std::string>* strings = nullptr;
+  const model::EmbeddingModel* model = nullptr;
+
+  static SweepRight Vectors(const la::Matrix& vectors) {
+    return {&vectors, nullptr, nullptr};
+  }
+  static SweepRight Stream(const std::vector<std::string>& strings,
+                           const model::EmbeddingModel& model) {
+    return {nullptr, &strings, &model};
+  }
+};
+
+/// The one tensor-sweep driver: joins `left` against `right` under
+/// `layout`, emitting pair chunks into `sink` (unordered; early
+/// termination honoured at row granularity). Pair right-ids address rows
+/// of the right matrix or positions of the right strings. A supplied right
+/// matrix has nothing to stream, so kRightStream over one runs kLeftTiles.
+///
+/// Stats: kRightShards reports its shard count in shards_used. A streamed
+/// right side reports one model call per embedded row; when the stream
+/// overlaps (pool + several tiles) the hidden model time is
+/// embed_overlapped_seconds, a subset of join_seconds, and otherwise it is
+/// ordinary embed_seconds, carved out of join_seconds.
+Result<JoinStats> TensorSweepToSink(const la::Matrix& left,
+                                    const SweepRight& right,
+                                    const JoinCondition& condition,
+                                    SweepLayout layout,
+                                    const TensorJoinOptions& options,
+                                    JoinSink* sink);
+
 /// Joins two embedded batches with the blocked-GEMM formulation.
 Result<JoinResult> TensorJoinMatrices(const la::Matrix& left,
                                       const la::Matrix& right,
                                       const JoinCondition& condition,
                                       const TensorJoinOptions& options = {});
 
-/// Streaming form of TensorJoinMatrices: emits pair chunks into `sink`
-/// (unordered; honours early termination at tile granularity) instead of
-/// materializing, and returns counters for the work actually performed.
+/// Streaming form of TensorJoinMatrices (TensorSweepToSink's kLeftTiles
+/// layout over a right matrix).
 Result<JoinStats> TensorJoinMatricesToSink(
     const la::Matrix& left, const la::Matrix& right,
     const JoinCondition& condition, const TensorJoinOptions& options,
@@ -80,6 +145,26 @@ struct TileShape {
 };
 TileShape ResolveTileShape(size_t left_rows, size_t right_rows, size_t dim,
                            const TensorJoinOptions& options);
+
+/// kRightShards' auto-sharding floor: a shard never covers fewer right rows
+/// than this (amortizes per-shard scheduling and merge overhead).
+inline constexpr size_t kMinShardRows = 1024;
+
+/// The auto-sharding rule shared by execution and pricing:
+/// clamp(rows / min_shard_rows, 1, workers). `workers` counts the caller
+/// too (a caller-runs pool of T threads supplies T + 1).
+size_t AutoShardCount(size_t rows, size_t workers, size_t min_shard_rows);
+
+/// The ONE shard-resolution rule — a pinned count wins (clamped to the
+/// row count), otherwise the auto rule above. The sharded sweep, the
+/// index join's probe shards and their cost quotes all call this, so a
+/// quoted shard count cannot drift from the one executed.
+size_t ResolveShardCount(size_t rows, size_t workers,
+                         size_t pinned_shard_count, size_t min_shard_rows);
+
+/// The shard count kRightShards runs over `right_rows` rows: workers from
+/// options.pool, the pin from options.shard_count, the kMinShardRows floor.
+size_t ResolveShardCount(size_t right_rows, const JoinOptions& options);
 
 }  // namespace cej::join
 

@@ -524,8 +524,11 @@ class PlanExecutor {
     // Expected embedding-cache state (cache-aware costing): a warm full
     // column will be served with zero model calls, so its side's model
     // term must not be priced — asymmetrically per side (a warm left and
-    // cold right still pays |S| * M).
-    const bool right_embed_cached = PeekColumnWarm(pattern);
+    // cold right still pays |S| * M). A stored vector column has no model
+    // term at all.
+    const bool right_embed_cached =
+        (pattern.matches && pattern.embed == nullptr) ||
+        PeekColumnWarm(pattern);
     const ProbePattern left_pattern =
         MatchProbePattern(node->left, node->left_key);
     const bool left_embed_cached =

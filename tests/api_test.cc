@@ -533,6 +533,46 @@ TEST(EngineVectorTest, RequireExactExcludesApproximateOperators) {
   EXPECT_NE(exact->stats.join_operator, "index");
 }
 
+TEST(EngineVectorTest, StoredVectorRightKeyIsPricedWithoutAModelTerm) {
+  // A stored vector column is never embedded, so no operator may be
+  // charged |S| model calls for it. At a model cost in the microseconds a
+  // host calibration measures, that phantom term made a 50 x 5000 top-1
+  // scan look dearer than HNSW probes: the cost scan picked `index` at a
+  // quote ~30x its runner-up's.
+  const size_t dim = 64;
+  la::Matrix right = workload::RandomUnitVectors(5000, dim, 56);
+  // A cheap graph: only its presence matters to the cost scan.
+  index::HnswBuildOptions build;
+  build.m = 8;
+  build.ef_construction = 32;
+  auto hnsw = index::HnswIndex::Build(right.Clone(), build);
+  ASSERT_TRUE(hnsw.ok());
+
+  Engine engine;
+  ASSERT_TRUE(engine
+                  .RegisterTable("q", VectorTable(workload::RandomUnitVectors(
+                                          50, dim, 55)))
+                  .ok());
+  ASSERT_TRUE(engine.RegisterTable("db", VectorTable(std::move(right))).ok());
+  ASSERT_TRUE(engine.RegisterIndex("db", "emb", hnsw->get()).ok());
+  // A and C in ns as plan::Calibrate measured them on a 4-vCPU AVX-512
+  // Xeon, and a model at 5 us per call.
+  join::CostParams params;
+  params.access = 1.8;
+  params.model = 5000.0;
+  params.compute = 17.6;
+  engine.set_cost_params(params);
+
+  auto result = engine.Query("q")
+                    .EJoin("db", "emb", join::JoinCondition::TopK(1))
+                    .Execute();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_NE(result->stats.join_operator, "index");
+  EXPECT_FALSE(result->stats.runner_up_operator.empty());
+  EXPECT_LE(result->stats.estimated_cost_ns,
+            result->stats.runner_up_cost_ns);
+}
+
 // ---------------------------------------------------------------------------
 // Streaming
 // ---------------------------------------------------------------------------

@@ -14,8 +14,6 @@
 #include "cej/index/flat_index.h"
 #include "cej/join/join_operator.h"
 #include "cej/join/join_sink.h"
-#include "cej/join/pipelined_tensor.h"
-#include "cej/join/sharded_join.h"
 #include "cej/join/tensor_join.h"
 #include "cej/model/subword_hash_model.h"
 #include "cej/workload/generators.h"
@@ -127,8 +125,11 @@ TEST(RegistryTest, UnknownNameListsRegisteredOperators) {
 
 TEST(RegistryTest, DuplicateRegistrationFails) {
   JoinOperatorRegistry registry;
-  ASSERT_TRUE(registry.Register(MakeTensorJoinOperator()).ok());
-  auto dup = registry.Register(MakeTensorJoinOperator());
+  ASSERT_TRUE(
+      registry.Register(MakeTensorSweepOperator(SweepLayout::kLeftTiles))
+          .ok());
+  auto dup =
+      registry.Register(MakeTensorSweepOperator(SweepLayout::kLeftTiles));
   EXPECT_EQ(dup.code(), StatusCode::kAlreadyExists);
 }
 
@@ -339,7 +340,10 @@ class PipelinedTensorTest : public ::testing::Test {
  protected:
   void SetUp() override {
     left_words_ = workload::RandomStrings(40, 4, 10, 71);
-    right_words_ = workload::RandomStrings(700, 4, 10, 72);
+    // 4140 right rows: the auto pipeline tile rule splits them into 8
+    // tiles of 518, enough for real overlap and for a tail that an early
+    // stop must keep away from the model.
+    right_words_ = workload::RandomStrings(4100, 4, 10, 72);
     // Plant the left words into the right relation so threshold joins are
     // guaranteed non-empty (identical strings embed identically).
     right_words_.insert(right_words_.end(), left_words_.begin(),
@@ -366,13 +370,13 @@ TEST_F(PipelinedTensorTest, MatchesTensorAcrossTilesAndConditions) {
     ASSERT_TRUE(reference.ok());
     ASSERT_GT(reference->pairs.size(), 0u);
 
-    PipelinedTensorOptions options;
+    TensorJoinOptions options;
     options.simd = la::SimdMode::kForceScalar;
     options.pool = &pool;
-    options.pipeline_tile_rows = 128;  // Many tiles: real overlap.
     MaterializingSink sink;
-    auto stats = PipelinedTensorJoinToSink(left_emb_, right_words_, model_,
-                                           condition, options, &sink);
+    auto stats = TensorSweepToSink(
+        left_emb_, SweepRight::Stream(right_words_, model_), condition,
+        SweepLayout::kRightStream, options, &sink);
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     EXPECT_EQ(stats->model_calls, right_words_.size());
     EXPECT_EQ(stats->similarity_computations,
@@ -447,16 +451,16 @@ TEST_F(PipelinedTensorTest, EarlyTerminationStopsMidTileAndAbortsEmbedding) {
   // A bounded sink must stop the sweep inside a tile AND starve the
   // producer: tiles past the double-buffer horizon are never embedded.
   ThreadPool pool(4);
-  PipelinedTensorOptions options;
+  TensorJoinOptions options;
   options.pool = &pool;
-  options.pipeline_tile_rows = 64;  // 700 rows -> 11 tiles.
   MaterializingSink::Options sink_options;
   sink_options.max_pairs = 200;
   MaterializingSink sink(sink_options);
   // Threshold below -1: every pair qualifies, so the bound hits fast.
-  auto stats = PipelinedTensorJoinToSink(left_emb_, right_words_, model_,
-                                         JoinCondition::Threshold(-2.0f),
-                                         options, &sink);
+  auto stats = TensorSweepToSink(
+      left_emb_, SweepRight::Stream(right_words_, model_),
+      JoinCondition::Threshold(-2.0f), SweepLayout::kRightStream, options,
+      &sink);
   ASSERT_TRUE(stats.ok());
   EXPECT_TRUE(sink.truncated());
   EXPECT_EQ(sink.pairs().size(), 200u);
@@ -476,6 +480,12 @@ class ShardedJoinTest : public ::testing::Test {
   void SetUp() override {
     left_ = workload::RandomUnitVectors(90, 16, 81);
     right_ = workload::RandomUnitVectors(1200, 16, 82);
+  }
+  Result<JoinStats> Sharded(const JoinCondition& condition,
+                            const TensorJoinOptions& options,
+                            JoinSink* sink) {
+    return TensorSweepToSink(left_, SweepRight::Vectors(right_), condition,
+                             SweepLayout::kRightShards, options, sink);
   }
   la::Matrix left_, right_;
 };
@@ -501,14 +511,13 @@ TEST_F(ShardedJoinTest, MatchesTensorAcrossShardCountsConditionsAndSinks) {
 
     for (size_t shard_count : {size_t{1}, size_t{2}, size_t{3}, size_t{7},
                                size_t{16}}) {
-      ShardedJoinOptions options;
+      TensorJoinOptions options;
       options.pool = &pool;
       options.simd = la::SimdMode::kForceScalar;
       options.shard_count = shard_count;
 
       MaterializingSink sink;
-      auto stats = ShardedTensorJoinMatricesToSink(left_, right_, condition,
-                                                   options, &sink);
+      auto stats = Sharded(condition, options, &sink);
       ASSERT_TRUE(stats.ok()) << stats.status().ToString();
       EXPECT_EQ(stats->shards_used, shard_count);
       EXPECT_EQ(stats->similarity_computations,
@@ -529,9 +538,7 @@ TEST_F(ShardedJoinTest, MatchesTensorAcrossShardCountsConditionsAndSinks) {
         collected.insert(collected.end(), pairs, pairs + count);
         return true;
       });
-      ASSERT_TRUE(ShardedTensorJoinMatricesToSink(left_, right_, condition,
-                                                  options, &callback)
-                      .ok());
+      ASSERT_TRUE(Sharded(condition, options, &callback).ok());
       SortPairs(&collected);
       EXPECT_EQ(collected, reference->pairs) << "shards=" << shard_count;
     }
@@ -539,19 +546,19 @@ TEST_F(ShardedJoinTest, MatchesTensorAcrossShardCountsConditionsAndSinks) {
 }
 
 TEST_F(ShardedJoinTest, AutoShardingFollowsPoolAndFloor) {
-  ShardedJoinOptions options;
+  JoinOptions options;
   // No pool: one shard regardless of size.
-  EXPECT_EQ(ResolveShardCount(100000, nullptr, options), 1u);
+  EXPECT_EQ(ResolveShardCount(100000, options), 1u);
   ThreadPool pool(3);
   options.pool = &pool;
   // Caller-runs pool of 3 → up to 4 workers; floor 1024 rows per shard.
-  EXPECT_EQ(ResolveShardCount(100000, &pool, options), 4u);
-  EXPECT_EQ(ResolveShardCount(2048, &pool, options), 2u);
-  EXPECT_EQ(ResolveShardCount(1000, &pool, options), 1u);  // Below floor.
+  EXPECT_EQ(ResolveShardCount(100000, options), 4u);
+  EXPECT_EQ(ResolveShardCount(2048, options), 2u);
+  EXPECT_EQ(ResolveShardCount(1000, options), 1u);  // Below floor.
   // Explicit count wins, clamped to the row count.
   options.shard_count = 9;
-  EXPECT_EQ(ResolveShardCount(100000, &pool, options), 9u);
-  EXPECT_EQ(ResolveShardCount(5, &pool, options), 5u);
+  EXPECT_EQ(ResolveShardCount(100000, options), 9u);
+  EXPECT_EQ(ResolveShardCount(5, options), 5u);
 }
 
 TEST_F(ShardedJoinTest, OperatorRegisteredWithTensorSemantics) {
@@ -606,7 +613,7 @@ TEST_F(ShardedJoinTest, PricingRequiresWorkersAndEnoughRows) {
       static_cast<double>(w.right_rows) * p.access +
       ShardedJoinCost(w.left_rows, w.right_rows,
                       AutoShardCount(w.right_rows, w.pool_threads,
-                                     ShardedJoinOptions{}.min_shard_rows),
+                                     kMinShardRows),
                       w.pool_threads, p);
   EXPECT_DOUBLE_EQ(sharded_cost, expected);
   // A pinned shard count is priced AS PINNED — the quote must track the
@@ -626,20 +633,98 @@ TEST_F(ShardedJoinTest, EarlyTerminationStopsMidShard) {
   // shared across shard workers, so the operator performs a fraction of
   // the full cross product before returning.
   ThreadPool pool(4);
-  ShardedJoinOptions options;
+  TensorJoinOptions options;
   options.pool = &pool;
   options.shard_count = 4;
   MaterializingSink::Options sink_options;
   sink_options.max_pairs = 500;
   MaterializingSink sink(sink_options);
   // Threshold below -1: every pair qualifies, so the bound hits fast.
-  auto stats = ShardedTensorJoinMatricesToSink(
-      left_, right_, JoinCondition::Threshold(-2.0f), options, &sink);
+  auto stats =
+      Sharded(JoinCondition::Threshold(-2.0f), options, &sink);
   ASSERT_TRUE(stats.ok());
   EXPECT_TRUE(sink.truncated());
   EXPECT_EQ(sink.pairs().size(), 500u);
   EXPECT_LT(stats->similarity_computations,
             static_cast<uint64_t>(left_.rows()) * right_.rows());
+}
+
+// ---------------------------------------------------------------------------
+// The three tensor layouts at edge shapes
+// ---------------------------------------------------------------------------
+
+TEST(TensorLayoutTest, EdgeShapesMatchTensorThroughTheRegistry) {
+  // Every tensor-family name through the registry, on the shapes where a
+  // split of the |R| x |S| frame goes wrong first: an empty side, a single
+  // right row, k > |S|, and |S| one row past an inner tile (256 rows at
+  // dim 16), a pipeline tile (512), the shard floor (1024) and a
+  // two-shard boundary (2048). The right side is raw strings plus a
+  // model: pipelined_tensor streams it, the other two embed it up front.
+  // Every slice boundary these sizes produce lies on a multiple of the
+  // inner tile, so all layouts run the same tiles and the pairs match
+  // tensor's byte for byte under the default SIMD dispatch.
+  model::SubwordHashOptions model_options;
+  model_options.dim = 16;
+  model::SubwordHashModel model(model_options);
+  auto& registry = JoinOperatorRegistry::Global();
+  const JoinOperator* tensor = *registry.Find("tensor");
+  ThreadPool pool(4);
+
+  struct Shape {
+    size_t left_rows;
+    size_t right_rows;
+  };
+  // |R| = 300 spans two left tiles; the wider right sides pair with a
+  // smaller |R| to keep the k > |S| runs (|R|·|S| pairs) cheap.
+  const Shape shapes[] = {{0, 300},  {300, 0},   {300, 1},   {300, 257},
+                          {40, 513}, {40, 1025}, {40, 2049}};
+  for (const Shape& shape : shapes) {
+    const size_t m = shape.left_rows;
+    const size_t n = shape.right_rows;
+    const la::Matrix left =
+        model.EmbedBatch(workload::RandomStrings(m, 4, 10, 91));
+    const auto right_words = workload::RandomStrings(n, 4, 10, 92);
+    JoinInputs inputs;
+    inputs.left_vectors = &left;
+    inputs.right_strings = &right_words;
+    inputs.model = &model;
+    for (ThreadPool* workers : {&pool, static_cast<ThreadPool*>(nullptr)}) {
+      JoinOptions options;
+      options.pool = workers;
+      for (const JoinCondition& condition :
+           {JoinCondition::Threshold(0.5f), JoinCondition::TopK(1),
+            JoinCondition::TopK(n + 3)}) {
+        std::string label = std::to_string(m) + "x" + std::to_string(n) +
+                            (workers != nullptr ? " pool" : " no pool") +
+                            (condition.kind == JoinCondition::Kind::kTopK
+                                 ? " top-" + std::to_string(condition.k)
+                                 : " threshold");
+        MaterializingSink reference;
+        ASSERT_TRUE(tensor->Run(inputs, condition, options, &reference).ok())
+            << label;
+        if (condition.kind == JoinCondition::Kind::kTopK) {
+          EXPECT_EQ(reference.pairs().size(), m * std::min(condition.k, n))
+              << label;
+        }
+        for (const char* name :
+             {"tensor", "sharded_tensor", "pipelined_tensor"}) {
+          MaterializingSink sink;
+          auto stats =
+              (*registry.Find(name))->Run(inputs, condition, options, &sink);
+          ASSERT_TRUE(stats.ok()) << name << " " << label;
+          EXPECT_EQ(sink.pairs(), reference.pairs()) << name << " " << label;
+          EXPECT_EQ(stats->similarity_computations, m * n)
+              << name << " " << label;
+          // The streamed right side reaches the model once per row; an
+          // empty left side leaves nothing to join, so nothing is embedded.
+          if (std::string(name) == "pipelined_tensor") {
+            EXPECT_EQ(stats->model_calls, m == 0 ? 0 : n)
+                << name << " " << label;
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
