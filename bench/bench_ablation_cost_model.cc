@@ -1,8 +1,9 @@
 // Ablation: cost-model validation — calibrates A/M/C on this host, prints
-// the model's predicted cost for each operator on a common workload, then
-// measures actual execution time and checks that the predicted ORDERING
-// (naive >> prefetch NLJ > tensor) matches reality. This is the property
-// the optimizer's access-path and strategy decisions rest on.
+// each operator's registry quote (the planner's own prediction) on a
+// common workload, then measures actual execution time and checks that
+// the predicted ORDERING (naive >> prefetch NLJ > tensor) matches reality.
+// This is the property the optimizer's access-path and strategy decisions
+// rest on.
 //
 // Section [2] exercises the adaptive calibrator (cej::stats): the same
 // measurements become observations, the least-squares fit refits the
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "cej/join/join_operator.h"
 #include "cej/join/nlj_naive.h"
 #include "cej/join/nlj_prefetch.h"
 #include "cej/join/tensor_join.h"
@@ -35,14 +37,21 @@ cej::join::JoinWorkload ShapeWorkload(size_t m, size_t n) {
   return w;
 }
 
+// The planner's quote for `op`: the registry operator's EstimateCost.
+double Quote(const std::string& op, const cej::join::JoinWorkload& w,
+             const cej::join::CostParams& p) {
+  auto found = cej::join::JoinOperatorRegistry::Global().Find(op);
+  CEJ_CHECK(found.ok());
+  return (*found)->EstimateCost(w, p);
+}
+
 const char* ArgminPredicted(const std::vector<std::string>& ops,
                             const cej::join::JoinWorkload& w,
                             const cej::join::CostParams& p) {
   const char* best = "";
   double best_cost = std::numeric_limits<double>::infinity();
   for (const auto& op : ops) {
-    const double cost =
-        cej::join::PriceFeatures(cej::join::FeaturesForOperator(op, w, p), p);
+    const double cost = Quote(op, w, p);
     if (cost < best_cost) {
       best_cost = cost;
       best = op.c_str();
@@ -68,6 +77,7 @@ int main() {
   auto left = workload::RandomStrings(m, 5, 10, 1);
   auto right = workload::RandomStrings(n, 5, 10, 2);
   const float threshold = 0.95f;
+  const join::JoinWorkload shape = ShapeWorkload(m, n);
 
   struct Row {
     const char* name;
@@ -77,7 +87,7 @@ int main() {
   Row rows[3];
 
   rows[0].name = "naive E-NLJ";
-  rows[0].predicted_ns = join::NaiveENljCost(m, n, params);
+  rows[0].predicted_ns = Quote("naive_nlj", shape, params);
   rows[0].measured_ms = bench::TimeMs([&] {
     join::JoinOptions options;
     options.pool = &bench::Pool();
@@ -86,7 +96,7 @@ int main() {
   });
 
   rows[1].name = "prefetch E-NLJ";
-  rows[1].predicted_ns = join::PrefetchENljCost(m, n, params);
+  rows[1].predicted_ns = Quote("prefetch_nlj", shape, params);
   rows[1].measured_ms = bench::TimeMs([&] {
     join::NljOptions options;
     options.pool = &bench::Pool();
@@ -97,7 +107,7 @@ int main() {
   });
 
   rows[2].name = "tensor join";
-  rows[2].predicted_ns = join::TensorJoinCost(m, n, params);
+  rows[2].predicted_ns = Quote("tensor", shape, params);
   rows[2].measured_ms = bench::TimeMs([&] {
     join::TensorJoinOptions options;
     options.pool = &bench::Pool();

@@ -1,6 +1,5 @@
 #include "cej/join/index_join.h"
 
-#include <algorithm>
 #include <atomic>
 
 #include "cej/common/timer.h"
@@ -8,6 +7,12 @@
 #include "cej/join/tensor_join.h"
 
 namespace cej::join {
+
+size_t ResolveProbeShardCount(size_t left_rows, size_t workers,
+                              size_t pinned_shard_count) {
+  return ResolveShardCount(left_rows, workers, pinned_shard_count,
+                           kMinProbeShardRows);
+}
 
 Result<JoinStats> IndexJoinToSink(const la::Matrix& left,
                                   const index::VectorIndex& right_index,
@@ -29,20 +34,14 @@ Result<JoinStats> IndexJoinToSink(const la::Matrix& left,
     return stats;
   }
 
-  // Left-shard resolution shares the sharded-merge rule so the planner's
-  // quote (ShardedIndexJoinCost prices the same resolver) matches the
-  // executed configuration. Each shard probes sequentially, so the
-  // concurrent-probe cap bounds the shard count.
+  // The quote prices the same resolver, so it matches the executed
+  // configuration.
   const size_t workers =
       options.pool == nullptr
           ? 1
           : static_cast<size_t>(options.pool->num_threads()) + 1;
-  size_t shards = ResolveShardCount(m, workers, options.shard_count,
-                                    std::max<size_t>(options.min_shard_rows,
-                                                     1));
-  if (options.max_batched_probes != 0) {
-    shards = std::min(shards, options.max_batched_probes);
-  }
+  const size_t shards =
+      ResolveProbeShardCount(m, workers, options.shard_count);
 
   WallTimer timer;
   const uint64_t probes_before = right_index.distance_computations();

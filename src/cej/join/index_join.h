@@ -13,9 +13,9 @@
 // inside a single shard, so the top-k merge degenerates — no cross-shard
 // re-collection pass is needed — and results are byte-identical across
 // shard counts by construction.
-// Shard resolution shares ResolveShardCount with the sharded tensor sweep,
-// so the planner's probe-parallelism quote (ShardedIndexJoinCost) matches
-// the executed configuration.
+// Shard resolution is ResolveProbeShardCount, which the index operator's
+// cost features call too, so the planner's probe-parallelism quote
+// matches the executed configuration.
 
 #ifndef CEJ_JOIN_INDEX_JOIN_H_
 #define CEJ_JOIN_INDEX_JOIN_H_
@@ -35,15 +35,19 @@ struct IndexJoinOptions : JoinOptions {
   /// Entries failing the bitmap never reach the result set, but the
   /// traversal cost is still paid (pre-filtering semantics).
   const index::FilterBitmap* filter = nullptr;
-  /// Cap on concurrently batched probes (the paper limits concurrent index
-  /// probing to 10k). Shards run their probes sequentially, so this caps
-  /// the shard count; 0 = no cap beyond pool size.
-  size_t max_batched_probes = 10000;
-  /// Auto-sharding floor: a probe shard never covers fewer left rows than
-  /// this. Probes are orders of magnitude heavier than sweep rows, so the
-  /// floor is far below the tensor operators' shard floor.
-  size_t min_shard_rows = 8;
 };
+
+/// Auto-sharding floor of the probe batch: a probe shard never covers
+/// fewer left rows than this. Probes are orders of magnitude heavier than
+/// sweep rows, so the floor is far below the tensor sweep's kMinShardRows.
+inline constexpr size_t kMinProbeShardRows = 8;
+
+/// The probe-shard count for `left_rows` probes on `workers` threads
+/// (counting the caller) with `pinned_shard_count` (0 = auto) — the ONE
+/// rule the index join runs and its quote prices (ResolveShardCount with
+/// the kMinProbeShardRows floor).
+size_t ResolveProbeShardCount(size_t left_rows, size_t workers,
+                              size_t pinned_shard_count);
 
 /// Probes `right_index` once per left row. Top-k conditions map to index
 /// top-k probes; threshold conditions map to range probes (which, on HNSW,

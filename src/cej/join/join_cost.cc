@@ -47,11 +47,6 @@ double ProbeCandidateMultiplier(const JoinWorkload& w, const CostParams& p) {
   return static_cast<double>(ef_eff) * depth * per_candidate_factor;
 }
 
-size_t ProbeShardCount(const JoinWorkload& w) {
-  return ResolveShardCount(w.left_rows, w.pool_threads, w.shard_count,
-                           IndexJoinOptions{}.min_shard_rows);
-}
-
 }  // namespace
 
 double ParallelSpeedup(size_t shards, size_t workers, const CostParams& p) {
@@ -61,81 +56,25 @@ double ParallelSpeedup(size_t shards, size_t workers, const CostParams& p) {
   return std::max(1.0, 1.0 + (parallelism - 1.0) * eta);
 }
 
-double ESelectionCost(size_t n, const CostParams& p) {
-  return static_cast<double>(n) * (p.access + p.model + p.compute);
-}
-
-double NaiveENljCost(size_t m, size_t n, const CostParams& p) {
-  return static_cast<double>(m) * static_cast<double>(n) *
-         (p.access + p.model + p.compute);
-}
-
-double PrefetchENljCost(size_t m, size_t n, const CostParams& p) {
-  return static_cast<double>(m) * static_cast<double>(n) *
-             (p.access + p.compute) +
-         static_cast<double>(m + n) * p.model;
-}
-
-double TensorJoinCost(size_t m, size_t n, const CostParams& p) {
-  return static_cast<double>(m) * static_cast<double>(n) *
-             (p.access + p.compute) * p.tensor_efficiency +
-         static_cast<double>(m + n) * p.model;
-}
-
-double PipelinedTensorJoinCost(size_t m, size_t n, const CostParams& p,
-                               bool left_embed_cached,
-                               bool right_embed_cached) {
-  const double embed_right =
-      right_embed_cached ? 0.0 : static_cast<double>(n) * p.model;
-  const double embed_left =
-      left_embed_cached ? 0.0 : static_cast<double>(m) * p.model;
-  const double sweep = static_cast<double>(m) * static_cast<double>(n) *
-                       (p.access + p.compute) * p.tensor_efficiency;
-  // rho = 1 hides the cheaper phase entirely (the ideal max(embed, sweep));
-  // a calibrated rho < 1 charges back the fraction reality failed to
-  // overlap, so the pipelined quote degrades continuously toward the
-  // un-overlapped embed + sweep sum.
-  const double rho = std::clamp(p.pipeline_overlap, 0.0, 1.0);
-  const double hi = embed_right > sweep ? embed_right : sweep;
-  const double lo = embed_right > sweep ? sweep : embed_right;
-  return embed_left + hi + (1.0 - rho) * lo;
-}
-
-double ShardedJoinCost(size_t m, size_t n, size_t shards, size_t workers,
-                       const CostParams& p) {
-  const double s = static_cast<double>(std::max<size_t>(shards, 1));
-  const double speedup = ParallelSpeedup(shards, workers, p);
-  const double embed = static_cast<double>(m + n) * p.model;
-  const double sweep = static_cast<double>(m) * static_cast<double>(n) *
-                       (p.access + p.compute) * p.tensor_efficiency;
-  const double merge = static_cast<double>(m) * s * p.compute;
-  return embed + sweep / speedup + merge;
-}
-
-double IndexProbeCost(size_t n, const CostParams& p) {
-  const double depth = n > 1 ? std::log(static_cast<double>(n)) : 1.0;
-  return p.probe_base + p.probe_per_candidate *
-                            static_cast<double>(p.probe_ef) * depth *
-                            (p.access + p.compute);
-}
-
-double IndexJoinCost(size_t m, size_t n, const CostParams& p) {
-  return static_cast<double>(m) * IndexProbeCost(n, p) +
-         static_cast<double>(m) * p.model;
-}
-
-double ShardedIndexJoinCost(size_t m, size_t n, size_t shards,
-                            size_t workers, const CostParams& p) {
-  const double speedup = ParallelSpeedup(shards, workers, p);
-  return static_cast<double>(m) * IndexProbeCost(n, p) / speedup +
-         static_cast<double>(m) * p.model;
-}
-
 double PriceFeatures(const CostFeatures& f, const CostParams& p) {
   const double pair_cost = p.access + p.compute;
-  return f.fixed + f.model * p.model + f.pair * pair_cost +
-         f.sweep * pair_cost * p.tensor_efficiency +
-         f.probe * pair_cost * p.probe_per_candidate;
+  double price = f.fixed + f.model * p.model + f.pair * pair_cost +
+                 f.sweep * pair_cost * p.tensor_efficiency +
+                 f.probe * pair_cost * p.probe_per_candidate;
+  if (f.hidden_model > 0.0) {
+    // max(E, W) + (1 - rho) * min(E, W) = W + E - rho * min(E, W): the
+    // sweep W is already in the sum, so the hidden embedding E adds what
+    // the overlap failed to hide. rho = 1 hides the cheaper phase entirely
+    // (the ideal max(E, W)); a calibrated rho < 1 degrades the quote
+    // continuously toward the un-overlapped E + W. W is re-derived in
+    // another association so the linear sum above keeps its exact
+    // floating-point form (and the other operators' quotes their bits).
+    const double embed = f.hidden_model * p.model;
+    const double sweep = f.sweep * (pair_cost * p.tensor_efficiency);
+    const double rho = std::clamp(p.pipeline_overlap, 0.0, 1.0);
+    price += embed - rho * std::min(embed, sweep);
+  }
+  return price;
 }
 
 CostFeatures FeaturesForOperator(std::string_view op_name,
@@ -170,21 +109,37 @@ CostFeatures FeaturesForOperator(std::string_view op_name,
     // coefficient (small; kept out of the regression).
     f.fixed = scan_access +
               m * static_cast<double>(std::max<size_t>(shards, 1)) * p.compute;
+    // With no workers to fan out across, or a single shard (below the
+    // shard-row floor), this IS the tensor operator: bow out.
+    f.eligible = w.pool_threads > 1 && shards > 1;
   } else if (op_name == "index") {
-    const double speedup =
-        ParallelSpeedup(ProbeShardCount(w), w.pool_threads, p);
+    // Probes traverse the FULL index (pre-filter semantics), over the
+    // probe shards the run executes.
+    const double speedup = ParallelSpeedup(
+        ResolveProbeShardCount(w.left_rows, w.pool_threads, w.shard_count),
+        w.pool_threads, p);
     f.model = w.left_embed_cached ? 0.0 : m;
     f.probe = m * ProbeCandidateMultiplier(w, p) / speedup;
     f.fixed = m * p.probe_base / speedup;
+    f.eligible = w.index_available;
   } else if (op_name == "pipelined_tensor") {
-    // max(embed, sweep) is not linear in the coefficients: the features
-    // describe the workload for the history ring only.
+    // The left side is embedded up front; the right side's embedding of
+    // tile k+1 hides behind the sweep of tile k. max(embed, sweep) is not
+    // linear in the coefficients, so the observation is history-only (the
+    // overlap fit reads its `sweep`). Without a string-streamable right
+    // side there is nothing to overlap and plain `tensor` covers the
+    // shape. Returns before the intermediate and fused-demux terms below,
+    // which this layout's quote does not include.
     f.model = w.left_embed_cached ? 0.0 : m;
+    f.hidden_model = w.right_embed_cached ? 0.0 : filtered;
     f.sweep = m * filtered;
     f.fixed = scan_access;
     f.calibratable = false;
+    f.eligible = w.right_strings_streamable;
+    return f;
   } else {
     f.calibratable = false;
+    f.eligible = false;
     return f;
   }
 

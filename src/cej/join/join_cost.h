@@ -12,6 +12,12 @@
 //
 // The tensor formulation performs the same |R|*|S| similarity work with a
 // cache-efficiency factor < 1 relative to the NLJ (calibrated, not assumed).
+//
+// These formulas document the feature decomposition below; they are not
+// code. Every operator is priced by ONE rule,
+// PriceFeatures(FeaturesForOperator(name, w, p), p), which adds the terms
+// the paper's formulas leave implicit (the |S| * A scan of a filtered
+// right side, cache-aware model terms, shard and beam factors, overlap).
 // plan/cost_model.h adds host calibration (plan::Calibrate).
 
 #ifndef CEJ_JOIN_JOIN_COST_H_
@@ -59,58 +65,6 @@ struct CostParams {
 /// `p.parallel_efficiency` — the ONE rule every sharded cost uses.
 double ParallelSpeedup(size_t shards, size_t workers, const CostParams& p);
 
-/// Cost of an E-selection over n tuples (embed + predicate per tuple).
-double ESelectionCost(size_t n, const CostParams& p);
-
-/// Cost of the naive E-NLJ (model access inside the pair loop).
-double NaiveENljCost(size_t m, size_t n, const CostParams& p);
-
-/// Cost of the prefetch-optimized E-NLJ.
-double PrefetchENljCost(size_t m, size_t n, const CostParams& p);
-
-/// Cost of the tensor-join formulation (prefetch + blocked kernel).
-double TensorJoinCost(size_t m, size_t n, const CostParams& p);
-
-/// Cost of the pipelined tensor join: the left side is embedded up front,
-/// then the right-side embedding of tile k+1 overlaps the blocked sweep of
-/// tile k, so across the tile stream the two phases cost
-/// max(embed, sweep) + (1 - rho) * min(embed, sweep), where rho is the
-/// calibrated overlap efficiency CostParams::pipeline_overlap (rho = 1
-/// recovers the ideal max(embed, sweep) of the Section V model-invocation
-/// analysis). Always <= TensorJoinCost for the same shape; the gap is
-/// rho * min(|S| * M, sweep) — largest when model and sweep are balanced.
-/// The cache flags drop the corresponding side's model term (cache-aware
-/// costing); this is the ONE pipelined pricing rule — the operator's
-/// EstimateCost calls it, so helper and planner cannot diverge.
-double PipelinedTensorJoinCost(size_t m, size_t n, const CostParams& p,
-                               bool left_embed_cached = false,
-                               bool right_embed_cached = false);
-
-/// Cost of the sharded tensor join over `shards` right-relation row
-/// shards on `workers` threads: the embedding is unchanged, the blocked
-/// sweep divides by the REAL parallelism min(shards, workers) — pinning
-/// more shards than workers buys no speedup — and a merge term charges
-/// the shared-consumer fan-in per left row per shard (the top-k
-/// re-collection pass; the threshold sink fan-in is cheaper but the same
-/// order). Undercuts TensorJoinCost once the per-shard sweep saving
-/// exceeds the merge — i.e. on large, wide joins with real parallelism.
-double ShardedJoinCost(size_t m, size_t n, size_t shards, size_t workers,
-                       const CostParams& p);
-
-/// Per-probe cost model I_probe over an index of n entries.
-double IndexProbeCost(size_t n, const CostParams& p);
-
-/// Cost of the index join: m probes into an n-entry index.
-double IndexJoinCost(size_t m, size_t n, const CostParams& p);
-
-/// Cost of the index join executed over `shards` left-row probe shards on
-/// `workers` threads: the left embedding is unchanged, the probe batch
-/// divides by the REAL parallelism min(shards, workers). Probes are
-/// independent per left row (no cross-shard merge term), so this is
-/// exactly IndexJoinCost at shards == 1 or workers == 1.
-double ShardedIndexJoinCost(size_t m, size_t n, size_t shards,
-                            size_t workers, const CostParams& p);
-
 /// A workload descriptor an operator prices itself against: the shape the
 /// planner knows *before* running anything. `right_rows` is the base
 /// (pre-filter) size of S — also the size of any index over it;
@@ -129,10 +83,11 @@ struct JoinWorkload {
   /// index operator's conservative `exact = false` trait.
   bool index_exact = false;
   /// Expected embedding-cache state per side: true means the side's model
-  /// term will NOT be paid (the engine cache already holds — or, for the
-  /// left side, the executor has already materialized — the full-column
-  /// embedding). Cost formulas price a partial hit asymmetrically: a warm
-  /// left and cold right still pays |S| * M, never (|R| + |S|) * M.
+  /// term will NOT be paid (the engine cache already holds the full-column
+  /// embedding, or the side is already embedded — as a vector-key join's
+  /// left key always is). The features price a partial hit
+  /// asymmetrically: a warm left and cold right still pays |S| * M, never
+  /// (|R| + |S|) * M.
   bool left_embed_cached = false;
   bool right_embed_cached = false;
   /// True when the planner can hand the right relation to the operator as
@@ -165,21 +120,33 @@ struct JoinWorkload {
 
 /// A workload's cost decomposed over the CALIBRATED coefficients — the
 /// contract between pricing and the adaptive cost calibrator
-/// (cej/stats/cost_calibrator.h). The quote every scan/probe operator
-/// returns is PriceFeatures(FeaturesForOperator(name, w, p), p), so the
-/// features the calibrator regresses over are — by construction, not by
-/// convention — the exact multipliers the planner priced with:
+/// (cej/stats/cost_calibrator.h). Every built-in operator's quote is
+/// PriceFeatures(FeaturesForOperator(name, w, p), p) (the JoinOperator
+/// default), so the features the calibrator regresses over are — by
+/// construction, not by convention — the exact multipliers the planner
+/// priced with:
 ///
 ///   predicted = fixed
 ///            + model * p.model                                 (theta_M)
 ///            + pair  * (p.access + p.compute)                  (theta_P)
-///            + sweep * (p.access + p.compute) * p.tensor_efficiency
+///            + max(E, W) + (1 - rho) * min(E, W)
 ///            + probe * (p.access + p.compute) * p.probe_per_candidate
+///
+///   with E = hidden_model * p.model,
+///        W = sweep * (p.access + p.compute) * p.tensor_efficiency,
+///        rho = p.pipeline_overlap.
+///
+/// With hidden_model = 0 the overlap term is exactly W, so every operator
+/// but the pipelined one is linear in the coefficients.
 struct CostFeatures {
   double model = 0.0;  ///< Expected model invocations (cache-discounted).
   double pair = 0.0;   ///< Per-pair NLJ work units (incl. merge fan-in).
   double sweep = 0.0;  ///< Blocked-GEMM pair units, post parallel speedup.
   double probe = 0.0;  ///< Index candidate traversals, post speedup.
+  /// Right-side model invocations overlapped with the sweep (the pipelined
+  /// layout embeds tile k+1 while sweeping tile k): priced through the
+  /// max(E, W) overlap term instead of adding to the quote.
+  double hidden_model = 0.0;
   /// Cost priced with NON-calibrated parameters (linear access scans,
   /// probe_base), evaluated at estimate time.
   double fixed = 0.0;
@@ -187,16 +154,21 @@ struct CostFeatures {
   /// (the pipelined max(embed, sweep) overlap): the observation is kept
   /// for history but excluded from the least-squares fit.
   bool calibratable = true;
+  /// False when the operator cannot serve the workload: no index for the
+  /// probe path, no string-streamable right side for the pipelined
+  /// layout, no workers or a single shard for the sharded layout (the
+  /// plain tensor operator covers those shapes). Such an operator quotes
+  /// +infinity and leaves the cost scan.
+  bool eligible = true;
 };
 
-/// The linear pricing rule above.
+/// The pricing rule above.
 double PriceFeatures(const CostFeatures& f, const CostParams& p);
 
 /// The feature decomposition for the named built-in operator
 /// ("naive_nlj", "prefetch_nlj", "tensor", "sharded_tensor", "index",
-/// "pipelined_tensor"). Unknown names return an all-zero, non-calibratable
-/// vector. Eligibility (infinite quotes) is the operator's concern, not
-/// this function's.
+/// "pipelined_tensor"). Unknown names return an all-zero, ineligible,
+/// non-calibratable vector.
 CostFeatures FeaturesForOperator(std::string_view op_name,
                                  const JoinWorkload& w, const CostParams& p);
 

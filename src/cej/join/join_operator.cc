@@ -1,7 +1,5 @@
 #include "cej/join/join_operator.h"
 
-#include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "cej/common/timer.h"
@@ -32,12 +30,6 @@ bool HasLeftSide(const JoinInputs& in) {
 bool HasRightSide(const JoinInputs& in) {
   return in.right_vectors != nullptr ||
          (in.right_strings != nullptr && HasModel(in));
-}
-
-// |S| surviving the pushed-down relational predicates.
-size_t FilteredRight(const JoinWorkload& w) {
-  const double sel = std::clamp(w.right_selectivity, 0.0, 1.0);
-  return static_cast<size_t>(static_cast<double>(w.right_rows) * sel + 0.5);
 }
 
 // Ensures both sides exist in the vector domain, embedding the string
@@ -118,15 +110,6 @@ class NaiveNljOperator : public JoinOperator {
     return t;
   }
 
-  double EstimateCost(const JoinWorkload& w,
-                      const CostParams& p) const override {
-    // Priced through the calibration feature decomposition (join_cost.h):
-    // the quote and the coefficients the adaptive calibrator refits are
-    // the same numbers by construction. Same below for every scan/probe
-    // operator with a coefficient-linear cost.
-    return PriceFeatures(FeaturesForOperator(Name(), w, p), p);
-  }
-
   Result<JoinStats> Run(const JoinInputs& inputs,
                         const JoinCondition& condition,
                         const JoinOptions& options,
@@ -149,11 +132,6 @@ class PrefetchNljOperator : public JoinOperator {
     JoinOperatorTraits t;
     t.needs_vectors = true;
     return t;
-  }
-
-  double EstimateCost(const JoinWorkload& w,
-                      const CostParams& p) const override {
-    return PriceFeatures(FeaturesForOperator(Name(), w, p), p);
   }
 
   Result<JoinStats> Run(const JoinInputs& inputs,
@@ -201,38 +179,6 @@ class TensorSweepOperator : public JoinOperator {
     t.needs_vectors = true;
     t.streams_right_strings = layout_ == SweepLayout::kRightStream;
     return t;
-  }
-
-  double EstimateCost(const JoinWorkload& w,
-                      const CostParams& p) const override {
-    if (layout_ == SweepLayout::kRightShards) {
-      // Price the shard count Run() will ACTUALLY use — the same resolver
-      // execution calls, so a pinned knob is never quoted at the auto
-      // shape.
-      const size_t n = FilteredRight(w);
-      const size_t shards = ResolveShardCount(n, w.pool_threads,
-                                              w.shard_count, kMinShardRows);
-      // Eligibility: with no workers to fan out across, or a single shard
-      // (below the shard-row floor), this IS the tensor operator — bow out
-      // and let it take those shapes.
-      if (w.pool_threads <= 1 || shards <= 1) return kInf;
-    } else if (layout_ == SweepLayout::kRightStream) {
-      // Without a string-streamable right side there is no embedding left
-      // to hide — the plain tensor operator covers that shape, so bow out
-      // of the cost scan entirely. (The executor also withdraws
-      // streamability when the embedding cache already holds the right
-      // column: a warm cache leaves nothing to overlap, and plain `tensor`
-      // wins the tie.)
-      if (!w.right_strings_streamable) return kInf;
-      return static_cast<double>(w.right_rows) * p.access +
-             PipelinedTensorJoinCost(w.left_rows, FilteredRight(w), p,
-                                     w.left_embed_cached,
-                                     w.right_embed_cached);
-    }
-    // Filter S (linear), then tensor-join against the survivors — the
-    // "scan" access path of Section VI.E. Warm embedding-cache columns
-    // drop their side's model term (cache-aware costing).
-    return PriceFeatures(FeaturesForOperator(Name(), w, p), p);
   }
 
   Result<JoinStats> Run(const JoinInputs& inputs,
@@ -284,18 +230,6 @@ class IndexJoinOperator : public JoinOperator {
     return t;
   }
 
-  double EstimateCost(const JoinWorkload& w,
-                      const CostParams& p) const override {
-    if (!w.index_available) return kInf;
-    // Per-probe traversal over the FULL index (pre-filter semantics), with
-    // the beam inflated for top-k > 1 and further for range conditions
-    // (which probe via the top-k mechanism and post-filter) — the beam
-    // factors and the shard resolver Run() executes live inside the
-    // feature decomposition, so the quote matches both the executed
-    // configuration and the coefficients the calibrator refits.
-    return PriceFeatures(FeaturesForOperator(Name(), w, p), p);
-  }
-
   Result<JoinStats> Run(const JoinInputs& inputs,
                         const JoinCondition& condition,
                         const JoinOptions& options,
@@ -319,6 +253,12 @@ class IndexJoinOperator : public JoinOperator {
 };
 
 }  // namespace
+
+double JoinOperator::EstimateCost(const JoinWorkload& workload,
+                                  const CostParams& params) const {
+  const CostFeatures f = FeaturesForOperator(Name(), workload, params);
+  return f.eligible ? PriceFeatures(f, params) : kInf;
+}
 
 Status JoinOperator::ValidateInputs(const JoinInputs& inputs,
                                     const JoinCondition& condition) const {
@@ -414,6 +354,40 @@ std::vector<const JoinOperator*> JoinOperatorRegistry::operators() const {
   out.reserve(ops_.size());
   for (const auto& op : ops_) out.push_back(op.get());
   return out;
+}
+
+std::vector<OperatorQuote> JoinOperatorRegistry::EligibleQuotes(
+    const JoinWorkload& workload, const CostParams& params, JoinDomain domain,
+    bool require_exact) const {
+  std::vector<OperatorQuote> quotes;
+  for (const JoinOperator* op : operators()) {
+    const JoinOperatorTraits traits = op->Traits();
+    if (domain == JoinDomain::kStrings) {
+      // String domain: every non-index operator competes — the naive NLJ
+      // natively, the prefetched family by embedding on demand.
+      if (traits.needs_index) continue;
+    } else {
+      if (traits.needs_strings) continue;
+      if (traits.needs_index && !workload.index_available) continue;
+    }
+    // Exactness-aware probe traits: the index operator's static trait is
+    // conservatively approximate, but a served FLAT entry is exact —
+    // RequireExact() admits it.
+    const bool exact =
+        traits.exact || (traits.needs_index && workload.index_exact);
+    if (require_exact && !exact) continue;
+    if (workload.condition.kind == JoinCondition::Kind::kTopK &&
+        !traits.supports_topk) {
+      continue;
+    }
+    if (workload.condition.kind == JoinCondition::Kind::kThreshold &&
+        !traits.supports_threshold) {
+      continue;
+    }
+    const double cost = op->EstimateCost(workload, params);
+    if (cost < kInf) quotes.push_back({op, cost, exact});
+  }
+  return quotes;
 }
 
 std::unique_ptr<const JoinOperator> MakeNaiveNljOperator() {

@@ -98,9 +98,12 @@ class JoinOperator {
 
   /// Estimated execution cost for `workload` under the calibrated
   /// parameters, in the cost model's units. Operators that cannot serve
-  /// the workload (e.g. no index available) return +infinity.
+  /// the workload (e.g. no index available) return +infinity. The default
+  /// prices the built-in cost features under Name() (join_cost.h):
+  /// PriceFeatures(FeaturesForOperator(Name(), w, p), p) when they are
+  /// eligible, +infinity otherwise. An extension operator overrides it.
   virtual double EstimateCost(const JoinWorkload& workload,
-                              const CostParams& params) const = 0;
+                              const CostParams& params) const;
 
   /// Executes the join, streaming matched pairs into `sink` (chunked, in
   /// no particular order) and honouring the sink's early-termination
@@ -115,6 +118,26 @@ class JoinOperator {
   /// condition rules; implementations call this first in Run().
   Status ValidateInputs(const JoinInputs& inputs,
                         const JoinCondition& condition) const;
+};
+
+/// The input representation a cost scan's candidates must consume.
+enum class JoinDomain {
+  /// Raw keys plus a model: every non-index operator (the prefetched ones
+  /// embed on demand).
+  kStrings,
+  /// Embedded keys: every operator that does not need strings; the index
+  /// operator only when the workload has an index available.
+  kVectors,
+};
+
+/// One candidate of a cost scan: an eligible operator and its quote.
+struct OperatorQuote {
+  const JoinOperator* op = nullptr;
+  double cost = 0.0;
+  /// The operator's results are exact: its trait, or a served flat index
+  /// (JoinWorkload::index_exact) under the conservatively approximate
+  /// index operator.
+  bool exact = true;
 };
 
 /// Name-keyed catalog of physical join operators. The global instance is
@@ -134,6 +157,17 @@ class JoinOperatorRegistry {
 
   /// All registered operators, registration-ordered.
   std::vector<const JoinOperator*> operators() const;
+
+  /// The ONE cost scan: every registered operator that can serve
+  /// `workload` in `domain` — input representation, index availability,
+  /// `require_exact`, top-k / threshold support — with its finite
+  /// EstimateCost quote, registration-ordered. Operators quoting +infinity
+  /// have bowed out and are omitted. The executor's access-path selection
+  /// and the join-order DP both price through it.
+  std::vector<OperatorQuote> EligibleQuotes(const JoinWorkload& workload,
+                                            const CostParams& params,
+                                            JoinDomain domain,
+                                            bool require_exact) const;
 
  private:
   mutable std::mutex mu_;

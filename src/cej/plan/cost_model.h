@@ -1,7 +1,7 @@
 // Host calibration of the paper's abstract cost model (Section IV.A).
 //
-// The parameters and per-operator cost formulas live with the operators in
-// cej/join/join_cost.h — each physical JoinOperator prices itself via
+// The parameters and per-operator cost features live with the operators
+// in cej/join/join_cost.h — each physical JoinOperator prices itself via
 // EstimateCost(). This header adds the piece only the planner can do:
 // calibrating A, M and C against the host machine and a concrete
 // embedding model.

@@ -460,10 +460,8 @@ class PlanExecutor {
       workload.pool_threads = PoolThreads();
       workload.shard_count = context_.shard_count;
       workload.fused_queries = fused_queries_;
-      CEJ_ASSIGN_OR_RETURN(
-          selection,
-          SelectOperator(workload, /*have_index=*/false,
-                         /*string_domain=*/true));
+      CEJ_ASSIGN_OR_RETURN(selection,
+                           SelectOperator(workload, join::JoinDomain::kStrings));
     } else {
       CEJ_ASSIGN_OR_RETURN(selection.op,
                            JoinOperatorRegistry::Global().Find(
@@ -522,19 +520,11 @@ class PlanExecutor {
     }
 
     // Expected embedding-cache state (cache-aware costing): a warm full
-    // column will be served with zero model calls, so its side's model
-    // term must not be priced — asymmetrically per side (a warm left and
-    // cold right still pays |S| * M). A stored vector column has no model
-    // term at all.
+    // right column will be served with zero model calls, so its model term
+    // must not be priced. A stored vector column has no model term at all.
     const bool right_embed_cached =
         (pattern.matches && pattern.embed == nullptr) ||
         PeekColumnWarm(pattern);
-    const ProbePattern left_pattern =
-        MatchProbePattern(node->left, node->left_key);
-    const bool left_embed_cached =
-        left_pattern.embed != nullptr &&
-        left_pattern.embed->output_column == node->left_key &&
-        PeekColumnWarm(left_pattern);
 
     // String-stream fusion candidacy: on streaming execution a right-side
     // Embed pipeline producing the join key can stay un-materialized — a
@@ -620,8 +610,9 @@ class PlanExecutor {
     // term — but its materialization gather was not free.
     workload.left_intermediate = node->left->kind == NodeKind::kEJoin;
     workload.right_intermediate = node->right->kind == NodeKind::kEJoin;
-    workload.left_embed_cached =
-        left_embed_cached || workload.left_intermediate;
+    // The left key is already a vector column: Run(node->left) produced
+    // it before pricing, so no operator pays a left model term here.
+    workload.left_embed_cached = true;
     workload.right_embed_cached =
         right_embed_cached || workload.right_intermediate;
     workload.right_strings_streamable = fusion_candidate;
@@ -629,19 +620,16 @@ class PlanExecutor {
     workload.shard_count = context_.shard_count;
     workload.fused_queries = fused_queries_;
 
-    CEJ_ASSIGN_OR_RETURN(
-        Selection selection,
-        SelectOperator(workload, idx != nullptr, /*string_domain=*/false));
+    CEJ_ASSIGN_OR_RETURN(Selection selection,
+                         SelectOperator(workload, join::JoinDomain::kVectors));
     const JoinOperator* op = selection.op;
     if (stats_ != nullptr) stats_->join_operator = std::string(op->Name());
 
-    // The cost scope the observation's measured time will cover: the left
-    // side always arrives embedded in the vector domain (its model term
-    // was paid before pricing), and the right side pays model calls inside
-    // the measured window only when the executor (scan path, cold cache)
-    // or the operator itself (fused path) embeds it there.
+    // The cost scope the observation's measured time will cover: the right
+    // side pays model calls inside the measured window only when the
+    // executor (scan path, cold cache) or the operator itself (fused path)
+    // embeds it there.
     join::JoinWorkload observed = workload;
-    observed.left_embed_cached = true;
 
     // Auto-build feedback: an unforced cost scan ran index-less on a
     // probe-eligible shape — if an index WOULD have priced cheaper than
@@ -782,7 +770,7 @@ class PlanExecutor {
   struct Selection {
     const JoinOperator* op = nullptr;
     double cost = std::numeric_limits<double>::infinity();
-    std::string runner_up;
+    const JoinOperator* runner_up = nullptr;
     double runner_up_cost = std::numeric_limits<double>::infinity();
     bool explored = false;
 
@@ -792,11 +780,10 @@ class PlanExecutor {
     double best_quote() const { return explored ? runner_up_cost : cost; }
   };
 
-  // Registry-wide pricing: every eligible operator quotes a cost, the
-  // cheapest runs. force_operator bypasses pricing but not eligibility
-  // checks at Run() time; the returned quote stays +infinity then.
-  // `string_domain` scans the string-capable operator set (adaptive
-  // string-key joins) instead of the vector-domain set.
+  // Access-path selection over the registry cost scan
+  // (JoinOperatorRegistry::EligibleQuotes): the cheapest eligible operator
+  // runs. force_operator bypasses pricing but not eligibility checks at
+  // Run() time; the returned quote stays +infinity then.
   //
   // Exploration (calibrated scans only): an eligible EXACT operator that
   // has never produced an observation is chosen once — earliest
@@ -806,7 +793,7 @@ class PlanExecutor {
   // never be repriced: the chosen operator's own observations cannot
   // correct a rival's distinct coefficients.
   Result<Selection> SelectOperator(const join::JoinWorkload& workload,
-                                   bool have_index, bool string_domain) {
+                                   join::JoinDomain domain) {
     const JoinOperatorRegistry& registry = JoinOperatorRegistry::Global();
     Selection selection;
     if (!context_.force_operator.empty()) {
@@ -815,44 +802,11 @@ class PlanExecutor {
       return selection;
     }
 
-    struct Quote {
-      const JoinOperator* op;
-      double cost;
-      bool exact;
-    };
-    std::vector<Quote> eligible;
-    for (const JoinOperator* op : registry.operators()) {
-      const join::JoinOperatorTraits traits = op->Traits();
-      if (string_domain) {
-        // String domain: every non-index operator competes — the naive
-        // NLJ natively, the prefetched family by embedding on demand.
-        if (traits.needs_index) continue;
-      } else {
-        if (traits.needs_strings) continue;  // Vector domain here.
-        if (traits.needs_index && !have_index) continue;
-      }
-      // Exactness-aware probe traits: the index operator's static trait is
-      // conservatively approximate, but a served FLAT entry is exact —
-      // RequireExact() admits it (ROADMAP "exactness-aware probe traits").
-      const bool exact =
-          traits.exact || (traits.needs_index && workload.index_exact);
-      if (context_.require_exact && !exact) continue;
-      if (workload.condition.kind == join::JoinCondition::Kind::kTopK &&
-          !traits.supports_topk) {
-        continue;
-      }
-      if (workload.condition.kind ==
-              join::JoinCondition::Kind::kThreshold &&
-          !traits.supports_threshold) {
-        continue;
-      }
-      eligible.push_back(
-          {op, op->EstimateCost(workload, context_.cost_params), exact});
-    }
-
-    const Quote* best = nullptr;
-    const Quote* second = nullptr;
-    for (const Quote& quote : eligible) {
+    const std::vector<join::OperatorQuote> eligible = registry.EligibleQuotes(
+        workload, context_.cost_params, domain, context_.require_exact);
+    const join::OperatorQuote* best = nullptr;
+    const join::OperatorQuote* second = nullptr;
+    for (const join::OperatorQuote& quote : eligible) {
       if (best == nullptr || quote.cost < best->cost) {
         second = best;
         best = &quote;
@@ -868,8 +822,8 @@ class PlanExecutor {
 
     selection.op = best->op;
     selection.cost = best->cost;
-    if (second != nullptr && std::isfinite(second->cost)) {
-      selection.runner_up = std::string(second->op->Name());
+    if (second != nullptr) {
+      selection.runner_up = second->op;
       selection.runner_up_cost = second->cost;
     }
 
@@ -879,9 +833,9 @@ class PlanExecutor {
                                  context_.calibrator->ExplorationAllowed()
                              ? context_.calibrator->explore_cost_ratio()
                              : 0.0;
-    if (ratio > 0.0 && std::isfinite(best->cost)) {
-      for (const Quote& quote : eligible) {
-        if (!quote.exact || !std::isfinite(quote.cost)) continue;
+    if (ratio > 0.0) {
+      for (const join::OperatorQuote& quote : eligible) {
+        if (!quote.exact) continue;
         if (quote.cost > ratio * best->cost) continue;
         if (context_.calibrator->ObservationCount(quote.op->Name()) > 0) {
           continue;
@@ -889,7 +843,7 @@ class PlanExecutor {
         if (quote.op != best->op) {
           selection.op = quote.op;
           selection.cost = quote.cost;
-          selection.runner_up = std::string(best->op->Name());
+          selection.runner_up = best->op;
           selection.runner_up_cost = best->cost;
           selection.explored = true;
         }
@@ -903,7 +857,7 @@ class PlanExecutor {
   // fields — after `selection.op` ran. `workload` must describe the cost
   // scope `measured_seconds` covers: in the vector domain the left side
   // always arrives embedded (its model term was paid before pricing), so
-  // callers pass left_embed_cached = true there.
+  // the workload there carries left_embed_cached = true.
   void RecordJoinObservation(const join::JoinWorkload& workload,
                              const Selection& selection,
                              double measured_seconds,
@@ -916,17 +870,15 @@ class PlanExecutor {
         op->EstimateCost(workload, context_.cost_params);
     // Re-quote the runner-up under the SAME cost scope as the chosen
     // estimate, so the two ExecStats numbers (and the observation pair)
-    // are comparable — the scan-time quotes both carried terms the
-    // measured window never covers (e.g. the already-paid left embed).
+    // are comparable — the scan-time quotes may carry terms the measured
+    // window never covers (e.g. a right side embedded before it opened).
+    std::string runner_up;
     double runner_up_ns = 0.0;
-    if (!selection.runner_up.empty()) {
-      auto runner_up_op =
-          JoinOperatorRegistry::Global().Find(selection.runner_up);
-      if (runner_up_op.ok()) {
-        const double quote =
-            (*runner_up_op)->EstimateCost(workload, context_.cost_params);
-        if (std::isfinite(quote)) runner_up_ns = quote;
-      }
+    if (selection.runner_up != nullptr) {
+      runner_up = std::string(selection.runner_up->Name());
+      const double quote =
+          selection.runner_up->EstimateCost(workload, context_.cost_params);
+      if (std::isfinite(quote)) runner_up_ns = quote;
     }
     const bool comparable = std::isfinite(estimated_ns) &&
                             estimated_ns > 0.0 && measured_ns > 0.0;
@@ -936,7 +888,7 @@ class PlanExecutor {
       stats_->measured_cost_ns = measured_ns;
       stats_->cost_abs_log_error =
           comparable ? std::fabs(std::log(estimated_ns / measured_ns)) : 0.0;
-      stats_->runner_up_operator = selection.runner_up;
+      stats_->runner_up_operator = runner_up;
       stats_->runner_up_cost_ns = runner_up_ns;
       stats_->explored_operator = selection.explored;
       // The same overrun the calibrator charges against the exploration
@@ -949,7 +901,7 @@ class PlanExecutor {
     if (context_.calibrator == nullptr || !comparable) return;
     stats::Observation obs;
     obs.op = std::string(op->Name());
-    obs.runner_up = selection.runner_up;
+    obs.runner_up = runner_up;
     obs.estimated_ns = estimated_ns;
     obs.runner_up_ns = runner_up_ns;
     obs.measured_ns = measured_ns;

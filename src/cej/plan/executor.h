@@ -5,7 +5,9 @@
 // registered in join::JoinOperatorRegistry::Global() that can serve the
 // workload (declared via its traits — string-domain, vector-domain, or
 // index-backed) prices itself through JoinOperator::EstimateCost, and the
-// cheapest eligible one runs. New operators (sharded, async, remote)
+// cheapest eligible one runs. The scan is
+// join::JoinOperatorRegistry::EligibleQuotes, which the join-order DP
+// prices its edges with too. New operators (sharded, async, remote)
 // participate in planning by registering — no executor changes. The
 // decision is reported in ExecStats::join_operator with its quote and the
 // rejected runner-up.
@@ -69,8 +71,9 @@ struct ExecContext {
   /// nullptr = no caching. Embed nodes over a base table serve from (and
   /// populate) it; filtered Embed pipelines gather surviving rows out of a
   /// cached full-table matrix on a hit. The executor also PEEKS it at
-  /// plan time: warm columns drop their model term from every quote
-  /// (cache-aware costing), and a warm right column withdraws
+  /// plan time: a warm right column drops its model term from every
+  /// quote (cache-aware costing; the left key is always embedded before
+  /// pricing, so no quote carries a left model term), and withdraws
   /// string-stream fusion (nothing left to overlap — plain `tensor` takes
   /// the tie from `pipelined_tensor`).
   EmbeddingCache* embedding_cache = nullptr;

@@ -94,54 +94,41 @@ struct JoinQuote {
 // Prices the join connecting `left` and `right` through `edge`. Leaf
 // embeddings are paid once, before any join, whatever the order — an
 // order-invariant constant excluded from the comparison — so hoisted
-// joins price with both sides' model terms dropped; un-hoisted string
-// graphs execute the naive NLJ per edge, priced as such.
+// joins price with both sides' model terms dropped and take the cheapest
+// quote of the registry cost scan; un-hoisted string graphs execute the
+// naive NLJ per edge, priced by that operator's own quote.
 JoinQuote PriceJoin(const GraphContext& ctx, const JoinOrderOptions& options,
                     const DPJoinEntry& left, const DPJoinEntry& right,
                     size_t edge) {
-  const JoinGraphEdge& e = ctx.graph->edges[edge];
-  const size_t left_rows = static_cast<size_t>(
-      std::max(1.0, std::round(left.estimated_rows)));
-  const size_t right_rows = static_cast<size_t>(
-      std::max(1.0, std::round(right.estimated_rows)));
-  if (ctx.edge_string[edge] && !ctx.graph->hoist_embeddings) {
-    return {join::NaiveENljCost(left_rows, right_rows, options.cost_params),
-            "naive_nlj"};
-  }
+  const join::JoinOperatorRegistry& registry =
+      join::JoinOperatorRegistry::Global();
   join::JoinWorkload workload;
-  workload.left_rows = left_rows;
-  workload.right_rows = right_rows;
+  workload.left_rows = static_cast<size_t>(
+      std::max(1.0, std::round(left.estimated_rows)));
+  workload.right_rows = static_cast<size_t>(
+      std::max(1.0, std::round(right.estimated_rows)));
   workload.dim = ctx.edge_dim[edge];
-  workload.condition = e.condition;
+  workload.condition = ctx.graph->edges[edge].condition;
   workload.left_embed_cached = true;
   workload.right_embed_cached = true;
   workload.left_intermediate = !left.IsLeaf();
   workload.right_intermediate = !right.IsLeaf();
   workload.pool_threads = options.pool_threads;
   workload.shard_count = options.shard_count;
-  JoinQuote best;
-  for (const join::JoinOperator* op :
-       join::JoinOperatorRegistry::Global().operators()) {
-    const join::JoinOperatorTraits traits = op->Traits();
-    if (traits.needs_strings || traits.needs_index) continue;
-    if (workload.condition.kind == join::JoinCondition::Kind::kTopK &&
-        !traits.supports_topk) {
-      continue;
-    }
-    if (workload.condition.kind == join::JoinCondition::Kind::kThreshold &&
-        !traits.supports_threshold) {
-      continue;
-    }
-    const double cost = op->EstimateCost(workload, options.cost_params);
-    if (cost < best.cost) {
-      best.cost = cost;
-      best.op = std::string(op->Name());
-    }
+  if (ctx.edge_string[edge] && !ctx.graph->hoist_embeddings) {
+    auto naive = registry.Find("naive_nlj");
+    CEJ_CHECK(naive.ok());
+    return {(*naive)->EstimateCost(workload, options.cost_params),
+            "naive_nlj"};
   }
-  if (!std::isfinite(best.cost)) {
-    best.cost =
-        join::PrefetchENljCost(left_rows, right_rows, options.cost_params);
-    best.op = "prefetch_nlj";
+  JoinQuote best;
+  for (const join::OperatorQuote& quote : registry.EligibleQuotes(
+           workload, options.cost_params, join::JoinDomain::kVectors,
+           /*require_exact=*/false)) {
+    if (quote.cost < best.cost) {
+      best.cost = quote.cost;
+      best.op = std::string(quote.op->Name());
+    }
   }
   return best;
 }

@@ -573,6 +573,74 @@ TEST(EngineVectorTest, StoredVectorRightKeyIsPricedWithoutAModelTerm) {
             result->stats.runner_up_cost_ns);
 }
 
+TEST(EngineVectorTest, AlreadyEmbeddedLeftKeyIsPricedWithoutAModelTerm) {
+  // The left key of a vector-key join is embedded before the cost scan
+  // runs, however it got there — a stored vector column or a filtered
+  // Embed pipeline the cache cannot serve. A phantom |R| * M term added to
+  // every quote compresses their ratios: with M = 3000 and the right side
+  // warm, prefetch_nlj over tensor fell from ~6.4x to ~3x and slipped
+  // under an explore ratio of 4, so the first query ran the NLJ.
+  join::CostParams params;
+  params.model = 3000.0;
+  Engine::Options options;
+  options.num_threads = 0;  // prefetch_nlj vs tensor only.
+  options.adaptive_stats = true;
+  options.stats_refit_interval = 0;
+  options.stats_explore_cost_ratio = 4.0;
+
+  {  // Stored vectors on both sides.
+    Engine engine(options);
+    engine.set_cost_params(params);
+    ASSERT_TRUE(engine
+                    .RegisterTable("q", VectorTable(workload::RandomUnitVectors(
+                                            20, 16, 57)))
+                    .ok());
+    ASSERT_TRUE(engine
+                    .RegisterTable("db", VectorTable(workload::RandomUnitVectors(
+                                             2000, 16, 58)))
+                    .ok());
+    auto result = engine.Query("q")
+                      .EJoin("db", "emb", join::JoinCondition::TopK(4))
+                      .Execute();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->stats.join_operator, "tensor");
+    EXPECT_FALSE(result->stats.explored_operator);
+  }
+
+  {  // A filtered left pipeline against a warm right column.
+    Engine engine(options);
+    engine.set_cost_params(params);
+    model::SubwordHashModel model;
+    ASSERT_TRUE(engine
+                    .RegisterTable("l", WordsTable(workload::RandomStrings(
+                                                       40, 4, 8, 59),
+                                                   60))
+                    .ok());
+    ASSERT_TRUE(engine
+                    .RegisterTable("r", WordsTable(workload::RandomStrings(
+                                                       2000, 4, 8, 61),
+                                                   62))
+                    .ok());
+    ASSERT_TRUE(engine.RegisterModel("subword", &model).ok());
+    auto query = [&](const char* via) {
+      auto request =
+          engine.Query("l")
+              .Select(expr::Cmp("when", expr::CmpOp::kLt, int64_t{50}))
+              .EJoin("r", "word", join::JoinCondition::TopK(4));
+      if (via != nullptr) request.Via(via);
+      return request.Execute();
+    };
+    // Warm the right column; the forced run observes only `tensor`.
+    ASSERT_TRUE(query("tensor").ok());
+    auto result = query(nullptr);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->stats.join_operator, "tensor");
+    EXPECT_FALSE(result->stats.explored_operator);
+    EXPECT_EQ(result->stats.model_calls, result->relation.num_rows() / 4)
+        << "the right column should be served from the cache";
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Streaming
 // ---------------------------------------------------------------------------

@@ -363,14 +363,27 @@ TEST(ShardedIndexProbeTest, EarlyTerminationCutsProbingShort) {
 
 TEST(ShardedIndexProbeTest, CostPricesProbeParallelism) {
   join::CostParams params;
-  const double serial = join::IndexJoinCost(1000, 100000, params);
-  EXPECT_EQ(join::ShardedIndexJoinCost(1000, 100000, 1, 8, params), serial);
-  EXPECT_EQ(join::ShardedIndexJoinCost(1000, 100000, 8, 1, params), serial);
-  const double sharded = join::ShardedIndexJoinCost(1000, 100000, 8, 8,
-                                                    params);
+  const join::JoinOperator* index =
+      *join::JoinOperatorRegistry::Global().Find("index");
+  join::JoinWorkload w;
+  w.left_rows = 1000;
+  w.right_rows = 100000;
+  w.condition = join::JoinCondition::TopK(1);
+  w.index_available = true;
+  const double serial = index->EstimateCost(w, params);
+  // One pinned shard on 8 workers, or 8 shards on no pool: no speedup.
+  w.pool_threads = 8;
+  w.shard_count = 1;
+  EXPECT_EQ(index->EstimateCost(w, params), serial);
+  w.pool_threads = 1;
+  w.shard_count = 8;
+  EXPECT_EQ(index->EstimateCost(w, params), serial);
+  w.pool_threads = 8;
+  const double sharded = index->EstimateCost(w, params);
   EXPECT_LT(sharded, serial);
   // More shards than workers buy nothing.
-  EXPECT_EQ(join::ShardedIndexJoinCost(1000, 100000, 64, 8, params), sharded);
+  w.shard_count = 64;
+  EXPECT_EQ(index->EstimateCost(w, params), sharded);
 }
 
 // ---------------------------------------------------------------------------

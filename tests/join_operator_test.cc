@@ -199,6 +199,56 @@ TEST(PricingTest, IndexOperatorIsInfiniteWithoutAnIndex) {
       (*registry.Find("index"))->EstimateCost(w, CostParams{})));
 }
 
+TEST(PricingTest, EveryBuiltinQuotesThroughItsFeatures) {
+  // One pricing rule: each built-in's quote IS its feature decomposition
+  // priced by PriceFeatures, and +infinity exactly when the features say
+  // the operator cannot serve the workload.
+  auto& registry = JoinOperatorRegistry::Global();
+  CostParams overlap_lossy;
+  overlap_lossy.pipeline_overlap = 0.4;
+  overlap_lossy.parallel_efficiency = 0.7;
+  size_t finite = 0, infinite = 0;
+  for (const char* name : {"naive_nlj", "prefetch_nlj", "tensor", "index",
+                           "pipelined_tensor", "sharded_tensor"}) {
+    const JoinOperator* op = *registry.Find(name);
+    for (const CostParams& p : {CostParams{}, overlap_lossy})
+    for (const JoinCondition& condition :
+         {JoinCondition::TopK(1), JoinCondition::TopK(8),
+          JoinCondition::Threshold(0.9f)})
+    for (size_t right_rows : {size_t{500}, size_t{100000}})
+    for (int cache = 0; cache < 4; ++cache)
+    for (size_t pool_threads : {size_t{1}, size_t{5}})
+    for (size_t shard_count : {size_t{0}, size_t{3}})
+    for (bool streamable : {false, true})
+    for (bool index : {false, true}) {
+      JoinWorkload w;
+      w.left_rows = 240;
+      w.right_rows = right_rows;
+      w.dim = 64;
+      w.right_selectivity = 0.5;
+      w.condition = condition;
+      w.left_embed_cached = (cache & 1) != 0;
+      w.right_embed_cached = (cache & 2) != 0;
+      w.pool_threads = pool_threads;
+      w.shard_count = shard_count;
+      w.right_strings_streamable = streamable;
+      w.index_available = index;
+      const CostFeatures f = FeaturesForOperator(name, w, p);
+      const double quote = op->EstimateCost(w, p);
+      EXPECT_EQ(std::isinf(quote), !f.eligible) << name;
+      if (std::isfinite(quote)) {
+        EXPECT_EQ(quote, PriceFeatures(f, p)) << name;
+        ++finite;
+      } else {
+        ++infinite;
+      }
+    }
+  }
+  // The grid reaches both sides of every eligibility rule.
+  EXPECT_GT(finite, 0u);
+  EXPECT_GT(infinite, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Operators through the uniform interface
 // ---------------------------------------------------------------------------
@@ -608,23 +658,30 @@ TEST_F(ShardedJoinTest, PricingRequiresWorkersAndEnoughRows) {
       (*registry.Find("tensor"))->EstimateCost(w, p);
   EXPECT_TRUE(std::isfinite(sharded_cost));
   EXPECT_LT(sharded_cost, tensor_cost);
-  // The quote matches the published cost formula at the auto shard count.
-  const double expected =
-      static_cast<double>(w.right_rows) * p.access +
-      ShardedJoinCost(w.left_rows, w.right_rows,
-                      AutoShardCount(w.right_rows, w.pool_threads,
-                                     kMinShardRows),
-                      w.pool_threads, p);
-  EXPECT_DOUBLE_EQ(sharded_cost, expected);
+  // The quote prices the sharded decomposition at the shard count Run()
+  // resolves: embed both sides, divide the sweep by the realized
+  // parallelism, filter S and fan the top-k re-collection in per left row
+  // per shard.
+  const double m = static_cast<double>(w.left_rows);
+  const double n = static_cast<double>(w.right_rows);
+  auto expect_priced_at = [&](size_t shards) {
+    const CostFeatures f = FeaturesForOperator("sharded_tensor", w, p);
+    EXPECT_DOUBLE_EQ(f.model, m + n);
+    EXPECT_DOUBLE_EQ(f.sweep,
+                     m * n / ParallelSpeedup(shards, w.pool_threads, p));
+    EXPECT_DOUBLE_EQ(
+        f.fixed, n * p.access + m * static_cast<double>(shards) * p.compute);
+    EXPECT_EQ(f.pair + f.probe + f.hidden_model, 0.0);
+    EXPECT_DOUBLE_EQ(sharded->EstimateCost(w, p), PriceFeatures(f, p));
+  };
+  expect_priced_at(
+      AutoShardCount(w.right_rows, w.pool_threads, kMinShardRows));
   // A pinned shard count is priced AS PINNED — the quote must track the
   // configuration Run() will execute, not the auto shape (over-sharding
   // past the worker count pays its merge term without extra speedup).
   w.shard_count = 64;
   const double pinned_cost = sharded->EstimateCost(w, p);
-  EXPECT_DOUBLE_EQ(
-      pinned_cost,
-      static_cast<double>(w.right_rows) * p.access +
-          ShardedJoinCost(w.left_rows, w.right_rows, 64, w.pool_threads, p));
+  expect_priced_at(64);
   EXPECT_GT(pinned_cost, sharded_cost);
 }
 

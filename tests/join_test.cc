@@ -433,10 +433,11 @@ TEST(IndexJoinTest, ParallelProbesMatchSequential) {
   index::FlatIndex flat(right.Clone());
   IndexJoinOptions parallel;
   parallel.pool = &pool;
-  parallel.max_batched_probes = 16;  // Multiple waves.
+  parallel.shard_count = 16;  // More shards than the pool's 5 threads.
   auto a = IndexJoin(left, flat, JoinCondition::TopK(2), parallel);
   auto b = IndexJoin(left, flat, JoinCondition::TopK(2));
   ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(a->stats.shards_used, 16u);
   EXPECT_EQ(PairSet(a->pairs), PairSet(b->pairs));
 }
 

@@ -238,10 +238,21 @@ TEST(RewriteTest, OptimizeReducesModelCalls) {
 // Cost model
 // ---------------------------------------------------------------------------
 
+// The registry quote of `op` for an m x n threshold join: the price the
+// planner's cost scan actually compares.
+double Quote(std::string_view op, size_t m, size_t n,
+             const join::CostParams& p) {
+  join::JoinWorkload w;
+  w.left_rows = m;
+  w.right_rows = n;
+  w.condition = join::JoinCondition::Threshold(0.9f);
+  return (*join::JoinOperatorRegistry::Global().Find(op))->EstimateCost(w, p);
+}
+
 TEST(CostModelTest, PrefetchBeatsNaive) {
   join::CostParams p;
   for (size_t n : {10u, 100u, 1000u, 100000u}) {
-    EXPECT_LT(join::PrefetchENljCost(n, n, p), join::NaiveENljCost(n, n, p))
+    EXPECT_LT(Quote("prefetch_nlj", n, n, p), Quote("naive_nlj", n, n, p))
         << n;
   }
 }
@@ -249,28 +260,33 @@ TEST(CostModelTest, PrefetchBeatsNaive) {
 TEST(CostModelTest, NaiveGapGrowsQuadratically) {
   join::CostParams p;
   const double gap_small =
-      join::NaiveENljCost(100, 100, p) / join::PrefetchENljCost(100, 100, p);
-  const double gap_large = join::NaiveENljCost(10000, 10000, p) /
-                           join::PrefetchENljCost(10000, 10000, p);
+      Quote("naive_nlj", 100, 100, p) / Quote("prefetch_nlj", 100, 100, p);
+  const double gap_large = Quote("naive_nlj", 10000, 10000, p) /
+                           Quote("prefetch_nlj", 10000, 10000, p);
   EXPECT_GT(gap_large, gap_small);
 }
 
 TEST(CostModelTest, TensorBeatsPrefetchNlj) {
   join::CostParams p;
-  EXPECT_LT(join::TensorJoinCost(10000, 10000, p),
-            join::PrefetchENljCost(10000, 10000, p));
-}
-
-TEST(CostModelTest, SelectionCostIsLinear) {
-  join::CostParams p;
-  EXPECT_DOUBLE_EQ(join::ESelectionCost(2000, p),
-                   2 * join::ESelectionCost(1000, p));
+  EXPECT_LT(Quote("tensor", 10000, 10000, p),
+            Quote("prefetch_nlj", 10000, 10000, p));
 }
 
 TEST(CostModelTest, ProbeCostGrowsLogarithmically) {
+  // One top-1 probe with the left key already embedded: the quote is the
+  // per-probe cost I_probe(n) alone.
   join::CostParams p;
-  const double c1k = join::IndexProbeCost(1000, p);
-  const double c1m = join::IndexProbeCost(1000000, p);
+  join::JoinWorkload w;
+  w.left_rows = 1;
+  w.condition = join::JoinCondition::TopK(1);
+  w.index_available = true;
+  w.left_embed_cached = true;
+  const join::JoinOperator* index =
+      *join::JoinOperatorRegistry::Global().Find("index");
+  w.right_rows = 1000;
+  const double c1k = index->EstimateCost(w, p);
+  w.right_rows = 1000000;
+  const double c1m = index->EstimateCost(w, p);
   EXPECT_GT(c1m, c1k);
   EXPECT_LT(c1m, 3.0 * c1k);  // log(1e6)/log(1e3) = 2.
 }

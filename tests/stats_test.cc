@@ -828,9 +828,15 @@ TEST(CostCalibratorTest, PipelineOverlapIsFitFromOverlappedObservations) {
   // max(embed, sweep) toward the un-overlapped sum.
   join::CostParams ideal = fitted;
   ideal.pipeline_overlap = 1.0;
-  EXPECT_GT(join::PipelinedTensorJoinCost(100, 1000,
-                                          *calibrator.Current(), false, false),
-            join::PipelinedTensorJoinCost(100, 1000, ideal, false, false));
+  const join::JoinOperator* pipelined =
+      *join::JoinOperatorRegistry::Global().Find("pipelined_tensor");
+  join::JoinWorkload w;
+  w.left_rows = 100;
+  w.right_rows = 1000;
+  w.condition = join::JoinCondition::Threshold(0.7f);
+  w.right_strings_streamable = true;
+  EXPECT_GT(pipelined->EstimateCost(w, *calibrator.Current()),
+            pipelined->EstimateCost(w, ideal));
 
   // ResetSeed discards the learned overlap with the rest.
   calibrator.ResetSeed(truth);
