@@ -44,9 +44,7 @@ Engine::Engine(const Options& options) : options_(options) {
   if (options_.adaptive_stats) {
     stats::CostCalibrator::Options calibrator_options;
     calibrator_options.seed = cost_params_;
-    calibrator_options.ring_capacity = options_.stats_ring_capacity;
     calibrator_options.refit_interval = options_.stats_refit_interval;
-    calibrator_options.decay = options_.stats_decay;
     calibrator_options.explore_cost_ratio = options_.stats_explore_cost_ratio;
     calibrator_options.explore_budget_ns = options_.stats_explore_budget_ns;
     calibrator_ =
@@ -212,7 +210,7 @@ Result<const model::EmbeddingModel*> Engine::ResolveColumnModel(
   if (col->type() != storage::DataType::kString) {
     return static_cast<const model::EmbeddingModel*>(nullptr);
   }
-  return model_name.empty() ? DefaultModel() : Model(model_name);
+  return ResolveModel(model_name);
 }
 
 Result<std::shared_ptr<const storage::Relation>> Engine::Table(
@@ -245,6 +243,11 @@ Result<const model::EmbeddingModel*> Engine::DefaultModel() const {
     name = default_model_;
   }
   return Model(name);
+}
+
+Result<const model::EmbeddingModel*> Engine::ResolveModel(
+    const std::string& name) const {
+  return name.empty() ? DefaultModel() : Model(name);
 }
 
 QueryBuilder Engine::Query(std::string table) const {
@@ -307,7 +310,6 @@ plan::ExecContext Engine::MakeExecContext() const {
   context.cost_params = calibrator_ != nullptr ? *calibrator_->Current()
                                                : cost_params_;
   context.calibrator = calibrator_.get();
-  context.shard_count = options_.join_shard_count;
   context.embedding_cache = embedding_cache_.get();
   // Plan-time snapshot: every index this query might probe is pinned via
   // shared_ptr for the query's whole lifetime — ReplaceTable racing the
@@ -424,10 +426,7 @@ Result<plan::NodePtr> QueryBuilder::BuildFromGraphSpec() const {
     };
     if (string_key(edge.left_input, edge.left_key) &&
         string_key(edge.right_input, edge.right_key)) {
-      auto resolved = e.model.empty() ? engine_->DefaultModel()
-                                      : engine_->Model(e.model);
-      CEJ_RETURN_IF_ERROR(resolved.status());
-      edge.model = *resolved;
+      CEJ_ASSIGN_OR_RETURN(edge.model, engine_->ResolveModel(e.model));
     }
     edges.push_back(std::move(edge));
   }
@@ -546,10 +545,7 @@ Result<plan::NodePtr> QueryBuilder::BuildChainedGraph() const {
         right_field.ok() && right->schema().field(*right_field).type ==
                                 storage::DataType::kString;
     if (left_string && right_string) {
-      auto resolved = step.model.empty() ? engine_->DefaultModel()
-                                         : engine_->Model(step.model);
-      CEJ_RETURN_IF_ERROR(resolved.status());
-      edge.model = *resolved;
+      CEJ_ASSIGN_OR_RETURN(edge.model, engine_->ResolveModel(step.model));
     }
     schemas.push_back(right->schema());
     input_tables.push_back(step.right_table);
@@ -622,11 +618,7 @@ Result<plan::NodePtr> QueryBuilder::Build() const {
             right->schema().field(*right_field).type ==
                 storage::DataType::kString;
         if (string_key) {
-          auto resolved = step.model.empty()
-                              ? engine_->DefaultModel()
-                              : engine_->Model(step.model);
-          CEJ_RETURN_IF_ERROR(resolved.status());
-          model = *resolved;
+          CEJ_ASSIGN_OR_RETURN(model, engine_->ResolveModel(step.model));
         }
         node = plan::EJoin(std::move(node),
                            plan::Scan(step.right_table, std::move(right)),
@@ -663,13 +655,8 @@ Result<std::string> QueryBuilder::Explain() const {
     }
     if (graph != nullptr && graph->kind == plan::NodeKind::kJoinGraph) {
       plan::ExecContext context = engine_->MakeExecContext();
-      plan::JoinOrderOptions order_options;
-      order_options.cost_params = context.cost_params;
-      order_options.pool_threads =
-          context.pool != nullptr ? context.pool->num_threads() + 1 : 1;
-      order_options.shard_count = context.shard_count;
-      order_options.force_edge_order = force_join_order_;
-      auto order = plan::EnumerateJoinOrder(graph, std::move(order_options));
+      context.force_join_order = force_join_order_;
+      auto order = plan::PlanJoinOrder(graph, context);
       if (order.ok()) out += plan::MemoToString(graph, *order);
     }
   }
@@ -689,8 +676,7 @@ Result<std::string> QueryBuilder::Explain() const {
         storage::DataType::kString;
     const model::EmbeddingModel* model = nullptr;
     if (string_key) {
-      auto resolved = step.model.empty() ? engine_->DefaultModel()
-                                         : engine_->Model(step.model);
+      auto resolved = engine_->ResolveModel(step.model);
       if (!resolved.ok()) continue;
       model = *resolved;
     }

@@ -99,10 +99,6 @@ class Engine {
     /// a registered table's key column is embedded once and reused across
     /// queries (LRU-evicted past the budget). 0 disables the cache.
     size_t embedding_cache_bytes = size_t{256} << 20;
-    /// Right-relation shards for the sharding join operators. 0 (auto)
-    /// sizes shards from the pool width and the operator's shard-row
-    /// floor; a fixed count pins it for experiments / bench sweeps.
-    size_t join_shard_count = 0;
     /// Auto-build policy: after this many cost-scan losses where an index
     /// plan *would* have won (the index operator priced cheapest but no
     /// index existed for the join key), the engine builds
@@ -129,13 +125,9 @@ class Engine {
     /// to string-key joins (see plan::ExecContext::calibrator). Off by
     /// default: the static seed/CalibrateCosts behaviour is unchanged.
     bool adaptive_stats = false;
-    /// Per-operator observation history depth (Explain / diagnostics).
-    size_t stats_ring_capacity = 64;
     /// Auto-refit after this many calibratable observations (0 = refit
     /// only on Engine::Recalibrate()).
     size_t stats_refit_interval = 8;
-    /// Exponential forgetting per observation in (0, 1].
-    double stats_decay = 0.98;
     /// Exploration bound: an eligible exact operator with no recorded
     /// observations runs once when its quote is within this factor of
     /// the best quote. 0 disables exploration.
@@ -227,6 +219,10 @@ class Engine {
       const std::string& name) const;
   Result<const model::EmbeddingModel*> Model(const std::string& name) const;
   Result<const model::EmbeddingModel*> DefaultModel() const;
+  /// The model registered as `name`, or the default model when `name` is
+  /// empty — how every query, graph edge and served request names one.
+  Result<const model::EmbeddingModel*> ResolveModel(
+      const std::string& name) const;
 
   // --- Querying ----------------------------------------------------------
 

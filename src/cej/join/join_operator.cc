@@ -32,68 +32,29 @@ bool HasRightSide(const JoinInputs& in) {
          (in.right_strings != nullptr && HasModel(in));
 }
 
-// Ensures both sides exist in the vector domain, embedding the string
-// representation on demand (the prefetch primitive) — per side, so a
-// caller with one side already embedded (e.g. a cached left batch plus a
-// fresh right feed) never has its supplied vectors ignored or recomputed.
-// On-demand embedding parallelizes over `pool` when one is supplied.
-// `storage` keeps freshly embedded matrices alive; `stats` absorbs the
-// model counters.
-Status MaterializeVectors(const JoinInputs& in, ThreadPool* pool,
-                          const la::Matrix** left, const la::Matrix** right,
-                          std::pair<la::Matrix, la::Matrix>* storage,
-                          JoinStats* stats) {
-  *left = in.left_vectors;
-  *right = in.right_vectors;
-  if (*left != nullptr && *right != nullptr) return Status::OK();
-  if ((*left == nullptr && in.left_strings == nullptr) ||
-      (*right == nullptr && in.right_strings == nullptr) || !HasModel(in)) {
+// One side of the join in the vector domain: `vectors` when supplied,
+// else `strings` embedded under the inputs' model into `storage` (the
+// prefetch primitive), parallel over `pool` when one is supplied. Per
+// side, so a caller with one side already embedded (e.g. a cached left
+// batch plus a fresh right feed) never has its supplied vectors ignored or
+// recomputed. The model time, calls and buffer bytes are added to `stats`.
+Result<const la::Matrix*> SideVectors(const la::Matrix* vectors,
+                                      const std::vector<std::string>* strings,
+                                      const JoinInputs& in, ThreadPool* pool,
+                                      la::Matrix* storage, JoinStats* stats) {
+  if (vectors != nullptr) return vectors;
+  if (strings == nullptr || !HasModel(in)) {
     return Status::InvalidArgument(
         "E-join: operator needs embedded vectors (or strings plus a "
-        "model) on both sides");
+        "model) on each side");
   }
-  JoinStats embed_stats;
   const uint64_t calls_before = in.model->embed_calls();
   WallTimer timer;
-  if (*left == nullptr) {
-    storage->first = in.model->EmbedBatch(*in.left_strings, pool);
-    embed_stats.peak_buffer_bytes += storage->first.MemoryBytes();
-    *left = &storage->first;
-  }
-  if (*right == nullptr) {
-    storage->second = in.model->EmbedBatch(*in.right_strings, pool);
-    embed_stats.peak_buffer_bytes += storage->second.MemoryBytes();
-    *right = &storage->second;
-  }
-  embed_stats.embed_seconds = timer.ElapsedSeconds();
-  embed_stats.model_calls = in.model->embed_calls() - calls_before;
-  *stats += embed_stats;
-  return Status::OK();
-}
-
-// Ensures the left side exists in the vector domain (probe queries).
-Status MaterializeLeftVectors(const JoinInputs& in, ThreadPool* pool,
-                              const la::Matrix** left, la::Matrix* storage,
-                              JoinStats* stats) {
-  if (in.left_vectors != nullptr) {
-    *left = in.left_vectors;
-    return Status::OK();
-  }
-  if (in.left_strings == nullptr || in.model == nullptr ||
-      in.model->dim() == 0) {
-    return Status::InvalidArgument(
-        "E-join: operator needs left vectors or left strings plus a model");
-  }
-  JoinStats embed_stats;
-  const uint64_t calls_before = in.model->embed_calls();
-  WallTimer timer;
-  *storage = in.model->EmbedBatch(*in.left_strings, pool);
-  embed_stats.embed_seconds = timer.ElapsedSeconds();
-  embed_stats.model_calls = in.model->embed_calls() - calls_before;
-  embed_stats.peak_buffer_bytes = storage->MemoryBytes();
-  *stats += embed_stats;
-  *left = storage;
-  return Status::OK();
+  *storage = in.model->EmbedBatch(*strings, pool);
+  stats->embed_seconds += timer.ElapsedSeconds();
+  stats->model_calls += in.model->embed_calls() - calls_before;
+  stats->peak_buffer_bytes += storage->MemoryBytes();
+  return storage;
 }
 
 // ---------------------------------------------------------------------------
@@ -140,11 +101,15 @@ class PrefetchNljOperator : public JoinOperator {
                         JoinSink* sink) const override {
     CEJ_RETURN_IF_ERROR(ValidateInputs(inputs, condition));
     JoinStats total;
-    const la::Matrix* left = nullptr;
-    const la::Matrix* right = nullptr;
-    std::pair<la::Matrix, la::Matrix> storage;
-    CEJ_RETURN_IF_ERROR(MaterializeVectors(inputs, options.pool, &left,
-                                           &right, &storage, &total));
+    la::Matrix left_storage, right_storage;
+    CEJ_ASSIGN_OR_RETURN(
+        const la::Matrix* left,
+        SideVectors(inputs.left_vectors, inputs.left_strings, inputs,
+                    options.pool, &left_storage, &total));
+    CEJ_ASSIGN_OR_RETURN(
+        const la::Matrix* right,
+        SideVectors(inputs.right_vectors, inputs.right_strings, inputs,
+                    options.pool, &right_storage, &total));
     NljOptions nlj_options;
     static_cast<JoinOptions&>(nlj_options) = options;
     CEJ_ASSIGN_OR_RETURN(
@@ -187,21 +152,23 @@ class TensorSweepOperator : public JoinOperator {
                         JoinSink* sink) const override {
     CEJ_RETURN_IF_ERROR(ValidateInputs(inputs, condition));
     JoinStats total;
-    const la::Matrix* left = nullptr;
+    la::Matrix left_storage, right_storage;
+    CEJ_ASSIGN_OR_RETURN(
+        const la::Matrix* left,
+        SideVectors(inputs.left_vectors, inputs.left_strings, inputs,
+                    options.pool, &left_storage, &total));
     SweepRight right;
-    std::pair<la::Matrix, la::Matrix> storage;
     // Stream only when the right side NEEDS embedding: supplied vectors
-    // are never ignored or recomputed (the MaterializeVectors contract).
+    // are never ignored or recomputed (the SideVectors contract).
     if (layout_ == SweepLayout::kRightStream &&
         inputs.right_vectors == nullptr && inputs.right_strings != nullptr &&
         HasModel(inputs)) {
-      CEJ_RETURN_IF_ERROR(MaterializeLeftVectors(inputs, options.pool, &left,
-                                                 &storage.first, &total));
       right = SweepRight::Stream(*inputs.right_strings, *inputs.model);
     } else {
-      CEJ_RETURN_IF_ERROR(MaterializeVectors(inputs, options.pool, &left,
-                                             &right.vectors, &storage,
-                                             &total));
+      CEJ_ASSIGN_OR_RETURN(
+          right.vectors,
+          SideVectors(inputs.right_vectors, inputs.right_strings, inputs,
+                      options.pool, &right_storage, &total));
     }
     TensorJoinOptions tensor_options;
     static_cast<JoinOptions&>(tensor_options) = options;
@@ -236,10 +203,11 @@ class IndexJoinOperator : public JoinOperator {
                         JoinSink* sink) const override {
     CEJ_RETURN_IF_ERROR(ValidateInputs(inputs, condition));
     JoinStats total;
-    const la::Matrix* left = nullptr;
-    la::Matrix storage;
-    CEJ_RETURN_IF_ERROR(
-        MaterializeLeftVectors(inputs, options.pool, &left, &storage, &total));
+    la::Matrix left_storage;
+    CEJ_ASSIGN_OR_RETURN(
+        const la::Matrix* left,
+        SideVectors(inputs.left_vectors, inputs.left_strings, inputs,
+                    options.pool, &left_storage, &total));
     IndexJoinOptions index_options;
     static_cast<JoinOptions&>(index_options) = options;
     index_options.filter = inputs.right_filter;

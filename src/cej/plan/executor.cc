@@ -24,40 +24,55 @@ using storage::Field;
 using storage::Relation;
 using storage::Schema;
 
-// The probe-eligible right-subtree pattern: either the rewritten pipeline
-// Embed -> [Select ->] Scan, or a bare [Select ->] Scan whose join key is
-// a stored vector column of the base table.
-struct ProbePattern {
-  bool matches = false;
-  const LogicalNode* embed = nullptr;   // Null for stored-vector scans.
-  const LogicalNode* select = nullptr;  // May be null.
-  const LogicalNode* scan = nullptr;
+// The scan pipeline [Embed ->]* [Select ->] Scan over one base table: the
+// shape the prefetch rewrite (Embed hoisted out of the join) and Select
+// pushdown (Select below Embed) leave for a join input. Stacked Embeds come
+// from graph inputs with several string join keys; each level only appends
+// a column, so every level keys the embedding cache by the Scan below it.
+struct ScanPipeline {
+  const LogicalNode* scan = nullptr;       // Null: not a pipeline.
+  const LogicalNode* select = nullptr;     // May be null.
+  std::vector<const LogicalNode*> embeds;  // Bottom-up; may be empty.
+  // The Select's surviving base-table rows, evaluated at most once.
+  std::optional<std::vector<uint32_t>> rows;
 };
 
-ProbePattern MatchProbePattern(const NodePtr& node,
-                               const std::string& right_key) {
-  ProbePattern p;
+ScanPipeline MatchScanPipeline(const NodePtr& node) {
+  ScanPipeline p;
   const LogicalNode* below = node.get();
-  if (below->kind == NodeKind::kEmbed) {
-    p.embed = below;
+  while (below->kind == NodeKind::kEmbed) {
+    p.embeds.insert(p.embeds.begin(), below);
     below = below->child.get();
   }
   if (below->kind == NodeKind::kSelect) {
     p.select = below;
     below = below->child.get();
   }
-  if (below->kind != NodeKind::kScan) return p;
+  if (below->kind != NodeKind::kScan) return ScanPipeline{};
   p.scan = below;
-  if (p.embed == nullptr) {
-    // Bare pattern: the join key must be a stored vector column.
-    auto field = p.scan->relation->schema().FieldIndex(right_key);
-    if (!field.ok() || p.scan->relation->schema().field(*field).type !=
-                           DataType::kVector) {
-      return p;
-    }
-  }
-  p.matches = true;
   return p;
+}
+
+// A probe-eligible join input: a pipeline with one Embed, or none over a
+// stored vector join key. An index over the base table can serve it.
+bool ProbeShaped(const ScanPipeline& p, const std::string& right_key) {
+  if (p.scan == nullptr || p.embeds.size() > 1) return false;
+  if (!p.embeds.empty()) return true;
+  const Schema& schema = p.scan->relation->schema();
+  auto field = schema.FieldIndex(right_key);
+  return field.ok() && schema.field(*field).type == DataType::kVector;
+}
+
+// The string column `embed` reads from `input`.
+Result<const Column*> EmbedInput(const Relation& input,
+                                 const LogicalNode& embed) {
+  CEJ_ASSIGN_OR_RETURN(const Column* col,
+                       input.ColumnByName(embed.input_column));
+  if (col->type() != DataType::kString) {
+    return Status::InvalidArgument("Embed: column '" + embed.input_column +
+                                   "' is not a string column");
+  }
+  return col;
 }
 
 // Assembles the EJoin output relation from matched pairs.
@@ -171,6 +186,14 @@ class EdgeCountingSink : public join::JoinSink {
   std::atomic<uint64_t> count_{0};
 };
 
+// Worker threads the operators get: a caller-runs pool of T workers
+// supplies T + 1 (the calling thread works alongside them).
+size_t PoolThreads(const ExecContext& context) {
+  return context.pool != nullptr
+             ? static_cast<size_t>(context.pool->num_threads()) + 1
+             : 1;
+}
+
 class PlanExecutor {
  public:
   PlanExecutor(const ExecContext& context, ExecStats* stats,
@@ -180,21 +203,29 @@ class PlanExecutor {
         fused_queries_(fused_queries < 1 ? 1 : fused_queries) {}
 
   Result<Relation> Run(const NodePtr& node) {
+    ScanPipeline pipeline = MatchScanPipeline(node);
+    if (pipeline.scan != nullptr) {
+      return MaterializePipeline(&pipeline, /*filtered=*/true);
+    }
     switch (node->kind) {
-      case NodeKind::kScan:
-        return *node->relation;
       case NodeKind::kSelect: {
         CEJ_ASSIGN_OR_RETURN(Relation input, Run(node->child));
         CEJ_ASSIGN_OR_RETURN(std::vector<uint32_t> rows,
                              expr::Filter(input, node->predicate));
         return input.Take(rows);
       }
-      case NodeKind::kEmbed:
-        return RunEmbed(node);
+      case NodeKind::kEmbed: {
+        // Not over a base table: embed whatever the subtree produced,
+        // uncached.
+        CEJ_ASSIGN_OR_RETURN(Relation input, Run(node->child));
+        return ApplyEmbed(input, *node, nullptr, nullptr);
+      }
       case NodeKind::kEJoin:
         return RunEJoin(node);
       case NodeKind::kJoinGraph:
         return RunJoinGraph(node);
+      case NodeKind::kScan:  // Always a pipeline.
+        break;
     }
     return Status::Internal("unreachable");
   }
@@ -205,15 +236,13 @@ class PlanExecutor {
   Result<JoinStats> RunToSink(const NodePtr& node, join::JoinSink* sink) {
     if (node->kind == NodeKind::kJoinGraph) {
       CEJ_ASSIGN_OR_RETURN(JoinOrderPlan plan, EnumerateGraph(node));
-      return RunEJoinIntoSink(plan.root, sink, /*materialize_sides=*/false,
-                              /*sides=*/nullptr);
+      return RunEJoinIntoSink(plan.root, sink, /*sides=*/nullptr);
     }
     if (node->kind != NodeKind::kEJoin) {
       return Status::InvalidArgument(
           "ExecuteToSink: plan root must be an EJoin or a JoinGraph");
     }
-    return RunEJoinIntoSink(node, sink, /*materialize_sides=*/false,
-                            /*sides=*/nullptr);
+    return RunEJoinIntoSink(node, sink, /*sides=*/nullptr);
   }
 
  private:
@@ -222,6 +251,21 @@ class PlanExecutor {
   struct JoinedSides {
     Relation left;
     Relation right;
+  };
+
+  // The cost scan's verdict: the operator to run, its quote, the rejected
+  // runner-up, and whether calibration exploration (not price) chose it.
+  struct Selection {
+    const JoinOperator* op = nullptr;
+    double cost = std::numeric_limits<double>::infinity();
+    const JoinOperator* runner_up = nullptr;
+    double runner_up_cost = std::numeric_limits<double>::infinity();
+    bool explored = false;
+
+    // The cheapest quote the scan saw — what the auto-build loss check
+    // compares a hypothetical index plan against (the chosen quote unless
+    // exploration overrode the price ranking).
+    double best_quote() const { return explored ? runner_up_cost : cost; }
   };
 
   // Embeds `input`'s embed-input column per `embed`, serving from — and
@@ -236,12 +280,7 @@ class PlanExecutor {
   Result<Relation> ApplyEmbed(const Relation& input, const LogicalNode& embed,
                               const LogicalNode* scan,
                               const std::vector<uint32_t>* base_rows) {
-    CEJ_ASSIGN_OR_RETURN(const Column* col,
-                         input.ColumnByName(embed.input_column));
-    if (col->type() != DataType::kString) {
-      return Status::InvalidArgument("Embed: column '" + embed.input_column +
-                                     "' is not a string column");
-    }
+    CEJ_ASSIGN_OR_RETURN(const Column* col, EmbedInput(input, embed));
     // Shared straight into the result column: a full-table cache hit is
     // zero-copy, a filtered hit is a view of the cached matrix, and a miss
     // shares the freshly embedded matrix between the cache and the column
@@ -290,49 +329,38 @@ class PlanExecutor {
         std::move(*embedded));
   }
 
-  Result<Relation> RunEmbed(const NodePtr& node) {
-    const LogicalNode* below = node->child.get();
-    // Stacked hoisted embeddings (the graph lowering emits Embed over
-    // Embed over [Select(]Scan[)] for an input with several string join
-    // keys) only append columns — the rows are still the base table's, so
-    // every level of the stack keys the cache by the scan underneath.
-    const LogicalNode* base = below;
-    while (base->kind == NodeKind::kEmbed) base = base->child.get();
-    // Full base table: the cacheable shape.
-    if (base->kind == NodeKind::kScan) {
-      if (below->kind == NodeKind::kScan) {
-        return ApplyEmbed(*base->relation, *node, base, nullptr);
-      }
-      CEJ_ASSIGN_OR_RETURN(Relation input, Run(node->child));
-      return ApplyEmbed(input, *node, base, nullptr);
+  // Evaluates `p`'s Select over its base table once; a no-op without a
+  // Select or once evaluated.
+  Status EvaluateSelect(ScanPipeline* p) const {
+    if (p->select == nullptr || p->rows.has_value()) return Status::OK();
+    CEJ_ASSIGN_OR_RETURN(
+        p->rows, expr::Filter(*p->scan->relation, p->select->predicate));
+    return Status::OK();
+  }
+
+  // Materializes `p`: its base table — restricted to the Select's
+  // survivors when `filtered` — then each Embed level on the way up, each
+  // with its own cache lookup. Probe ids address base-table rows, so the
+  // probe path materializes unfiltered.
+  Result<Relation> MaterializePipeline(ScanPipeline* p, bool filtered) {
+    const Relation& base = *p->scan->relation;
+    const std::vector<uint32_t>* rows = nullptr;
+    if (filtered && p->select != nullptr) {
+      CEJ_RETURN_IF_ERROR(EvaluateSelect(p));
+      rows = &*p->rows;
     }
-    // Filtered base table: evaluate the predicate once, then embed only
-    // the survivors (or gather them from a cached full-table matrix).
-    if (base->kind == NodeKind::kSelect &&
-        base->child->kind == NodeKind::kScan) {
-      const LogicalNode* scan = base->child.get();
-      CEJ_ASSIGN_OR_RETURN(
-          std::vector<uint32_t> rows,
-          expr::Filter(*scan->relation, base->predicate));
-      if (below == base) {
-        const Relation filtered = scan->relation->Take(rows);
-        return ApplyEmbed(filtered, *node, scan, &rows);
-      }
-      CEJ_ASSIGN_OR_RETURN(Relation input, Run(node->child));
-      return ApplyEmbed(input, *node, scan, &rows);
+    Relation out = rows == nullptr ? base : base.Take(*rows);
+    for (const LogicalNode* embed : p->embeds) {
+      CEJ_ASSIGN_OR_RETURN(out, ApplyEmbed(out, *embed, p->scan, rows));
     }
-    // Arbitrary subtree: embed whatever it produced, uncached.
-    CEJ_ASSIGN_OR_RETURN(Relation input, Run(node->child));
-    return ApplyEmbed(input, *node, nullptr, nullptr);
+    return out;
   }
 
   Result<Relation> RunEJoin(const NodePtr& node) {
     CEJ_ASSIGN_OR_RETURN(Schema output_schema, OutputSchema(node));
     join::MaterializingSink sink;
     JoinedSides sides;
-    CEJ_RETURN_IF_ERROR(
-        RunEJoinIntoSink(node, &sink, /*materialize_sides=*/true, &sides)
-            .status());
+    CEJ_RETURN_IF_ERROR(RunEJoinIntoSink(node, &sink, &sides).status());
     return MaterializeJoinOutput(output_schema, sides.left, sides.right,
                                  sink.pairs());
   }
@@ -340,13 +368,7 @@ class PlanExecutor {
   // Orders the graph's edges (DP unless forced/pinned), publishes the
   // decision into ExecStats, and returns the lowered binary tree.
   Result<JoinOrderPlan> EnumerateGraph(const NodePtr& node) {
-    JoinOrderOptions options;
-    options.cost_params = context_.cost_params;
-    options.pool_threads = PoolThreads();
-    options.shard_count = context_.shard_count;
-    options.force_edge_order = context_.force_join_order;
-    CEJ_ASSIGN_OR_RETURN(JoinOrderPlan plan,
-                         EnumerateJoinOrder(node, std::move(options)));
+    CEJ_ASSIGN_OR_RETURN(JoinOrderPlan plan, PlanJoinOrder(node, context_));
     if (stats_ != nullptr) {
       stats_->join_edge_order = plan.edge_order;
       switch (plan.source) {
@@ -360,8 +382,6 @@ class PlanExecutor {
           stats_->join_order_source = "submission";
           break;
       }
-      stats_->edge_card_est = plan.edge_est_rows;
-      stats_->edge_card_obs.assign(plan.edge_est_rows.size(), 0);
     }
     return plan;
   }
@@ -378,11 +398,10 @@ class PlanExecutor {
   }
 
   // Selects the physical operator via the registry, runs the join into
-  // `sink`, and (optionally) materializes both input-side relations for
-  // output assembly.
+  // `sink`, and (when `sides` is set) materializes both input-side
+  // relations for output assembly.
   Result<JoinStats> RunEJoinIntoSink(const NodePtr& node,
                                      join::JoinSink* sink,
-                                     bool materialize_sides,
                                      JoinedSides* sides) {
     CEJ_ASSIGN_OR_RETURN(Relation left, Run(node->left));
     CEJ_ASSIGN_OR_RETURN(const Column* left_key,
@@ -398,12 +417,12 @@ class PlanExecutor {
 
     Result<JoinStats> run =
         left_key->type() == DataType::kString
-            ? RunStringKeyJoin(node, *left_key, effective_sink,
-                               materialize_sides, sides, edge_counter)
-            : RunVectorKeyJoin(node, left, *left_key, effective_sink,
-                               materialize_sides, sides, edge_counter);
+            ? RunStringKeyJoin(node, *left_key, effective_sink, sides,
+                               edge_counter)
+            : RunVectorKeyJoin(node, *left_key, effective_sink, sides,
+                               edge_counter);
     if (run.ok()) {
-      if (materialize_sides) sides->left = std::move(left);
+      if (sides != nullptr) sides->left = std::move(left);
       if (stats_ != nullptr) {
         stats_->model_calls += run->model_calls;
         stats_->join_stats += *run;
@@ -430,9 +449,7 @@ class PlanExecutor {
   // plans keep behaving like Figure 8's baseline.
   Result<JoinStats> RunStringKeyJoin(const NodePtr& node,
                                      const Column& left_key,
-                                     join::JoinSink* sink,
-                                     bool materialize_sides,
-                                     JoinedSides* sides,
+                                     join::JoinSink* sink, JoinedSides* sides,
                                      const EdgeCountingSink* edge_counter) {
     CEJ_ASSIGN_OR_RETURN(Relation right, Run(node->right));
     CEJ_ASSIGN_OR_RETURN(const Column* right_key,
@@ -450,16 +467,11 @@ class PlanExecutor {
     Selection selection;
     join::JoinWorkload workload;
     if (adaptive) {
-      workload.left_rows = left_key.string_values().size();
-      workload.right_rows = right.num_rows();
-      workload.dim = node->model->dim();
-      workload.condition = node->condition;
+      workload = Workload(*node, left_key.string_values().size(),
+                          right.num_rows(), node->model->dim());
       // The operators receive raw right strings: with workers to overlap
       // against, the pipelined operator can hide the right embedding.
       workload.right_strings_streamable = context_.pool != nullptr;
-      workload.pool_threads = PoolThreads();
-      workload.shard_count = context_.shard_count;
-      workload.fused_queries = fused_queries_;
       CEJ_ASSIGN_OR_RETURN(selection,
                            SelectOperator(workload, join::JoinDomain::kStrings));
     } else {
@@ -469,63 +481,77 @@ class PlanExecutor {
                                    ? "naive_nlj"
                                    : context_.force_operator));
     }
-    if (stats_ != nullptr) {
-      stats_->join_operator = std::string(selection.op->Name());
-    }
-    CEJ_ASSIGN_OR_RETURN(JoinStats run_stats,
-                         selection.op->Run(inputs, node->condition,
-                                           BaseOptions(), sink));
-    if (adaptive) {
-      RecordJoinObservation(
-          workload, selection,
-          run_stats.embed_seconds + run_stats.join_seconds, run_stats,
-          *node, edge_counter);
-    }
-    if (materialize_sides) sides->right = std::move(right);
-    return run_stats;
+    return RunAndRecord(*node, selection, inputs,
+                        adaptive ? &workload : nullptr,
+                        /*prep_seconds=*/0.0, std::move(right), sink, sides,
+                        edge_counter);
   }
 
-  // Vector-key join: registry-wide access-path selection.
-  Result<JoinStats> RunVectorKeyJoin(const NodePtr& node,
-                                     const Relation& left,
-                                     const Column& left_key,
-                                     join::JoinSink* sink,
-                                     bool materialize_sides,
-                                     JoinedSides* sides,
-                                     const EdgeCountingSink* edge_counter) {
-    if (left_key.type() != DataType::kVector) {
-      return Status::InvalidArgument("EJoin: left key is not a vector");
-    }
-    // Index discovery over the probe-eligible right-subtree patterns, in
-    // the catalog snapshot (shared_ptr-pinned for the whole query — a
-    // concurrent ReplaceTable cannot free a probed index).
-    const ProbePattern pattern =
-        MatchProbePattern(node->right, node->right_key);
-    const index::VectorIndex* idx = nullptr;
+  // A vector-key join's right input, decided once before pricing: its scan
+  // pipeline when probe-shaped (one an index can serve), the catalog entry
+  // serving it, what every quote must assume about it, and — for any other
+  // input — the relation materialized up front.
+  struct RightInput {
+    ScanPipeline pipeline;
+    bool probe_shaped = false;
+    const LogicalNode* embed = nullptr;  // The probe-shaped pipeline's.
     const index::IndexCatalogEntry* catalog_entry = nullptr;
-    if (pattern.matches && context_.index_catalog != nullptr) {
-      catalog_entry = context_.index_catalog->Find(
-          pattern.scan->table_name,
-          pattern.embed != nullptr ? pattern.embed->output_column
-                                   : node->right_key,
-          pattern.embed != nullptr ? pattern.embed->model : nullptr);
-      if (catalog_entry != nullptr) idx = catalog_entry->index.get();
+    bool embed_cached = false;  // No right model term in the quotes.
+    bool fusion_candidate = false;
+    index::FilterBitmap bitmap;  // Probe pre-filter over base-table rows.
+    size_t rows = 0;
+    double selectivity = 1.0;
+    Relation materialized;  // Inputs that are not probe-shaped.
+
+    const index::VectorIndex* index() const {
+      return catalog_entry != nullptr ? catalog_entry->index.get() : nullptr;
+    }
+  };
+
+  Result<RightInput> PlanRightInput(const LogicalNode& node,
+                                    bool streaming) {
+    RightInput in;
+    in.pipeline = MatchScanPipeline(node.right);
+    in.probe_shaped = ProbeShaped(in.pipeline, node.right_key);
+    if (!in.probe_shaped) {
+      // Materialized, and so embedded, before pricing: no quote carries
+      // its model term.
+      CEJ_ASSIGN_OR_RETURN(in.materialized, Run(node.right));
+      in.rows = in.materialized.num_rows();
+      in.embed_cached = true;
+      return in;
+    }
+    ScanPipeline& pipeline = in.pipeline;
+    if (!pipeline.embeds.empty()) in.embed = pipeline.embeds[0];
+    // Index discovery in the catalog snapshot (shared_ptr-pinned for the
+    // whole query — a concurrent ReplaceTable cannot free a probed index).
+    if (context_.index_catalog != nullptr) {
+      in.catalog_entry = context_.index_catalog->Find(
+          pipeline.scan->table_name,
+          in.embed != nullptr ? in.embed->output_column : node.right_key,
+          in.embed != nullptr ? in.embed->model : nullptr);
       if (stats_ != nullptr) {
-        if (catalog_entry != nullptr) {
+        if (in.catalog_entry != nullptr) {
           ++stats_->index_catalog_hits;
         } else {
           ++stats_->index_catalog_misses;
         }
       }
     }
-
-    // Expected embedding-cache state (cache-aware costing): a warm full
-    // right column will be served with zero model calls, so its model term
-    // must not be priced. A stored vector column has no model term at all.
-    const bool right_embed_cached =
-        (pattern.matches && pattern.embed == nullptr) ||
-        PeekColumnWarm(pattern);
-
+    in.rows = pipeline.scan->relation->num_rows();
+    // Cache-aware costing: a stored vector key has no model term, and a
+    // FULL column already in the embedding cache is served with zero model
+    // calls (Peek moves neither the LRU order nor the hit/miss counters).
+    in.embed_cached = in.embed == nullptr;
+    if (!in.embed_cached && in.embed->model != nullptr &&
+        context_.embedding_cache != nullptr) {
+      const std::shared_ptr<const la::Matrix> warm =
+          context_.embedding_cache->Peek(
+              pipeline.scan->table_name, in.embed->input_column,
+              in.embed->model, pipeline.scan->relation);
+      in.embed_cached = warm != nullptr && warm->rows() == in.rows &&
+                        warm->cols() == in.embed->model->dim();
+    }
     // String-stream fusion candidacy: on streaming execution a right-side
     // Embed pipeline producing the join key can stay un-materialized — a
     // streams_right_strings operator then embeds tiles itself, overlapped
@@ -536,75 +562,65 @@ class PlanExecutor {
     // warm embedding cache also withdraws the offer: the cached column
     // costs no model calls, so there is nothing to overlap — fusing would
     // re-embed tile by tile what the cache would have served for free.
-    const bool fusion_candidate =
-        !materialize_sides && context_.pool != nullptr && pattern.matches &&
-        !right_embed_cached && pattern.embed != nullptr &&
-        pattern.embed->output_column == node->right_key &&
-        pattern.embed->model != nullptr && pattern.embed->model->dim() > 0;
+    in.fusion_candidate =
+        streaming && context_.pool != nullptr && !in.embed_cached &&
+        in.embed->output_column == node.right_key &&
+        in.embed->model != nullptr && in.embed->model->dim() > 0;
 
-    index::FilterBitmap bitmap;
-    double right_selectivity = 1.0;
-    size_t base_rows = 0;
-    std::optional<Relation> right_prematerialized;
-    // Base-table row ids surviving the pushed-down Select, evaluated at
-    // most ONCE and reused by whichever path runs (probe bitmap, fused
-    // string stream, or scan-side materialization) — the seed-era double
-    // predicate evaluation is gone.
-    std::optional<std::vector<uint32_t>> selected_rows;
-    if (pattern.matches) {
-      const Relation& base = *pattern.scan->relation;
-      base_rows = base.num_rows();
-      if (idx != nullptr) {
-        if (idx->size() != base_rows) {
-          return Status::InvalidArgument(
-              "EJoin: registered index size does not match base table '" +
-              pattern.scan->table_name + "'");
-        }
-        bitmap.assign(base_rows, 1);
-      }
-      // The predicate is evaluated up front only when some consumer needs
-      // the row set before materialization: probe pre-filtering (bitmap +
-      // selectivity steering scan-vs-probe) or string-stream fusion.
-      // Otherwise it would scale every eligible (scan-family) operator
-      // identically, so the Select is applied once, downstream.
-      if (pattern.select != nullptr &&
-          (idx != nullptr || fusion_candidate)) {
-        CEJ_RETURN_IF_ERROR(
-            pattern.select->predicate->Validate(base.schema()));
-        std::vector<uint32_t> rows;
-        pattern.select->predicate->Eval(base, &rows);
-        if (idx != nullptr) {
-          std::fill(bitmap.begin(), bitmap.end(), 0);
-          for (uint32_t r : rows) bitmap[r] = 1;
-        }
-        right_selectivity = base_rows == 0
-                                ? 0.0
-                                : static_cast<double>(rows.size()) /
-                                      static_cast<double>(base_rows);
-        selected_rows = std::move(rows);
-      }
-    } else {
-      // Arbitrary right subtree: no probe possibility; materialize it now
-      // so the scan-family operators can be priced on the true size.
-      CEJ_ASSIGN_OR_RETURN(Relation materialized, Run(node->right));
-      base_rows = materialized.num_rows();
-      right_prematerialized = std::move(materialized);
+    const index::VectorIndex* idx = in.index();
+    if (idx != nullptr && idx->size() != in.rows) {
+      return Status::InvalidArgument(
+          "EJoin: registered index size does not match base table '" +
+          pipeline.scan->table_name + "'");
     }
+    // The predicate is evaluated up front only when some consumer needs
+    // the row set before materialization: probe pre-filtering (bitmap +
+    // selectivity steering scan-vs-probe) or string-stream fusion.
+    // Otherwise it would scale every eligible (scan-family) operator
+    // identically, so the Select is applied once, downstream.
+    if (idx != nullptr || in.fusion_candidate) {
+      CEJ_RETURN_IF_ERROR(EvaluateSelect(&pipeline));
+    }
+    if (pipeline.rows.has_value()) {
+      in.selectivity = in.rows == 0
+                           ? 0.0
+                           : static_cast<double>(pipeline.rows->size()) /
+                                 static_cast<double>(in.rows);
+    }
+    if (idx != nullptr) {
+      in.bitmap.assign(in.rows, pipeline.rows.has_value() ? 0 : 1);
+      if (pipeline.rows.has_value()) {
+        for (uint32_t r : *pipeline.rows) in.bitmap[r] = 1;
+      }
+    }
+    return in;
+  }
 
-    join::JoinWorkload workload;
-    workload.left_rows = left.num_rows();
-    workload.right_rows = base_rows;
-    workload.dim = left_key.vector_dim();
-    workload.right_selectivity = right_selectivity;
-    workload.condition = node->condition;
-    workload.index_available = idx != nullptr;
+  // Vector-key join: registry-wide access-path selection over the planned
+  // right input. A probe-shaped input is probed, fused into a
+  // string-streaming operator, or materialized for a scan, as the chosen
+  // operator needs.
+  Result<JoinStats> RunVectorKeyJoin(const NodePtr& node,
+                                     const Column& left_key,
+                                     join::JoinSink* sink, JoinedSides* sides,
+                                     const EdgeCountingSink* edge_counter) {
+    if (left_key.type() != DataType::kVector) {
+      return Status::InvalidArgument("EJoin: left key is not a vector");
+    }
+    CEJ_ASSIGN_OR_RETURN(RightInput right,
+                         PlanRightInput(*node, /*streaming=*/sides == nullptr));
+
+    join::JoinWorkload workload =
+        Workload(*node, left_key.size(), right.rows, left_key.vector_dim());
+    workload.right_selectivity = right.selectivity;
+    workload.index_available = right.index() != nullptr;
     // Exactness-aware probe traits: a served FLAT catalog entry is exact
     // despite the index operator's conservative trait — RequireExact()
     // scans may admit it. External registrations stay opaque (unknown
     // family), hence conservatively approximate.
     workload.index_exact =
-        catalog_entry != nullptr &&
-        catalog_entry->family == index::IndexFamily::kFlat;
+        right.catalog_entry != nullptr &&
+        right.catalog_entry->family == index::IndexFamily::kFlat;
     // Chained (graph-lowered) joins: an intermediate side carries its
     // embedding column zero-copy from the join that built it — no model
     // term — but its materialization gather was not free.
@@ -613,172 +629,156 @@ class PlanExecutor {
     // The left key is already a vector column: Run(node->left) produced
     // it before pricing, so no operator pays a left model term here.
     workload.left_embed_cached = true;
-    workload.right_embed_cached =
-        right_embed_cached || workload.right_intermediate;
-    workload.right_strings_streamable = fusion_candidate;
-    workload.pool_threads = PoolThreads();
-    workload.shard_count = context_.shard_count;
-    workload.fused_queries = fused_queries_;
+    workload.right_embed_cached = right.embed_cached;
+    workload.right_strings_streamable = right.fusion_candidate;
 
     CEJ_ASSIGN_OR_RETURN(Selection selection,
                          SelectOperator(workload, join::JoinDomain::kVectors));
-    const JoinOperator* op = selection.op;
-    if (stats_ != nullptr) stats_->join_operator = std::string(op->Name());
-
-    // The cost scope the observation's measured time will cover: the right
-    // side pays model calls inside the measured window only when the
-    // executor (scan path, cold cache) or the operator itself (fused path)
-    // embeds it there.
-    join::JoinWorkload observed = workload;
-
-    // Auto-build feedback: an unforced cost scan ran index-less on a
-    // probe-eligible shape — if an index WOULD have priced cheaper than
-    // the winner, record the loss so the manager can build one in the
-    // background (require_exact scans are skipped: the approximate index
-    // operator could never have won them).
-    if (pattern.matches && idx == nullptr &&
-        context_.index_manager != nullptr &&
-        context_.index_catalog != nullptr &&
-        context_.force_operator.empty() && !context_.require_exact) {
-      auto index_op = JoinOperatorRegistry::Global().Find("index");
-      if (index_op.ok()) {
-        join::JoinWorkload hypothetical = workload;
-        hypothetical.index_available = true;
-        const double index_cost =
-            (*index_op)->EstimateCost(hypothetical, context_.cost_params);
-        if (index_cost < selection.best_quote()) {
-          // The snapshot's generation pairs with the plan's relation
-          // snapshot: if the table is replaced before (or while) the
-          // auto-build runs, the build is discarded at publish instead
-          // of covering the old contents. The workload shape rides along
-          // so the family-aware policy can pick flat/IVF/HNSW from what
-          // the losing queries actually looked like.
-          index::IndexLossContext loss_context;
-          loss_context.left_rows = workload.left_rows;
-          loss_context.table_rows = base_rows;
-          loss_context.topk =
-              workload.condition.kind == join::JoinCondition::Kind::kTopK;
-          context_.index_manager->RecordIndexLoss(
-              pattern.scan->table_name, pattern.scan->relation,
-              pattern.embed != nullptr ? pattern.embed->input_column
-                                       : node->right_key,
-              pattern.embed != nullptr ? pattern.embed->model : nullptr,
-              context_.index_catalog->TableGeneration(
-                  pattern.scan->table_name),
-              loss_context);
-        }
-      }
+    if (right.probe_shaped && right.index() == nullptr) {
+      ReportIndexLoss(right, *node, workload, selection);
     }
 
-    // Each physical form fills in the operator's right-side inputs and the
-    // part of the cost scope its measured window covers; the join then
-    // runs and is recorded once.
+    // Each physical form fills in the operator's right-side inputs. The
+    // recorded observation's cost scope is the priced workload, less the
+    // right model term on the probe path (probes never embed the right
+    // side).
+    join::JoinWorkload observed = workload;
     JoinInputs inputs;
     inputs.left_vectors = &left_key.vector_values();
     std::optional<Column> gathered;  // Fused: the filtered key strings.
-    Relation right;                  // Scan: the materialized right side.
+    Relation right_side = std::move(right.materialized);
     double right_prep_seconds = 0.0;
-    if (op->Traits().needs_index) {
-      if (stats_ != nullptr && catalog_entry != nullptr) {
-        stats_->index_build_seconds += catalog_entry->build_seconds;
+    if (selection.op->Traits().needs_index) {
+      if (stats_ != nullptr && right.catalog_entry != nullptr) {
+        stats_->index_build_seconds += right.catalog_entry->build_seconds;
       }
-      inputs.right_index = idx;
-      inputs.right_filter = &bitmap;
-      // Probes never embed the right side.
+      inputs.right_index = right.index();
+      inputs.right_filter = &right.bitmap;
       observed.right_embed_cached = true;
-    } else if (fusion_candidate && op->Traits().streams_right_strings) {
+      if (sides != nullptr && right.probe_shaped) {
+        CEJ_ASSIGN_OR_RETURN(right_side, MaterializePipeline(
+                                             &right.pipeline,
+                                             /*filtered=*/false));
+      }
+    } else if (right.fusion_candidate &&
+               selection.op->Traits().streams_right_strings) {
       // Fused path: hand the operator the (filtered) join-key strings and
       // the model; it embeds tiles itself, overlapped with the sweep,
       // inside the measured window. Pair right-ids address the same
       // filtered positions the scan path emits. Only the key column is
       // gathered — the whole point of this path is not materializing the
       // rest.
+      const ScanPipeline& pipeline = right.pipeline;
       CEJ_ASSIGN_OR_RETURN(
           const Column* base_col,
-          pattern.scan->relation->ColumnByName(pattern.embed->input_column));
-      if (base_col->type() != DataType::kString) {
-        return Status::InvalidArgument("Embed: column '" +
-                                       pattern.embed->input_column +
-                                       "' is not a string column");
-      }
-      if (selected_rows.has_value()) {
-        gathered.emplace(base_col->Gather(*selected_rows));
+          EmbedInput(*pipeline.scan->relation, *right.embed));
+      if (pipeline.rows.has_value()) {
+        gathered.emplace(base_col->Gather(*pipeline.rows));
       }
       inputs.right_strings = gathered.has_value()
                                  ? &gathered->string_values()
                                  : &base_col->string_values();
-      inputs.model = pattern.embed->model;
+      inputs.model = right.embed->model;
     } else {
-      // Scan path: the right-side preparation below (predicate Take, cache
+      // Scan path: the right-side preparation (predicate Take, cache
       // gather, or a full embedding on a cold cache) is part of the cost
       // the quote priced, so it belongs to the measured window.
       WallTimer right_prep_timer;
-      if (right_prematerialized.has_value()) {
-        right = std::move(*right_prematerialized);
-      } else if (pattern.matches && selected_rows.has_value()) {
-        // The pushed-down predicate was already evaluated for the bitmap /
-        // fusion decision: feed that row set straight into the scan-side
-        // materialization instead of letting Run(node->right) re-evaluate
-        // it.
-        const Relation filtered =
-            pattern.scan->relation->Take(*selected_rows);
-        if (pattern.embed != nullptr) {
-          CEJ_ASSIGN_OR_RETURN(
-              right, ApplyEmbed(filtered, *pattern.embed, pattern.scan,
-                                &*selected_rows));
-        } else {
-          right = filtered;
-        }
-      } else {
-        CEJ_ASSIGN_OR_RETURN(right, Run(node->right));
+      if (right.probe_shaped) {
+        CEJ_ASSIGN_OR_RETURN(right_side,
+                             MaterializePipeline(&right.pipeline,
+                                                 /*filtered=*/true));
       }
       right_prep_seconds = right_prep_timer.ElapsedSeconds();
       CEJ_ASSIGN_OR_RETURN(const Column* right_key,
-                           right.ColumnByName(node->right_key));
+                           right_side.ColumnByName(node->right_key));
       if (right_key->type() != DataType::kVector) {
         return Status::InvalidArgument("EJoin: right key is not a vector");
       }
       inputs.right_vectors = &right_key->vector_values();
-      // Stored-vector and pre-materialized right sides never pay model
-      // calls inside the measured window — only a cold-cache Embed
-      // pipeline does.
-      if (pattern.embed == nullptr) observed.right_embed_cached = true;
     }
+    return RunAndRecord(*node, selection, inputs, &observed,
+                        right_prep_seconds, std::move(right_side), sink,
+                        sides, edge_counter);
+  }
 
+  // Auto-build feedback: an unforced cost scan ran index-less on a
+  // probe-shaped input — if an index WOULD have priced cheaper than the
+  // winner, record the loss so the manager can build one in the
+  // background (require_exact scans are skipped: the approximate index
+  // operator could never have won them).
+  void ReportIndexLoss(const RightInput& right, const LogicalNode& node,
+                       const join::JoinWorkload& workload,
+                       const Selection& selection) {
+    if (context_.index_manager == nullptr ||
+        context_.index_catalog == nullptr ||
+        !context_.force_operator.empty() || context_.require_exact) {
+      return;
+    }
+    auto index_op = JoinOperatorRegistry::Global().Find("index");
+    if (!index_op.ok()) return;
+    join::JoinWorkload hypothetical = workload;
+    hypothetical.index_available = true;
+    const double index_cost =
+        (*index_op)->EstimateCost(hypothetical, context_.cost_params);
+    if (!(index_cost < selection.best_quote())) return;
+    // The snapshot's generation pairs with the plan's relation snapshot: if
+    // the table is replaced before (or while) the auto-build runs, the
+    // build is discarded at publish instead of covering the old contents.
+    // The workload shape rides along so the family-aware policy can pick
+    // flat/IVF/HNSW from what the losing queries actually looked like.
+    const LogicalNode& scan = *right.pipeline.scan;
+    index::IndexLossContext loss_context;
+    loss_context.left_rows = workload.left_rows;
+    loss_context.table_rows = workload.right_rows;
+    loss_context.topk =
+        workload.condition.kind == join::JoinCondition::Kind::kTopK;
+    context_.index_manager->RecordIndexLoss(
+        scan.table_name, scan.relation,
+        right.embed != nullptr ? right.embed->input_column : node.right_key,
+        right.embed != nullptr ? right.embed->model : nullptr,
+        context_.index_catalog->TableGeneration(scan.table_name),
+        loss_context);
+  }
+
+  // The one tail of every join: runs the selected operator into `sink`,
+  // records the run against `observed` (nullptr = not recorded), and hands
+  // `right` back as the output's right side.
+  Result<JoinStats> RunAndRecord(const LogicalNode& node,
+                                 const Selection& selection,
+                                 const JoinInputs& inputs,
+                                 const join::JoinWorkload* observed,
+                                 double prep_seconds, Relation right,
+                                 join::JoinSink* sink, JoinedSides* sides,
+                                 const EdgeCountingSink* edge_counter) {
+    if (stats_ != nullptr) {
+      stats_->join_operator = std::string(selection.op->Name());
+    }
     CEJ_ASSIGN_OR_RETURN(
         JoinStats run_stats,
-        op->Run(inputs, node->condition, BaseOptions(), sink));
-    RecordJoinObservation(observed, selection,
-                          right_prep_seconds + run_stats.embed_seconds +
-                              run_stats.join_seconds,
-                          run_stats, *node, edge_counter);
-    if (materialize_sides) {
-      if (op->Traits().needs_index) {
-        // Probe ids address base-table rows; materialize the right side
-        // as base relation (+ embedding column for rewritten plans) so the
-        // output schema matches the scan path's.
-        CEJ_ASSIGN_OR_RETURN(sides->right, RightBaseRelation(pattern));
-      } else {
-        sides->right = std::move(right);
-      }
+        selection.op->Run(inputs, node.condition, BaseOptions(), sink));
+    if (observed != nullptr) {
+      RecordJoinObservation(*observed, selection,
+                            prep_seconds + run_stats.embed_seconds +
+                                run_stats.join_seconds,
+                            run_stats, node, edge_counter);
     }
+    if (sides != nullptr) sides->right = std::move(right);
     return run_stats;
   }
 
-  // The cost scan's verdict: the operator to run, its quote, the rejected
-  // runner-up, and whether calibration exploration (not price) chose it.
-  struct Selection {
-    const JoinOperator* op = nullptr;
-    double cost = std::numeric_limits<double>::infinity();
-    const JoinOperator* runner_up = nullptr;
-    double runner_up_cost = std::numeric_limits<double>::infinity();
-    bool explored = false;
-
-    // The cheapest quote the scan saw — what the auto-build loss check
-    // compares a hypothetical index plan against (the chosen quote unless
-    // exploration overrode the price ranking).
-    double best_quote() const { return explored ? runner_up_cost : cost; }
-  };
+  // The workload fields every join prices with; each path adds its own.
+  join::JoinWorkload Workload(const LogicalNode& node, size_t left_rows,
+                              size_t right_rows, size_t dim) const {
+    join::JoinWorkload workload;
+    workload.left_rows = left_rows;
+    workload.right_rows = right_rows;
+    workload.dim = dim;
+    workload.condition = node.condition;
+    workload.pool_threads = PoolThreads(context_);
+    workload.fused_queries = fused_queries_;
+    return workload;
+  }
 
   // Access-path selection over the registry cost scan
   // (JoinOperatorRegistry::EligibleQuotes): the cheapest eligible operator
@@ -937,49 +937,10 @@ class PlanExecutor {
     context_.calibrator->Record(std::move(obs));
   }
 
-  // True when the engine embedding cache already holds the FULL column
-  // behind `pattern`'s Embed node at the matching shape — that side's
-  // model term will not be paid. Side-effect-free (Peek moves neither the
-  // LRU order nor the hit/miss counters).
-  bool PeekColumnWarm(const ProbePattern& pattern) const {
-    if (!pattern.matches || pattern.embed == nullptr ||
-        pattern.embed->model == nullptr ||
-        context_.embedding_cache == nullptr) {
-      return false;
-    }
-    const std::shared_ptr<const la::Matrix> warm =
-        context_.embedding_cache->Peek(
-            pattern.scan->table_name, pattern.embed->input_column,
-            pattern.embed->model, pattern.scan->relation);
-    return warm != nullptr &&
-           warm->rows() == pattern.scan->relation->num_rows() &&
-           warm->cols() == pattern.embed->model->dim();
-  }
-
-  // Materializes the probe path's right side: the base relation, plus the
-  // Embed output column for rewritten plans (no Select: probe ids are
-  // base-table positions). The recomputation this used to cost |S| model
-  // calls per query is now absorbed by the embedding cache when one is
-  // configured.
-  Result<Relation> RightBaseRelation(const ProbePattern& pattern) {
-    const Relation& base = *pattern.scan->relation;
-    if (pattern.embed == nullptr) return base;
-    return ApplyEmbed(base, *pattern.embed, pattern.scan, nullptr);
-  }
-
-  // Worker threads the operators get: a caller-runs pool of T workers
-  // supplies T + 1 (the calling thread works alongside them).
-  size_t PoolThreads() const {
-    return context_.pool != nullptr
-               ? static_cast<size_t>(context_.pool->num_threads()) + 1
-               : 1;
-  }
-
   join::JoinOptions BaseOptions() const {
     join::JoinOptions options;
     options.pool = context_.pool;
     options.simd = context_.simd;
-    options.shard_count = context_.shard_count;
     return options;
   }
 
@@ -991,6 +952,15 @@ class PlanExecutor {
 };
 
 }  // namespace
+
+Result<JoinOrderPlan> PlanJoinOrder(const NodePtr& graph,
+                                    const ExecContext& context) {
+  JoinOrderOptions options;
+  options.cost_params = context.cost_params;
+  options.pool_threads = PoolThreads(context);
+  options.force_edge_order = context.force_join_order;
+  return EnumerateJoinOrder(graph, std::move(options));
+}
 
 Result<Relation> Execute(const NodePtr& plan, const ExecContext& context,
                          ExecStats* stats) {

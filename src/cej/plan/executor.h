@@ -12,13 +12,16 @@
 // decision is reported in ExecStats::join_operator with its quote and the
 // rejected runner-up.
 //
-// When the right subtree is an Embed([Select(]Scan[)]) pipeline — or a
-// bare [Select(]Scan[)] over a stored vector column — and the index
-// catalog snapshot holds an index for that table/column, the index
-// operator becomes eligible (pre-filtered probes); otherwise the
-// scan-family operators compete. String-key joins (un-rewritten plans)
-// execute the naive NLJ — deliberately, so un-optimized plans behave like
-// Figure 8's baseline. Run plan::Optimize first for production behaviour.
+// A join's right input is matched once against the scan pipeline
+// [Embed ->] [Select ->] Scan over one base table, whose Select is
+// evaluated at most once and which one routine materializes. With one
+// Embed, or none over a stored vector key, an index in the catalog
+// snapshot makes the index operator eligible (pre-filtered probes);
+// otherwise the scan-family operators compete. Any other right input is
+// materialized, and so embedded, before pricing. String-key joins
+// (un-rewritten plans) execute the naive NLJ — deliberately, so
+// un-optimized plans behave like Figure 8's baseline. Run plan::Optimize
+// first for production behaviour.
 
 #ifndef CEJ_PLAN_EXECUTOR_H_
 #define CEJ_PLAN_EXECUTOR_H_
@@ -33,6 +36,7 @@
 #include "cej/join/join_operator.h"
 #include "cej/join/join_sink.h"
 #include "cej/plan/cost_model.h"
+#include "cej/plan/join_order.h"
 #include "cej/plan/logical_plan.h"
 
 namespace cej {
@@ -50,9 +54,6 @@ struct ExecContext {
   ThreadPool* pool = nullptr;
   la::SimdMode simd = la::SimdMode::kAuto;
   join::CostParams cost_params;
-  /// Right-relation shard count handed to sharding operators
-  /// (join::JoinOptions::shard_count; 0 = auto from the pool width).
-  size_t shard_count = 0;
   /// Index catalog snapshot, taken at plan time: the only source of
   /// indexes. Entries are keyed (table, vector column, model) — the Embed
   /// output column for rewritten plans, or a stored vector column — and
@@ -99,7 +100,7 @@ struct ExecContext {
   bool require_exact = false;
   /// Join-graph order override (test hook): executes a kJoinGraph's edges
   /// in exactly this order (a permutation of the edge submission indexes)
-  /// instead of letting the JoinOrderEnumerator choose. Empty = enumerate.
+  /// instead of letting EnumerateJoinOrder choose. Empty = enumerate.
   std::vector<size_t> force_join_order;
 };
 
@@ -165,6 +166,12 @@ struct ExecStats {
   /// index_probe_rows: left rows actually probed by index operators).
   join::JoinStats join_stats;
 };
+
+/// Orders and lowers the kJoinGraph node `graph` exactly as Execute does
+/// under `context`: the same pricing snapshot, pool width and forced
+/// order. Explain renders its memo.
+Result<JoinOrderPlan> PlanJoinOrder(const NodePtr& graph,
+                                    const ExecContext& context);
 
 /// Executes `plan`, returning the materialized result relation.
 /// EJoin output rows: all left fields, all right fields (collisions

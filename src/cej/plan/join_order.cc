@@ -53,14 +53,13 @@ double EstimateLeafRows(const NodePtr& node) {
 }
 
 double EstimateJoinRows(double left_rows, double right_rows,
-                        const join::JoinCondition& condition,
-                        double threshold_selectivity) {
+                        const join::JoinCondition& condition) {
   if (condition.kind == join::JoinCondition::Kind::kTopK) {
     const double k =
         static_cast<double>(std::max<size_t>(condition.k, 1));
     return std::max(1.0, left_rows * std::min(k, right_rows));
   }
-  return std::max(1.0, left_rows * right_rows * threshold_selectivity);
+  return std::max(1.0, left_rows * right_rows * kThresholdSelectivity);
 }
 
 Result<GraphContext> MakeContext(const NodePtr& graph) {
@@ -114,7 +113,6 @@ JoinQuote PriceJoin(const GraphContext& ctx, const JoinOrderOptions& options,
   workload.left_intermediate = !left.IsLeaf();
   workload.right_intermediate = !right.IsLeaf();
   workload.pool_threads = options.pool_threads;
-  workload.shard_count = options.shard_count;
   if (ctx.edge_string[edge] && !ctx.graph->hoist_embeddings) {
     auto naive = registry.Find("naive_nlj");
     CEJ_CHECK(naive.ok());
@@ -152,7 +150,7 @@ std::shared_ptr<const DPJoinEntry> MakeJoinEntry(
   entry->cost = left->cost + right->cost + quote.cost;
   entry->estimated_rows = EstimateJoinRows(
       left->estimated_rows, right->estimated_rows,
-      ctx.graph->edges[edge].condition, options.threshold_selectivity);
+      ctx.graph->edges[edge].condition);
   entry->op = quote.op;
   entry->edge = static_cast<int>(edge);
   entry->swapped = swapped;
@@ -288,15 +286,6 @@ struct LoweredPart {
   NodePtr node;
   std::vector<Origin> cols;
 };
-
-std::string UniqueSuffixName(const std::unordered_set<std::string>& names,
-                             const std::string& base) {
-  if (names.count(base) == 0) return base;
-  for (int n = 2;; ++n) {
-    std::string candidate = base + std::to_string(n);
-    if (names.count(candidate) == 0) return candidate;
-  }
-}
 
 // The provenance of the column edge `edge` joins on within input `input`:
 // the hoisted embedding column for string edges under hoisting, the key
@@ -437,15 +426,12 @@ std::string InputDisplayName(const NodePtr& input, size_t index) {
 
 }  // namespace
 
-JoinOrderEnumerator::JoinOrderEnumerator(JoinOrderOptions options)
-    : options_(std::move(options)) {}
-
-Result<JoinOrderPlan> JoinOrderEnumerator::Enumerate(
-    const NodePtr& graph) const {
+Result<JoinOrderPlan> EnumerateJoinOrder(const NodePtr& graph,
+                                         const JoinOrderOptions& options) {
   CEJ_CHECK(graph != nullptr);
   if (graph->kind != NodeKind::kJoinGraph) {
     return Status::InvalidArgument(
-        "JoinOrderEnumerator: plan node is not a JoinGraph");
+        "EnumerateJoinOrder: plan node is not a JoinGraph");
   }
   // Full structural validation (shape, connectivity, key typing) lives in
   // the schema check — ill-formed graphs fail here, before any pricing.
@@ -458,9 +444,9 @@ Result<JoinOrderPlan> JoinOrderEnumerator::Enumerate(
   }
 
   JoinOrderPlan plan;
-  if (!options_.force_edge_order.empty()) {
+  if (!options.force_edge_order.empty()) {
     CEJ_ASSIGN_OR_RETURN(plan.best,
-                         RunForced(ctx, options_, options_.force_edge_order));
+                         RunForced(ctx, options, options.force_edge_order));
     plan.source = JoinOrderSource::kForced;
   } else if (has_topk || graph->inputs.size() > kMaxDpInputs) {
     // Top-k matches depend on which rows sit on the probe side, so
@@ -468,10 +454,10 @@ Result<JoinOrderPlan> JoinOrderEnumerator::Enumerate(
     // submission order (also the fallback past the DP width ceiling).
     std::vector<size_t> submission(graph->edges.size());
     std::iota(submission.begin(), submission.end(), size_t{0});
-    CEJ_ASSIGN_OR_RETURN(plan.best, RunForced(ctx, options_, submission));
+    CEJ_ASSIGN_OR_RETURN(plan.best, RunForced(ctx, options, submission));
     plan.source = JoinOrderSource::kSubmission;
   } else {
-    CEJ_ASSIGN_OR_RETURN(plan.best, RunDp(ctx, options_, &plan.memo));
+    CEJ_ASSIGN_OR_RETURN(plan.best, RunDp(ctx, options, &plan.memo));
     plan.source = JoinOrderSource::kDp;
   }
 
@@ -481,11 +467,6 @@ Result<JoinOrderPlan> JoinOrderEnumerator::Enumerate(
   plan.edge_est_rows.assign(graph->edges.size(), 0.0);
   CollectEdges(plan.best, &plan.edge_order, &plan.edge_est_rows);
   return plan;
-}
-
-Result<JoinOrderPlan> EnumerateJoinOrder(const NodePtr& graph,
-                                         JoinOrderOptions options) {
-  return JoinOrderEnumerator(std::move(options)).Enumerate(graph);
 }
 
 std::string MemoToString(const NodePtr& graph, const JoinOrderPlan& plan) {

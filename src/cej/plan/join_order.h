@@ -13,7 +13,7 @@
 //
 // Cardinality estimates are deliberately simple (the learned-cardinality
 // feed is recorded per edge, not consumed yet): a leaf contributes its
-// relation's row count, a threshold join |L|*|R|*threshold_selectivity,
+// relation's row count, a threshold join |L|*|R|*kThresholdSelectivity,
 // a top-k join |L|*min(k, |R|).
 //
 // Semantics guardrails: threshold conditions are symmetric and
@@ -22,7 +22,7 @@
 // its probe side, so any top-k edge pins the graph to submission order —
 // unless a forced order (test hook) overrides it explicitly.
 //
-// Enumerate() also LOWERS the winning order to a binary kEJoin tree:
+// EnumerateJoinOrder also LOWERS the winning order to a binary kEJoin tree:
 // with hoist_embeddings set, every string edge key is embedded once at
 // its leaf (the graph-level E-theta-Join equivalence) and downstream
 // joins reference the carried embedding columns zero-copy — an
@@ -87,9 +87,6 @@ struct JoinOrderOptions {
   /// Worker threads the executor will hand the operators (see
   /// join::JoinWorkload::pool_threads).
   size_t pool_threads = 1;
-  size_t shard_count = 0;
-  /// Expected fraction of |L|*|R| pairs surviving a threshold edge.
-  double threshold_selectivity = 0.02;
   /// Executes the edges in exactly this order (a permutation of the edge
   /// submission indexes) instead of enumerating. Empty = enumerate.
   std::vector<size_t> force_edge_order;
@@ -117,20 +114,12 @@ struct JoinOrderPlan {
   JoinOrderSource source = JoinOrderSource::kDp;
 };
 
-class JoinOrderEnumerator {
- public:
-  explicit JoinOrderEnumerator(JoinOrderOptions options);
+/// Expected fraction of |L|*|R| pairs surviving a threshold edge.
+inline constexpr double kThresholdSelectivity = 0.02;
 
-  /// Orders and lowers `graph` (a validated kJoinGraph node).
-  Result<JoinOrderPlan> Enumerate(const NodePtr& graph) const;
-
- private:
-  JoinOrderOptions options_;
-};
-
-/// Convenience: JoinOrderEnumerator(options).Enumerate(graph).
+/// Orders and lowers `graph` (a kJoinGraph node; validated here).
 Result<JoinOrderPlan> EnumerateJoinOrder(const NodePtr& graph,
-                                         JoinOrderOptions options);
+                                         const JoinOrderOptions& options);
 
 /// Renders `plan`'s memo and chosen order for Explain(): one line per
 /// subset (relations, est. rows, cost, operator) and the final order.

@@ -38,16 +38,6 @@ std::string DisambiguateRight(const std::unordered_set<std::string>& names,
   return candidate;
 }
 
-// "base", "base2", "base3", ... — first free candidate.
-std::string UniqueSuffixName(const std::unordered_set<std::string>& names,
-                             const std::string& base) {
-  if (names.count(base) == 0) return base;
-  for (int n = 2;; ++n) {
-    std::string candidate = base + std::to_string(n);
-    if (names.count(candidate) == 0) return candidate;
-  }
-}
-
 // Similarity columns number "similarity", "similarity2", ... skipping any
 // name the user's own columns already took.
 std::string NextSimilarityName(const std::unordered_set<std::string>& names,
@@ -188,6 +178,15 @@ void AppendIndented(const NodePtr& node, size_t depth, std::string* out) {
 }
 
 }  // namespace
+
+std::string UniqueSuffixName(const std::unordered_set<std::string>& names,
+                             const std::string& base) {
+  if (names.count(base) == 0) return base;
+  for (int n = 2;; ++n) {
+    std::string candidate = base + std::to_string(n);
+    if (names.count(candidate) == 0) return candidate;
+  }
+}
 
 NodePtr Scan(std::string table_name,
              std::shared_ptr<const storage::Relation> relation) {

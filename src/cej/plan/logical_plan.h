@@ -15,8 +15,8 @@
 //
 // Multi-relation pipelines are a first-class JoinGraph node: n input
 // subtrees connected by similarity edges, with NO join order in the
-// logical plan — the executor's JoinOrderEnumerator (plan/join_order.h)
-// picks the order at execution time by dynamic programming over connected
+// logical plan — the executor's join-order enumerator (EnumerateJoinOrder
+// in plan/join_order.h) picks the order at execution time by dynamic programming over connected
 // relation subsets, priced with the calibrated cost parameters.
 
 #ifndef CEJ_PLAN_LOGICAL_PLAN_H_
@@ -24,6 +24,7 @@
 
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "cej/common/status.h"
@@ -160,6 +161,12 @@ struct JoinGraphHoistKey {
 /// `graph` must be a kJoinGraph node with valid inputs/edges.
 Result<std::vector<std::vector<JoinGraphHoistKey>>> HoistKeysPerInput(
     const LogicalNode& graph);
+
+/// "base", "base2", "base3", ... — the first candidate not in `names`.
+/// The canonical schema and the enumerator's lowering both name hoisted
+/// embedding columns with it, so the two cannot drift apart.
+std::string UniqueSuffixName(const std::unordered_set<std::string>& names,
+                             const std::string& base);
 
 /// Multi-line plan rendering for EXPLAIN-style debugging.
 std::string PlanToString(const NodePtr& node);

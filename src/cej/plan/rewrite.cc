@@ -151,7 +151,7 @@ NodePtr ApplyPrefetchEmbeddings(const NodePtr& node) {
     }
     case NodeKind::kJoinGraph: {
       // The graph-level E-theta-Join equivalence: mark the graph for
-      // embedding hoisting — the JoinOrderEnumerator's lowering embeds
+      // embedding hoisting — the join-order enumerator's lowering embeds
       // every string edge key ONCE at its leaf (HoistKeysPerInput) and
       // intermediate results carry the embedding columns zero-copy, so no
       // edge re-embeds what an earlier join produced. The rewrite cannot

@@ -501,9 +501,7 @@ Status Server::RunBatch(const std::vector<PendingPtr>& batch) {
   const model::EmbeddingModel* right_model = nullptr;
   size_t dim = 0;
   if (field.type == storage::DataType::kString) {
-    CEJ_ASSIGN_OR_RETURN(right_model, q0.model.empty()
-                                          ? engine_->DefaultModel()
-                                          : engine_->Model(q0.model));
+    CEJ_ASSIGN_OR_RETURN(right_model, engine_->ResolveModel(q0.model));
     dim = right_model->dim();
   } else if (field.type == storage::DataType::kVector) {
     dim = field.vector_dim;
@@ -531,9 +529,7 @@ Status Server::RunBatch(const std::vector<PendingPtr>& batch) {
   }
   const model::EmbeddingModel* probe_model = right_model;
   if (any_strings && probe_model == nullptr) {
-    CEJ_ASSIGN_OR_RETURN(probe_model, q0.model.empty()
-                                          ? engine_->DefaultModel()
-                                          : engine_->Model(q0.model));
+    CEJ_ASSIGN_OR_RETURN(probe_model, engine_->ResolveModel(q0.model));
     if (probe_model->dim() != dim) {
       return Status::InvalidArgument(
           "serve: probe model dimensionality does not match the stored "

@@ -301,9 +301,10 @@ TEST_F(EngineCrossValidationTest, PipelinedTensorMatchesTensorThroughEngine) {
 }
 
 TEST_F(EngineCrossValidationTest, ShardedTensorMatchesTensorThroughEngine) {
-  // The sixth operator: forced on the pool-less fixture engine (a single
-  // shard) AND on a pooled engine with the shard knob pinned, both must
-  // reproduce the tensor relation exactly.
+  // The sixth operator, forced on the pool-less fixture engine (a single
+  // shard), must reproduce the tensor relation exactly. Multi-shard runs
+  // are checked through a pooled engine by EngineShardedSelectionTest and
+  // at pinned shard counts by ShardedJoinTest.
   const auto condition = join::JoinCondition::TopK(3);
   auto tensor = engine_.Query("l")
                     .EJoin("r", "word", condition)
@@ -318,21 +319,6 @@ TEST_F(EngineCrossValidationTest, ShardedTensorMatchesTensorThroughEngine) {
   EXPECT_EQ(sharded->stats.join_operator, "sharded_tensor");
   EXPECT_EQ(sharded->stats.join_stats.shards_used, 1u);  // No pool.
   EXPECT_EQ(RenderPairs(sharded->relation), RenderPairs(tensor->relation));
-
-  Engine::Options pooled_options = ScalarEngine();
-  pooled_options.num_threads = 3;
-  pooled_options.join_shard_count = 4;  // Engine-level shard knob.
-  Engine pooled(pooled_options);
-  ASSERT_TRUE(pooled.RegisterTable("l", WordsTable(left_words_, 43)).ok());
-  ASSERT_TRUE(pooled.RegisterTable("r", WordsTable(right_words_, 44)).ok());
-  ASSERT_TRUE(pooled.RegisterModel("subword", &model_).ok());
-  auto pinned = pooled.Query("l")
-                    .EJoin("r", "word", condition)
-                    .Via("sharded_tensor")
-                    .Execute();
-  ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
-  EXPECT_EQ(pinned->stats.join_stats.shards_used, 4u);
-  EXPECT_EQ(RenderPairs(pinned->relation), RenderPairs(tensor->relation));
 }
 
 TEST(EngineShardedSelectionTest, LargeWideJoinSelectsShardedTensorByCost) {
@@ -639,6 +625,50 @@ TEST(EngineVectorTest, AlreadyEmbeddedLeftKeyIsPricedWithoutAModelTerm) {
     EXPECT_EQ(result->stats.model_calls, result->relation.num_rows() / 4)
         << "the right column should be served from the cache";
   }
+}
+
+TEST(EngineVectorTest, PreMaterializedRightInputIsPricedWithoutAModelTerm) {
+  // A right input that no index could serve — here the stacked Embeds a
+  // graph input with two string keys lowers to — is materialized, and so
+  // embedded, before the cost scan runs. A phantom |S| * M term added to
+  // every quote compresses their ratios: with M = 3000, prefetch_nlj over
+  // tensor fell from ~6.4x to ~1.03x and slipped under an explore ratio of
+  // 4, so the query ran the NLJ.
+  join::CostParams params;
+  params.model = 3000.0;
+  Engine::Options options;
+  options.num_threads = 0;  // prefetch_nlj vs tensor only.
+  options.adaptive_stats = true;
+  options.stats_refit_interval = 0;
+  options.stats_explore_cost_ratio = 4.0;
+  Engine engine(options);
+  engine.set_cost_params(params);
+  model::SubwordHashModel model;
+  ASSERT_TRUE(engine
+                  .RegisterTable("l", WordsTable(workload::RandomStrings(
+                                                     20, 4, 8, 63),
+                                                 64))
+                  .ok());
+  ASSERT_TRUE(engine
+                  .RegisterTable("r", WordsTable(workload::RandomStrings(
+                                                     2000, 4, 8, 65),
+                                                 66))
+                  .ok());
+  auto left = engine.Table("l");
+  auto right = engine.Table("r");
+  ASSERT_TRUE(left.ok() && right.ok());
+  const plan::NodePtr stacked = plan::Embed(
+      plan::Embed(plan::Scan("r", *right), "word", &model, "word_emb"),
+      "word", &model, "word_emb2");
+  const plan::NodePtr join = plan::EJoin(
+      plan::Embed(plan::Scan("l", *left), "word", &model, "word_emb"),
+      stacked, "word_emb", "word_emb2", nullptr, join::JoinCondition::TopK(4));
+  plan::ExecStats stats;
+  auto result = plan::Execute(join, engine.MakeExecContext(), &stats);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->num_rows(), 20u * 4u);
+  EXPECT_EQ(stats.join_operator, "tensor");
+  EXPECT_FALSE(stats.explored_operator);
 }
 
 // ---------------------------------------------------------------------------

@@ -483,7 +483,7 @@ TEST_F(PipelinedTensorTest, OperatorAcceptsStringsAndVectorsAlike) {
   EXPECT_EQ(vector_sink.pairs(), tensor_sink.pairs());
 
   // Both representations supplied: the supplied matrix wins — the right
-  // side is never re-embedded (the MaterializeVectors contract).
+  // side is never re-embedded (the SideVectors contract).
   JoinInputs both_inputs = vector_inputs;
   both_inputs.right_strings = &right_words_;
   both_inputs.model = &model_;

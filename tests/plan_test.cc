@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <tuple>
 
+#include "cej/api/embedding_cache.h"
+#include "cej/common/thread_pool.h"
 #include "cej/index/flat_index.h"
 #include "cej/index/hnsw_index.h"
 #include "cej/index/index_manager.h"
@@ -557,6 +560,48 @@ TEST(ExecutorTest, EmbedMaterializesVectorColumn) {
   }
 }
 
+// Wraps a predicate, counting full evaluations.
+class CountingPredicate : public expr::Predicate {
+ public:
+  explicit CountingPredicate(expr::PredicatePtr inner)
+      : inner_(std::move(inner)) {}
+  Status Validate(const Schema& schema) const override {
+    return inner_->Validate(schema);
+  }
+  void Eval(const Relation& rel, std::vector<uint32_t>* out) const override {
+    ++evals_;
+    inner_->Eval(rel, out);
+  }
+  bool Matches(const Relation& rel, uint32_t row) const override {
+    return inner_->Matches(rel, row);
+  }
+  int evals() const { return evals_; }
+
+ private:
+  expr::PredicatePtr inner_;
+  mutable int evals_ = 0;
+};
+
+TEST(ExecutorTest, StackedEmbedsEvaluateTheirSelectOnce) {
+  // A graph input with two string join keys lowers to stacked Embeds over
+  // one filtered Scan: the row set is evaluated once, and each Embed level
+  // is applied to it on the way up.
+  model::SubwordHashModel model;
+  auto table = WordsTable(workload::RandomStrings(60, 4, 8, 18), 19);
+  auto predicate = std::make_shared<CountingPredicate>(
+      expr::Cmp("when", expr::CmpOp::kLt, int64_t{50}));
+  auto plan = Embed(Embed(Select(Scan("t", table), predicate), "word",
+                          &model, "a"),
+                    "word", &model, "b");
+  ExecContext context;
+  ExecStats stats;
+  auto result = Execute(plan, context, &stats);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(predicate->evals(), 1);
+  EXPECT_LT(result->num_rows(), 60u);
+  EXPECT_EQ(stats.model_calls, 2 * result->num_rows());
+}
+
 TEST(ExecutorTest, NaiveTopKIsUnimplemented) {
   model::SubwordHashModel model;
   auto l = WordsTable({"a"}, 1);
@@ -566,6 +611,404 @@ TEST(ExecutorTest, NaiveTopKIsUnimplemented) {
   ExecContext context;
   auto result = Execute(naive, context);
   EXPECT_EQ(result.status().code(), StatusCode::kUnimplemented);
+}
+
+
+// ---------------------------------------------------------------------------
+// Executor: the right-input shape table. Every right-subtree shape a
+// vector-key join meets, through both entry points, under a forced scan, a
+// forced probe and an unforced pooled run, each on a cold then a warm
+// embedding cache. The chosen operator and every counter are pinned; pairs
+// are checked against a brute-force oracle within a similarity tolerance,
+// with the threshold placed in a wide gap of the oracle's similarities so
+// SIMD rounding cannot flip a pair.
+// ---------------------------------------------------------------------------
+
+enum class RightShape {
+  kEmbedScan,          // Embed(Scan)
+  kEmbedSelectScan,    // Embed(Select(Scan))
+  kVectorScan,         // Scan over a stored vector key
+  kVectorSelectScan,   // Select(Scan) over a stored vector key
+  kStackedEmbed,       // Embed(tag, Embed(word, Select(Scan)))
+  kJoin,               // EJoin(Embed(Scan), Embed(Scan))
+};
+enum class ShapePath { kExecute, kSink };
+enum class ShapeMode { kForceTensor, kForceIndex, kPooled };
+
+struct ShapeCase {
+  RightShape shape;
+  ShapePath path;
+  ShapeMode mode;
+  bool warm;
+  StatusCode code;
+  const char* op;
+  uint64_t model_calls;
+  uint64_t cache_hits;
+  uint64_t cache_misses;
+  uint64_t catalog_hits;
+  uint64_t catalog_misses;
+  uint64_t sims;
+};
+
+class RightShapeTableTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kLeftRows = 24;
+  static constexpr size_t kRightRows = 3000;
+  static constexpr int64_t kWhenBound = 75;  // Select keeps when < 75.
+
+  void SetUp() override {
+    const std::vector<std::string> left_words =
+        workload::RandomStrings(kLeftRows, 4, 8, 31);
+    left_emb_ = model_.EmbedBatch(left_words);
+    left_ = Table(left_words, workload::RandomStrings(kLeftRows, 4, 8, 32),
+                  left_emb_.Clone(), 33);
+    const std::vector<std::string> words =
+        workload::RandomStrings(kRightRows, 4, 8, 34);
+    const std::vector<std::string> tags =
+        workload::RandomStrings(kRightRows, 4, 8, 35);
+    word_emb_ = model_.EmbedBatch(words);
+    tag_emb_ = model_.EmbedBatch(tags);
+    right_ = Table(words, tags, word_emb_.Clone(), 36);
+    // The inner join's one-row right side; a -1 threshold keeps every
+    // right row once, so the intermediate carries r's rows and key.
+    auto mid_schema = Schema::Create({{"mid", DataType::kInt64, 0},
+                                      {"name", DataType::kString, 0}});
+    std::vector<Column> mid_columns;
+    mid_columns.push_back(Column::Int64({0}));
+    mid_columns.push_back(Column::String({"pivot"}));
+    mid_ = std::make_shared<const Relation>(
+        Relation::Create(std::move(mid_schema).value(),
+                         std::move(mid_columns))
+            .value());
+
+    const auto& when =
+        right_->ColumnByName("when").value()->date_values();
+    for (uint32_t r = 0; r < kRightRows; ++r) {
+      if (when[r] < kWhenBound) survivors_.push_back(r);
+    }
+
+    // The threshold: the midpoint of the widest gap among the top 1-5% of
+    // every similarity either key can produce.
+    std::vector<double> all;
+    for (const la::Matrix* keys : {&word_emb_, &tag_emb_}) {
+      for (size_t i = 0; i < kLeftRows; ++i) {
+        for (size_t j = 0; j < kRightRows; ++j) all.push_back(Sim(*keys, i, j));
+      }
+    }
+    std::sort(all.begin(), all.end(), std::greater<double>());
+    double gap = 0.0;
+    for (size_t i = all.size() / 100; i < all.size() / 20; ++i) {
+      if (all[i] - all[i + 1] > gap) {
+        gap = all[i] - all[i + 1];
+        threshold_ = static_cast<float>((all[i] + all[i + 1]) / 2.0);
+      }
+    }
+    ASSERT_GT(gap, 4 * kTolerance);
+
+    word_index_ = std::make_unique<index::FlatIndex>(word_emb_.Clone());
+    tag_index_ = std::make_unique<index::FlatIndex>(tag_emb_.Clone());
+    mid_index_ =
+        std::make_unique<index::FlatIndex>(model_.EmbedBatch({"pivot"}));
+    ASSERT_TRUE(
+        catalog_.RegisterExternal("r", "word_emb", word_index_.get()).ok());
+    ASSERT_TRUE(
+        catalog_.RegisterExternal("r", "tag_emb", tag_index_.get()).ok());
+    ASSERT_TRUE(catalog_.RegisterExternal("r", "vec", word_index_.get()).ok());
+    ASSERT_TRUE(
+        catalog_.RegisterExternal("m", "name_emb", mid_index_.get()).ok());
+  }
+
+  std::shared_ptr<const Relation> Table(std::vector<std::string> words,
+                                        std::vector<std::string> tags,
+                                        la::Matrix vectors, uint64_t seed) {
+    const size_t n = words.size();
+    auto schema = Schema::Create({{"id", DataType::kInt64, 0},
+                                  {"word", DataType::kString, 0},
+                                  {"tag", DataType::kString, 0},
+                                  {"when", DataType::kDate, 0},
+                                  {"vec", DataType::kVector, model_.dim()}});
+    std::vector<int64_t> ids(n);
+    for (size_t i = 0; i < n; ++i) ids[i] = static_cast<int64_t>(i);
+    std::vector<Column> columns;
+    columns.push_back(Column::Int64(std::move(ids)));
+    columns.push_back(Column::String(std::move(words)));
+    columns.push_back(Column::String(std::move(tags)));
+    columns.push_back(
+        Column::Date(workload::UniformDates(n, 0, 99, seed)));
+    columns.push_back(Column::Vector(std::move(vectors)));
+    return std::make_shared<const Relation>(
+        Relation::Create(std::move(schema).value(), std::move(columns))
+            .value());
+  }
+
+  double Sim(const la::Matrix& keys, size_t left, size_t right) const {
+    double dot = 0.0;
+    for (size_t c = 0; c < keys.cols(); ++c) {
+      dot += static_cast<double>(left_emb_.Row(left)[c]) *
+             static_cast<double>(keys.Row(right)[c]);
+    }
+    return dot;
+  }
+
+  static bool Filtered(RightShape shape) {
+    return shape == RightShape::kEmbedSelectScan ||
+           shape == RightShape::kVectorSelectScan ||
+           shape == RightShape::kStackedEmbed;
+  }
+
+  NodePtr Plan(RightShape shape) const {
+    const auto when_lt =
+        expr::Cmp("when", expr::CmpOp::kLt, int64_t{kWhenBound});
+    NodePtr right;
+    std::string key = "word_emb";
+    switch (shape) {
+      case RightShape::kEmbedScan:
+        right = Embed(Scan("r", right_), "word", &model_, "word_emb");
+        break;
+      case RightShape::kEmbedSelectScan:
+        right = Embed(Select(Scan("r", right_), when_lt), "word", &model_,
+                      "word_emb");
+        break;
+      case RightShape::kVectorScan:
+        right = Scan("r", right_);
+        key = "vec";
+        break;
+      case RightShape::kVectorSelectScan:
+        right = Select(Scan("r", right_), when_lt);
+        key = "vec";
+        break;
+      case RightShape::kStackedEmbed:
+        right = Embed(Embed(Select(Scan("r", right_), when_lt), "word",
+                            &model_, "word_emb"),
+                      "tag", &model_, "tag_emb");
+        key = "tag_emb";
+        break;
+      case RightShape::kJoin:
+        right = EJoin(Embed(Scan("r", right_), "word", &model_, "word_emb"),
+                      Embed(Scan("m", mid_), "name", &model_, "name_emb"),
+                      "word_emb", "name_emb", nullptr,
+                      join::JoinCondition::Threshold(-1.0f));
+        break;
+    }
+    return EJoin(Scan("l", left_), right, "vec", key, nullptr,
+                 join::JoinCondition::Threshold(threshold_));
+  }
+
+  // (left base row, right base row or -1, similarity), sorted. The right
+  // row of a join-shaped side is -1 on both sides of the comparison: its
+  // sink ids address an intermediate whose row order is the operator's.
+  using Triple = std::tuple<int64_t, int64_t, double>;
+
+  std::vector<Triple> Oracle(RightShape shape) const {
+    const la::Matrix& keys =
+        shape == RightShape::kStackedEmbed ? tag_emb_ : word_emb_;
+    const auto& when = right_->ColumnByName("when").value()->date_values();
+    std::vector<Triple> out;
+    for (size_t i = 0; i < kLeftRows; ++i) {
+      for (size_t j = 0; j < kRightRows; ++j) {
+        if (Filtered(shape) && when[j] >= kWhenBound) continue;
+        const double sim = Sim(keys, i, j);
+        if (sim >= threshold_) out.emplace_back(i, j, sim);
+      }
+    }
+    return out;
+  }
+
+  static void ExpectSamePairs(std::vector<Triple> actual,
+                              std::vector<Triple> expected, bool drop_right,
+                              const std::string& label) {
+    for (auto* v : {&actual, &expected}) {
+      if (drop_right) {
+        for (Triple& t : *v) std::get<1>(t) = -1;
+      }
+      std::sort(v->begin(), v->end());
+    }
+    ASSERT_EQ(actual.size(), expected.size()) << label;
+    for (size_t i = 0; i < actual.size(); ++i) {
+      EXPECT_EQ(std::get<0>(actual[i]), std::get<0>(expected[i])) << label;
+      EXPECT_EQ(std::get<1>(actual[i]), std::get<1>(expected[i])) << label;
+      EXPECT_NEAR(std::get<2>(actual[i]), std::get<2>(expected[i]),
+                  kTolerance)
+          << label;
+    }
+  }
+
+  static constexpr double kTolerance = 1e-5;
+
+  model::SubwordHashModel model_;
+  la::Matrix left_emb_, word_emb_, tag_emb_;
+  std::shared_ptr<const Relation> left_, right_, mid_;
+  std::vector<uint32_t> survivors_;
+  float threshold_ = 0.0f;
+  std::unique_ptr<index::FlatIndex> word_index_, tag_index_, mid_index_;
+  index::IndexManager catalog_{index::IndexManager::Options{}, nullptr,
+                               nullptr, la::SimdMode::kAuto};
+  ThreadPool pool_{3};
+};
+
+TEST_F(RightShapeTableTest, EveryShapePathAndModeMatchesTheOracle) {
+  using S = RightShape;
+  using P = ShapePath;
+  using M = ShapeMode;
+  constexpr StatusCode kOk = StatusCode::kOk;
+  // No probe-eligible shape under the outer join: no index to force.
+  constexpr StatusCode kInvalid = StatusCode::kInvalidArgument;
+  // clang-format off
+  const std::vector<ShapeCase> table = {
+      // shape, path, mode, warm: status, operator, model calls, cache
+      // hits, cache misses, catalog hits, catalog misses, similarities.
+      {S::kEmbedScan, P::kExecute, M::kForceTensor, false, kOk, "tensor", 3000, 0, 1, 1, 0, 72000},
+      {S::kEmbedScan, P::kExecute, M::kForceTensor, true, kOk, "tensor", 0, 1, 0, 1, 0, 72000},
+      {S::kEmbedScan, P::kExecute, M::kForceIndex, false, kOk, "index", 3000, 0, 1, 1, 0, 72000},
+      {S::kEmbedScan, P::kExecute, M::kForceIndex, true, kOk, "index", 0, 1, 0, 1, 0, 72000},
+      {S::kEmbedScan, P::kExecute, M::kPooled, false, kOk, "sharded_tensor", 3000, 0, 1, 1, 0, 72000},
+      {S::kEmbedScan, P::kExecute, M::kPooled, true, kOk, "sharded_tensor", 0, 1, 0, 1, 0, 72000},
+      {S::kEmbedScan, P::kSink, M::kForceTensor, false, kOk, "tensor", 3000, 0, 1, 1, 0, 72000},
+      {S::kEmbedScan, P::kSink, M::kForceTensor, true, kOk, "tensor", 0, 1, 0, 1, 0, 72000},
+      {S::kEmbedScan, P::kSink, M::kForceIndex, false, kOk, "index", 0, 0, 0, 1, 0, 72000},
+      {S::kEmbedScan, P::kSink, M::kForceIndex, true, kOk, "index", 0, 0, 0, 1, 0, 72000},
+      {S::kEmbedScan, P::kSink, M::kPooled, false, kOk, "pipelined_tensor", 3000, 0, 0, 1, 0, 72000},
+      {S::kEmbedScan, P::kSink, M::kPooled, true, kOk, "pipelined_tensor", 3000, 0, 0, 1, 0, 72000},
+      {S::kEmbedSelectScan, P::kExecute, M::kForceTensor, false, kOk, "tensor", 2248, 0, 1, 1, 0, 53952},
+      {S::kEmbedSelectScan, P::kExecute, M::kForceTensor, true, kOk, "tensor", 2248, 0, 1, 1, 0, 53952},
+      {S::kEmbedSelectScan, P::kExecute, M::kForceIndex, false, kOk, "index", 3000, 0, 1, 1, 0, 53952},
+      {S::kEmbedSelectScan, P::kExecute, M::kForceIndex, true, kOk, "index", 0, 1, 0, 1, 0, 53952},
+      {S::kEmbedSelectScan, P::kExecute, M::kPooled, false, kOk, "sharded_tensor", 2248, 0, 1, 1, 0, 53952},
+      {S::kEmbedSelectScan, P::kExecute, M::kPooled, true, kOk, "sharded_tensor", 2248, 0, 1, 1, 0, 53952},
+      {S::kEmbedSelectScan, P::kSink, M::kForceTensor, false, kOk, "tensor", 2248, 0, 1, 1, 0, 53952},
+      {S::kEmbedSelectScan, P::kSink, M::kForceTensor, true, kOk, "tensor", 2248, 0, 1, 1, 0, 53952},
+      {S::kEmbedSelectScan, P::kSink, M::kForceIndex, false, kOk, "index", 0, 0, 0, 1, 0, 53952},
+      {S::kEmbedSelectScan, P::kSink, M::kForceIndex, true, kOk, "index", 0, 0, 0, 1, 0, 53952},
+      {S::kEmbedSelectScan, P::kSink, M::kPooled, false, kOk, "pipelined_tensor", 2248, 0, 0, 1, 0, 53952},
+      {S::kEmbedSelectScan, P::kSink, M::kPooled, true, kOk, "pipelined_tensor", 2248, 0, 0, 1, 0, 53952},
+      {S::kVectorScan, P::kExecute, M::kForceTensor, false, kOk, "tensor", 0, 0, 0, 1, 0, 72000},
+      {S::kVectorScan, P::kExecute, M::kForceTensor, true, kOk, "tensor", 0, 0, 0, 1, 0, 72000},
+      {S::kVectorScan, P::kExecute, M::kForceIndex, false, kOk, "index", 0, 0, 0, 1, 0, 72000},
+      {S::kVectorScan, P::kExecute, M::kForceIndex, true, kOk, "index", 0, 0, 0, 1, 0, 72000},
+      {S::kVectorScan, P::kExecute, M::kPooled, false, kOk, "sharded_tensor", 0, 0, 0, 1, 0, 72000},
+      {S::kVectorScan, P::kExecute, M::kPooled, true, kOk, "sharded_tensor", 0, 0, 0, 1, 0, 72000},
+      {S::kVectorScan, P::kSink, M::kForceTensor, false, kOk, "tensor", 0, 0, 0, 1, 0, 72000},
+      {S::kVectorScan, P::kSink, M::kForceTensor, true, kOk, "tensor", 0, 0, 0, 1, 0, 72000},
+      {S::kVectorScan, P::kSink, M::kForceIndex, false, kOk, "index", 0, 0, 0, 1, 0, 72000},
+      {S::kVectorScan, P::kSink, M::kForceIndex, true, kOk, "index", 0, 0, 0, 1, 0, 72000},
+      {S::kVectorScan, P::kSink, M::kPooled, false, kOk, "sharded_tensor", 0, 0, 0, 1, 0, 72000},
+      {S::kVectorScan, P::kSink, M::kPooled, true, kOk, "sharded_tensor", 0, 0, 0, 1, 0, 72000},
+      {S::kVectorSelectScan, P::kExecute, M::kForceTensor, false, kOk, "tensor", 0, 0, 0, 1, 0, 53952},
+      {S::kVectorSelectScan, P::kExecute, M::kForceTensor, true, kOk, "tensor", 0, 0, 0, 1, 0, 53952},
+      {S::kVectorSelectScan, P::kExecute, M::kForceIndex, false, kOk, "index", 0, 0, 0, 1, 0, 53952},
+      {S::kVectorSelectScan, P::kExecute, M::kForceIndex, true, kOk, "index", 0, 0, 0, 1, 0, 53952},
+      {S::kVectorSelectScan, P::kExecute, M::kPooled, false, kOk, "sharded_tensor", 0, 0, 0, 1, 0, 53952},
+      {S::kVectorSelectScan, P::kExecute, M::kPooled, true, kOk, "sharded_tensor", 0, 0, 0, 1, 0, 53952},
+      {S::kVectorSelectScan, P::kSink, M::kForceTensor, false, kOk, "tensor", 0, 0, 0, 1, 0, 53952},
+      {S::kVectorSelectScan, P::kSink, M::kForceTensor, true, kOk, "tensor", 0, 0, 0, 1, 0, 53952},
+      {S::kVectorSelectScan, P::kSink, M::kForceIndex, false, kOk, "index", 0, 0, 0, 1, 0, 53952},
+      {S::kVectorSelectScan, P::kSink, M::kForceIndex, true, kOk, "index", 0, 0, 0, 1, 0, 53952},
+      {S::kVectorSelectScan, P::kSink, M::kPooled, false, kOk, "sharded_tensor", 0, 0, 0, 1, 0, 53952},
+      {S::kVectorSelectScan, P::kSink, M::kPooled, true, kOk, "sharded_tensor", 0, 0, 0, 1, 0, 53952},
+      {S::kStackedEmbed, P::kExecute, M::kForceTensor, false, kOk, "tensor", 4496, 0, 2, 0, 0, 53952},
+      {S::kStackedEmbed, P::kExecute, M::kForceTensor, true, kOk, "tensor", 4496, 0, 2, 0, 0, 53952},
+      {S::kStackedEmbed, P::kExecute, M::kForceIndex, false, kInvalid, "index", 4496, 0, 2, 0, 0, 0},
+      {S::kStackedEmbed, P::kExecute, M::kForceIndex, true, kInvalid, "index", 4496, 0, 2, 0, 0, 0},
+      {S::kStackedEmbed, P::kExecute, M::kPooled, false, kOk, "sharded_tensor", 4496, 0, 2, 0, 0, 53952},
+      {S::kStackedEmbed, P::kExecute, M::kPooled, true, kOk, "sharded_tensor", 4496, 0, 2, 0, 0, 53952},
+      {S::kStackedEmbed, P::kSink, M::kForceTensor, false, kOk, "tensor", 4496, 0, 2, 0, 0, 53952},
+      {S::kStackedEmbed, P::kSink, M::kForceTensor, true, kOk, "tensor", 4496, 0, 2, 0, 0, 53952},
+      {S::kStackedEmbed, P::kSink, M::kForceIndex, false, kInvalid, "index", 4496, 0, 2, 0, 0, 0},
+      {S::kStackedEmbed, P::kSink, M::kForceIndex, true, kInvalid, "index", 4496, 0, 2, 0, 0, 0},
+      {S::kStackedEmbed, P::kSink, M::kPooled, false, kOk, "sharded_tensor", 4496, 0, 2, 0, 0, 53952},
+      {S::kStackedEmbed, P::kSink, M::kPooled, true, kOk, "sharded_tensor", 4496, 0, 2, 0, 0, 53952},
+      {S::kJoin, P::kExecute, M::kForceTensor, false, kOk, "tensor", 3001, 0, 2, 1, 0, 75000},
+      {S::kJoin, P::kExecute, M::kForceTensor, true, kOk, "tensor", 0, 2, 0, 1, 0, 75000},
+      {S::kJoin, P::kExecute, M::kForceIndex, false, kInvalid, "index", 3001, 0, 2, 1, 0, 3000},
+      {S::kJoin, P::kExecute, M::kForceIndex, true, kInvalid, "index", 0, 2, 0, 1, 0, 3000},
+      {S::kJoin, P::kExecute, M::kPooled, false, kOk, "sharded_tensor", 3001, 0, 2, 1, 0, 75000},
+      {S::kJoin, P::kExecute, M::kPooled, true, kOk, "sharded_tensor", 0, 2, 0, 1, 0, 75000},
+      {S::kJoin, P::kSink, M::kForceTensor, false, kOk, "tensor", 3001, 0, 2, 1, 0, 75000},
+      {S::kJoin, P::kSink, M::kForceTensor, true, kOk, "tensor", 0, 2, 0, 1, 0, 75000},
+      {S::kJoin, P::kSink, M::kForceIndex, false, kInvalid, "index", 3001, 0, 2, 1, 0, 3000},
+      {S::kJoin, P::kSink, M::kForceIndex, true, kInvalid, "index", 0, 2, 0, 1, 0, 3000},
+      {S::kJoin, P::kSink, M::kPooled, false, kOk, "sharded_tensor", 3001, 0, 2, 1, 0, 75000},
+      {S::kJoin, P::kSink, M::kPooled, true, kOk, "sharded_tensor", 0, 2, 0, 1, 0, 75000},
+  };
+  // clang-format on
+  const char* shape_names[] = {"EmbedScan",        "EmbedSelectScan",
+                               "VectorScan",       "VectorSelectScan",
+                               "StackedEmbed",     "Join"};
+  const char* path_names[] = {"Execute", "Sink"};
+  const char* mode_names[] = {"ForceTensor", "ForceIndex", "Pooled"};
+  size_t row = 0;
+  for (S shape : {S::kEmbedScan, S::kEmbedSelectScan, S::kVectorScan,
+                  S::kVectorSelectScan, S::kStackedEmbed, S::kJoin}) {
+    const NodePtr plan = Plan(shape);
+    for (P path : {P::kExecute, P::kSink}) {
+      for (M mode : {M::kForceTensor, M::kForceIndex, M::kPooled}) {
+        EmbeddingCache cache(EmbeddingCache::Options{});
+        ExecContext context;
+        context.embedding_cache = &cache;
+        context.index_catalog = catalog_.Snapshot();
+        if (mode == M::kForceTensor) context.force_operator = "tensor";
+        if (mode == M::kForceIndex) context.force_operator = "index";
+        if (mode == M::kPooled) context.pool = &pool_;
+        for (bool warm : {false, true}) {
+          const std::string label =
+              std::string(shape_names[static_cast<int>(shape)]) + "/" +
+              path_names[static_cast<int>(path)] + "/" +
+              mode_names[static_cast<int>(mode)] +
+              (warm ? "/warm" : "/cold");
+          ExecStats stats;
+          Status status;
+          std::vector<Triple> pairs;
+          if (path == P::kExecute) {
+            auto result = Execute(plan, context, &stats);
+            status = result.status();
+            if (result.ok()) {
+              const auto& lid =
+                  result->ColumnByName("id").value()->int64_values();
+              const auto& rid =
+                  result->ColumnByName("right_id").value()->int64_values();
+              const auto& sim =
+                  result->column(result->num_columns() - 1).double_values();
+              for (size_t i = 0; i < result->num_rows(); ++i) {
+                pairs.emplace_back(lid[i], rid[i], sim[i]);
+              }
+            }
+          } else {
+            join::MaterializingSink sink;
+            status = ExecuteToSink(plan, context, &sink, &stats).status();
+            for (const join::JoinPair& p : sink.pairs()) {
+              // Scan-side ids address the filtered rows; probe ids the
+              // base table's.
+              const int64_t right =
+                  Filtered(shape) && stats.join_operator != "index"
+                      ? survivors_[p.right]
+                      : p.right;
+              pairs.emplace_back(p.left, right, p.similarity);
+            }
+          }
+          ASSERT_LT(row, table.size());
+          const ShapeCase& want = table[row++];
+          ASSERT_TRUE(want.shape == shape && want.path == path &&
+                      want.mode == mode && want.warm == warm)
+              << label;
+          ASSERT_EQ(status.code(), want.code) << label << ": "
+                                              << status.ToString();
+          EXPECT_EQ(stats.join_operator, want.op) << label;
+          if (!status.ok()) continue;
+          EXPECT_EQ(stats.model_calls, want.model_calls) << label;
+          EXPECT_EQ(stats.embedding_cache_hits, want.cache_hits) << label;
+          EXPECT_EQ(stats.embedding_cache_misses, want.cache_misses) << label;
+          EXPECT_EQ(stats.index_catalog_hits, want.catalog_hits) << label;
+          EXPECT_EQ(stats.index_catalog_misses, want.catalog_misses)
+              << label;
+          EXPECT_EQ(stats.join_stats.similarity_computations, want.sims)
+              << label;
+          ExpectSamePairs(pairs, Oracle(shape),
+                          shape == S::kJoin && path == P::kSink, label);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(row, table.size());
 }
 
 }  // namespace
