@@ -56,16 +56,15 @@ int main() {
   Result<std::unique_ptr<index::HnswIndex>> lo = Status::Internal("unbuilt");
   Result<std::unique_ptr<index::HnswIndex>> hi = Status::Internal("unbuilt");
   const double ivf_ms = bench::TimeMs([&] {
-    ivf = index::IvfFlatIndex::Build(data.Clone(), ivf_options,
-                                     la::SimdMode::kAuto, &pool);
+    ivf = index::IvfFlatIndex::Build(data.Clone(), ivf_options, &pool);
   });
   const double lo_ms = bench::TimeMs([&] {
     lo = index::HnswIndex::Build(data.Clone(), index::HnswBuildOptions::Lo(),
-                                 la::SimdMode::kAuto, &pool);
+                                 &pool);
   });
   const double hi_ms = bench::TimeMs([&] {
     hi = index::HnswIndex::Build(data.Clone(), index::HnswBuildOptions::Hi(),
-                                 la::SimdMode::kAuto, &pool);
+                                 &pool);
   });
   CEJ_CHECK(ivf.ok() && lo.ok() && hi.ok());
   std::printf("# build ms: ivf=%.0f hnsw-lo=%.0f hnsw-hi=%.0f (the Table I "

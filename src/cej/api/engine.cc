@@ -56,8 +56,7 @@ Engine::Engine(const Options& options) : options_(options) {
   manager_options.family_aware = options_.index_auto_build_family_aware;
   manager_options.auto_build_recall_target = options_.index_auto_build_recall;
   index_manager_ = std::make_unique<index::IndexManager>(
-      std::move(manager_options), pool_.get(), embedding_cache_.get(),
-      options_.simd);
+      std::move(manager_options), pool_.get(), embedding_cache_.get());
 }
 
 Engine::~Engine() = default;
@@ -304,7 +303,6 @@ Status Engine::LoadCalibration(const std::string& path) {
 plan::ExecContext Engine::MakeExecContext() const {
   plan::ExecContext context;
   context.pool = pool_.get();
-  context.simd = options_.simd;
   // Adaptive engines price with the calibrated snapshot. COPIED here, so
   // a refit landing mid-query never changes this plan's prices.
   context.cost_params = calibrator_ != nullptr ? *calibrator_->Current()

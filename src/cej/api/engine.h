@@ -94,7 +94,6 @@ class Engine {
   struct Options {
     /// Worker threads for join execution; 0 runs on the calling thread.
     int num_threads = 0;
-    la::SimdMode simd = la::SimdMode::kAuto;
     /// Byte budget of the per-(table, column, model) embedding cache:
     /// a registered table's key column is embedded once and reused across
     /// queries (LRU-evicted past the budget). 0 disables the cache.

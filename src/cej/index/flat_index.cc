@@ -4,16 +4,15 @@
 #include <utility>
 
 #include "cej/la/matrix_io.h"
+#include "cej/la/simd.h"
 
 namespace cej::index {
 
-FlatIndex::FlatIndex(la::Matrix vectors, la::SimdMode simd)
-    : FlatIndex(std::make_shared<const la::Matrix>(std::move(vectors)),
-                simd) {}
+FlatIndex::FlatIndex(la::Matrix vectors)
+    : FlatIndex(std::make_shared<const la::Matrix>(std::move(vectors))) {}
 
-FlatIndex::FlatIndex(std::shared_ptr<const la::Matrix> vectors,
-                     la::SimdMode simd)
-    : vectors_(std::move(vectors)), simd_(simd) {
+FlatIndex::FlatIndex(std::shared_ptr<const la::Matrix> vectors)
+    : vectors_(std::move(vectors)) {
   CEJ_CHECK(vectors_ != nullptr);
 }
 
@@ -25,7 +24,7 @@ std::vector<la::ScoredId> FlatIndex::SearchTopK(
   uint64_t computations = 0;
   for (size_t r = 0; r < vectors_->rows(); ++r) {
     if (filter != nullptr && !(*filter)[r]) continue;
-    collector.Push(la::Dot(query, vectors_->Row(r), d, simd_), r);
+    collector.Push(la::Dot(query, vectors_->Row(r), d), r);
     ++computations;
   }
   distance_computations_.fetch_add(computations, std::memory_order_relaxed);
@@ -39,7 +38,7 @@ std::vector<la::ScoredId> FlatIndex::SearchRange(
   uint64_t computations = 0;
   for (size_t r = 0; r < vectors_->rows(); ++r) {
     if (filter != nullptr && !(*filter)[r]) continue;
-    const float sim = la::Dot(query, vectors_->Row(r), d, simd_);
+    const float sim = la::Dot(query, vectors_->Row(r), d);
     ++computations;
     if (sim >= threshold) out.push_back({sim, r});
   }
@@ -64,8 +63,7 @@ Status FlatIndex::Save(const std::string& path) const {
   return SaveTo(writer);
 }
 
-Result<std::unique_ptr<FlatIndex>> FlatIndex::LoadFrom(serde::Reader& reader,
-                                                       la::SimdMode simd) {
+Result<std::unique_ptr<FlatIndex>> FlatIndex::LoadFrom(serde::Reader& reader) {
   uint32_t magic = 0, version = 0;
   CEJ_RETURN_IF_ERROR(reader.ReadPod(&magic));
   if (magic != kFlatMagic) {
@@ -79,13 +77,12 @@ Result<std::unique_ptr<FlatIndex>> FlatIndex::LoadFrom(serde::Reader& reader,
   if (vectors.empty()) {
     return Status::InvalidArgument("flat load: empty matrix");
   }
-  return std::make_unique<FlatIndex>(std::move(vectors), simd);
+  return std::make_unique<FlatIndex>(std::move(vectors));
 }
 
-Result<std::unique_ptr<FlatIndex>> FlatIndex::Load(const std::string& path,
-                                                   la::SimdMode simd) {
+Result<std::unique_ptr<FlatIndex>> FlatIndex::Load(const std::string& path) {
   CEJ_ASSIGN_OR_RETURN(serde::Reader reader, serde::Reader::Open(path));
-  return LoadFrom(reader, simd);
+  return LoadFrom(reader);
 }
 
 }  // namespace cej::index

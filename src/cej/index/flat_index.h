@@ -11,7 +11,6 @@
 #include "cej/common/serde.h"
 #include "cej/common/status.h"
 #include "cej/la/matrix.h"
-#include "cej/la/simd.h"
 #include "cej/index/vector_index.h"
 
 namespace cej::index {
@@ -20,12 +19,10 @@ namespace cej::index {
 class FlatIndex final : public VectorIndex {
  public:
   /// Takes ownership of `vectors` (one unit vector per row).
-  explicit FlatIndex(la::Matrix vectors,
-                     la::SimdMode simd = la::SimdMode::kAuto);
+  explicit FlatIndex(la::Matrix vectors);
   /// Zero-copy form: shares an existing matrix (e.g. a cached column
   /// embedding) instead of cloning it — the flat index only reads.
-  explicit FlatIndex(std::shared_ptr<const la::Matrix> vectors,
-                     la::SimdMode simd = la::SimdMode::kAuto);
+  explicit FlatIndex(std::shared_ptr<const la::Matrix> vectors);
 
   size_t dim() const override { return vectors_->cols(); }
   size_t size() const override { return vectors_->rows(); }
@@ -49,14 +46,11 @@ class FlatIndex final : public VectorIndex {
   /// nest inside a larger stream (the IndexManager envelope).
   Status Save(const std::string& path) const;
   Status SaveTo(serde::Writer& writer) const;
-  static Result<std::unique_ptr<FlatIndex>> Load(
-      const std::string& path, la::SimdMode simd = la::SimdMode::kAuto);
-  static Result<std::unique_ptr<FlatIndex>> LoadFrom(
-      serde::Reader& reader, la::SimdMode simd = la::SimdMode::kAuto);
+  static Result<std::unique_ptr<FlatIndex>> Load(const std::string& path);
+  static Result<std::unique_ptr<FlatIndex>> LoadFrom(serde::Reader& reader);
 
  private:
   std::shared_ptr<const la::Matrix> vectors_;
-  la::SimdMode simd_;
   mutable std::atomic<uint64_t> distance_computations_{0};
 };
 

@@ -8,6 +8,7 @@
 #include "cej/common/macros.h"
 #include "cej/common/serde.h"
 #include "cej/la/matrix_io.h"
+#include "cej/la/simd.h"
 
 namespace cej::index {
 namespace {
@@ -43,7 +44,6 @@ struct HnswIndex::BuildSync {
 
 Result<std::unique_ptr<HnswIndex>> HnswIndex::Build(la::Matrix vectors,
                                                     HnswBuildOptions options,
-                                                    la::SimdMode simd,
                                                     ThreadPool* pool) {
   if (vectors.rows() == 0) {
     return Status::InvalidArgument("hnsw: cannot index an empty matrix");
@@ -54,8 +54,7 @@ Result<std::unique_ptr<HnswIndex>> HnswIndex::Build(la::Matrix vectors,
   if (options.ef_construction < options.m) {
     return Status::InvalidArgument("hnsw: ef_construction must be >= m");
   }
-  std::unique_ptr<HnswIndex> index(
-      new HnswIndex(std::move(vectors), options, simd));
+  std::unique_ptr<HnswIndex> index(new HnswIndex(std::move(vectors), options));
   const uint32_t n = static_cast<uint32_t>(index->vectors_.rows());
   // Levels are always drawn sequentially from the seeded stream (one draw
   // per node, insertion order) so the level structure — and the whole
@@ -91,18 +90,16 @@ Result<std::unique_ptr<HnswIndex>> HnswIndex::Build(la::Matrix vectors,
   return index;
 }
 
-HnswIndex::HnswIndex(la::Matrix vectors, HnswBuildOptions options,
-                     la::SimdMode simd)
+HnswIndex::HnswIndex(la::Matrix vectors, HnswBuildOptions options)
     : vectors_(std::move(vectors)),
       options_(options),
-      simd_(simd),
       level_lambda_(1.0 / std::log(static_cast<double>(options.m))) {
   links_.resize(vectors_.rows());
 }
 
 float HnswIndex::Similarity(const float* query, uint32_t id) const {
   distance_computations_.fetch_add(1, std::memory_order_relaxed);
-  return la::Dot(query, vectors_.Row(id), vectors_.cols(), simd_);
+  return la::Dot(query, vectors_.Row(id), vectors_.cols());
 }
 
 uint32_t HnswIndex::GreedyStep(const float* query, uint32_t entry,
@@ -220,8 +217,7 @@ std::vector<uint32_t> HnswIndex::SelectNeighbors(
     bool diverse = true;
     for (uint32_t s : selected) {
       const float sim_to_selected =
-          la::Dot(vectors_.Row(c.id), vectors_.Row(s), vectors_.cols(),
-                  simd_);
+          la::Dot(vectors_.Row(c.id), vectors_.Row(s), vectors_.cols());
       if (sim_to_selected > c.sim) {
         diverse = false;
         break;
@@ -326,9 +322,9 @@ void HnswIndex::Insert(uint32_t node, size_t level, BuildSync* sync) {
         std::vector<Candidate> mcand;
         mcand.reserve(merged.size());
         for (uint32_t mm : merged) {
-          mcand.push_back({la::Dot(vectors_.Row(node), vectors_.Row(mm),
-                                   vectors_.cols(), simd_),
-                           mm});
+          mcand.push_back(
+              {la::Dot(vectors_.Row(node), vectors_.Row(mm), vectors_.cols()),
+               mm});
         }
         merged = SelectNeighbors(node, std::move(mcand), max_degree);
       }
@@ -349,10 +345,9 @@ void HnswIndex::Insert(uint32_t node, size_t level, BuildSync* sync) {
         std::vector<Candidate> ncand;
         ncand.reserve(nlinks.size());
         for (uint32_t nn : nlinks) {
-          ncand.push_back(
-              {la::Dot(vectors_.Row(neighbor), vectors_.Row(nn),
-                       vectors_.cols(), simd_),
-               nn});
+          ncand.push_back({la::Dot(vectors_.Row(neighbor), vectors_.Row(nn),
+                                   vectors_.cols()),
+                           nn});
         }
         nlinks = SelectNeighbors(neighbor, std::move(ncand), max_degree);
       }
@@ -435,14 +430,12 @@ Status HnswIndex::SaveTo(serde::Writer& writer) const {
   return Status::OK();
 }
 
-Result<std::unique_ptr<HnswIndex>> HnswIndex::Load(const std::string& path,
-                                                   la::SimdMode simd) {
+Result<std::unique_ptr<HnswIndex>> HnswIndex::Load(const std::string& path) {
   CEJ_ASSIGN_OR_RETURN(serde::Reader reader, serde::Reader::Open(path));
-  return LoadFrom(reader, simd);
+  return LoadFrom(reader);
 }
 
-Result<std::unique_ptr<HnswIndex>> HnswIndex::LoadFrom(serde::Reader& reader,
-                                                       la::SimdMode simd) {
+Result<std::unique_ptr<HnswIndex>> HnswIndex::LoadFrom(serde::Reader& reader) {
   uint32_t magic = 0, version = 0;
   CEJ_RETURN_IF_ERROR(reader.ReadPod(&magic));
   if (magic != kHnswMagic) {
@@ -474,8 +467,7 @@ Result<std::unique_ptr<HnswIndex>> HnswIndex::LoadFrom(serde::Reader& reader,
   }
   const uint64_t rows = vectors.rows();
 
-  std::unique_ptr<HnswIndex> index(
-      new HnswIndex(std::move(vectors), options, simd));
+  std::unique_ptr<HnswIndex> index(new HnswIndex(std::move(vectors), options));
   index->entry_point_ = entry_point;
   index->max_level_ = max_level;
   for (auto& node_links : index->links_) {

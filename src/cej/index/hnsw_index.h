@@ -21,7 +21,6 @@
 #include "cej/common/status.h"
 #include "cej/common/thread_pool.h"
 #include "cej/la/matrix.h"
-#include "cej/la/simd.h"
 #include "cej/index/vector_index.h"
 
 namespace cej::index {
@@ -73,7 +72,7 @@ class HnswIndex final : public VectorIndex {
   /// approximate either way). A pool-less build is bit-deterministic.
   static Result<std::unique_ptr<HnswIndex>> Build(
       la::Matrix vectors, HnswBuildOptions options = {},
-      la::SimdMode simd = la::SimdMode::kAuto, ThreadPool* pool = nullptr);
+      ThreadPool* pool = nullptr);
 
   size_t dim() const override { return vectors_.cols(); }
   size_t size() const override { return vectors_.rows(); }
@@ -117,13 +116,11 @@ class HnswIndex final : public VectorIndex {
   Status SaveTo(serde::Writer& writer) const;
 
   /// Restores an index previously written by Save.
-  static Result<std::unique_ptr<HnswIndex>> Load(
-      const std::string& path, la::SimdMode simd = la::SimdMode::kAuto);
-  static Result<std::unique_ptr<HnswIndex>> LoadFrom(
-      serde::Reader& reader, la::SimdMode simd = la::SimdMode::kAuto);
+  static Result<std::unique_ptr<HnswIndex>> Load(const std::string& path);
+  static Result<std::unique_ptr<HnswIndex>> LoadFrom(serde::Reader& reader);
 
  private:
-  HnswIndex(la::Matrix vectors, HnswBuildOptions options, la::SimdMode simd);
+  HnswIndex(la::Matrix vectors, HnswBuildOptions options);
 
   struct Candidate {
     float sim;
@@ -165,7 +162,6 @@ class HnswIndex final : public VectorIndex {
 
   la::Matrix vectors_;
   HnswBuildOptions options_;
-  la::SimdMode simd_;
   size_t ef_search_ = 64;
   size_t range_probe_k_ = 32;
 

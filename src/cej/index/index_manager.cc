@@ -124,11 +124,10 @@ const IndexCatalogEntry* IndexCatalogSnapshot::Find(
 // ---------------------------------------------------------------------------
 
 IndexManager::IndexManager(Options options, ThreadPool* pool,
-                           EmbeddingCache* cache, la::SimdMode simd)
+                           EmbeddingCache* cache)
     : options_(std::move(options)),
       pool_(pool),
       cache_(cache),
-      simd_(simd),
       snapshot_(std::make_shared<const IndexCatalogSnapshot>()) {}
 
 IndexManager::~IndexManager() { WaitForBackgroundBuilds(); }
@@ -201,13 +200,13 @@ Result<std::shared_ptr<const VectorIndex>> IndexManager::Construct(
     case IndexFamily::kFlat: {
       // Zero-copy: the flat family only reads, so it shares the sourced
       // matrix (a cache hit costs no index-side memory at all).
-      built = std::make_shared<const FlatIndex>(std::move(vectors), simd_);
+      built = std::make_shared<const FlatIndex>(std::move(vectors));
       break;
     }
     case IndexFamily::kIvf: {
       CEJ_ASSIGN_OR_RETURN(
           std::unique_ptr<IvfFlatIndex> ivf,
-          IvfFlatIndex::Build(vectors->Clone(), options.ivf, simd_, pool_));
+          IvfFlatIndex::Build(vectors->Clone(), options.ivf, pool_));
       if (options.ivf_nprobe > 0) ivf->set_nprobe(options.ivf_nprobe);
       built = std::move(ivf);
       break;
@@ -215,7 +214,7 @@ Result<std::shared_ptr<const VectorIndex>> IndexManager::Construct(
     case IndexFamily::kHnsw: {
       CEJ_ASSIGN_OR_RETURN(
           std::unique_ptr<HnswIndex> hnsw,
-          HnswIndex::Build(vectors->Clone(), options.hnsw, simd_, pool_));
+          HnswIndex::Build(vectors->Clone(), options.hnsw, pool_));
       if (options.hnsw_ef_search > 0) {
         hnsw->set_ef_search(options.hnsw_ef_search);
       }
@@ -521,13 +520,13 @@ Result<IndexBuildStats> IndexManager::Load(
   switch (family) {
     case IndexFamily::kFlat: {
       CEJ_ASSIGN_OR_RETURN(std::unique_ptr<FlatIndex> flat,
-                           FlatIndex::LoadFrom(reader, simd_));
+                           FlatIndex::LoadFrom(reader));
       loaded = std::move(flat);
       break;
     }
     case IndexFamily::kIvf: {
       CEJ_ASSIGN_OR_RETURN(std::unique_ptr<IvfFlatIndex> ivf,
-                           IvfFlatIndex::LoadFrom(reader, simd_));
+                           IvfFlatIndex::LoadFrom(reader));
       loaded = std::move(ivf);
       break;
     }
@@ -536,7 +535,7 @@ Result<IndexBuildStats> IndexManager::Load(
       CEJ_RETURN_IF_ERROR(reader.ReadPod(&ef_search));
       CEJ_RETURN_IF_ERROR(reader.ReadPod(&range_probe_k));
       CEJ_ASSIGN_OR_RETURN(std::unique_ptr<HnswIndex> hnsw,
-                           HnswIndex::LoadFrom(reader, simd_));
+                           HnswIndex::LoadFrom(reader));
       if (ef_search > 0) hnsw->set_ef_search(ef_search);
       if (range_probe_k > 0) hnsw->set_range_probe_k(range_probe_k);
       loaded = std::move(hnsw);

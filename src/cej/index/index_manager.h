@@ -43,7 +43,6 @@
 #include "cej/index/hnsw_index.h"
 #include "cej/index/ivf_index.h"
 #include "cej/index/vector_index.h"
-#include "cej/la/simd.h"
 #include "cej/model/embedding_model.h"
 #include "cej/storage/relation.h"
 
@@ -208,8 +207,7 @@ class IndexManager {
 
   /// `pool`, `cache` may be null (single-threaded builds / no cache);
   /// both are borrowed and must outlive the manager.
-  IndexManager(Options options, ThreadPool* pool, EmbeddingCache* cache,
-               la::SimdMode simd);
+  IndexManager(Options options, ThreadPool* pool, EmbeddingCache* cache);
   ~IndexManager();  // Joins in-flight background builds.
 
   IndexManager(const IndexManager&) = delete;
@@ -338,7 +336,6 @@ class IndexManager {
   const Options options_;
   ThreadPool* const pool_;
   EmbeddingCache* const cache_;
-  const la::SimdMode simd_;
 
   mutable std::mutex mu_;
   std::unordered_map<std::string, std::vector<IndexCatalogEntry>> catalog_;

@@ -4,13 +4,13 @@
 
 #include "cej/common/macros.h"
 #include "cej/la/matrix_io.h"
+#include "cej/la/simd.h"
 #include "cej/la/topk.h"
 
 namespace cej::index {
 
 Result<std::unique_ptr<IvfFlatIndex>> IvfFlatIndex::Build(
-    la::Matrix vectors, IvfBuildOptions options, la::SimdMode simd,
-    ThreadPool* pool) {
+    la::Matrix vectors, IvfBuildOptions options, ThreadPool* pool) {
   if (vectors.rows() == 0) {
     return Status::InvalidArgument("ivf: cannot index an empty matrix");
   }
@@ -21,7 +21,6 @@ Result<std::unique_ptr<IvfFlatIndex>> IvfFlatIndex::Build(
   kopts.clusters = options.nlist;
   kopts.max_iters = options.train_iters;
   kopts.seed = options.seed;
-  kopts.simd = simd;
   kopts.pool = pool;
   CEJ_ASSIGN_OR_RETURN(KMeansResult trained,
                        SphericalKMeans(vectors, kopts));
@@ -31,24 +30,21 @@ Result<std::unique_ptr<IvfFlatIndex>> IvfFlatIndex::Build(
   }
   return std::unique_ptr<IvfFlatIndex>(
       new IvfFlatIndex(std::move(vectors), std::move(trained.centroids),
-                       std::move(lists), simd));
+                       std::move(lists)));
 }
 
 IvfFlatIndex::IvfFlatIndex(la::Matrix vectors, la::Matrix centroids,
-                           std::vector<std::vector<uint32_t>> lists,
-                           la::SimdMode simd)
+                           std::vector<std::vector<uint32_t>> lists)
     : vectors_(std::move(vectors)),
       centroids_(std::move(centroids)),
-      lists_(std::move(lists)),
-      simd_(simd) {}
+      lists_(std::move(lists)) {}
 
 std::vector<uint32_t> IvfFlatIndex::ClosestLists(const float* query) const {
   const size_t nprobe = std::min(std::max<size_t>(nprobe_, 1),
                                  centroids_.rows());
   la::TopKCollector collector(nprobe);
   for (size_t c = 0; c < centroids_.rows(); ++c) {
-    collector.Push(
-        la::Dot(query, centroids_.Row(c), centroids_.cols(), simd_), c);
+    collector.Push(la::Dot(query, centroids_.Row(c), centroids_.cols()), c);
   }
   distance_computations_.fetch_add(centroids_.rows(),
                                    std::memory_order_relaxed);
@@ -69,8 +65,7 @@ std::vector<la::ScoredId> IvfFlatIndex::SearchTopK(
     for (uint32_t id : lists_[c]) {
       // Pre-filter semantics: the list entry's distance is still computed
       // and paid before the admissibility check drops it.
-      const float sim =
-          la::Dot(query, vectors_.Row(id), vectors_.cols(), simd_);
+      const float sim = la::Dot(query, vectors_.Row(id), vectors_.cols());
       ++computations;
       if (filter != nullptr && !(*filter)[id]) continue;
       collector.Push(sim, id);
@@ -105,7 +100,7 @@ Status IvfFlatIndex::Save(const std::string& path) const {
 }
 
 Result<std::unique_ptr<IvfFlatIndex>> IvfFlatIndex::LoadFrom(
-    serde::Reader& reader, la::SimdMode simd) {
+    serde::Reader& reader) {
   uint32_t magic = 0, version = 0;
   CEJ_RETURN_IF_ERROR(reader.ReadPod(&magic));
   if (magic != kIvfMagic) {
@@ -143,15 +138,15 @@ Result<std::unique_ptr<IvfFlatIndex>> IvfFlatIndex::LoadFrom(
         "ivf load: lists do not partition the vectors");
   }
   std::unique_ptr<IvfFlatIndex> index(new IvfFlatIndex(
-      std::move(vectors), std::move(centroids), std::move(lists), simd));
+      std::move(vectors), std::move(centroids), std::move(lists)));
   index->set_nprobe(std::max<uint64_t>(nprobe, 1));
   return index;
 }
 
 Result<std::unique_ptr<IvfFlatIndex>> IvfFlatIndex::Load(
-    const std::string& path, la::SimdMode simd) {
+    const std::string& path) {
   CEJ_ASSIGN_OR_RETURN(serde::Reader reader, serde::Reader::Open(path));
-  return LoadFrom(reader, simd);
+  return LoadFrom(reader);
 }
 
 std::vector<la::ScoredId> IvfFlatIndex::SearchRange(
@@ -161,8 +156,7 @@ std::vector<la::ScoredId> IvfFlatIndex::SearchRange(
   uint64_t computations = 0;
   for (uint32_t c : ClosestLists(query)) {
     for (uint32_t id : lists_[c]) {
-      const float sim =
-          la::Dot(query, vectors_.Row(id), vectors_.cols(), simd_);
+      const float sim = la::Dot(query, vectors_.Row(id), vectors_.cols());
       ++computations;
       if (filter != nullptr && !(*filter)[id]) continue;
       if (sim >= threshold) out.push_back({sim, id});

@@ -24,7 +24,6 @@
 #include "cej/index/kmeans.h"
 #include "cej/index/vector_index.h"
 #include "cej/la/matrix.h"
-#include "cej/la/simd.h"
 
 namespace cej::index {
 
@@ -43,7 +42,7 @@ class IvfFlatIndex final : public VectorIndex {
   /// `options.seed` makes the clustering bit-identical either way.
   static Result<std::unique_ptr<IvfFlatIndex>> Build(
       la::Matrix vectors, IvfBuildOptions options = {},
-      la::SimdMode simd = la::SimdMode::kAuto, ThreadPool* pool = nullptr);
+      ThreadPool* pool = nullptr);
 
   size_t dim() const override { return vectors_.cols(); }
   size_t size() const override { return vectors_.rows(); }
@@ -81,14 +80,12 @@ class IvfFlatIndex final : public VectorIndex {
   /// nest inside a larger stream (the IndexManager envelope).
   Status Save(const std::string& path) const;
   Status SaveTo(serde::Writer& writer) const;
-  static Result<std::unique_ptr<IvfFlatIndex>> Load(
-      const std::string& path, la::SimdMode simd = la::SimdMode::kAuto);
-  static Result<std::unique_ptr<IvfFlatIndex>> LoadFrom(
-      serde::Reader& reader, la::SimdMode simd = la::SimdMode::kAuto);
+  static Result<std::unique_ptr<IvfFlatIndex>> Load(const std::string& path);
+  static Result<std::unique_ptr<IvfFlatIndex>> LoadFrom(serde::Reader& reader);
 
  private:
   IvfFlatIndex(la::Matrix vectors, la::Matrix centroids,
-               std::vector<std::vector<uint32_t>> lists, la::SimdMode simd);
+               std::vector<std::vector<uint32_t>> lists);
 
   /// Indexes of the nprobe centroids most similar to `query`.
   std::vector<uint32_t> ClosestLists(const float* query) const;
@@ -96,7 +93,6 @@ class IvfFlatIndex final : public VectorIndex {
   la::Matrix vectors_;
   la::Matrix centroids_;
   std::vector<std::vector<uint32_t>> lists_;
-  la::SimdMode simd_;
   size_t nprobe_ = 8;
   mutable std::atomic<uint64_t> distance_computations_{0};
 };

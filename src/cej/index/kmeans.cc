@@ -48,8 +48,8 @@ Result<KMeansResult> SphericalKMeans(const la::Matrix& data,
         uint32_t best = 0;
         float best_sim = -2.0f;
         for (size_t c = 0; c < k_now; ++c) {
-          const float sim = la::Dot(data.Row(r), result.centroids.Row(c),
-                                    dim, options.simd);
+          const float sim =
+              la::Dot(data.Row(r), result.centroids.Row(c), dim);
           if (sim > best_sim) {
             best_sim = sim;
             best = static_cast<uint32_t>(c);

@@ -14,7 +14,6 @@
 #include "cej/common/status.h"
 #include "cej/common/thread_pool.h"
 #include "cej/la/matrix.h"
-#include "cej/la/simd.h"
 
 namespace cej::index {
 
@@ -26,7 +25,6 @@ struct KMeansOptions {
   /// centroid draw and dead-centroid reseeding — so a fixed seed yields a
   /// bit-identical clustering (the IVF catalog keys rely on this).
   uint64_t seed = 5;
-  la::SimdMode simd = la::SimdMode::kAuto;
   /// Parallelizes the assignment pass (the O(n·k·d) hot loop) across the
   /// pool. Per-row assignments are independent, so the result is
   /// bit-identical to the sequential pass; the centroid update stays

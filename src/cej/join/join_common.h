@@ -122,6 +122,8 @@ void SortPairs(std::vector<JoinPair>* pairs);
 
 /// Common execution knobs.
 struct JoinOptions {
+  /// Kernel speed only: both modes return the same scores. kForceScalar is
+  /// the NO-SIMD arm of Figures 8 and 9.
   la::SimdMode simd = la::SimdMode::kAuto;
   /// Worker pool; nullptr = single-threaded on the caller.
   ThreadPool* pool = nullptr;

@@ -24,7 +24,8 @@ struct GemmOptions {
   size_t block_m = 64;
   /// Row-tile height over B (tuples of S per block).
   size_t block_n = 256;
-  /// Kernel selection (kForceScalar reproduces the NO-SIMD baselines).
+  /// Kernel speed only: both modes return the same bits. kForceScalar is
+  /// the NO-SIMD arm of Figures 8 and 9.
   SimdMode simd = SimdMode::kAuto;
   /// Worker pool; nullptr runs single-threaded on the caller.
   ThreadPool* pool = nullptr;
@@ -41,7 +42,8 @@ void GemmABtReference(const Matrix& a, const Matrix& b, Matrix* d);
 /// Computes one output tile D[i0..i1) x [j0..j1) of A · Bᵀ into `out`, a
 /// dense row-major (i1-i0) x (j1-j0) buffer. This is the unit of work the
 /// mini-batched tensor join schedules (Figure 7): callers own the buffer and
-/// can bound its size independently of |R| x |S|.
+/// can bound its size independently of |R| x |S|. Every entry equals
+/// Dot(a_i, b_j) bit for bit, whatever the tile bounds.
 void GemmTile(const Matrix& a, const Matrix& b, size_t i0, size_t i1,
               size_t j0, size_t j1, float* out, SimdMode simd);
 

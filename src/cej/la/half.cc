@@ -118,103 +118,4 @@ Matrix HalfMatrix::ToFloat() const {
   return out;
 }
 
-float DotHalf(const Half* a, const Half* b, size_t dim, SimdMode mode) {
-#if defined(__AVX512F__) && defined(__F16C__)
-  if (mode == SimdMode::kAuto &&
-      ActiveSimdLevel() == SimdLevel::kAvx512) {
-    __m512 acc = _mm512_setzero_ps();
-    size_t i = 0;
-    for (; i + 16 <= dim; i += 16) {
-      const __m512 va = _mm512_cvtph_ps(
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)));
-      const __m512 vb = _mm512_cvtph_ps(
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i)));
-      acc = _mm512_fmadd_ps(va, vb, acc);
-    }
-    float sum = _mm512_reduce_add_ps(acc);
-    for (; i < dim; ++i) {
-      sum += HalfToFloat(a[i]) * HalfToFloat(b[i]);
-    }
-    return sum;
-  }
-#endif
-#if defined(__AVX2__) && defined(__F16C__) && defined(__FMA__)
-  if (mode == SimdMode::kAuto &&
-      ActiveSimdLevel() >= SimdLevel::kAvx2) {
-    __m256 acc = _mm256_setzero_ps();
-    size_t i = 0;
-    for (; i + 8 <= dim; i += 8) {
-      const __m256 va = _mm256_cvtph_ps(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)));
-      const __m256 vb = _mm256_cvtph_ps(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i)));
-      acc = _mm256_fmadd_ps(va, vb, acc);
-    }
-    __m128 lo = _mm256_castps256_ps128(acc);
-    __m128 hi = _mm256_extractf128_ps(acc, 1);
-    lo = _mm_add_ps(lo, hi);
-    lo = _mm_hadd_ps(lo, lo);
-    lo = _mm_hadd_ps(lo, lo);
-    float sum = _mm_cvtss_f32(lo);
-    for (; i < dim; ++i) {
-      sum += HalfToFloat(a[i]) * HalfToFloat(b[i]);
-    }
-    return sum;
-  }
-#endif
-  float sum = 0.0f;
-  for (size_t i = 0; i < dim; ++i) {
-    sum += HalfToFloat(a[i]) * HalfToFloat(b[i]);
-  }
-  return sum;
-}
-
-#if defined(__AVX512F__) && defined(__F16C__)
-namespace {
-
-// 8-row register-blocked FP16 kernel: the widened a-chunk is reused across
-// eight b rows, mirroring the FP32 Dot8 kernel; only the loads differ
-// (half-width + cvtph widening).
-void Dot8HalfAvx512(const Half* a, const Half* b, size_t dim, size_t stride,
-                    float* out) {
-  __m512 acc[8];
-  for (auto& v : acc) v = _mm512_setzero_ps();
-  size_t i = 0;
-  for (; i + 16 <= dim; i += 16) {
-    const __m512 va = _mm512_cvtph_ps(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)));
-    for (int r = 0; r < 8; ++r) {
-      const __m512 vb = _mm512_cvtph_ps(_mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(b + r * stride + i)));
-      acc[r] = _mm512_fmadd_ps(va, vb, acc[r]);
-    }
-  }
-  for (int r = 0; r < 8; ++r) out[r] = _mm512_reduce_add_ps(acc[r]);
-  for (; i < dim; ++i) {
-    const float av = HalfToFloat(a[i]);
-    for (int r = 0; r < 8; ++r) {
-      out[r] += av * HalfToFloat(b[r * stride + i]);
-    }
-  }
-}
-
-}  // namespace
-#endif  // __AVX512F__ && __F16C__
-
-void DotHalfOneToMany(const Half* a, const Half* b_rows, size_t nrows,
-                      size_t dim, float* out, SimdMode mode) {
-  size_t r = 0;
-#if defined(__AVX512F__) && defined(__F16C__)
-  if (mode == SimdMode::kAuto &&
-      ActiveSimdLevel() == SimdLevel::kAvx512) {
-    for (; r + 8 <= nrows; r += 8) {
-      Dot8HalfAvx512(a, b_rows + r * dim, dim, dim, out + r);
-    }
-  }
-#endif
-  for (; r < nrows; ++r) {
-    out[r] = DotHalf(a, b_rows + r * dim, dim, mode);
-  }
-}
-
 }  // namespace cej::la

@@ -22,9 +22,6 @@
 
 namespace cej::la {
 
-/// IEEE 754 binary16 value in its bit representation.
-using Half = uint16_t;
-
 /// Scalar conversions (round-to-nearest-even on narrowing). Uses F16C
 /// hardware conversion when compiled in, else the portable path.
 Half FloatToHalf(float value);
@@ -63,13 +60,14 @@ class HalfMatrix {
   std::vector<Half> data_;
 };
 
-/// Inner product of two FP16 vectors, widened to FP32 in registers.
-/// kForceScalar converts and multiplies element-wise without SIMD.
+/// Inner product of two FP16 vectors, widened to FP32 in registers and
+/// summed in the one order of simd.h: DotHalf(a, b) equals Dot on the
+/// widened vectors bit for bit, in either mode.
 float DotHalf(const Half* a, const Half* b, size_t dim,
               SimdMode mode = SimdMode::kAuto);
 
 /// dot(a, b_r) for `nrows` consecutive FP16 rows (stride = dim), the
-/// half-precision counterpart of DotOneToMany.
+/// half-precision counterpart of DotOneToMany. The kernels live in simd.cc.
 void DotHalfOneToMany(const Half* a, const Half* b_rows, size_t nrows,
                       size_t dim, float* out,
                       SimdMode mode = SimdMode::kAuto);

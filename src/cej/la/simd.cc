@@ -1,190 +1,275 @@
 #include "cej/la/simd.h"
 
+#include <cmath>
+#include <cstring>
+
+#include "cej/la/half.h"
+
 #if defined(__AVX2__) || defined(__AVX512F__)
 #include <immintrin.h>
+#endif
+
+// GCC 12 reports the deliberately undefined upper lanes inside the AVX-512
+// shuffle/cast intrinsics as maybe-uninitialized once they are inlined here.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #endif
 
 namespace cej::la {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Scalar kernels (auto-vectorization disabled so "NO-SIMD" means no SIMD).
-// ---------------------------------------------------------------------------
+#define CEJ_INLINE inline __attribute__((always_inline))
 
-#if defined(__GNUC__) && !defined(__clang__)
-#define CEJ_NO_VECTORIZE \
-  __attribute__((noinline, optimize("no-tree-vectorize", "no-tree-slp-vectorize")))
-#else
-#define CEJ_NO_VECTORIZE __attribute__((noinline))
-#endif
+constexpr size_t kLanes = 16;
 
-CEJ_NO_VECTORIZE
-float DotScalarImpl(const float* a, const float* b, size_t dim) {
-  float acc = 0.0f;
-  for (size_t i = 0; i < dim; ++i) acc += a[i] * b[i];
-  return acc;
-}
-
-CEJ_NO_VECTORIZE
-float SquaredNormScalarImpl(const float* a, size_t dim) {
-  float acc = 0.0f;
-  for (size_t i = 0; i < dim; ++i) acc += a[i] * a[i];
-  return acc;
-}
-
-// ---------------------------------------------------------------------------
-// AVX2 kernels (8 floats per register, FMA).
-// ---------------------------------------------------------------------------
-
-#if defined(__AVX2__) && defined(__FMA__)
-float DotAvx2(const float* a, const float* b, size_t dim) {
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
+// The order of simd.h, written once: kRows rows sharing `a`, over an
+// instruction set `Isa` (a 16-lane Vec with Zero/Load/LoadTail/Fma/Reduce)
+// and an element type (FP32, or FP16 widened by the loads).
+template <class Isa, size_t kRows, class Elem>
+CEJ_INLINE void DotBlock(const Elem* a, const Elem* b, size_t stride,
+                         size_t dim, float* out) {
+  typename Isa::Vec acc[kRows];
+  for (size_t r = 0; r < kRows; ++r) acc[r] = Isa::Zero();
   size_t i = 0;
-  for (; i + 16 <= dim; i += 16) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i),
-                           acc0);
-    acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 8),
-                           _mm256_loadu_ps(b + i + 8), acc1);
-  }
-  for (; i + 8 <= dim; i += 8) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i),
-                           acc0);
-  }
-  acc0 = _mm256_add_ps(acc0, acc1);
-  __m128 lo = _mm256_castps256_ps128(acc0);
-  __m128 hi = _mm256_extractf128_ps(acc0, 1);
-  lo = _mm_add_ps(lo, hi);
-  lo = _mm_hadd_ps(lo, lo);
-  lo = _mm_hadd_ps(lo, lo);
-  float acc = _mm_cvtss_f32(lo);
-  for (; i < dim; ++i) acc += a[i] * b[i];
-  return acc;
-}
-#endif  // __AVX2__ && __FMA__
-
-// ---------------------------------------------------------------------------
-// AVX-512 kernels (16 floats per register, FMA).
-// ---------------------------------------------------------------------------
-
-#if defined(__AVX512F__)
-float DotAvx512(const float* a, const float* b, size_t dim) {
-  __m512 acc0 = _mm512_setzero_ps();
-  __m512 acc1 = _mm512_setzero_ps();
-  size_t i = 0;
-  for (; i + 32 <= dim; i += 32) {
-    acc0 = _mm512_fmadd_ps(_mm512_loadu_ps(a + i), _mm512_loadu_ps(b + i),
-                           acc0);
-    acc1 = _mm512_fmadd_ps(_mm512_loadu_ps(a + i + 16),
-                           _mm512_loadu_ps(b + i + 16), acc1);
-  }
-  for (; i + 16 <= dim; i += 16) {
-    acc0 = _mm512_fmadd_ps(_mm512_loadu_ps(a + i), _mm512_loadu_ps(b + i),
-                           acc0);
-  }
-  float acc = _mm512_reduce_add_ps(_mm512_add_ps(acc0, acc1));
-  for (; i < dim; ++i) acc += a[i] * b[i];
-  return acc;
-}
-
-// dot(a, b_r) for 8 consecutive rows at once: a's registers are reused
-// across all eight rows (8x the arithmetic intensity per load of a), and
-// the dimension tail is handled with a masked load instead of a scalar
-// loop — both essential for dims like 100 that are not multiples of 16.
-void Dot8Avx512(const float* a, const float* b, size_t dim, size_t stride,
-                float* out) {
-  __m512 acc0 = _mm512_setzero_ps();
-  __m512 acc1 = _mm512_setzero_ps();
-  __m512 acc2 = _mm512_setzero_ps();
-  __m512 acc3 = _mm512_setzero_ps();
-  __m512 acc4 = _mm512_setzero_ps();
-  __m512 acc5 = _mm512_setzero_ps();
-  __m512 acc6 = _mm512_setzero_ps();
-  __m512 acc7 = _mm512_setzero_ps();
-  size_t i = 0;
-  for (; i + 16 <= dim; i += 16) {
-    const __m512 va = _mm512_loadu_ps(a + i);
-    acc0 = _mm512_fmadd_ps(va, _mm512_loadu_ps(b + i), acc0);
-    acc1 = _mm512_fmadd_ps(va, _mm512_loadu_ps(b + stride + i), acc1);
-    acc2 = _mm512_fmadd_ps(va, _mm512_loadu_ps(b + 2 * stride + i), acc2);
-    acc3 = _mm512_fmadd_ps(va, _mm512_loadu_ps(b + 3 * stride + i), acc3);
-    acc4 = _mm512_fmadd_ps(va, _mm512_loadu_ps(b + 4 * stride + i), acc4);
-    acc5 = _mm512_fmadd_ps(va, _mm512_loadu_ps(b + 5 * stride + i), acc5);
-    acc6 = _mm512_fmadd_ps(va, _mm512_loadu_ps(b + 6 * stride + i), acc6);
-    acc7 = _mm512_fmadd_ps(va, _mm512_loadu_ps(b + 7 * stride + i), acc7);
+  for (; i + kLanes <= dim; i += kLanes) {
+    const auto va = Isa::Load(a + i);
+    for (size_t r = 0; r < kRows; ++r) {
+      acc[r] = Isa::Fma(va, Isa::Load(b + r * stride + i), acc[r]);
+    }
   }
   if (i < dim) {
-    const __mmask16 mask =
-        static_cast<__mmask16>((1u << (dim - i)) - 1u);
-    const __m512 va = _mm512_maskz_loadu_ps(mask, a + i);
-    acc0 = _mm512_fmadd_ps(va, _mm512_maskz_loadu_ps(mask, b + i), acc0);
-    acc1 = _mm512_fmadd_ps(
-        va, _mm512_maskz_loadu_ps(mask, b + stride + i), acc1);
-    acc2 = _mm512_fmadd_ps(
-        va, _mm512_maskz_loadu_ps(mask, b + 2 * stride + i), acc2);
-    acc3 = _mm512_fmadd_ps(
-        va, _mm512_maskz_loadu_ps(mask, b + 3 * stride + i), acc3);
-    acc4 = _mm512_fmadd_ps(
-        va, _mm512_maskz_loadu_ps(mask, b + 4 * stride + i), acc4);
-    acc5 = _mm512_fmadd_ps(
-        va, _mm512_maskz_loadu_ps(mask, b + 5 * stride + i), acc5);
-    acc6 = _mm512_fmadd_ps(
-        va, _mm512_maskz_loadu_ps(mask, b + 6 * stride + i), acc6);
-    acc7 = _mm512_fmadd_ps(
-        va, _mm512_maskz_loadu_ps(mask, b + 7 * stride + i), acc7);
+    const auto va = Isa::LoadTail(a + i, dim - i);
+    for (size_t r = 0; r < kRows; ++r) {
+      acc[r] = Isa::Fma(va, Isa::LoadTail(b + r * stride + i, dim - i),
+                        acc[r]);
+    }
   }
-  out[0] = _mm512_reduce_add_ps(acc0);
-  out[1] = _mm512_reduce_add_ps(acc1);
-  out[2] = _mm512_reduce_add_ps(acc2);
-  out[3] = _mm512_reduce_add_ps(acc3);
-  out[4] = _mm512_reduce_add_ps(acc4);
-  out[5] = _mm512_reduce_add_ps(acc5);
-  out[6] = _mm512_reduce_add_ps(acc6);
-  out[7] = _mm512_reduce_add_ps(acc7);
+  for (size_t r = 0; r < kRows; ++r) out[r] = Isa::Reduce(acc[r]);
 }
-#endif  // __AVX512F__
+
+// Blocks of Isa::kBlockRows rows, then the leftovers one at a time; both
+// compute the same order, so a row's bits do not depend on its position.
+template <class Isa, class Elem>
+CEJ_INLINE void DotRows(const Elem* a, const Elem* b_rows, size_t nrows,
+                        size_t dim, float* out) {
+  size_t r = 0;
+  for (; r + Isa::kBlockRows <= nrows; r += Isa::kBlockRows) {
+    DotBlock<Isa, Isa::kBlockRows>(a, b_rows + r * dim, dim, dim, out + r);
+  }
+  for (; r < nrows; ++r) {
+    DotBlock<Isa, 1>(a, b_rows + r * dim, dim, dim, out + r);
+  }
+}
+
+// The last n < 16 elements, zero-padded to a full chunk: the FP16 tail
+// load of the vector kernels (a masked 16-bit load would need AVX-512BW).
+struct HalfTail {
+  HalfTail(const Half* p, size_t n) { std::memcpy(chunk, p, n * sizeof(Half)); }
+  Half chunk[kLanes] = {};
+};
+
+// Scalar: 16 accumulators, std::fmaf per lane. ScalarRows is compiled with
+// auto-vectorization disabled (the kernel is inlined into it), so the
+// "NO-SIMD" arm has no SIMD.
+struct ScalarIsa {
+  static constexpr size_t kBlockRows = 1;
+  struct Vec {
+    float lane[kLanes];
+  };
+  CEJ_INLINE static Vec Zero() {
+    Vec v;
+    for (float& lane : v.lane) lane = 0.0f;
+    return v;
+  }
+  template <class Elem>
+  CEJ_INLINE static Vec LoadTail(const Elem* p, size_t n) {
+    Vec v;
+    for (size_t l = 0; l < kLanes; ++l) v.lane[l] = l < n ? Widen(p[l]) : 0.0f;
+    return v;
+  }
+  template <class Elem>
+  CEJ_INLINE static Vec Load(const Elem* p) {
+    return LoadTail(p, kLanes);
+  }
+  CEJ_INLINE static Vec Fma(const Vec& a, const Vec& b, Vec acc) {
+    for (size_t l = 0; l < kLanes; ++l) {
+      acc.lane[l] = std::fmaf(a.lane[l], b.lane[l], acc.lane[l]);
+    }
+    return acc;
+  }
+  CEJ_INLINE static float Reduce(Vec v) {
+    for (size_t width = kLanes / 2; width > 0; width /= 2) {
+      for (size_t l = 0; l < width; ++l) v.lane[l] += v.lane[l + width];
+    }
+    return v.lane[0];
+  }
+  CEJ_INLINE static float Widen(float x) { return x; }
+  CEJ_INLINE static float Widen(Half x) { return HalfToFloat(x); }
+};
+
+template <class Elem>
+#if defined(__GNUC__) && !defined(__clang__)
+__attribute__((noinline,
+               optimize("no-tree-vectorize", "no-tree-slp-vectorize")))
+#endif
+void ScalarRows(const Elem* a, const Elem* b_rows, size_t nrows, size_t dim,
+                float* out) {
+  DotRows<ScalarIsa>(a, b_rows, nrows, dim, out);
+}
+
+#if defined(__AVX2__) || defined(__AVX512F__)
+// Lanes 0..7 already hold l + (l+8); adds l+4, then l+2, then l+1.
+CEJ_INLINE float ReduceEight(__m256 v) {
+  __m128 x = _mm_add_ps(_mm256_castps256_ps128(v),
+                        _mm256_extractf128_ps(v, 1));
+  x = _mm_add_ps(x, _mm_movehl_ps(x, x));
+  x = _mm_add_ss(x, _mm_shuffle_ps(x, x, 1));
+  return _mm_cvtss_f32(x);
+}
+#endif
+
+// AVX2: the 16 lanes as two 8-lane halves.
+#if defined(__AVX2__) && defined(__FMA__) && defined(__F16C__)
+#define CEJ_HAVE_AVX2_KERNEL 1
+struct Avx2Isa {
+  static constexpr size_t kBlockRows = 1;
+  struct Vec {
+    __m256 lo, hi;
+  };
+  CEJ_INLINE static Vec Zero() {
+    return {_mm256_setzero_ps(), _mm256_setzero_ps()};
+  }
+  CEJ_INLINE static Vec Load(const float* p) {
+    return {_mm256_loadu_ps(p), _mm256_loadu_ps(p + 8)};
+  }
+  CEJ_INLINE static Vec Load(const Half* p) {
+    const auto* q = reinterpret_cast<const __m128i*>(p);
+    return {_mm256_cvtph_ps(_mm_loadu_si128(q)),
+            _mm256_cvtph_ps(_mm_loadu_si128(q + 1))};
+  }
+  CEJ_INLINE static Vec LoadTail(const float* p, size_t n) {
+    const size_t lo = n < 8 ? n : 8;
+    return {_mm256_maskload_ps(p, FirstLanes(lo)),
+            _mm256_maskload_ps(p + 8, FirstLanes(n - lo))};
+  }
+  CEJ_INLINE static Vec LoadTail(const Half* p, size_t n) {
+    return Load(HalfTail(p, n).chunk);
+  }
+  CEJ_INLINE static Vec Fma(const Vec& a, const Vec& b, const Vec& acc) {
+    return {_mm256_fmadd_ps(a.lo, b.lo, acc.lo),
+            _mm256_fmadd_ps(a.hi, b.hi, acc.hi)};
+  }
+  CEJ_INLINE static float Reduce(const Vec& v) {
+    return ReduceEight(_mm256_add_ps(v.lo, v.hi));
+  }
+  // A maskload mask with the first m <= 8 lanes set.
+  CEJ_INLINE static __m256i FirstLanes(size_t m) {
+    static const int32_t kOnes[16] = {-1, -1, -1, -1, -1, -1, -1, -1};
+    return _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(kOnes + 8 - m));
+  }
+};
+
+template <class Elem>
+void Avx2Rows(const Elem* a, const Elem* b_rows, size_t nrows, size_t dim,
+              float* out) {
+  DotRows<Avx2Isa>(a, b_rows, nrows, dim, out);
+}
+#endif
+
+// AVX-512: one register; 8-row blocks reuse each chunk of `a` across eight
+// rows (8x the arithmetic intensity per load of a).
+#if defined(__AVX512F__)
+struct Avx512Isa {
+  static constexpr size_t kBlockRows = 8;
+  using Vec = __m512;
+  CEJ_INLINE static Vec Zero() { return _mm512_setzero_ps(); }
+  CEJ_INLINE static Vec Load(const float* p) { return _mm512_loadu_ps(p); }
+  CEJ_INLINE static Vec Load(const Half* p) {
+    return _mm512_cvtph_ps(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
+  }
+  CEJ_INLINE static Vec LoadTail(const float* p, size_t n) {
+    return _mm512_maskz_loadu_ps(static_cast<__mmask16>((1u << n) - 1u), p);
+  }
+  CEJ_INLINE static Vec LoadTail(const Half* p, size_t n) {
+    return Load(HalfTail(p, n).chunk);
+  }
+  CEJ_INLINE static Vec Fma(Vec a, Vec b, Vec acc) {
+    return _mm512_fmadd_ps(a, b, acc);
+  }
+  CEJ_INLINE static float Reduce(Vec v) {
+    const __m512 hi = _mm512_shuffle_f32x4(v, v, _MM_SHUFFLE(3, 2, 3, 2));
+    return ReduceEight(_mm256_add_ps(_mm512_castps512_ps256(v),
+                                     _mm512_castps512_ps256(hi)));
+  }
+};
+
+template <class Elem>
+void Avx512Rows(const Elem* a, const Elem* b_rows, size_t nrows, size_t dim,
+                float* out) {
+  DotRows<Avx512Isa>(a, b_rows, nrows, dim, out);
+}
+#endif
+
+template <class Elem>
+void DispatchRows(const Elem* a, const Elem* b_rows, size_t nrows,
+                  size_t dim, float* out, SimdMode mode) {
+  const SimdLevel level =
+      mode == SimdMode::kAuto ? ActiveSimdLevel() : SimdLevel::kScalar;
+#if defined(__AVX512F__)
+  if (level == SimdLevel::kAvx512) {
+    return Avx512Rows(a, b_rows, nrows, dim, out);
+  }
+#endif
+#if defined(CEJ_HAVE_AVX2_KERNEL)
+  if (level >= SimdLevel::kAvx2) return Avx2Rows(a, b_rows, nrows, dim, out);
+#endif
+  (void)level;
+  ScalarRows(a, b_rows, nrows, dim, out);
+}
 
 }  // namespace
 
-float DotScalar(const float* a, const float* b, size_t dim) {
-  return DotScalarImpl(a, b, dim);
-}
-
-float DotSimd(const float* a, const float* b, size_t dim) {
-  switch (ActiveSimdLevel()) {
-#if defined(__AVX512F__)
-    case SimdLevel::kAvx512:
-      return DotAvx512(a, b, dim);
-#endif
-#if defined(__AVX2__) && defined(__FMA__)
-    case SimdLevel::kAvx2:
-      return DotAvx2(a, b, dim);
-#endif
-    default:
-      return DotScalarImpl(a, b, dim);
-  }
+float Dot(const float* a, const float* b, size_t dim, SimdMode mode) {
+  float out = 0.0f;
+  DispatchRows(a, b, 1, dim, &out, mode);
+  return out;
 }
 
 void DotOneToMany(const float* a, const float* b_rows, size_t nrows,
                   size_t dim, float* out, SimdMode mode) {
-  size_t r = 0;
-#if defined(__AVX512F__)
-  if (mode == SimdMode::kAuto && ActiveSimdLevel() == SimdLevel::kAvx512) {
-    for (; r + 8 <= nrows; r += 8) {
-      Dot8Avx512(a, b_rows + r * dim, dim, dim, out + r);
-    }
-  }
-#endif
-  for (; r < nrows; ++r) {
-    out[r] = Dot(a, b_rows + r * dim, dim, mode);
-  }
+  DispatchRows(a, b_rows, nrows, dim, out, mode);
 }
 
-float SquaredNorm(const float* a, size_t dim, SimdMode mode) {
-  if (mode == SimdMode::kForceScalar) return SquaredNormScalarImpl(a, dim);
-  return DotSimd(a, a, dim);
+float DotHalf(const Half* a, const Half* b, size_t dim, SimdMode mode) {
+  float out = 0.0f;
+  DispatchRows(a, b, 1, dim, &out, mode);
+  return out;
+}
+
+void DotHalfOneToMany(const Half* a, const Half* b_rows, size_t nrows,
+                      size_t dim, float* out, SimdMode mode) {
+  DispatchRows(a, b_rows, nrows, dim, out, mode);
 }
 
 SimdLevel ActiveSimdLevel() { return CpuInfo::MaxSimdLevel(); }
+
+std::vector<DotKernel> RunnableDotKernels() {
+  std::vector<DotKernel> kernels = {
+      {SimdLevel::kScalar, &ScalarRows<float>, &ScalarRows<Half>}};
+#if defined(CEJ_HAVE_AVX2_KERNEL)
+  if (ActiveSimdLevel() >= SimdLevel::kAvx2) {
+    kernels.push_back({SimdLevel::kAvx2, &Avx2Rows<float>, &Avx2Rows<Half>});
+  }
+#endif
+#if defined(__AVX512F__)
+  if (ActiveSimdLevel() >= SimdLevel::kAvx512) {
+    kernels.push_back(
+        {SimdLevel::kAvx512, &Avx512Rows<float>, &Avx512Rows<Half>});
+  }
+#endif
+  return kernels;
+}
 
 }  // namespace cej::la

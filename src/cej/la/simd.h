@@ -1,53 +1,78 @@
-// SIMD dot-product kernels.
+// Dot-product kernels.
 //
-// The paper's physical optimization study (Sections V, VI.B-C) compares
-// SIMD-vectorized against scalar execution of the cosine-similarity inner
-// loop. To make that comparison honest, the scalar kernel here is compiled
-// with auto-vectorization disabled; the SIMD kernels use AVX2/AVX-512 FMA
-// intrinsics explicitly. Callers select a kernel via SimdMode.
+// Every kernel computes one per-pair order, so a score never depends on the
+// instruction set, the row blocking, or where a row falls in a tile:
+//
+//   - 16 virtual lanes over k: lane l accumulates the products at k with
+//     k mod 16 == l;
+//   - one fused multiply-add per lane per chunk of 16, in chunk order;
+//   - a last partial chunk zero-padded to 16 lanes (0 * 0 added like any
+//     other product);
+//   - a fixed reduction tree: lane l += lane l+8, then l += l+4, l += l+2,
+//     l += l+1; lane 0 is the result.
+//
+// The scalar, AVX2 and AVX-512 kernels all implement this order (the
+// scalar one with std::fmaf, compiled with auto-vectorization disabled),
+// over FP32 or FP16-widened inputs, one row or an 8-row register block at a
+// time. They return identical bits; SimdMode picks speed only.
 
 #ifndef CEJ_LA_SIMD_H_
 #define CEJ_LA_SIMD_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "cej/common/cpu_info.h"
 
 namespace cej::la {
 
-/// Kernel selection policy for similarity computations.
+/// IEEE 754 binary16 value in its bit representation.
+using Half = uint16_t;
+
+/// Kernel selection policy for similarity computations. Both modes return
+/// the same bits; only the speed differs.
 enum class SimdMode {
   /// Plain scalar loop, compiler auto-vectorization disabled. This is the
-  /// "NO-SIMD" configuration of Figures 8 and 9.
+  /// "NO-SIMD" arm of Figures 8 and 9.
   kForceScalar,
   /// Best available vector kernel (AVX-512 > AVX2 > scalar).
   kAuto,
 };
 
-/// Dot product, scalar loop with vectorization disabled (true NO-SIMD).
-float DotScalar(const float* a, const float* b, size_t dim);
-
-/// Dot product using the widest instruction set this binary+CPU supports.
-float DotSimd(const float* a, const float* b, size_t dim);
-
-/// Dot product dispatched by `mode`.
-inline float Dot(const float* a, const float* b, size_t dim, SimdMode mode) {
-  return mode == SimdMode::kForceScalar ? DotScalar(a, b, dim)
-                                        : DotSimd(a, b, dim);
-}
+/// Dot product of two `dim`-vectors.
+float Dot(const float* a, const float* b, size_t dim,
+          SimdMode mode = SimdMode::kAuto);
 
 /// Computes dot(a, b_r) for `nrows` consecutive rows b_0..b_{nrows-1} of a
 /// row-major matrix with stride `dim`, writing results to out[0..nrows).
 /// Keeping `a` in registers across rows is the key cache win the tensor
-/// micro-kernel builds on.
+/// micro-kernel builds on. out[r] == Dot(a, b_r) bit for bit.
 void DotOneToMany(const float* a, const float* b_rows, size_t nrows,
-                  size_t dim, float* out, SimdMode mode);
+                  size_t dim, float* out, SimdMode mode = SimdMode::kAuto);
 
-/// Sum of squares (squared L2 norm), dispatched like Dot.
-float SquaredNorm(const float* a, size_t dim, SimdMode mode);
+/// Sum of squares (squared L2 norm): Dot(a, a).
+inline float SquaredNorm(const float* a, size_t dim,
+                         SimdMode mode = SimdMode::kAuto) {
+  return Dot(a, a, dim, mode);
+}
 
 /// The SIMD level the kAuto kernels will actually use at runtime.
 SimdLevel ActiveSimdLevel();
+
+/// One compiled kernel variant: DotOneToMany and DotHalfOneToMany (half.h)
+/// as that instruction set runs them.
+struct DotKernel {
+  SimdLevel level;
+  void (*one_to_many)(const float* a, const float* b_rows, size_t nrows,
+                      size_t dim, float* out);
+  void (*half_one_to_many)(const Half* a, const Half* b_rows, size_t nrows,
+                           size_t dim, float* out);
+};
+
+/// Every variant this binary holds and this CPU runs, scalar first. The
+/// variants return identical bits; tests check that on each of them.
+std::vector<DotKernel> RunnableDotKernels();
 
 }  // namespace cej::la
 

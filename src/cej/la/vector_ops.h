@@ -16,7 +16,7 @@
 namespace cej::la {
 
 /// Euclidean norm ||a||.
-float L2Norm(const float* a, size_t dim, SimdMode mode = SimdMode::kAuto);
+float L2Norm(const float* a, size_t dim);
 
 /// Scales `a` to unit L2 norm in place; zero vectors are left unchanged.
 void NormalizeInPlace(float* a, size_t dim);
@@ -24,8 +24,7 @@ void NormalizeInPlace(float* a, size_t dim);
 /// Full cosine similarity (does NOT assume unit inputs):
 ///   cos(theta) = <a,b> / (||a|| * ||b||).
 /// Returns 0 when either vector is zero.
-float CosineSimilarity(const float* a, const float* b, size_t dim,
-                       SimdMode mode = SimdMode::kAuto);
+float CosineSimilarity(const float* a, const float* b, size_t dim);
 
 /// Convenience overloads on std::vector (sizes must match).
 float Dot(const std::vector<float>& a, const std::vector<float>& b);

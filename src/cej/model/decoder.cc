@@ -28,7 +28,7 @@ std::vector<Decoded> Decoder::DecodeTopK(const float* vec, size_t k) const {
   la::TopKCollector collector(k);
   const size_t d = table_.cols();
   for (size_t r = 0; r < table_.rows(); ++r) {
-    collector.Push(la::Dot(vec, table_.Row(r), d, la::SimdMode::kAuto), r);
+    collector.Push(la::Dot(vec, table_.Row(r), d), r);
   }
   std::vector<Decoded> out;
   for (const auto& scored : collector.TakeSorted()) {

@@ -27,8 +27,7 @@ join::CostParams Calibrate(const model::EmbeddingModel& model,
   timer.Restart();
   volatile float sink = 0.0f;
   for (size_t i = 0; i + 1 < sample; ++i) {
-    sink = sink + la::Dot(vecs.Row(i), vecs.Row(i + 1), dim,
-                          la::SimdMode::kAuto);
+    sink = sink + la::Dot(vecs.Row(i), vecs.Row(i + 1), dim);
   }
   p.compute = timer.ElapsedNanos() / static_cast<double>(sample - 1);
 

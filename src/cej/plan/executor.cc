@@ -514,6 +514,18 @@ class PlanExecutor {
     in.pipeline = MatchScanPipeline(node.right);
     in.probe_shaped = ProbeShaped(in.pipeline, node.right_key);
     if (!in.probe_shaped) {
+      // No index can serve this input, so a forced index operator is
+      // rejected now, before the input is materialized and embedded.
+      if (!context_.force_operator.empty()) {
+        CEJ_ASSIGN_OR_RETURN(
+            const JoinOperator* forced,
+            JoinOperatorRegistry::Global().Find(context_.force_operator));
+        if (forced->Traits().needs_index) {
+          return Status::InvalidArgument(
+              std::string(forced->Name()) +
+              ": requires a right-side vector index");
+        }
+      }
       // Materialized, and so embedded, before pricing: no quote carries
       // its model term.
       CEJ_ASSIGN_OR_RETURN(in.materialized, Run(node.right));
@@ -940,7 +952,6 @@ class PlanExecutor {
   join::JoinOptions BaseOptions() const {
     join::JoinOptions options;
     options.pool = context_.pool;
-    options.simd = context_.simd;
     return options;
   }
 

@@ -52,7 +52,6 @@ namespace cej::plan {
 /// Execution environment.
 struct ExecContext {
   ThreadPool* pool = nullptr;
-  la::SimdMode simd = la::SimdMode::kAuto;
   join::CostParams cost_params;
   /// Index catalog snapshot, taken at plan time: the only source of
   /// indexes. Entries are keyed (table, vector column, model) — the Embed

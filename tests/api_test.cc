@@ -147,16 +147,6 @@ TEST(EngineQueryTest, StringJoinWithoutModelFails) {
 
 class EngineCrossValidationTest : public ::testing::Test {
  protected:
-  // Byte-identity across operators holds per SIMD kernel: the engine (and
-  // any index it probes) is pinned to the scalar kernel so every exact
-  // operator accumulates similarities in the same order.
-  static Engine::Options ScalarEngine() {
-    Engine::Options options;
-    options.simd = la::SimdMode::kForceScalar;
-    return options;
-  }
-
-  EngineCrossValidationTest() : engine_(ScalarEngine()) {}
 
   void SetUp() override {
     left_words_ = workload::RandomStrings(25, 4, 8, 41);
@@ -214,7 +204,7 @@ TEST_F(EngineCrossValidationTest, ExactOperatorsAreByteIdentical) {
 TEST_F(EngineCrossValidationTest, ExactIndexMatchesScanExactly) {
   // A flat (exhaustive) index has recall 1: forcing the index operator on
   // the same top-k workload must reproduce the tensor relation exactly.
-  index::FlatIndex flat(right_emb_.Clone(), la::SimdMode::kForceScalar);
+  index::FlatIndex flat(right_emb_.Clone());
   ASSERT_TRUE(engine_.RegisterIndex("r", "word", &flat).ok());
   const auto condition = join::JoinCondition::TopK(3);
 
@@ -329,10 +319,6 @@ TEST(EngineShardedSelectionTest, LargeWideJoinSelectsShardedTensorByCost) {
   // byte-identical to the forced tensor run.
   Engine::Options options;
   options.num_threads = 4;
-  // Scalar kernel: the byte-identity check below crosses operators whose
-  // tile widths differ (shard boundaries), which kAuto's width-dependent
-  // kernel split would perturb in the last ulp.
-  options.simd = la::SimdMode::kForceScalar;
   Engine engine(options);
   la::Matrix left = workload::RandomUnitVectors(512, 8, 95);
   la::Matrix right = workload::RandomUnitVectors(6000, 8, 96);
@@ -364,7 +350,6 @@ TEST(EngineConcurrencyTest, ConcurrentStreamsShareRegistryCacheAndPool) {
   // deadlock (caller-runs ParallelForRange) nor cross results.
   Engine::Options options;
   options.num_threads = 2;
-  options.simd = la::SimdMode::kForceScalar;
   Engine engine(options);
   model::SubwordHashModel model;
   auto left_words = workload::RandomStrings(30, 4, 8, 61);

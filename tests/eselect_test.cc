@@ -23,8 +23,7 @@ TEST(ESelectTest, ThresholdMatchesReferenceScan) {
   ASSERT_TRUE(result.ok());
   std::vector<la::ScoredId> expected;
   for (size_t r = 0; r < data.rows(); ++r) {
-    const float sim =
-        la::Dot(q.Row(0), data.Row(r), 32, la::SimdMode::kAuto);
+    const float sim = la::Dot(q.Row(0), data.Row(r), 32);
     if (sim >= threshold) expected.push_back({sim, r});
   }
   std::sort(expected.begin(), expected.end());
@@ -42,7 +41,7 @@ TEST(ESelectTest, TopKMatchesSelectTopK) {
   ASSERT_TRUE(result.ok());
   std::vector<float> scores(data.rows());
   for (size_t r = 0; r < data.rows(); ++r) {
-    scores[r] = la::Dot(q.Row(0), data.Row(r), 16, la::SimdMode::kAuto);
+    scores[r] = la::Dot(q.Row(0), data.Row(r), 16);
   }
   auto expected = la::SelectTopK(scores.data(), scores.size(), 7);
   ASSERT_EQ(result->matches.size(), 7u);

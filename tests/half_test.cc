@@ -3,6 +3,7 @@
 // FP32 reference with appropriate error bounds.
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include <gtest/gtest.h>
@@ -129,8 +130,11 @@ TEST_P(HalfDotTest, ScalarAndSimdKernelsAgree) {
       HalfMatrix::FromFloat(workload::RandomUnitVectors(1, dim, 5));
   HalfMatrix b =
       HalfMatrix::FromFloat(workload::RandomUnitVectors(1, dim, 6));
-  EXPECT_NEAR(DotHalf(a.Row(0), b.Row(0), dim, SimdMode::kForceScalar),
-              DotHalf(a.Row(0), b.Row(0), dim, SimdMode::kAuto), 1e-3f);
+  const float scalar =
+      DotHalf(a.Row(0), b.Row(0), dim, SimdMode::kForceScalar);
+  const float simd = DotHalf(a.Row(0), b.Row(0), dim, SimdMode::kAuto);
+  EXPECT_EQ(std::memcmp(&scalar, &simd, sizeof(float)), 0)
+      << scalar << " vs " << simd;
 }
 
 INSTANTIATE_TEST_SUITE_P(Dims, HalfDotTest,

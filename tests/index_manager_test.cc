@@ -111,19 +111,11 @@ ExhaustiveFamilyConfigs(size_t n) {
 
 class IndexManagerFamilyTest : public ::testing::Test {
  protected:
-  static Engine::Options ScalarEngine() {
-    Engine::Options options;
-    // Scalar kernel: exact byte identity across the probe and sweep paths
-    // requires one accumulation order. Pool-less: HNSW builds are then
-    // bit-deterministic, which the recall=1 equivalence checks need — a
-    // parallel build's edge sets depend on insertion interleaving (pooled
-    // builds and probes are covered by the selection, sharding and
-    // concurrency tests).
-    options.simd = la::SimdMode::kForceScalar;
-    return options;
-  }
-
-  IndexManagerFamilyTest() : engine_(ScalarEngine()) {}
+  // Pool-less: HNSW builds are then bit-deterministic, which the recall=1
+  // equivalence checks need — a parallel build's edge sets depend on
+  // insertion interleaving (pooled builds and probes are covered by the
+  // selection, sharding and concurrency tests).
+  IndexManagerFamilyTest() : engine_(Engine::Options{}) {}
 
   void SetUp() override {
     left_words_ = workload::RandomStrings(20, 4, 8, 141);
@@ -264,7 +256,7 @@ TEST_F(IndexManagerFamilyTest, SaveLoadRoundTripServesIdenticalProbes) {
 
     // A fresh engine with the same tables: loading must reproduce the
     // saved index's probes exactly (graph, lists AND probe knobs).
-    Engine restored(ScalarEngine());
+    Engine restored;
     ASSERT_TRUE(
         restored.RegisterTable("l", WordsTable(left_words_, 143)).ok());
     ASSERT_TRUE(
@@ -307,7 +299,7 @@ TEST(ShardedIndexProbeTest, ByteIdenticalAcrossShardCounts) {
   const size_t m = 120, n = 500, dim = 8;
   la::Matrix left = workload::RandomUnitVectors(m, dim, 151);
   la::Matrix right = workload::RandomUnitVectors(n, dim, 152);
-  index::FlatIndex flat(right.Clone(), la::SimdMode::kForceScalar);
+  index::FlatIndex flat(right.Clone());
   ThreadPool pool(3);
 
   for (const auto condition :
@@ -315,7 +307,6 @@ TEST(ShardedIndexProbeTest, ByteIdenticalAcrossShardCounts) {
     // Reference: single-threaded, unsharded probes.
     join::MaterializingSink reference;
     join::IndexJoinOptions serial_options;
-    serial_options.simd = la::SimdMode::kForceScalar;
     auto serial =
         join::IndexJoinToSink(left, flat, condition, serial_options,
                               &reference);
@@ -327,7 +318,6 @@ TEST(ShardedIndexProbeTest, ByteIdenticalAcrossShardCounts) {
     for (size_t shard_count : {size_t{1}, size_t{2}, size_t{7}, size_t{16}}) {
       join::MaterializingSink sink;
       join::IndexJoinOptions options;
-      options.simd = la::SimdMode::kForceScalar;
       options.pool = &pool;
       options.shard_count = shard_count;
       auto stats = join::IndexJoinToSink(left, flat, condition, options,
@@ -394,11 +384,9 @@ TEST(IndexSelectionTest, EngineBuiltIndexWinsTheCostScanUnforced) {
   // No caller-built index anywhere: BuildIndex is the only index source.
   // On a pooled engine with a large right relation, the registry scan
   // must pick the index plan on cost alone, probe it in parallel left
-  // shards, and reproduce the tensor pairs byte-for-byte (flat family at
-  // scalar SIMD).
+  // shards, and reproduce the tensor pairs byte-for-byte (flat family).
   Engine::Options options;
   options.num_threads = 4;
-  options.simd = la::SimdMode::kForceScalar;
   Engine engine(options);
   const size_t m = 64, n = 300000, dim = 8;
   la::Matrix left = workload::RandomUnitVectors(m, dim, 161);
@@ -437,7 +425,6 @@ TEST(IndexSelectionTest, EngineBuiltIndexWinsTheCostScanUnforced) {
 TEST(IndexSelectionTest, AutoBuildPublishesInBackgroundAfterLosses) {
   Engine::Options options;
   options.num_threads = 2;
-  options.simd = la::SimdMode::kForceScalar;
   options.index_auto_build_losses = 2;
   options.index_auto_build_options.family = index::IndexFamily::kFlat;
   Engine engine(options);
@@ -670,7 +657,6 @@ TEST(IndexSnapshotTest, LossFromAStalePlanCannotPublish) {
 TEST(IndexConcurrencyTest, ConcurrentBuildIndexAndStream) {
   Engine::Options options;
   options.num_threads = 2;
-  options.simd = la::SimdMode::kForceScalar;
   Engine engine(options);
   model::SubwordHashModel model;
   auto left_words = workload::RandomStrings(15, 4, 8, 181);

@@ -9,6 +9,7 @@
 
 #include "cej/index/flat_index.h"
 #include "cej/index/hnsw_index.h"
+#include "cej/la/simd.h"
 #include "cej/workload/generators.h"
 
 namespace cej::index {
@@ -42,9 +43,7 @@ TEST(FlatIndexTest, TopKFindsExactNearest) {
   // Verify against brute force.
   std::vector<la::ScoredId> all;
   for (size_t r = 0; r < vectors.rows(); ++r) {
-    all.push_back({la::Dot(query_owner.Row(0), vectors.Row(r), 32,
-                           la::SimdMode::kAuto),
-                   r});
+    all.push_back({la::Dot(query_owner.Row(0), vectors.Row(r), 32), r});
   }
   std::sort(all.begin(), all.end());
   for (size_t i = 0; i < 5; ++i) EXPECT_EQ(top[i].id, all[i].id);
@@ -92,8 +91,7 @@ TEST(FlatIndexTest, RangeReturnsAllAboveThreshold) {
   auto got = index.SearchRange(q.Row(0), threshold);
   size_t expected = 0;
   for (size_t r = 0; r < vectors.rows(); ++r) {
-    if (la::Dot(q.Row(0), vectors.Row(r), 16, la::SimdMode::kAuto) >=
-        threshold) {
+    if (la::Dot(q.Row(0), vectors.Row(r), 16) >= threshold) {
       ++expected;
     }
   }
@@ -340,8 +338,7 @@ TEST(HnswIndexTest, ParallelBuildMatchesSequentialRecall) {
   options.m = 16;
   options.ef_construction = 100;
   ThreadPool pool(4);
-  auto parallel = HnswIndex::Build(vectors.Clone(), options,
-                                   la::SimdMode::kAuto, &pool);
+  auto parallel = HnswIndex::Build(vectors.Clone(), options, &pool);
   ASSERT_TRUE(parallel.ok());
   EXPECT_EQ((*parallel)->size(), 2000u);
   // Degree bounds survive concurrent shrinking (every node has level 0).

@@ -71,12 +71,10 @@ TEST(KMeansTest, EachRowAssignedToNearestCentroid) {
   auto result = SphericalKMeans(data, options);
   ASSERT_TRUE(result.ok());
   for (size_t r = 0; r < data.rows(); ++r) {
-    const float own = la::Dot(data.Row(r),
-                              result->centroids.Row(result->assignment[r]),
-                              16, la::SimdMode::kAuto);
+    const float own = la::Dot(
+        data.Row(r), result->centroids.Row(result->assignment[r]), 16);
     for (size_t c = 0; c < result->centroids.rows(); ++c) {
-      const float other = la::Dot(data.Row(r), result->centroids.Row(c),
-                                  16, la::SimdMode::kAuto);
+      const float other = la::Dot(data.Row(r), result->centroids.Row(c), 16);
       EXPECT_LE(other, own + 1e-4f) << "row " << r << " cluster " << c;
     }
   }

@@ -5,8 +5,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <mutex>
 #include <set>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +21,7 @@
 #include "cej/join/join_operator.h"
 #include "cej/join/join_sink.h"
 #include "cej/join/tensor_join.h"
+#include "cej/la/simd.h"
 #include "cej/model/subword_hash_model.h"
 #include "cej/workload/generators.h"
 
@@ -268,11 +275,7 @@ TEST_F(OperatorRunTest, TensorAndPrefetchNljAgreeByteForByte) {
   inputs.left_vectors = &left_;
   inputs.right_vectors = &right_;
   const JoinCondition condition = JoinCondition::TopK(3);
-  // Byte-identity across operators holds per SIMD kernel: pin the scalar
-  // kernel so the NLJ's one-dot path and the tensor's one-to-many path
-  // accumulate in the same order.
   JoinOptions options;
-  options.simd = la::SimdMode::kForceScalar;
 
   MaterializingSink tensor_sink, nlj_sink;
   ASSERT_TRUE((*registry.Find("tensor"))
@@ -284,6 +287,93 @@ TEST_F(OperatorRunTest, TensorAndPrefetchNljAgreeByteForByte) {
   ASSERT_EQ(tensor_sink.pairs().size(), nlj_sink.pairs().size());
   for (size_t i = 0; i < tensor_sink.pairs().size(); ++i) {
     EXPECT_EQ(tensor_sink.pairs()[i], nlj_sink.pairs()[i]) << i;
+  }
+}
+
+// One dot-product order: the three tensor layouts at every right tile
+// height (1 and 7 leave 1- and 7-row kernel calls; 64 and auto run 8-row
+// blocks plus a leftover tail), the prefetched NLJ's one-pair dots and the
+// flat index's probes all score a pair with the same bits, so they emit
+// the same (left, right, similarity) triples.
+TEST(OneDotOrderTest, EveryOperatorAndTileHeightEmitsTheSameBits) {
+  using Triple = std::tuple<uint32_t, uint32_t, uint32_t>;
+  auto triples = [](const MaterializingSink& sink) {
+    std::vector<Triple> out;
+    for (const JoinPair& p : sink.pairs()) {
+      uint32_t bits;
+      std::memcpy(&bits, &p.similarity, sizeof(bits));
+      out.emplace_back(p.left, p.right, bits);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  model::SubwordHashModel model;  // dim 100: a 4-element tail chunk.
+  const std::vector<std::string> right_words =
+      workload::RandomStrings(301, 4, 8, 62);
+  const la::Matrix left =
+      model.EmbedBatch(workload::RandomStrings(21, 4, 8, 61));
+  const la::Matrix right = model.EmbedBatch(right_words);
+  // The threshold is a similarity that occurs, so one pair sits on it.
+  std::vector<float> sims;
+  for (size_t i = 0; i < left.rows(); ++i) {
+    for (size_t j = 0; j < right.rows(); ++j) {
+      sims.push_back(la::Dot(left.Row(i), right.Row(j), left.cols()));
+    }
+  }
+  std::nth_element(sims.begin(), sims.begin() + sims.size() / 20, sims.end(),
+                   std::greater<float>());
+  const float threshold = sims[sims.size() / 20];
+  index::FlatIndex flat(right.Clone());
+  ThreadPool pool(3);
+  auto& registry = JoinOperatorRegistry::Global();
+
+  for (const JoinCondition& condition :
+       {JoinCondition::Threshold(threshold), JoinCondition::TopK(4)}) {
+    std::vector<std::pair<std::string, std::vector<Triple>>> runs;
+    for (size_t height : {size_t{1}, size_t{7}, size_t{64}, size_t{0}}) {
+      TensorJoinOptions options;
+      options.pool = &pool;
+      options.batch_rows_right = height;
+      const std::string suffix = " right tile " + std::to_string(height);
+      auto sweep = [&](const std::string& name, const SweepRight& side,
+                       SweepLayout layout) {
+        MaterializingSink sink;
+        ASSERT_TRUE(
+            TensorSweepToSink(left, side, condition, layout, options, &sink)
+                .ok())
+            << name;
+        runs.emplace_back(name + suffix, triples(sink));
+      };
+      sweep("tensor", SweepRight::Vectors(right), SweepLayout::kLeftTiles);
+      for (size_t shards : {size_t{1}, size_t{3}, size_t{5}}) {
+        options.shard_count = shards;
+        sweep("sharded_tensor x" + std::to_string(shards),
+              SweepRight::Vectors(right), SweepLayout::kRightShards);
+      }
+      sweep("pipelined_tensor", SweepRight::Stream(right_words, model),
+            SweepLayout::kRightStream);
+    }
+    JoinInputs inputs;
+    inputs.left_vectors = &left;
+    inputs.right_vectors = &right;
+    inputs.right_index = &flat;
+    JoinOptions options;
+    options.pool = &pool;
+    for (const char* name : {"prefetch_nlj", "index"}) {
+      MaterializingSink sink;
+      ASSERT_TRUE(
+          (*registry.Find(name))->Run(inputs, condition, options, &sink).ok())
+          << name;
+      runs.emplace_back(name, triples(sink));
+    }
+
+    ASSERT_FALSE(runs.front().second.empty());
+    for (const auto& [name, got] : runs) {
+      EXPECT_EQ(got, runs.front().second)
+          << name << " vs " << runs.front().first
+          << (condition.kind == JoinCondition::Kind::kTopK ? " (top-k)"
+                                                          : " (threshold)");
+    }
   }
 }
 
@@ -413,15 +503,11 @@ TEST_F(PipelinedTensorTest, MatchesTensorAcrossTilesAndConditions) {
   la::Matrix right_emb = model_.EmbedBatch(right_words_);
   for (const JoinCondition& condition :
        {JoinCondition::Threshold(0.4f), JoinCondition::TopK(3)}) {
-    TensorJoinOptions tensor_options;
-    tensor_options.simd = la::SimdMode::kForceScalar;
-    auto reference =
-        TensorJoinMatrices(left_emb_, right_emb, condition, tensor_options);
+    auto reference = TensorJoinMatrices(left_emb_, right_emb, condition);
     ASSERT_TRUE(reference.ok());
     ASSERT_GT(reference->pairs.size(), 0u);
 
     TensorJoinOptions options;
-    options.simd = la::SimdMode::kForceScalar;
     options.pool = &pool;
     MaterializingSink sink;
     auto stats = TensorSweepToSink(
@@ -450,7 +536,6 @@ TEST_F(PipelinedTensorTest, OperatorAcceptsStringsAndVectorsAlike) {
   const JoinOperator* tensor = *registry.Find("tensor");
   const JoinCondition condition = JoinCondition::TopK(2);
   JoinOptions options;
-  options.simd = la::SimdMode::kForceScalar;
 
   // Context domain on the right: the pipelined path proper.
   JoinInputs string_inputs;
@@ -553,7 +638,6 @@ TEST_F(ShardedJoinTest, MatchesTensorAcrossShardCountsConditionsAndSinks) {
        {JoinCondition::Threshold(0.35f), JoinCondition::TopK(3)}) {
     TensorJoinOptions tensor_options;
     tensor_options.pool = &pool;
-    tensor_options.simd = la::SimdMode::kForceScalar;
     auto reference =
         TensorJoinMatrices(left_, right_, condition, tensor_options);
     ASSERT_TRUE(reference.ok());
@@ -563,7 +647,6 @@ TEST_F(ShardedJoinTest, MatchesTensorAcrossShardCountsConditionsAndSinks) {
                                size_t{16}}) {
       TensorJoinOptions options;
       options.pool = &pool;
-      options.simd = la::SimdMode::kForceScalar;
       options.shard_count = shard_count;
 
       MaterializingSink sink;
@@ -620,7 +703,6 @@ TEST_F(ShardedJoinTest, OperatorRegisteredWithTensorSemantics) {
   ThreadPool pool(4);
   JoinOptions options;
   options.pool = &pool;
-  options.simd = la::SimdMode::kForceScalar;  // Cross-operator identity.
   options.shard_count = 5;
   JoinInputs inputs;
   inputs.left_vectors = &left_;

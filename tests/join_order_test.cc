@@ -244,12 +244,6 @@ class MultiJoinTest : public ::testing::Test {
   static Engine::Options MakeOptions() {
     Engine::Options options;
     options.num_threads = 4;
-    // Byte-identity assertions need position-independent similarities:
-    // the SIMD one-to-many kernel accumulates a pair differently
-    // depending on where it lands in a tile (8-wide blocks vs tail), so
-    // a DP orientation flip can move a pair and change its last bit.
-    // Scalar dots are sequential over the dimension, everywhere.
-    options.simd = la::SimdMode::kForceScalar;
     return options;
   }
 

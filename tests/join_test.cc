@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -30,8 +31,7 @@ std::vector<JoinPair> ReferenceThresholdJoin(const la::Matrix& left,
   std::vector<JoinPair> pairs;
   for (size_t i = 0; i < left.rows(); ++i) {
     for (size_t j = 0; j < right.rows(); ++j) {
-      const float sim = la::Dot(left.Row(i), right.Row(j), left.cols(),
-                                la::SimdMode::kAuto);
+      const float sim = la::Dot(left.Row(i), right.Row(j), left.cols());
       if (sim >= threshold) {
         pairs.push_back({static_cast<uint32_t>(i), static_cast<uint32_t>(j),
                          sim});
@@ -247,20 +247,24 @@ TEST(NljTest, LoopOrderDoesNotChangeResults) {
   EXPECT_EQ(PairSet(a->pairs), PairSet(b->pairs));
 }
 
-TEST(NljTest, SimdAndScalarAgree) {
+TEST(NljTest, MatchesTensorSweepBitForBit) {
+  // The NLJ scores one pair per call, the tensor sweep eight rows per
+  // kernel call plus a leftover tail (30 rows: 3 blocks + 6). Both use the
+  // one dot-product order, so pairs and similarity bits agree exactly.
   la::Matrix left = workload::RandomUnitVectors(30, 100, 15);
   la::Matrix right = workload::RandomUnitVectors(30, 100, 16);
-  NljOptions scalar;
-  scalar.simd = la::SimdMode::kForceScalar;
-  NljOptions simd;
-  simd.simd = la::SimdMode::kAuto;
-  // A threshold away from any pair's value avoids FP-rounding flips.
-  auto a = NljJoinMatrices(left, right, JoinCondition::Threshold(0.2f),
-                           scalar);
-  auto b =
-      NljJoinMatrices(left, right, JoinCondition::Threshold(0.2f), simd);
+  auto a = NljJoinMatrices(left, right, JoinCondition::Threshold(0.2f));
+  auto b = TensorJoinMatrices(left, right, JoinCondition::Threshold(0.2f));
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(PairSet(a->pairs), PairSet(b->pairs));
+  ASSERT_EQ(a->pairs.size(), b->pairs.size());
+  for (size_t p = 0; p < a->pairs.size(); ++p) {
+    EXPECT_EQ(a->pairs[p].left, b->pairs[p].left);
+    EXPECT_EQ(a->pairs[p].right, b->pairs[p].right);
+    EXPECT_EQ(std::memcmp(&a->pairs[p].similarity, &b->pairs[p].similarity,
+                          sizeof(float)),
+              0);
+  }
 }
 
 TEST(NljTest, RejectsTopKZero) {

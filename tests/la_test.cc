@@ -4,7 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <numeric>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -13,6 +17,7 @@
 #include "cej/common/rng.h"
 #include "cej/common/thread_pool.h"
 #include "cej/la/gemm.h"
+#include "cej/la/half.h"
 #include "cej/la/matrix.h"
 #include "cej/la/simd.h"
 #include "cej/la/topk.h"
@@ -37,6 +42,10 @@ std::vector<float> RandomVec(size_t dim, uint64_t seed) {
   return v;
 }
 
+// Both kernel policies. They differ in speed only, so every check below
+// that loops over them expects the same bits from each.
+constexpr SimdMode kBothModes[] = {SimdMode::kForceScalar, SimdMode::kAuto};
+
 // ---------------------------------------------------------------------------
 // SIMD kernels: parameterized over dimensionality (covers remainders of all
 // vector widths: 1..64-lane tails).
@@ -49,7 +58,7 @@ TEST_P(DotKernelTest, ScalarMatchesReference) {
   const auto a = RandomVec(dim, 1);
   const auto b = RandomVec(dim, 2);
   const double ref = ReferenceDot(a.data(), b.data(), dim);
-  EXPECT_NEAR(DotScalar(a.data(), b.data(), dim), ref,
+  EXPECT_NEAR(Dot(a.data(), b.data(), dim, SimdMode::kForceScalar), ref,
               1e-4 * (1.0 + std::abs(ref)));
 }
 
@@ -58,7 +67,7 @@ TEST_P(DotKernelTest, SimdMatchesScalar) {
   const auto a = RandomVec(dim, 3);
   const auto b = RandomVec(dim, 4);
   const double ref = ReferenceDot(a.data(), b.data(), dim);
-  EXPECT_NEAR(DotSimd(a.data(), b.data(), dim), ref,
+  EXPECT_NEAR(Dot(a.data(), b.data(), dim, SimdMode::kAuto), ref,
               1e-3 * (1.0 + std::abs(ref)));
 }
 
@@ -66,15 +75,16 @@ TEST_P(DotKernelTest, DispatchedModesAgree) {
   const size_t dim = GetParam();
   const auto a = RandomVec(dim, 5);
   const auto b = RandomVec(dim, 6);
-  const float scalar = Dot(a.data(), b.data(), dim, SimdMode::kForceScalar);
-  const float simd = Dot(a.data(), b.data(), dim, SimdMode::kAuto);
-  EXPECT_NEAR(scalar, simd, 1e-3 * (1.0f + std::abs(scalar)));
+  const float scalar = Dot(a.data(), b.data(), dim, kBothModes[0]);
+  const float simd = Dot(a.data(), b.data(), dim, kBothModes[1]);
+  EXPECT_EQ(std::memcmp(&scalar, &simd, sizeof(float)), 0)
+      << scalar << " vs " << simd;
 }
 
 TEST_P(DotKernelTest, SquaredNormIsSelfDot) {
   const size_t dim = GetParam();
   const auto a = RandomVec(dim, 7);
-  for (SimdMode mode : {SimdMode::kForceScalar, SimdMode::kAuto}) {
+  for (SimdMode mode : kBothModes) {
     EXPECT_NEAR(SquaredNorm(a.data(), dim, mode),
                 ReferenceDot(a.data(), a.data(), dim),
                 1e-3 * (1.0 + ReferenceDot(a.data(), a.data(), dim)));
@@ -83,10 +93,10 @@ TEST_P(DotKernelTest, SquaredNormIsSelfDot) {
 
 TEST_P(DotKernelTest, DotOneToManyMatchesRowwiseDots) {
   const size_t dim = GetParam();
-  constexpr size_t kRows = 13;  // Odd: exercises the 4-row kernel tail.
+  constexpr size_t kRows = 13;  // Odd: one 8-row block plus a 5-row tail.
   const auto a = RandomVec(dim, 8);
   la::Matrix b = workload::RandomUnitVectors(kRows, dim, 9);
-  for (SimdMode mode : {SimdMode::kForceScalar, SimdMode::kAuto}) {
+  for (SimdMode mode : kBothModes) {
     std::vector<float> out(kRows);
     DotOneToMany(a.data(), b.data(), kRows, dim, out.data(), mode);
     for (size_t r = 0; r < kRows; ++r) {
@@ -101,6 +111,183 @@ INSTANTIATE_TEST_SUITE_P(Dims, DotKernelTest,
                          ::testing::Values(1, 2, 3, 4, 7, 8, 15, 16, 17, 31,
                                            32, 33, 63, 64, 100, 128, 256,
                                            300));
+
+// ---------------------------------------------------------------------------
+// One dot-product order: every kernel variant this binary holds and this CPU
+// runs (scalar, AVX2, AVX-512), in FP32 and FP16, one row or in 8-row blocks
+// at any row position, through Dot, DotOneToMany, SquaredNorm and GemmTile,
+// returns the same bits for the same pair.
+// ---------------------------------------------------------------------------
+
+constexpr size_t kMaxRows = 17;  // Row positions 0..15, plus one past.
+
+bool SameBits(float x, float y) { return std::memcmp(&x, &y, 4) == 0; }
+
+std::string Bits(float x) {
+  uint32_t u;
+  std::memcpy(&u, &x, 4);
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.9g (0x%08x)", x, u);
+  return buf;
+}
+
+// Mixed signs and magnitudes (so summation order shows in the last bits),
+// with signed zeros and subnormals sprinkled in.
+Matrix EdgeCaseMatrix(size_t rows, size_t dim, uint64_t seed) {
+  Rng rng(seed);
+  Matrix m(rows, dim);
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  for (size_t i = 0; i < m.size(); ++i) {
+    const uint64_t kind = rng.NextBounded(10);
+    const float sign = rng.NextBounded(2) == 0 ? 1.0f : -1.0f;
+    float v;
+    if (kind == 0) {
+      v = sign * 0.0f;
+    } else if (kind == 1) {
+      v = sign * denorm * static_cast<float>(1 + rng.NextBounded(1u << 20));
+    } else if (kind == 2) {
+      v = sign * std::ldexp(1.0f + static_cast<float>(rng.NextDouble()),
+                            -static_cast<int>(rng.NextBounded(30)));
+    } else {
+      v = static_cast<float>(rng.NextGaussian()) *
+          std::ldexp(1.0f, static_cast<int>(rng.NextBounded(16)) - 8);
+    }
+    m.data()[i] = v;
+  }
+  return m;
+}
+
+std::vector<size_t> IdentityDims() {
+  std::vector<size_t> dims;
+  for (size_t d = 1; d <= 130; ++d) dims.push_back(d);
+  dims.push_back(256);
+  return dims;
+}
+
+TEST(DotOrderTest, EveryKernelVariantReturnsTheSameBits) {
+  const auto kernels = RunnableDotKernels();
+  ASSERT_FALSE(kernels.empty());
+  ASSERT_EQ(kernels.front().level, SimdLevel::kScalar);
+  EXPECT_EQ(kernels.back().level, ActiveSimdLevel());
+  for (size_t dim : IdentityDims()) {
+    const Matrix a = EdgeCaseMatrix(1, dim, 100 + dim);
+    const Matrix b = EdgeCaseMatrix(kMaxRows, dim, 300 + dim);
+    // The reference: the scalar kernel, one row per call.
+    std::vector<float> want(kMaxRows);
+    for (size_t r = 0; r < kMaxRows; ++r) {
+      kernels.front().one_to_many(a.Row(0), b.Row(r), 1, dim, &want[r]);
+    }
+    for (const DotKernel& kernel : kernels) {
+      const char* name = SimdLevelName(kernel.level);
+      for (size_t nrows = 1; nrows <= kMaxRows; ++nrows) {
+        std::vector<float> got(nrows);
+        kernel.one_to_many(a.Row(0), b.Row(0), nrows, dim, got.data());
+        for (size_t r = 0; r < nrows; ++r) {
+          EXPECT_TRUE(SameBits(got[r], want[r]))
+              << name << " dim " << dim << " nrows " << nrows << " row " << r
+              << ": " << Bits(got[r]) << " vs " << Bits(want[r]);
+        }
+      }
+    }
+    for (SimdMode mode : kBothModes) {
+      std::vector<float> many(kMaxRows);
+      DotOneToMany(a.Row(0), b.Row(0), kMaxRows, dim, many.data(), mode);
+      for (size_t r = 0; r < kMaxRows; ++r) {
+        const float one = Dot(a.Row(0), b.Row(r), dim, mode);
+        EXPECT_TRUE(SameBits(one, want[r]))
+            << "Dot dim " << dim << " row " << r << ": " << Bits(one)
+            << " vs " << Bits(want[r]);
+        EXPECT_TRUE(SameBits(many[r], want[r]))
+            << "DotOneToMany dim " << dim << " row " << r;
+      }
+      const float norm = SquaredNorm(b.Row(3), dim, mode);
+      const float self = Dot(b.Row(3), b.Row(3), dim, kBothModes[0]);
+      EXPECT_TRUE(SameBits(norm, self))
+          << "SquaredNorm dim " << dim << ": " << Bits(norm) << " vs "
+          << Bits(self);
+    }
+  }
+}
+
+TEST(DotOrderTest, Fp16KernelsMatchTheWidenedFp32Order) {
+  const auto kernels = RunnableDotKernels();
+  for (size_t dim : IdentityDims()) {
+    // Float subnormals would narrow to zero: they become the smallest half
+    // subnormal, so half subnormals and signed zeros both reach the
+    // kernels. The reference runs the FP32 order on the widened values.
+    Matrix a = EdgeCaseMatrix(1, dim, 500 + dim);
+    Matrix b = EdgeCaseMatrix(kMaxRows, dim, 700 + dim);
+    for (Matrix* m : {&a, &b}) {
+      for (size_t i = 0; i < m->size(); ++i) {
+        float& v = m->data()[i];
+        if (v != 0.0f && std::fabs(v) < 1e-30f) {
+          v = std::copysign(std::ldexp(1.0f, -24), v);
+        }
+      }
+    }
+    const HalfMatrix ha = HalfMatrix::FromFloat(a);
+    const HalfMatrix hb = HalfMatrix::FromFloat(b);
+    const Matrix wa = ha.ToFloat();
+    const Matrix wb = hb.ToFloat();
+    std::vector<float> want(kMaxRows);
+    for (size_t r = 0; r < kMaxRows; ++r) {
+      want[r] = Dot(wa.Row(0), wb.Row(r), dim, kBothModes[0]);
+    }
+    for (const DotKernel& kernel : kernels) {
+      const char* name = SimdLevelName(kernel.level);
+      for (size_t nrows = 1; nrows <= kMaxRows; ++nrows) {
+        std::vector<float> got(nrows);
+        kernel.half_one_to_many(ha.Row(0), hb.Row(0), nrows, dim,
+                                got.data());
+        for (size_t r = 0; r < nrows; ++r) {
+          EXPECT_TRUE(SameBits(got[r], want[r]))
+              << name << " fp16 dim " << dim << " nrows " << nrows
+              << " row " << r << ": " << Bits(got[r]) << " vs "
+              << Bits(want[r]);
+        }
+      }
+    }
+    for (SimdMode mode : kBothModes) {
+      std::vector<float> many(kMaxRows);
+      DotHalfOneToMany(ha.Row(0), hb.Row(0), kMaxRows, dim, many.data(),
+                       mode);
+      for (size_t r = 0; r < kMaxRows; ++r) {
+        EXPECT_TRUE(SameBits(DotHalf(ha.Row(0), hb.Row(r), dim, mode),
+                             want[r]))
+            << "DotHalf dim " << dim << " row " << r;
+        EXPECT_TRUE(SameBits(many[r], want[r]))
+            << "DotHalfOneToMany dim " << dim << " row " << r;
+      }
+    }
+  }
+}
+
+TEST(DotOrderTest, GemmTileEntriesDoNotDependOnTileBounds) {
+  for (size_t dim : {size_t{1}, size_t{7}, size_t{16}, size_t{33},
+                     size_t{100}, size_t{256}}) {
+    const Matrix a = EdgeCaseMatrix(3, dim, 900 + dim);
+    const Matrix b = EdgeCaseMatrix(kMaxRows + 8, dim, 1100 + dim);
+    for (SimdMode mode : kBothModes) {
+      for (size_t width = 1; width <= kMaxRows; ++width) {
+        for (size_t j0 : {size_t{0}, size_t{1}, size_t{5}, size_t{8}}) {
+          const size_t j1 = j0 + width;
+          std::vector<float> tile(a.rows() * width);
+          GemmTile(a, b, 0, a.rows(), j0, j1, tile.data(), mode);
+          for (size_t i = 0; i < a.rows(); ++i) {
+            for (size_t j = j0; j < j1; ++j) {
+              const float want = Dot(a.Row(i), b.Row(j), dim);
+              const float got = tile[i * width + (j - j0)];
+              EXPECT_TRUE(SameBits(got, want))
+                  << "dim " << dim << " width " << width << " j0 " << j0
+                  << " (" << i << "," << j << "): " << Bits(got) << " vs "
+                  << Bits(want);
+            }
+          }
+        }
+      }
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // vector_ops
@@ -239,7 +426,7 @@ TEST_P(GemmTest, MatchesNaiveReference) {
   GemmOptions options;
   options.block_m = block_m;
   options.block_n = block_n;
-  for (SimdMode mode : {SimdMode::kForceScalar, SimdMode::kAuto}) {
+  for (SimdMode mode : kBothModes) {
     options.simd = mode;
     Matrix d(m, n);
     GemmABt(a, b, &d, options);

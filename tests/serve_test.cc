@@ -58,11 +58,11 @@ TEST(ServeFusionTest, FusedTopKBatchIsByteIdenticalToSoloExecution) {
   // at least one batched sweep whose demuxed per-query pairs are
   // byte-identical to each query executed solo through the QueryBuilder.
   Engine::Options options;
-  options.num_threads = 2;
   // Solo and fused runs may legitimately pick different exact operators
-  // (the fused left matrix is 8x taller); scalar kernels make their
-  // results bit-identical, so the comparison tests demux, not SIMD.
-  options.simd = la::SimdMode::kForceScalar;
+  // (the fused left matrix is 8x taller); every kernel scores a pair the
+  // same way, so their results are bit-identical and the comparison tests
+  // the demux.
+  options.num_threads = 2;
   options.serve.worker_threads = 1;
   options.serve.fusion_enabled = true;
   options.serve.min_fusion_queries = 8;
@@ -133,7 +133,6 @@ TEST(ServeFusionTest, FusedThresholdBatchOverVectorColumnMatchesSolo) {
   // column (no Embed stage at all), threshold condition.
   Engine::Options options;
   options.num_threads = 2;
-  options.simd = la::SimdMode::kForceScalar;
   options.serve.worker_threads = 1;
   options.serve.min_fusion_queries = 4;
   options.serve.fusion_wait = seconds(5);

@@ -186,16 +186,15 @@ TEST(AdaptiveEngineTest, SkewedSeedScanFlipsFromNaiveToTensorWithinEight) {
   // estimated-vs-actual error collapsing across refits.
   Engine::Options options;
   options.num_threads = 0;  // No pool: the exact string-domain trio only.
-  options.simd = la::SimdMode::kForceScalar;  // Cross-operator identity.
   options.adaptive_stats = true;
   options.stats_refit_interval = 1;
   // A tight exploration bound: the mispriced naive baseline (quoted
   // ~6.6x the blocked sweep under the skew) gets its one exploratory run,
   // while the prefetched NLJ never does. Once the model coefficient is
   // learned its quote sits ~13-16x above the calibrated tensor quote, so
-  // a bound of 16 would let it run on some hosts; measured, the two
-  // scalar sweeps cost the same here, and the scan would then settle on
-  // either. A bound of 8 keeps the flip independent of timing noise.
+  // a bound of 16 would let it run on some hosts, and the scan could then
+  // settle on either. A bound of 8 keeps the flip independent of timing
+  // noise.
   options.stats_explore_cost_ratio = 8.0;
   Engine engine(options);
   model::SubwordHashModel model;
@@ -485,7 +484,6 @@ TEST(ExactnessTest, RequireExactAdmitsFlatIndexPlansButNotGraphs) {
   const auto condition = join::JoinCondition::TopK(2);
 
   Engine::Options options;
-  options.simd = la::SimdMode::kForceScalar;
   Engine flat_engine(options);
   ASSERT_TRUE(
       flat_engine.RegisterTable("q", VectorTable(left.Clone())).ok());
@@ -564,7 +562,6 @@ TEST(FamilyAwareAutoBuildTest, PolicyOverridesTheConfiguredFamily) {
   // override the configuration from evidence.
   Engine::Options options;
   options.num_threads = 2;
-  options.simd = la::SimdMode::kForceScalar;
   options.index_auto_build_losses = 2;
   options.index_auto_build_options.family = index::IndexFamily::kHnsw;
   options.index_auto_build_family_aware = true;
@@ -851,7 +848,6 @@ TEST(CostCalibratorTest, PipelineOverlapIsFitFromOverlappedObservations) {
 TEST(AdaptiveConcurrencyTest, ConcurrentStreamsRecordAndRefitSafely) {
   Engine::Options options;
   options.num_threads = 2;
-  options.simd = la::SimdMode::kForceScalar;
   options.adaptive_stats = true;
   options.stats_refit_interval = 2;
   Engine engine(options);
