@@ -1,8 +1,9 @@
 // Ablation: FP16 embedding storage (paper Section V.A.2) — the tensor
-// join over FP32 vs FP16-stored embeddings. Half-width storage doubles
-// the vectors that fit per cache line / tile, which matters exactly where
-// the paper says it does: the bandwidth-bound sweep over large right
-// relations. Also reports the memory footprint ratio.
+// join over FP32 vs FP16-stored embeddings. FP16 is an at-rest format:
+// the FP16 column widens both stored matrices once (HalfMatrix::ToFloat,
+// timed) and runs the same FP32 sweep, so it differs from FP32 only by
+// the quantization of the inputs. Also reports the memory footprint
+// ratio, the at-rest saving.
 
 #include <cstdio>
 #include <vector>
@@ -43,8 +44,8 @@ int main() {
       CEJ_CHECK(r.ok());
     });
     const double fp16_ms = bench::TimeMs([&] {
-      auto r = join::TensorJoinMatricesHalf(hleft, hright, condition,
-                                            options);
+      auto r = join::TensorJoinMatrices(hleft.ToFloat(), hright.ToFloat(),
+                                        condition, options);
       CEJ_CHECK(r.ok());
     });
     char label[40];
@@ -58,9 +59,8 @@ int main() {
   }
   std::printf(
       "# shape check: FP16 halves the embedding footprint (mem ratio 2x). "
-      "Runtime: on a compute-bound host (single core, large LLC) the "
-      "widening conversions cost ~2x; the bandwidth/capacity win "
-      "materializes when the sweep is memory-bound — many cores or "
-      "LLC-exceeding relations (the paper's HBM/half-precision setting).\n");
+      "Runtime: FP16 pays one widening pass over |R| + |S| rows on top of "
+      "the FP32 sweep, so its speedup stays near 1x; the sweep itself "
+      "never runs on half-width data.\n");
   return 0;
 }

@@ -17,9 +17,12 @@
 //
 // Physical behaviour is controlled per query (Via("tensor") forces a
 // registered operator; Stream() feeds a JoinSink without materializing)
-// or per engine (thread pool, SIMD mode, calibrated cost parameters).
-// Every example and bench drives the system through this surface; the
-// free functions in cej/join remain for operator-level unit tests.
+// or per engine (thread pool, embedding cache, calibrated cost
+// parameters). Selection is the one-row case: a search registers its
+// query as a one-row table and E-joins it against the corpus, so it gets
+// the cost scan, the index catalog, the cache and serve fusion. Every
+// example drives the system through this surface; the free functions in
+// cej/join remain for operator-level tests and benches.
 
 #ifndef CEJ_API_ENGINE_H_
 #define CEJ_API_ENGINE_H_
@@ -138,7 +141,7 @@ class Engine {
 
     // --- Serving (cej::serve) -------------------------------------------
     /// Configuration of the serving layer behind Engine::serve():
-    /// admission queue depth, fusion window, tenant weights and budgets.
+    /// admission queue depth, fusion window and tenant budgets.
     serve::ServerOptions serve;
   };
 

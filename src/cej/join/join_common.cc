@@ -1,6 +1,7 @@
 #include "cej/join/join_common.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace cej::join {
 
@@ -49,6 +50,10 @@ Status ValidateJoinInputs(const la::Matrix& left, const la::Matrix& right) {
 Status ValidateJoinCondition(const JoinCondition& condition) {
   if (condition.kind == JoinCondition::Kind::kTopK && condition.k == 0) {
     return Status::InvalidArgument("E-join: top-k condition with k == 0");
+  }
+  if (condition.kind == JoinCondition::Kind::kThreshold &&
+      std::isnan(condition.threshold)) {
+    return Status::InvalidArgument("E-join: threshold is NaN");
   }
   return Status::OK();
 }

@@ -21,7 +21,10 @@
 // through join::JoinSink (join_sink.h); the cej::Engine facade
 // (cej/api/engine.h) and the plan executor select among them via the
 // registry. The free functions above each operator remain as materializing
-// conveniences for operator-level work.
+// conveniences for operator-level work. There is no selection function: an
+// E-selection is the one-row E-join (Section II.A.3), and the engine runs
+// it as one. The operators take FP32 only; FP16 storage (la/half.h) is
+// widened before a join.
 
 #ifndef CEJ_JOIN_JOIN_COMMON_H_
 #define CEJ_JOIN_JOIN_COMMON_H_
@@ -136,15 +139,17 @@ struct JoinOptions {
 };
 
 /// Validates that two embedded sides are joinable (same non-zero dim).
-/// Single source of the error text: every operator — FP32, FP16 and
+/// Single source of the error text: every operator — scan and
 /// index-backed — reports the identical message for mismatched dims.
 Status ValidateJoinDims(size_t left_dim, size_t right_dim);
 
 /// Validates that two embedding batches are joinable (same non-zero dim).
 Status ValidateJoinInputs(const la::Matrix& left, const la::Matrix& right);
 
-/// Validates the condition itself (rejects top-k with k == 0), with one
-/// shared error text across operators.
+/// Validates the condition itself, with one shared error text across
+/// operators and the serving layer: rejects top-k with k == 0 and a NaN
+/// threshold (which no pair could meet). Thresholds outside [-1, 1] stay
+/// legal: above 1 selects nothing, below -1 everything.
 Status ValidateJoinCondition(const JoinCondition& condition);
 
 }  // namespace cej::join

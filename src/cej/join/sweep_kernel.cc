@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "cej/la/gemm.h"
+
 namespace cej::join {
 
 void SweepLeftRows(const SweepSpec& spec, size_t i_begin, size_t i_end) {
@@ -21,7 +23,8 @@ void SweepLeftRows(const SweepSpec& spec, size_t i_begin, size_t i_end) {
     for (size_t j0 = spec.right_begin; j0 < spec.right_end && !feed->stopped();
          j0 += spec.tile.rows_right) {
       const size_t j1 = std::min(spec.right_end, j0 + spec.tile.rows_right);
-      (*spec.kernel)(i0, i1, j0, j1, buffer.data());
+      la::GemmTile(*spec.left, *spec.right, i0, i1, j0, j1, buffer.data(),
+                   spec.simd);
       spec.sims->fetch_add(static_cast<uint64_t>(i1 - i0) * (j1 - j0),
                            std::memory_order_relaxed);
       const size_t tile_cols = j1 - j0;

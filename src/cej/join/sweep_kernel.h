@@ -28,41 +28,39 @@
 
 #include <atomic>
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "cej/common/thread_pool.h"
 #include "cej/join/join_common.h"
 #include "cej/join/join_sink.h"
 #include "cej/join/tensor_join.h"
+#include "cej/la/matrix.h"
+#include "cej/la/simd.h"
 #include "cej/la/topk.h"
 
 namespace cej::join {
 
-/// One intermediate-tile kernel: fills buffer[(i-i0)*(j1-j0) + (j-j0)]
-/// with sim(left i, right j). FP32 uses the blocked GEMM; FP16 widens in
-/// registers row by row. Coordinates are in the kernel's own frame
-/// (whatever matrices the caller closed over).
-using TileKernel = std::function<void(size_t i0, size_t i1, size_t j0,
-                                      size_t j1, float* buffer)>;
-
 /// Everything one sweep needs. All pointers are borrowed and must outlive
-/// the call.
+/// the call. Each dense tile is la::GemmTile(*left, *right, ...): rows of
+/// `left` against rows of `right`, in those matrices' own coordinates.
 struct SweepSpec {
-  /// Left rows covered by the whole sweep (kernel frame).
+  const la::Matrix* left = nullptr;
+  /// The right matrix, or an embedded pipeline tile.
+  const la::Matrix* right = nullptr;
+  la::SimdMode simd = la::SimdMode::kAuto;
+  /// Left rows covered by the whole sweep.
   size_t left_begin = 0;
   size_t left_end = 0;
-  /// Right rows covered (kernel frame): [0, n) for left tiles, [s0, s1)
-  /// for a shard, [0, tile_rows) for an embedded pipeline tile.
+  /// Rows of `right` covered: [0, n) for left tiles, [s0, s1) for a
+  /// shard, [0, tile_rows) for an embedded pipeline tile.
   size_t right_begin = 0;
   size_t right_end = 0;
-  /// Added to kernel-frame right coordinates when emitting pair ids /
-  /// pushing into collectors (pipelined tiles: the tile's global begin).
+  /// Added to rows of `right` when emitting pair ids / pushing into
+  /// collectors (pipelined tiles: the tile's global begin).
   size_t right_id_offset = 0;
   /// Inner (L1-resident) blocking of the dense tile buffer.
   TileShape tile;
   JoinCondition condition;
-  const TileKernel* kernel = nullptr;
   SinkFeed* feed = nullptr;
   std::atomic<uint64_t>* sims = nullptr;
   /// Top-k only. Non-null: externally-owned collectors indexed by LEFT row

@@ -10,7 +10,6 @@
 #include "cej/common/timer.h"
 #include "cej/join/join_sink.h"
 #include "cej/join/sweep_kernel.h"
-#include "cej/la/gemm.h"
 #include "cej/la/topk.h"
 
 namespace cej::join {
@@ -76,9 +75,15 @@ size_t MaxSliceRows(const std::vector<size_t>& bounds) {
 // part of the right relation — the collector sets the slices push into.
 class SweepRun {
  public:
-  SweepRun(size_t m, const TileShape& tile, const JoinCondition& condition,
-           JoinSink* sink)
-      : m_(m), tile_(tile), condition_(condition), sink_(sink), feed_(sink) {}
+  SweepRun(const la::Matrix& left, la::SimdMode simd, const TileShape& tile,
+           const JoinCondition& condition, JoinSink* sink)
+      : left_(left),
+        simd_(simd),
+        m_(left.rows()),
+        tile_(tile),
+        condition_(condition),
+        sink_(sink),
+        feed_(sink) {}
 
   size_t m() const { return m_; }
   const TileShape& tile() const { return tile_; }
@@ -86,16 +91,18 @@ class SweepRun {
   bool topk() const { return condition_.kind == JoinCondition::Kind::kTopK; }
   bool stopped() const { return feed_.stopped(); }
 
-  // Every left row against right rows [begin, end) of `kernel`'s frame.
-  // Without collectors the sweep owns per-left-tile top-k collectors.
-  SweepSpec Spec(const TileKernel& kernel, size_t begin, size_t end) {
+  // Every left row against rows [begin, end) of `right`. Without
+  // collectors the sweep owns per-left-tile top-k collectors.
+  SweepSpec Spec(const la::Matrix& right, size_t begin, size_t end) {
     SweepSpec spec;
+    spec.left = &left_;
+    spec.right = &right;
+    spec.simd = simd_;
     spec.left_end = m_;
     spec.right_begin = begin;
     spec.right_end = end;
     spec.tile = tile_;
     spec.condition = condition_;
-    spec.kernel = &kernel;
     spec.feed = &feed_;
     spec.sims = &sims_;
     return spec;
@@ -160,6 +167,8 @@ class SweepRun {
   }
 
  private:
+  const la::Matrix& left_;
+  const la::SimdMode simd_;
   const size_t m_;
   const TileShape tile_;
   const JoinCondition condition_;
@@ -172,9 +181,10 @@ class SweepRun {
 
 // kLeftTiles: the whole right range as one slice, its left tiles spread
 // over the pool; each left tile finalizes its own top-k.
-void SweepLeftTiles(size_t n, const TileKernel& kernel, ThreadPool* pool,
-                    SweepRun* run, JoinStats* stats) {
-  const size_t used_buffers = RunSweep(run->Spec(kernel, 0, n), pool);
+void SweepLeftTiles(const la::Matrix& right, ThreadPool* pool, SweepRun* run,
+                    JoinStats* stats) {
+  const size_t used_buffers =
+      RunSweep(run->Spec(right, 0, right.rows()), pool);
   stats->peak_buffer_bytes = run->tile().buffer_bytes() * used_buffers;
 }
 
@@ -182,13 +192,13 @@ void SweepLeftTiles(size_t n, const TileKernel& kernel, ThreadPool* pool,
 // slice — the parallelism is ACROSS shards, not within one — and top-k
 // keeps one collector set per shard.
 void SweepRightShards(const std::vector<size_t>& bounds,
-                      const TileKernel& kernel, ThreadPool* pool,
+                      const la::Matrix& right, ThreadPool* pool,
                       SweepRun* run, JoinStats* stats) {
   const size_t shards = bounds.size() - 1;
   run->ReserveCollectorSets(shards);
   auto run_shard = [&](size_t s) {
     if (run->stopped()) return;
-    SweepSpec spec = run->Spec(kernel, bounds[s], bounds[s + 1]);
+    SweepSpec spec = run->Spec(right, bounds[s], bounds[s + 1]);
     spec.collectors = run->CollectorSet(s);
     SweepLeftRows(spec, 0, run->m());
   };
@@ -291,17 +301,12 @@ void SweepRightStream(const la::Matrix& left,
   run->ReserveCollectorSets(1);
   std::vector<la::TopKCollector>* collectors = run->CollectorSet(0);
 
-  // Sweeps one embedded tile, a SLICE of the right stream: kernel-frame
-  // right row 0 is global row tile.begin. Concurrently live sweep buffers
-  // are measured by the shared kernel (written by the consumer only).
+  // Sweeps one embedded tile, a SLICE of the right stream: the tile's row
+  // 0 is global row tile.begin. Concurrently live sweep buffers are
+  // measured by the shared kernel (written by the consumer only).
   size_t sweep_buffers = 0;
   auto sweep_tile = [&](const EmbeddedTile& tile) {
-    const la::Matrix& rt = tile.vectors;
-    TileKernel kernel = [&](size_t i0, size_t i1, size_t j0, size_t j1,
-                            float* buffer) {
-      la::GemmTile(left, rt, i0, i1, j0, j1, buffer, options.simd);
-    };
-    SweepSpec spec = run->Spec(kernel, 0, rt.rows());
+    SweepSpec spec = run->Spec(tile.vectors, 0, tile.vectors.rows());
     spec.right_id_offset = tile.begin;
     spec.collectors = collectors;
     sweep_buffers = std::max(sweep_buffers, RunSweep(spec, options.pool));
@@ -456,22 +461,15 @@ Result<JoinStats> TensorSweepToSink(const la::Matrix& left,
   const std::vector<size_t> bounds = SliceBounds(layout, n, options);
   const TileShape tile =
       ResolveTileShape(m, MaxSliceRows(bounds), left.cols(), options);
-  SweepRun run(m, tile, condition, sink);
+  SweepRun run(left, options.simd, tile, condition, sink);
   JoinStats stats;
   if (streamed) {
     SweepRightStream(left, *right.strings, *right.model, bounds, options,
                      &run, &stats);
+  } else if (layout == SweepLayout::kRightShards) {
+    SweepRightShards(bounds, *right.vectors, options.pool, &run, &stats);
   } else {
-    TileKernel kernel = [&](size_t i0, size_t i1, size_t j0, size_t j1,
-                            float* buffer) {
-      la::GemmTile(left, *right.vectors, i0, i1, j0, j1, buffer,
-                   options.simd);
-    };
-    if (layout == SweepLayout::kRightShards) {
-      SweepRightShards(bounds, kernel, options.pool, &run, &stats);
-    } else {
-      SweepLeftTiles(n, kernel, options.pool, &run, &stats);
-    }
+    SweepLeftTiles(*right.vectors, options.pool, &run, &stats);
   }
   run.Finish(options.pool, &stats);
   return stats;
@@ -497,42 +495,6 @@ Result<JoinResult> TensorJoinMatrices(const la::Matrix& left,
   JoinResult result;
   result.pairs = sink.TakePairs();
   result.stats = stats;
-  return result;
-}
-
-Result<JoinResult> TensorJoinMatricesHalf(const la::HalfMatrix& left,
-                                          const la::HalfMatrix& right,
-                                          const JoinCondition& condition,
-                                          const TensorJoinOptions& options) {
-  CEJ_RETURN_IF_ERROR(ValidateJoinDims(left.cols(), right.cols()));
-  CEJ_RETURN_IF_ERROR(ValidateJoinCondition(condition));
-  const size_t m = left.rows();
-  const size_t n = right.rows();
-  const size_t dim = left.cols();
-  if (m == 0 || n == 0) return JoinResult{};
-
-  // FP16 rows are half-width: the same L1 budget fits twice the tile.
-  TensorJoinOptions half_options = options;
-  if (half_options.batch_rows_right == 0) {
-    half_options.batch_rows_right =
-        ResolveTileShape(m, n, std::max<size_t>(dim / 2, 1), options)
-            .rows_right;
-  }
-  TileKernel kernel = [&](size_t i0, size_t i1, size_t j0, size_t j1,
-                          float* buffer) {
-    const size_t tile_cols = j1 - j0;
-    for (size_t i = i0; i < i1; ++i) {
-      la::DotHalfOneToMany(left.Row(i), right.Row(j0), tile_cols, dim,
-                           buffer + (i - i0) * tile_cols, options.simd);
-    }
-  };
-  MaterializingSink sink;
-  JoinResult result;
-  SweepRun run(m, ResolveTileShape(m, n, dim, half_options), condition,
-               &sink);
-  SweepLeftTiles(n, kernel, options.pool, &run, &result.stats);
-  run.Finish(options.pool, &result.stats);
-  result.pairs = sink.TakePairs();
   return result;
 }
 

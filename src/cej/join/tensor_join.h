@@ -42,7 +42,7 @@
 #include "cej/common/status.h"
 #include "cej/join/join_common.h"
 #include "cej/join/join_sink.h"
-#include "cej/la/half.h"
+#include "cej/la/matrix.h"
 #include "cej/model/embedding_model.h"
 
 namespace cej::join {
@@ -101,7 +101,9 @@ Result<JoinStats> TensorSweepToSink(const la::Matrix& left,
                                     const TensorJoinOptions& options,
                                     JoinSink* sink);
 
-/// Joins two embedded batches with the blocked-GEMM formulation.
+/// Joins two embedded batches with the blocked-GEMM formulation. FP16
+/// embeddings (la::HalfMatrix, paper Section V.A.2) join here after one
+/// HalfMatrix::ToFloat() each: the sweep only reads FP32.
 Result<JoinResult> TensorJoinMatrices(const la::Matrix& left,
                                       const la::Matrix& right,
                                       const JoinCondition& condition,
@@ -113,16 +115,6 @@ Result<JoinStats> TensorJoinMatricesToSink(
     const la::Matrix& left, const la::Matrix& right,
     const JoinCondition& condition, const TensorJoinOptions& options,
     JoinSink* sink);
-
-/// Half-precision variant (paper Section V.A.2): embeddings stored FP16,
-/// similarity arithmetic widened to FP32 in registers. Halves the memory
-/// traffic of the bandwidth-bound sweep at a bounded (~2^-11 relative)
-/// similarity quantization error.
-Result<JoinResult> TensorJoinMatricesHalf(const la::HalfMatrix& left,
-                                          const la::HalfMatrix& right,
-                                          const JoinCondition& condition,
-                                          const TensorJoinOptions& options =
-                                              {});
 
 /// End-to-end variant: prefetch-embeds the string keys, then joins.
 Result<JoinResult> TensorJoin(const std::vector<std::string>& left,

@@ -2,13 +2,14 @@
 //
 // Paper Section V.A.2: "Recent AVX-512 instruction set has introduced
 // hardware support for half-precision data types, which allows processing
-// up to 32 16-bit floating point numbers in a SIMD register" — and the
-// authors' companion work argues for native half-precision processing of
-// CPU-local analytics. CEJ supports FP16 as a *storage* format: embeddings
-// are stored at half width (halving memory traffic and doubling effective
-// cache capacity — the resource the tensor join is bound by) and widened
-// to FP32 in registers for the similarity arithmetic, which preserves
-// accumulation accuracy.
+// up to 32 16-bit floating point numbers in a SIMD register". CEJ treats
+// FP16 as an at-rest format only: a HalfMatrix holds embeddings at half
+// the bytes, and a join widens it once with ToFloat() and runs the FP32
+// sweep (TensorJoinMatrices). The kernels have no FP16 path: widening in
+// registers inside the sweep was slower than FP32 on every shape of
+// bench_ablation_fp16, while widening once returns the same pairs bit for
+// bit (the kernels sum the widened values in one order either way) in a
+// fraction of the time (README, "FP16").
 
 #ifndef CEJ_LA_HALF_H_
 #define CEJ_LA_HALF_H_
@@ -18,9 +19,11 @@
 #include <vector>
 
 #include "cej/la/matrix.h"
-#include "cej/la/simd.h"
 
 namespace cej::la {
+
+/// IEEE 754 binary16 value in its bit representation.
+using Half = uint16_t;
 
 /// Scalar conversions (round-to-nearest-even on narrowing). Uses F16C
 /// hardware conversion when compiled in, else the portable path.
@@ -41,7 +44,7 @@ class HalfMatrix {
 
   /// Narrowing conversion from an FP32 matrix.
   static HalfMatrix FromFloat(const Matrix& source);
-  /// Widening conversion back to FP32.
+  /// Widening conversion back to FP32: what a join runs on.
   Matrix ToFloat() const;
 
   size_t rows() const { return rows_; }
@@ -59,18 +62,6 @@ class HalfMatrix {
   size_t cols_ = 0;
   std::vector<Half> data_;
 };
-
-/// Inner product of two FP16 vectors, widened to FP32 in registers and
-/// summed in the one order of simd.h: DotHalf(a, b) equals Dot on the
-/// widened vectors bit for bit, in either mode.
-float DotHalf(const Half* a, const Half* b, size_t dim,
-              SimdMode mode = SimdMode::kAuto);
-
-/// dot(a, b_r) for `nrows` consecutive FP16 rows (stride = dim), the
-/// half-precision counterpart of DotOneToMany. The kernels live in simd.cc.
-void DotHalfOneToMany(const Half* a, const Half* b_rows, size_t nrows,
-                      size_t dim, float* out,
-                      SimdMode mode = SimdMode::kAuto);
 
 }  // namespace cej::la
 

@@ -1,9 +1,6 @@
 #include "cej/la/simd.h"
 
 #include <cmath>
-#include <cstring>
-
-#include "cej/la/half.h"
 
 #if defined(__AVX2__) || defined(__AVX512F__)
 #include <immintrin.h>
@@ -23,10 +20,9 @@ namespace {
 constexpr size_t kLanes = 16;
 
 // The order of simd.h, written once: kRows rows sharing `a`, over an
-// instruction set `Isa` (a 16-lane Vec with Zero/Load/LoadTail/Fma/Reduce)
-// and an element type (FP32, or FP16 widened by the loads).
-template <class Isa, size_t kRows, class Elem>
-CEJ_INLINE void DotBlock(const Elem* a, const Elem* b, size_t stride,
+// instruction set `Isa` (a 16-lane Vec with Zero/Load/LoadTail/Fma/Reduce).
+template <class Isa, size_t kRows>
+CEJ_INLINE void DotBlock(const float* a, const float* b, size_t stride,
                          size_t dim, float* out) {
   typename Isa::Vec acc[kRows];
   for (size_t r = 0; r < kRows; ++r) acc[r] = Isa::Zero();
@@ -49,8 +45,8 @@ CEJ_INLINE void DotBlock(const Elem* a, const Elem* b, size_t stride,
 
 // Blocks of Isa::kBlockRows rows, then the leftovers one at a time; both
 // compute the same order, so a row's bits do not depend on its position.
-template <class Isa, class Elem>
-CEJ_INLINE void DotRows(const Elem* a, const Elem* b_rows, size_t nrows,
+template <class Isa>
+CEJ_INLINE void DotRows(const float* a, const float* b_rows, size_t nrows,
                         size_t dim, float* out) {
   size_t r = 0;
   for (; r + Isa::kBlockRows <= nrows; r += Isa::kBlockRows) {
@@ -60,13 +56,6 @@ CEJ_INLINE void DotRows(const Elem* a, const Elem* b_rows, size_t nrows,
     DotBlock<Isa, 1>(a, b_rows + r * dim, dim, dim, out + r);
   }
 }
-
-// The last n < 16 elements, zero-padded to a full chunk: the FP16 tail
-// load of the vector kernels (a masked 16-bit load would need AVX-512BW).
-struct HalfTail {
-  HalfTail(const Half* p, size_t n) { std::memcpy(chunk, p, n * sizeof(Half)); }
-  Half chunk[kLanes] = {};
-};
 
 // Scalar: 16 accumulators, std::fmaf per lane. ScalarRows is compiled with
 // auto-vectorization disabled (the kernel is inlined into it), so the
@@ -81,14 +70,12 @@ struct ScalarIsa {
     for (float& lane : v.lane) lane = 0.0f;
     return v;
   }
-  template <class Elem>
-  CEJ_INLINE static Vec LoadTail(const Elem* p, size_t n) {
+  CEJ_INLINE static Vec LoadTail(const float* p, size_t n) {
     Vec v;
-    for (size_t l = 0; l < kLanes; ++l) v.lane[l] = l < n ? Widen(p[l]) : 0.0f;
+    for (size_t l = 0; l < kLanes; ++l) v.lane[l] = l < n ? p[l] : 0.0f;
     return v;
   }
-  template <class Elem>
-  CEJ_INLINE static Vec Load(const Elem* p) {
+  CEJ_INLINE static Vec Load(const float* p) {
     return LoadTail(p, kLanes);
   }
   CEJ_INLINE static Vec Fma(const Vec& a, const Vec& b, Vec acc) {
@@ -103,17 +90,14 @@ struct ScalarIsa {
     }
     return v.lane[0];
   }
-  CEJ_INLINE static float Widen(float x) { return x; }
-  CEJ_INLINE static float Widen(Half x) { return HalfToFloat(x); }
 };
 
-template <class Elem>
 #if defined(__GNUC__) && !defined(__clang__)
 __attribute__((noinline,
                optimize("no-tree-vectorize", "no-tree-slp-vectorize")))
 #endif
-void ScalarRows(const Elem* a, const Elem* b_rows, size_t nrows, size_t dim,
-                float* out) {
+void ScalarRows(const float* a, const float* b_rows, size_t nrows,
+                size_t dim, float* out) {
   DotRows<ScalarIsa>(a, b_rows, nrows, dim, out);
 }
 
@@ -129,7 +113,7 @@ CEJ_INLINE float ReduceEight(__m256 v) {
 #endif
 
 // AVX2: the 16 lanes as two 8-lane halves.
-#if defined(__AVX2__) && defined(__FMA__) && defined(__F16C__)
+#if defined(__AVX2__) && defined(__FMA__)
 #define CEJ_HAVE_AVX2_KERNEL 1
 struct Avx2Isa {
   static constexpr size_t kBlockRows = 1;
@@ -142,18 +126,10 @@ struct Avx2Isa {
   CEJ_INLINE static Vec Load(const float* p) {
     return {_mm256_loadu_ps(p), _mm256_loadu_ps(p + 8)};
   }
-  CEJ_INLINE static Vec Load(const Half* p) {
-    const auto* q = reinterpret_cast<const __m128i*>(p);
-    return {_mm256_cvtph_ps(_mm_loadu_si128(q)),
-            _mm256_cvtph_ps(_mm_loadu_si128(q + 1))};
-  }
   CEJ_INLINE static Vec LoadTail(const float* p, size_t n) {
     const size_t lo = n < 8 ? n : 8;
     return {_mm256_maskload_ps(p, FirstLanes(lo)),
             _mm256_maskload_ps(p + 8, FirstLanes(n - lo))};
-  }
-  CEJ_INLINE static Vec LoadTail(const Half* p, size_t n) {
-    return Load(HalfTail(p, n).chunk);
   }
   CEJ_INLINE static Vec Fma(const Vec& a, const Vec& b, const Vec& acc) {
     return {_mm256_fmadd_ps(a.lo, b.lo, acc.lo),
@@ -170,8 +146,7 @@ struct Avx2Isa {
   }
 };
 
-template <class Elem>
-void Avx2Rows(const Elem* a, const Elem* b_rows, size_t nrows, size_t dim,
+void Avx2Rows(const float* a, const float* b_rows, size_t nrows, size_t dim,
               float* out) {
   DotRows<Avx2Isa>(a, b_rows, nrows, dim, out);
 }
@@ -185,15 +160,8 @@ struct Avx512Isa {
   using Vec = __m512;
   CEJ_INLINE static Vec Zero() { return _mm512_setzero_ps(); }
   CEJ_INLINE static Vec Load(const float* p) { return _mm512_loadu_ps(p); }
-  CEJ_INLINE static Vec Load(const Half* p) {
-    return _mm512_cvtph_ps(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
-  }
   CEJ_INLINE static Vec LoadTail(const float* p, size_t n) {
     return _mm512_maskz_loadu_ps(static_cast<__mmask16>((1u << n) - 1u), p);
-  }
-  CEJ_INLINE static Vec LoadTail(const Half* p, size_t n) {
-    return Load(HalfTail(p, n).chunk);
   }
   CEJ_INLINE static Vec Fma(Vec a, Vec b, Vec acc) {
     return _mm512_fmadd_ps(a, b, acc);
@@ -205,15 +173,13 @@ struct Avx512Isa {
   }
 };
 
-template <class Elem>
-void Avx512Rows(const Elem* a, const Elem* b_rows, size_t nrows, size_t dim,
-                float* out) {
+void Avx512Rows(const float* a, const float* b_rows, size_t nrows,
+                size_t dim, float* out) {
   DotRows<Avx512Isa>(a, b_rows, nrows, dim, out);
 }
 #endif
 
-template <class Elem>
-void DispatchRows(const Elem* a, const Elem* b_rows, size_t nrows,
+void DispatchRows(const float* a, const float* b_rows, size_t nrows,
                   size_t dim, float* out, SimdMode mode) {
   const SimdLevel level =
       mode == SimdMode::kAuto ? ActiveSimdLevel() : SimdLevel::kScalar;
@@ -242,31 +208,18 @@ void DotOneToMany(const float* a, const float* b_rows, size_t nrows,
   DispatchRows(a, b_rows, nrows, dim, out, mode);
 }
 
-float DotHalf(const Half* a, const Half* b, size_t dim, SimdMode mode) {
-  float out = 0.0f;
-  DispatchRows(a, b, 1, dim, &out, mode);
-  return out;
-}
-
-void DotHalfOneToMany(const Half* a, const Half* b_rows, size_t nrows,
-                      size_t dim, float* out, SimdMode mode) {
-  DispatchRows(a, b_rows, nrows, dim, out, mode);
-}
-
 SimdLevel ActiveSimdLevel() { return CpuInfo::MaxSimdLevel(); }
 
 std::vector<DotKernel> RunnableDotKernels() {
-  std::vector<DotKernel> kernels = {
-      {SimdLevel::kScalar, &ScalarRows<float>, &ScalarRows<Half>}};
+  std::vector<DotKernel> kernels = {{SimdLevel::kScalar, &ScalarRows}};
 #if defined(CEJ_HAVE_AVX2_KERNEL)
   if (ActiveSimdLevel() >= SimdLevel::kAvx2) {
-    kernels.push_back({SimdLevel::kAvx2, &Avx2Rows<float>, &Avx2Rows<Half>});
+    kernels.push_back({SimdLevel::kAvx2, &Avx2Rows});
   }
 #endif
 #if defined(__AVX512F__)
   if (ActiveSimdLevel() >= SimdLevel::kAvx512) {
-    kernels.push_back(
-        {SimdLevel::kAvx512, &Avx512Rows<float>, &Avx512Rows<Half>});
+    kernels.push_back({SimdLevel::kAvx512, &Avx512Rows});
   }
 #endif
   return kernels;

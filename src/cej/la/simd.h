@@ -13,22 +13,19 @@
 //
 // The scalar, AVX2 and AVX-512 kernels all implement this order (the
 // scalar one with std::fmaf, compiled with auto-vectorization disabled),
-// over FP32 or FP16-widened inputs, one row or an 8-row register block at a
-// time. They return identical bits; SimdMode picks speed only.
+// one row or an 8-row register block at a time. They return identical
+// bits; SimdMode picks speed only. FP16 data (half.h) is widened to FP32
+// before it reaches them.
 
 #ifndef CEJ_LA_SIMD_H_
 #define CEJ_LA_SIMD_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "cej/common/cpu_info.h"
 
 namespace cej::la {
-
-/// IEEE 754 binary16 value in its bit representation.
-using Half = uint16_t;
 
 /// Kernel selection policy for similarity computations. Both modes return
 /// the same bits; only the speed differs.
@@ -60,14 +57,12 @@ inline float SquaredNorm(const float* a, size_t dim,
 /// The SIMD level the kAuto kernels will actually use at runtime.
 SimdLevel ActiveSimdLevel();
 
-/// One compiled kernel variant: DotOneToMany and DotHalfOneToMany (half.h)
-/// as that instruction set runs them.
+/// One compiled kernel variant: DotOneToMany as that instruction set runs
+/// it.
 struct DotKernel {
   SimdLevel level;
   void (*one_to_many)(const float* a, const float* b_rows, size_t nrows,
                       size_t dim, float* out);
-  void (*half_one_to_many)(const Half* a, const Half* b_rows, size_t nrows,
-                           size_t dim, float* out);
 };
 
 /// Every variant this binary holds and this CPU runs, scalar first. The

@@ -1,6 +1,7 @@
 #include "cej/la/topk.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "cej/common/macros.h"
 
@@ -35,7 +36,10 @@ void TopKCollector::Push(float score, uint64_t id) {
 }
 
 bool TopKCollector::WouldAccept(float score, uint64_t id) const {
-  if (heap_.size() < k_) return true;
+  // A NaN never qualifies. Once the heap is full the comparisons below
+  // already reject it; before then it must not take a slot, or no later
+  // score could displace it.
+  if (heap_.size() < k_) return !std::isnan(score);
   const ScoredId& worst = heap_.front();
   // Mirror of Push's displacement test: strictly better than the worst
   // kept entry under the (score desc, id asc) total order.

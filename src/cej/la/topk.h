@@ -34,13 +34,15 @@ class TopKCollector {
  public:
   explicit TopKCollector(size_t k);
 
-  /// Offers a candidate; kept only if it beats the current k-th best.
+  /// Offers a candidate; kept only if it beats the current k-th best. A
+  /// NaN score is never kept.
   void Push(float score, uint64_t id);
 
   /// True iff Push(score, id) would displace the current worst kept entry
-  /// (or the collector is not yet full) — a faithful pre-filter: it applies
-  /// Push's exact ordering, including the smaller-id tie-break, so a true
-  /// return is never followed by a rejected Push of the same candidate.
+  /// (or the collector is not yet full and the score is not NaN) — a
+  /// faithful pre-filter: it applies Push's exact ordering, including the
+  /// smaller-id tie-break, so a true return is never followed by a
+  /// rejected Push of the same candidate.
   bool WouldAccept(float score, uint64_t id) const;
 
   size_t k() const { return k_; }

@@ -985,7 +985,9 @@ Result<join::JoinStats> ExecuteToSink(const NodePtr& plan,
                                       join::JoinSink* sink,
                                       ExecStats* stats) {
   CEJ_CHECK(plan != nullptr);
-  CEJ_CHECK(sink != nullptr);
+  if (sink == nullptr) {
+    return Status::InvalidArgument("ExecuteToSink: null sink");
+  }
   PlanExecutor executor(context, stats);
   return executor.RunToSink(plan, sink);
 }

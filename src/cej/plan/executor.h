@@ -188,7 +188,7 @@ Result<storage::Relation> Execute(const NodePtr& plan,
 /// rows of the final join's input relations — for a JoinGraph root those
 /// are the inputs of the LAST edge in the chosen order (see
 /// ExecStats::join_edge_order), so id-sensitive callers should force or
-/// pin the order.
+/// pin the order. A null `sink` is an InvalidArgument.
 Result<join::JoinStats> ExecuteToSink(const NodePtr& plan,
                                       const ExecContext& context,
                                       join::JoinSink* sink,

@@ -97,7 +97,7 @@ const QueryResponse& Ticket::Get() const {
 Server::Server(Engine* engine, ServerOptions options)
     : engine_(engine), options_(std::move(options)) {
   CEJ_CHECK(engine_ != nullptr);
-  latency_ring_.reserve(std::max<size_t>(options_.latency_ring_capacity, 1));
+  latency_ring_.reserve(kLatencyRingCapacity);
   const size_t workers = std::max<size_t>(options_.worker_threads, 1);
   workers_.reserve(workers);
   for (size_t i = 0; i < workers; ++i) {
@@ -118,14 +118,10 @@ Result<Ticket> Server::Submit(ServeQuery query, SubmitOptions options) {
   if (query.table.empty() || query.column.empty()) {
     return Status::InvalidArgument("serve: query needs a table and a column");
   }
-  if (query.condition.kind == join::JoinCondition::Kind::kTopK &&
-      query.condition.k == 0) {
-    return Status::InvalidArgument("serve: top-k condition with k == 0");
-  }
+  CEJ_RETURN_IF_ERROR(join::ValidateJoinCondition(query.condition));
 
   auto pending = std::make_shared<Pending>();
   pending->tenant = options.tenant.empty() ? "default" : options.tenant;
-  pending->priority = options.priority;
   pending->probe_rows = ProbeRows(query);
   pending->charged_bytes = ProbeBytes(query);
   pending->fusion_key = FusionKey(query);
@@ -140,12 +136,7 @@ Result<Ticket> Server::Submit(ServeQuery query, SubmitOptions options) {
     std::lock_guard<std::mutex> lock(mu_);
     auto [it, inserted] = tenants_.try_emplace(pending->tenant);
     Tenant& tenant = it->second;
-    if (inserted) {
-      const auto weight = options_.tenant_weights.find(pending->tenant);
-      tenant.weight = std::max<size_t>(
-          weight == options_.tenant_weights.end() ? 1 : weight->second, 1);
-      rr_order_.push_back(pending->tenant);
-    }
+    if (inserted) rr_order_.push_back(pending->tenant);
     ++submitted_;
     ++tenant.stats.submitted;
     if (stop_) {
@@ -169,14 +160,7 @@ Result<Ticket> Server::Submit(ServeQuery query, SubmitOptions options) {
     tenant.in_flight_bytes += pending->charged_bytes;
     tenant.stats.in_flight_bytes = tenant.in_flight_bytes;
     pending->sequence = next_sequence_++;
-    // Priority order, FIFO within a priority level: insert after the last
-    // queued entry with priority >= ours.
-    auto pos = tenant.queue.end();
-    while (pos != tenant.queue.begin() &&
-           (*(pos - 1))->priority < pending->priority) {
-      --pos;
-    }
-    tenant.queue.insert(pos, pending);
+    tenant.queue.push_back(pending);
     ++queue_depth_;
   }
   cv_.notify_all();
@@ -308,18 +292,12 @@ void Server::WorkerLoop() {
 
 Server::PendingPtr Server::PopNextLocked() {
   const size_t tenants = rr_order_.size();
-  if (tenants == 0) return nullptr;
-  // Weighted round-robin: the cursor tenant dispatches up to `weight`
-  // consecutive queries per turn. Two sweeps: the first may only be
-  // resetting exhausted quanta; the second then finds any queued work.
-  for (size_t attempt = 0; attempt < 2 * tenants; ++attempt) {
-    Tenant& tenant = tenants_[rr_order_[rr_cursor_]];
-    if (tenant.queue.empty() || tenant.served_in_quantum >= tenant.weight) {
-      tenant.served_in_quantum = 0;
-      rr_cursor_ = (rr_cursor_ + 1) % tenants;
-      continue;
-    }
-    ++tenant.served_in_quantum;
+  // Round robin: one query per turn, starting after the last tenant served.
+  for (size_t attempt = 0; attempt < tenants; ++attempt) {
+    const size_t slot = rr_cursor_ % tenants;
+    rr_cursor_ = slot + 1;
+    Tenant& tenant = tenants_[rr_order_[slot]];
+    if (tenant.queue.empty()) continue;
     PendingPtr pending = std::move(tenant.queue.front());
     tenant.queue.pop_front();
     --queue_depth_;
@@ -384,7 +362,7 @@ void Server::CollectMatchesLocked(const Pending& head,
     if (batch->size() >= std::max<size_t>(options_.max_batch_queries, 1)) {
       break;
     }
-    if (rows + pending->probe_rows > options_.max_batch_rows) break;
+    if (rows + pending->probe_rows > kMaxBatchRows) break;
     rows += pending->probe_rows;
     taken.insert(pending.get());
     batch->push_back(pending);
@@ -435,14 +413,12 @@ void Server::ResolveLocked(const PendingPtr& pending, QueryResponse response,
       if (response.fused) {
         ++tenant.stats.fused;
       }
-      if (latency_ring_.size() <
-          std::max<size_t>(options_.latency_ring_capacity, 1)) {
+      if (latency_ring_.size() < kLatencyRingCapacity) {
         latency_ring_.push_back(response.latency_seconds);
       } else {
         latency_ring_[latency_cursor_] = response.latency_seconds;
       }
-      latency_cursor_ = (latency_cursor_ + 1) %
-                        std::max<size_t>(options_.latency_ring_capacity, 1);
+      latency_cursor_ = (latency_cursor_ + 1) % kLatencyRingCapacity;
       latency_count_ = latency_ring_.size();
       break;
     case Outcome::kFailed:

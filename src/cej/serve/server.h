@@ -9,10 +9,9 @@
 //
 //   * Admission queue — Submit(ServeQuery, SubmitOptions) returns a
 //     Ticket immediately; bounded depth with reject-with-status shedding
-//     (backpressure), per-tenant weighted round-robin fairness, priority
-//     ordering within a tenant, and deadline-based cancellation of queued
-//     work (a query past its deadline resolves DEADLINE_EXCEEDED instead
-//     of running).
+//     (backpressure), round-robin fairness across tenants, FIFO within a
+//     tenant, and deadline-based cancellation of queued work (a query past
+//     its deadline resolves DEADLINE_EXCEEDED instead of running).
 //   * Fusion planner — queued queries sharing (table, column, model,
 //     condition, exactness, operator override) are coalesced into ONE
 //     batched sweep: their probe vectors stack into a single taller left
@@ -82,16 +81,19 @@ struct ServeQuery {
 
 /// Per-submission scheduling parameters.
 struct SubmitOptions {
-  /// Fairness domain ("" = "default"). Tenants share the queue under
-  /// weighted round-robin; see ServerOptions::tenant_weights.
+  /// Fairness domain ("" = "default"). Tenants take turns, one query per
+  /// turn; each tenant's queue is FIFO.
   std::string tenant;
   /// Relative deadline; 0 = none. Enforced when the query's turn arrives:
   /// a queued query past its deadline resolves DEADLINE_EXCEEDED.
   std::chrono::nanoseconds timeout{0};
-  /// Higher dispatches earlier WITHIN the tenant's queue (FIFO among
-  /// equal priorities). Cross-tenant order stays round-robin.
-  int priority = 0;
 };
+
+/// Stacked probe rows per fused batch (a single over-tall query still
+/// runs, alone).
+inline constexpr size_t kMaxBatchRows = 8192;
+/// Completed-query timings retained for the p50/p99 estimate.
+inline constexpr size_t kLatencyRingCapacity = 1024;
 
 /// Serving-layer configuration (Engine::Options::serve).
 struct ServerOptions {
@@ -103,10 +105,9 @@ struct ServerOptions {
   /// Multi-query fusion switch (off = every query runs solo; the
   /// admission queue, fairness, and budgets still apply).
   bool fusion_enabled = true;
-  /// Fused-batch caps: member queries and stacked probe rows per batch
-  /// (a single over-tall query still runs, alone).
+  /// Member queries per fused batch (stacked rows are capped at
+  /// kMaxBatchRows).
   size_t max_batch_queries = 64;
-  size_t max_batch_rows = 8192;
   /// Batch-forming window: a dispatcher holds a query up to `fusion_wait`
   /// for at least `min_fusion_queries` fusable peers to arrive (deadlines
   /// still fire during the hold). The defaults disable holding — fusion
@@ -117,11 +118,6 @@ struct ServerOptions {
   /// Per-tenant in-flight probe-byte budget (queued + executing);
   /// 0 = unbounded. Submissions over budget shed with RESOURCE_EXHAUSTED.
   size_t tenant_memory_budget_bytes = 0;
-  /// Weighted round-robin quanta per tenant (absent = 1): a tenant with
-  /// weight w dispatches up to w queries per turn.
-  std::unordered_map<std::string, size_t> tenant_weights;
-  /// Completed-query timings retained for the p50/p99 estimate.
-  size_t latency_ring_capacity = 1024;
 };
 
 /// Per-tenant counters (ServeStats::tenants).
@@ -245,7 +241,6 @@ class Server {
   struct Pending {
     ServeQuery query;
     std::string tenant;
-    int priority = 0;
     std::shared_ptr<internal::TicketState> ticket;
     Clock::time_point submitted_at;
     Clock::time_point deadline;  // time_point::max() = none.
@@ -258,9 +253,7 @@ class Server {
   using PendingPtr = std::shared_ptr<Pending>;
 
   struct Tenant {
-    std::deque<PendingPtr> queue;  // Priority-ordered, FIFO within.
-    size_t weight = 1;
-    size_t served_in_quantum = 0;  // WRR bookkeeping.
+    std::deque<PendingPtr> queue;  // FIFO.
     size_t in_flight_bytes = 0;
     TenantStats stats;
   };
@@ -293,6 +286,8 @@ class Server {
   bool stop_ = false;
   std::unordered_map<std::string, Tenant> tenants_;
   std::vector<std::string> rr_order_;  // Tenant round-robin ring.
+  // The ring slot to try next, taken modulo the ring size when used (so a
+  // tenant appended after the last slot gets the next turn).
   size_t rr_cursor_ = 0;
   size_t queue_depth_ = 0;
   uint64_t next_sequence_ = 0;

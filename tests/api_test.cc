@@ -5,9 +5,11 @@
 // the model-call accounting the optimizer story hinges on.
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -708,6 +710,118 @@ TEST(EngineStreamTest, StreamRequiresAJoinRoot) {
                    .Select(expr::Cmp("when", expr::CmpOp::kLt, int64_t{50}))
                    .Stream(&sink);
   EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(EngineStreamTest, NullSinkIsAnInvalidArgument) {
+  Engine engine;
+  ASSERT_TRUE(
+      engine.RegisterTable("l", VectorTable(workload::RandomUnitVectors(
+                                    4, 8, 72))).ok());
+  ASSERT_TRUE(
+      engine.RegisterTable("r", VectorTable(workload::RandomUnitVectors(
+                                    16, 8, 73))).ok());
+  auto stats = engine.Query("l")
+                   .EJoin("r", "emb", join::JoinCondition::TopK(2))
+                   .Stream(nullptr);
+  EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
+}
+
+// ---------------------------------------------------------------------------
+// NaN similarities and thresholds
+// ---------------------------------------------------------------------------
+
+TEST(EngineNanTest, NanSimilaritiesNeverEnterTopK) {
+  // Two stored vectors hold a NaN, so every probe scores NaN against them.
+  // No score compares greater than a NaN: one NaN admitted while a top-k
+  // heap fills would hold its slot for good. Every exact path must return
+  // the top-k of the finite rows.
+  constexpr size_t kRows = 4096, kDim = 16, kProbes = 4, kTopK = 3;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  la::Matrix db = workload::RandomUnitVectors(kRows, kDim, 74);
+  db.Row(0)[0] = nan;
+  db.Row(2048)[kDim - 1] = nan;
+  const la::Matrix probes = workload::RandomUnitVectors(kProbes, kDim, 75);
+
+  std::vector<join::JoinPair> oracle;
+  for (size_t i = 0; i < kProbes; ++i) {
+    std::vector<la::ScoredId> finite;
+    for (size_t r = 0; r < kRows; ++r) {
+      if (r == 0 || r == 2048) continue;
+      finite.push_back({la::Dot(probes.Row(i), db.Row(r), kDim), r});
+    }
+    std::sort(finite.begin(), finite.end());
+    for (size_t j = 0; j < kTopK; ++j) {
+      oracle.push_back({static_cast<uint32_t>(i),
+                        static_cast<uint32_t>(finite[j].id),
+                        finite[j].score});
+    }
+  }
+  join::SortPairs(&oracle);
+
+  Engine::Options options;
+  options.num_threads = 3;
+  Engine engine(options);
+  ASSERT_TRUE(engine.RegisterTable("probes", VectorTable(probes.Clone())).ok());
+  index::IndexBuildOptions flat;
+  flat.family = index::IndexFamily::kFlat;
+  index::IndexBuildOptions ivf;
+  ivf.family = index::IndexFamily::kIvf;
+  ivf.ivf.nlist = 16;
+  ivf.ivf_nprobe = 16;  // Every list: an exhaustive search.
+  const std::vector<std::pair<std::string, const index::IndexBuildOptions*>>
+      tables = {{"db", nullptr}, {"db_flat", &flat}, {"db_ivf", &ivf}};
+  for (const auto& [table, build] : tables) {
+    ASSERT_TRUE(engine.RegisterTable(table, VectorTable(db.Clone())).ok());
+    if (build != nullptr) {
+      ASSERT_TRUE(engine.BuildIndex(table, "emb", *build).ok()) << table;
+    }
+  }
+  const std::vector<std::pair<std::string, std::string>> runs = {
+      {"db", "tensor"},        {"db", "sharded_tensor"},
+      {"db", "prefetch_nlj"},  {"db_flat", "index"},
+      {"db_ivf", "index"}};
+  for (const auto& [table, op] : runs) {
+    join::MaterializingSink sink;
+    plan::ExecStats stats;
+    auto streamed = engine.Query("probes")
+                        .EJoin(table, "emb", join::JoinCondition::TopK(kTopK))
+                        .Via(op)
+                        .Stream(&sink, &stats);
+    ASSERT_TRUE(streamed.ok()) << op << ": " << streamed.status().ToString();
+    EXPECT_EQ(stats.join_operator, op);
+    std::vector<join::JoinPair> pairs = sink.TakePairs();
+    join::SortPairs(&pairs);
+    EXPECT_EQ(pairs, oracle) << op << " over " << table;
+  }
+}
+
+TEST(EngineNanTest, NanThresholdIsAnInvalidArgument) {
+  // A NaN threshold admits no pair: it is a malformed query, not an empty
+  // result, on every path.
+  Engine engine;
+  model::SubwordHashModel model;
+  ASSERT_TRUE(engine.RegisterModel("subword", &model).ok());
+  ASSERT_TRUE(engine
+                  .RegisterTable("l", WordsTable(workload::RandomStrings(
+                                                     8, 4, 8, 76),
+                                                 77))
+                  .ok());
+  ASSERT_TRUE(engine
+                  .RegisterTable("r", WordsTable(workload::RandomStrings(
+                                                     32, 4, 8, 78),
+                                                 79))
+                  .ok());
+  const auto condition = join::JoinCondition::Threshold(
+      std::numeric_limits<float>::quiet_NaN());
+  auto query = [&] { return engine.Query("l").EJoin("r", "word", condition); };
+  EXPECT_EQ(query().Execute().status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(query().Via("tensor").Execute().status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(query().WithoutOptimizer().Execute().status().code(),
+            StatusCode::kInvalidArgument);
+  join::CountingSink sink;
+  EXPECT_EQ(query().Stream(&sink).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 // Tests for cej/la half-precision support: conversion correctness
-// (round-trip, specials, rounding), HalfMatrix, and FP16 dot kernels vs
-// FP32 reference with appropriate error bounds.
+// (round-trip, specials, rounding), HalfMatrix, and FP16 as an at-rest
+// format — widened once with ToFloat(), then scored and joined in FP32 —
+// against the FP32 originals with appropriate error bounds.
 
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include "cej/common/rng.h"
 #include "cej/join/tensor_join.h"
 #include "cej/la/half.h"
+#include "cej/la/simd.h"
 #include "cej/la/vector_ops.h"
 #include "cej/workload/generators.h"
 
@@ -114,45 +115,19 @@ TEST_P(HalfDotTest, MatchesFp32WithinHalfPrecision) {
   Matrix a = workload::RandomUnitVectors(1, dim, 3);
   Matrix b = workload::RandomUnitVectors(1, dim, 4);
   const float exact = Dot(a.Row(0), b.Row(0), dim, SimdMode::kAuto);
-  HalfMatrix ha = HalfMatrix::FromFloat(a);
-  HalfMatrix hb = HalfMatrix::FromFloat(b);
+  const Matrix wa = HalfMatrix::FromFloat(a).ToFloat();
+  const Matrix wb = HalfMatrix::FromFloat(b).ToFloat();
   // Unit vectors: |dot| <= 1; per-element error ~2^-11 accumulates like
   // sqrt(dim) for random signs — 0.01 is a generous deterministic bound.
   for (SimdMode mode : {SimdMode::kForceScalar, SimdMode::kAuto}) {
-    EXPECT_NEAR(DotHalf(ha.Row(0), hb.Row(0), dim, mode), exact, 0.01f)
+    EXPECT_NEAR(Dot(wa.Row(0), wb.Row(0), dim, mode), exact, 0.01f)
         << "dim " << dim;
   }
-}
-
-TEST_P(HalfDotTest, ScalarAndSimdKernelsAgree) {
-  const size_t dim = GetParam();
-  HalfMatrix a =
-      HalfMatrix::FromFloat(workload::RandomUnitVectors(1, dim, 5));
-  HalfMatrix b =
-      HalfMatrix::FromFloat(workload::RandomUnitVectors(1, dim, 6));
-  const float scalar =
-      DotHalf(a.Row(0), b.Row(0), dim, SimdMode::kForceScalar);
-  const float simd = DotHalf(a.Row(0), b.Row(0), dim, SimdMode::kAuto);
-  EXPECT_EQ(std::memcmp(&scalar, &simd, sizeof(float)), 0)
-      << scalar << " vs " << simd;
 }
 
 INSTANTIATE_TEST_SUITE_P(Dims, HalfDotTest,
                          ::testing::Values(1, 3, 8, 15, 16, 17, 31, 32, 64,
                                            100, 256));
-
-TEST(HalfDotTest, OneToManyMatchesRowwise) {
-  const size_t dim = 100, rows = 9;
-  HalfMatrix a =
-      HalfMatrix::FromFloat(workload::RandomUnitVectors(1, dim, 7));
-  HalfMatrix b =
-      HalfMatrix::FromFloat(workload::RandomUnitVectors(rows, dim, 8));
-  std::vector<float> out(rows);
-  DotHalfOneToMany(a.Row(0), b.Row(0), rows, dim, out.data());
-  for (size_t r = 0; r < rows; ++r) {
-    EXPECT_EQ(out[r], DotHalf(a.Row(0), b.Row(r), dim));
-  }
-}
 
 TEST(HalfDotTest, SimilarityRankingPreservedUnderFp16) {
   // The property FP16 storage must preserve for joins: the *ranking* of
@@ -161,8 +136,8 @@ TEST(HalfDotTest, SimilarityRankingPreservedUnderFp16) {
   const size_t dim = 100, n = 50;
   Matrix query = workload::RandomUnitVectors(1, dim, 9);
   Matrix data = workload::RandomUnitVectors(n, dim, 10);
-  HalfMatrix hquery = HalfMatrix::FromFloat(query);
-  HalfMatrix hdata = HalfMatrix::FromFloat(data);
+  const Matrix wquery = HalfMatrix::FromFloat(query).ToFloat();
+  const Matrix wdata = HalfMatrix::FromFloat(data).ToFloat();
   // Find FP32 argmax and runner-up.
   size_t best = 0;
   float best_sim = -2.0f, second = -2.0f;
@@ -180,7 +155,7 @@ TEST(HalfDotTest, SimilarityRankingPreservedUnderFp16) {
     size_t half_best = 0;
     float half_best_sim = -2.0f;
     for (size_t r = 0; r < n; ++r) {
-      const float sim = DotHalf(hquery.Row(0), hdata.Row(r), dim);
+      const float sim = Dot(wquery.Row(0), wdata.Row(r), dim);
       if (sim > half_best_sim) {
         half_best_sim = sim;
         half_best = r;
@@ -198,8 +173,8 @@ TEST(HalfTensorJoinTest, TopKAgreesWithFp32Join) {
   HalfMatrix hright = HalfMatrix::FromFloat(right);
   auto fp32 = join::TensorJoinMatrices(left, right,
                                        join::JoinCondition::TopK(3));
-  auto fp16 = join::TensorJoinMatricesHalf(hleft, hright,
-                                           join::JoinCondition::TopK(3));
+  auto fp16 = join::TensorJoinMatrices(hleft.ToFloat(), hright.ToFloat(),
+                                       join::JoinCondition::TopK(3));
   ASSERT_TRUE(fp32.ok() && fp16.ok());
   ASSERT_EQ(fp32->pairs.size(), fp16->pairs.size());
   // Random unit vectors have well-separated top-k at n=120: quantization
@@ -222,8 +197,9 @@ TEST(HalfTensorJoinTest, ThresholdSimilaritiesWithinQuantizationError) {
   // cross product and we can compare similarities pairwise.
   auto fp32 = join::TensorJoinMatrices(
       left, right, join::JoinCondition::Threshold(-1.1f));
-  auto fp16 = join::TensorJoinMatricesHalf(
-      hleft, hright, join::JoinCondition::Threshold(-1.1f));
+  auto fp16 = join::TensorJoinMatrices(
+      hleft.ToFloat(), hright.ToFloat(),
+      join::JoinCondition::Threshold(-1.1f));
   ASSERT_TRUE(fp32.ok() && fp16.ok());
   ASSERT_EQ(fp32->pairs.size(), 400u);
   ASSERT_EQ(fp16->pairs.size(), 400u);
@@ -237,25 +213,29 @@ TEST(HalfTensorJoinTest, RejectsDimMismatch) {
   HalfMatrix a = HalfMatrix::FromFloat(workload::RandomUnitVectors(2, 8, 1));
   HalfMatrix b =
       HalfMatrix::FromFloat(workload::RandomUnitVectors(2, 16, 2));
-  EXPECT_FALSE(join::TensorJoinMatricesHalf(
-                   a, b, join::JoinCondition::Threshold(0.5f))
+  EXPECT_FALSE(join::TensorJoinMatrices(
+                   a.ToFloat(), b.ToFloat(),
+                   join::JoinCondition::Threshold(0.5f))
                    .ok());
-  EXPECT_FALSE(
-      join::TensorJoinMatricesHalf(a, a, join::JoinCondition::TopK(0)).ok());
+  EXPECT_FALSE(join::TensorJoinMatrices(a.ToFloat(), a.ToFloat(),
+                                        join::JoinCondition::TopK(0))
+                   .ok());
 }
 
 TEST(HalfTensorJoinTest, MiniBatchingPreservesResults) {
   const size_t dim = 32;
-  HalfMatrix left =
-      HalfMatrix::FromFloat(workload::RandomUnitVectors(40, dim, 15));
-  HalfMatrix right =
-      HalfMatrix::FromFloat(workload::RandomUnitVectors(60, dim, 16));
-  auto full = join::TensorJoinMatricesHalf(
+  const Matrix left =
+      HalfMatrix::FromFloat(workload::RandomUnitVectors(40, dim, 15))
+          .ToFloat();
+  const Matrix right =
+      HalfMatrix::FromFloat(workload::RandomUnitVectors(60, dim, 16))
+          .ToFloat();
+  auto full = join::TensorJoinMatrices(
       left, right, join::JoinCondition::Threshold(0.1f));
   join::TensorJoinOptions small_tiles;
   small_tiles.batch_rows_left = 3;
   small_tiles.batch_rows_right = 7;
-  auto tiled = join::TensorJoinMatricesHalf(
+  auto tiled = join::TensorJoinMatrices(
       left, right, join::JoinCondition::Threshold(0.1f), small_tiles);
   ASSERT_TRUE(full.ok() && tiled.ok());
   ASSERT_EQ(full->pairs.size(), tiled->pairs.size());

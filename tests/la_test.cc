@@ -17,7 +17,6 @@
 #include "cej/common/rng.h"
 #include "cej/common/thread_pool.h"
 #include "cej/la/gemm.h"
-#include "cej/la/half.h"
 #include "cej/la/matrix.h"
 #include "cej/la/simd.h"
 #include "cej/la/topk.h"
@@ -209,57 +208,21 @@ TEST(DotOrderTest, EveryKernelVariantReturnsTheSameBits) {
   }
 }
 
-TEST(DotOrderTest, Fp16KernelsMatchTheWidenedFp32Order) {
-  const auto kernels = RunnableDotKernels();
-  for (size_t dim : IdentityDims()) {
-    // Float subnormals would narrow to zero: they become the smallest half
-    // subnormal, so half subnormals and signed zeros both reach the
-    // kernels. The reference runs the FP32 order on the widened values.
-    Matrix a = EdgeCaseMatrix(1, dim, 500 + dim);
-    Matrix b = EdgeCaseMatrix(kMaxRows, dim, 700 + dim);
-    for (Matrix* m : {&a, &b}) {
-      for (size_t i = 0; i < m->size(); ++i) {
-        float& v = m->data()[i];
-        if (v != 0.0f && std::fabs(v) < 1e-30f) {
-          v = std::copysign(std::ldexp(1.0f, -24), v);
-        }
-      }
-    }
-    const HalfMatrix ha = HalfMatrix::FromFloat(a);
-    const HalfMatrix hb = HalfMatrix::FromFloat(b);
-    const Matrix wa = ha.ToFloat();
-    const Matrix wb = hb.ToFloat();
-    std::vector<float> want(kMaxRows);
-    for (size_t r = 0; r < kMaxRows; ++r) {
-      want[r] = Dot(wa.Row(0), wb.Row(r), dim, kBothModes[0]);
-    }
-    for (const DotKernel& kernel : kernels) {
-      const char* name = SimdLevelName(kernel.level);
-      for (size_t nrows = 1; nrows <= kMaxRows; ++nrows) {
-        std::vector<float> got(nrows);
-        kernel.half_one_to_many(ha.Row(0), hb.Row(0), nrows, dim,
-                                got.data());
-        for (size_t r = 0; r < nrows; ++r) {
-          EXPECT_TRUE(SameBits(got[r], want[r]))
-              << name << " fp16 dim " << dim << " nrows " << nrows
-              << " row " << r << ": " << Bits(got[r]) << " vs "
-              << Bits(want[r]);
-        }
-      }
-    }
-    for (SimdMode mode : kBothModes) {
-      std::vector<float> many(kMaxRows);
-      DotHalfOneToMany(ha.Row(0), hb.Row(0), kMaxRows, dim, many.data(),
-                       mode);
-      for (size_t r = 0; r < kMaxRows; ++r) {
-        EXPECT_TRUE(SameBits(DotHalf(ha.Row(0), hb.Row(r), dim, mode),
-                             want[r]))
-            << "DotHalf dim " << dim << " row " << r;
-        EXPECT_TRUE(SameBits(many[r], want[r]))
-            << "DotHalfOneToMany dim " << dim << " row " << r;
-      }
-    }
+TEST(DotOrderTest, Avx2BuildsHoldTheAvx2Kernel) {
+  // `-mavx2 -mfma` must be enough for the AVX2 kernel: a build that needs
+  // one more flag for it would dispatch scalar without a word.
+#if defined(__AVX2__) && defined(__FMA__)
+  if (ActiveSimdLevel() < SimdLevel::kAvx2) {
+    GTEST_SKIP() << "this CPU does not run AVX2";
   }
+  bool has_avx2 = false;
+  for (const DotKernel& kernel : RunnableDotKernels()) {
+    has_avx2 |= kernel.level == SimdLevel::kAvx2;
+  }
+  EXPECT_TRUE(has_avx2) << "built with AVX2 and FMA, but no AVX2 kernel";
+#else
+  GTEST_SKIP() << "built without AVX2 and FMA";
+#endif
 }
 
 TEST(DotOrderTest, GemmTileEntriesDoNotDependOnTileBounds) {

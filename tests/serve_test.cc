@@ -1,13 +1,15 @@
 // The serving layer (cej::serve): fused batches byte-identical to solo
 // execution across top-k and threshold conditions, submit storms racing
 // catalog churn (ReplaceTable / Recalibrate), deadline expiry and
-// queue-full shedding statuses, per-tenant memory budgets, weighted
-// round-robin fairness (a hog cannot starve a light tenant), and clean
-// shutdown with queries still queued. Runs under TSan in CI.
+// queue-full shedding statuses, per-tenant memory budgets, condition
+// validation at Submit, round-robin fairness (a hog cannot starve a light
+// tenant), and clean shutdown with queries still queued. Runs under TSan
+// in CI.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -387,8 +389,32 @@ TEST(ServeDegradationTest, TenantMemoryBudgetShedsOversizedSubmissions) {
   server->Shutdown();
 }
 
+TEST(ServeDegradationTest, MalformedConditionsFailAtSubmit) {
+  // Submit validates the condition with the executor's own rule and error
+  // text: a NaN threshold and top-k with k == 0 never reach the queue.
+  Engine engine;
+  ASSERT_TRUE(
+      engine.RegisterTable("db", VectorTable(workload::RandomUnitVectors(
+                                     64, 8, 41))).ok());
+  serve::Server* server = engine.serve();
+  const join::JoinCondition malformed[] = {
+      join::JoinCondition::Threshold(std::numeric_limits<float>::quiet_NaN()),
+      join::JoinCondition::TopK(0)};
+  for (const join::JoinCondition& condition : malformed) {
+    serve::ServeQuery query;
+    query.table = "db";
+    query.column = "emb";
+    query.condition = condition;
+    query.probe_vectors = workload::RandomUnitVectors(2, 8, 42);
+    auto ticket = server->Submit(std::move(query));
+    ASSERT_FALSE(ticket.ok());
+    EXPECT_EQ(ticket.status(), join::ValidateJoinCondition(condition));
+  }
+  EXPECT_EQ(server->stats().submitted, 0u);
+}
+
 // ---------------------------------------------------------------------------
-// Fairness: weighted round-robin across tenants
+// Fairness: round-robin across tenants
 // ---------------------------------------------------------------------------
 
 TEST(ServeFairnessTest, HogTenantCannotStarveLightTenant) {
