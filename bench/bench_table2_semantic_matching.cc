@@ -5,15 +5,20 @@
 // trained FastText model (surface-form n-grams + planted synonym semantics;
 // see DESIGN.md). A second section repeats the exercise with real skip-gram
 // embeddings trained on the synthetic corpus.
+//
+// Decoding (E^{-1}, paper Section III.C) is the paper's lookup table: the
+// corpus vocabulary is a registered one-column table, so a row id maps to
+// its word, and a sample word decodes by a top-k E-join against it.
 
+#include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
-#include "cej/model/decoder.h"
+#include "cej/cej.h"
 #include "cej/model/skipgram.h"
-#include "cej/model/subword_hash_model.h"
 #include "cej/workload/corpus.h"
 
 namespace cej {
@@ -35,13 +40,49 @@ std::vector<std::vector<std::string>> PaperStyleFamilies() {
   };
 }
 
-void PrintMatches(const std::string& word,
-                  const std::vector<model::Decoded>& matches) {
-  std::printf("%-10s |", word.c_str());
-  for (const auto& m : matches) {
-    std::printf(" %s(%.2f)", m.word.c_str(), m.similarity);
+std::shared_ptr<const storage::Relation> WordsTable(
+    std::vector<std::string> words) {
+  auto schema =
+      storage::Schema::Create({{"word", storage::DataType::kString, 0}});
+  std::vector<storage::Column> columns;
+  columns.push_back(storage::Column::String(std::move(words)));
+  auto rel = storage::Relation::Create(std::move(schema).value(),
+                                       std::move(columns));
+  return std::make_shared<const storage::Relation>(std::move(rel).value());
+}
+
+// Decodes each sample word to its `k` nearest vocabulary words under
+// `model_name` and prints them best-first. The join returns rows in
+// (left, right) order, so each word's rows are ranked here; a stable sort
+// keeps the smaller vocabulary id first on ties, as a top-k does.
+bool PrintTopK(Engine& engine, const std::string& model_name,
+               const std::vector<std::string>& samples, size_t k) {
+  CEJ_CHECK(engine.ReplaceTable("samples", WordsTable(samples)).ok());
+  auto result = engine.Query("samples")
+                    .UsingModel(model_name)
+                    .EJoin("vocab", "word", join::JoinCondition::TopK(k))
+                    .Execute();
+  if (!result.ok()) {
+    std::fprintf(stderr, "decode: %s\n", result.status().ToString().c_str());
+    return false;
   }
-  std::printf("\n");
+  const auto& rel = result->relation;
+  const auto& left = rel.ColumnByName("word").value()->string_values();
+  const auto& right =
+      rel.ColumnByName("right_word").value()->string_values();
+  const auto& sims = rel.ColumnByName("similarity").value()->double_values();
+  for (const auto& word : samples) {
+    std::vector<size_t> rows;
+    for (size_t i = 0; i < rel.num_rows(); ++i) {
+      if (left[i] == word) rows.push_back(i);
+    }
+    std::stable_sort(rows.begin(), rows.end(),
+                     [&](size_t a, size_t b) { return sims[a] > sims[b]; });
+    std::printf("%-10s |", word.c_str());
+    for (size_t i : rows) std::printf(" %s(%.2f)", right[i].c_str(), sims[i]);
+    std::printf("\n");
+  }
+  return true;
 }
 
 }  // namespace
@@ -62,19 +103,15 @@ int main() {
   model::SubwordHashModel model(mopts, &lexicon);
 
   // Vocabulary to decode against: all corpus words.
-  const auto& vocab = corpus.words();
-  auto decoder = model::Decoder::Create(vocab, model.EmbedBatch(vocab));
-  if (!decoder.ok()) {
-    std::fprintf(stderr, "decoder: %s\n",
-                 decoder.status().ToString().c_str());
-    return 1;
-  }
+  Engine engine;
+  CEJ_CHECK(engine.RegisterTable("vocab", WordsTable(corpus.words())).ok());
+  CEJ_CHECK(engine.RegisterModel("subword", &model).ok());
 
   std::printf("\n## Concept-aware subword model (FastText substitute)\n");
   std::printf("%-10s | top-15 matches (cosine)\n", "word");
-  for (const char* w : {"dbms", "postgres", "clothes", "barbecue"}) {
-    auto q = model.EmbedToVector(w);
-    PrintMatches(w, decoder->DecodeTopK(q.data(), 15));
+  if (!PrintTopK(engine, "subword",
+                 {"dbms", "postgres", "clothes", "barbecue"}, 15)) {
+    return 1;
   }
 
   // Trained path: skip-gram on the corpus token stream.
@@ -84,18 +121,16 @@ int main() {
   model::SkipGramOptions sopts;
   sopts.dim = 64;
   sopts.epochs = 3;
+  bool decoded = false;
   const double train_ms = bench::TimeMs([&] {
     auto trained = model::TrainSkipGram(tokens, sopts);
     if (!trained.ok()) return;
-    auto tdecoder =
-        model::Decoder::Create(vocab, (*trained)->EmbedBatch(vocab));
-    if (!tdecoder.ok()) return;
-    for (const char* w : {"dbms", "clothes", "barbecue"}) {
-      auto q = (*trained)->EmbedToVector(w);
-      PrintMatches(w, tdecoder->DecodeTopK(q.data(), 10));
-    }
+    CEJ_CHECK(
+        engine.RegisterModel("skipgram", std::move(trained).value()).ok());
+    decoded =
+        PrintTopK(engine, "skipgram", {"dbms", "clothes", "barbecue"}, 10);
   });
   std::printf("# skip-gram training + decode: %.0f ms over %zu tokens\n",
               train_ms, tokens.size());
-  return 0;
+  return decoded ? 0 : 1;
 }

@@ -10,9 +10,12 @@
 //   3. Answer top-k and range queries through both the exact tensor scan
 //      and the index probe path, and compare.
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <numeric>
 #include <string>
+#include <vector>
 
 #include "cej/cej.h"
 #include "cej/workload/corpus.h"
@@ -32,6 +35,18 @@ std::shared_ptr<const storage::Relation> WordsTable(
   return std::make_shared<const storage::Relation>(std::move(rel).value());
 }
 
+// The rows of a one-row query's join result, best-first. A join returns
+// its rows in (left, right) order, not by rank; the stable sort keeps the
+// smaller corpus id first on ties.
+std::vector<size_t> RankedRows(const storage::Relation& rel) {
+  const auto& sims = rel.ColumnByName("similarity").value()->double_values();
+  std::vector<size_t> rows(rel.num_rows());
+  std::iota(rows.begin(), rows.end(), 0);
+  std::stable_sort(rows.begin(), rows.end(),
+                   [&](size_t a, size_t b) { return sims[a] > sims[b]; });
+  return rows;
+}
+
 void PrintMatches(const char* label, const QueryResult& result) {
   const auto& rel = result.relation;
   const auto& words =
@@ -41,7 +56,7 @@ void PrintMatches(const char* label, const QueryResult& result) {
               result.stats.join_operator.c_str(),
               static_cast<unsigned long long>(
                   result.stats.join_stats.similarity_computations));
-  for (size_t i = 0; i < rel.num_rows(); ++i) {
+  for (size_t i : RankedRows(rel)) {
     std::printf("  %-20s %.3f\n", words[i].c_str(), sims[i]);
   }
 }
@@ -134,7 +149,7 @@ int main() {
       range->relation.ColumnByName("similarity").value()->double_values();
   std::printf("synonym range query \"%s\" (cosine >= 0.6): %zu documents\n",
               member.c_str(), hits.size());
-  for (size_t i = 0; i < hits.size(); ++i) {
+  for (size_t i : RankedRows(range->relation)) {
     std::printf("  %-20s %.3f%s\n", hits[i].c_str(), sims[i],
                 corpus.SameFamily(hits[i], member) ? "  [same family]"
                                                    : "");

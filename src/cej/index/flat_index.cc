@@ -16,17 +16,47 @@ FlatIndex::FlatIndex(std::shared_ptr<const la::Matrix> vectors)
   CEJ_CHECK(vectors_ != nullptr);
 }
 
+namespace {
+
+// Rows scored per DotOneToMany call: a 1 KB score buffer.
+constexpr size_t kScoreBlockRows = 256;
+
+// Scores every row of `vectors` that `filter` admits, one contiguous run of
+// admitted rows at a time, and hands each (score, row) to `emit` in row
+// order. DotOneToMany returns Dot's bits, so the scores are those of a
+// per-row loop; rejected rows are never scored. Returns the rows scored.
+template <typename Emit>
+uint64_t ScoreAdmittedRows(const la::Matrix& vectors, const float* query,
+                           const FilterBitmap* filter, Emit&& emit) {
+  const size_t n = vectors.rows();
+  float scores[kScoreBlockRows];
+  uint64_t scored = 0;
+  size_t r = 0;
+  while (r < n) {
+    if (filter != nullptr && !(*filter)[r]) {
+      ++r;
+      continue;
+    }
+    const size_t limit = std::min(n, r + kScoreBlockRows);
+    size_t end = r + 1;
+    while (end < limit && (filter == nullptr || (*filter)[end])) ++end;
+    la::DotOneToMany(query, vectors.Row(r), end - r, vectors.cols(), scores);
+    for (size_t i = r; i < end; ++i) emit(scores[i - r], i);
+    scored += end - r;
+    r = end;
+  }
+  return scored;
+}
+
+}  // namespace
+
 std::vector<la::ScoredId> FlatIndex::SearchTopK(
     const float* query, size_t k, const FilterBitmap* filter) const {
   if (k == 0 || vectors_->rows() == 0) return {};
   la::TopKCollector collector(k);
-  const size_t d = vectors_->cols();
-  uint64_t computations = 0;
-  for (size_t r = 0; r < vectors_->rows(); ++r) {
-    if (filter != nullptr && !(*filter)[r]) continue;
-    collector.Push(la::Dot(query, vectors_->Row(r), d), r);
-    ++computations;
-  }
+  const uint64_t computations = ScoreAdmittedRows(
+      *vectors_, query, filter,
+      [&](float sim, size_t r) { collector.Push(sim, r); });
   distance_computations_.fetch_add(computations, std::memory_order_relaxed);
   return collector.TakeSorted();
 }
@@ -34,14 +64,10 @@ std::vector<la::ScoredId> FlatIndex::SearchTopK(
 std::vector<la::ScoredId> FlatIndex::SearchRange(
     const float* query, float threshold, const FilterBitmap* filter) const {
   std::vector<la::ScoredId> out;
-  const size_t d = vectors_->cols();
-  uint64_t computations = 0;
-  for (size_t r = 0; r < vectors_->rows(); ++r) {
-    if (filter != nullptr && !(*filter)[r]) continue;
-    const float sim = la::Dot(query, vectors_->Row(r), d);
-    ++computations;
-    if (sim >= threshold) out.push_back({sim, r});
-  }
+  const uint64_t computations = ScoreAdmittedRows(
+      *vectors_, query, filter, [&](float sim, size_t r) {
+        if (sim >= threshold) out.push_back({sim, r});
+      });
   distance_computations_.fetch_add(computations, std::memory_order_relaxed);
   std::sort(out.begin(), out.end());
   return out;

@@ -23,8 +23,9 @@
 // registry. The free functions above each operator remain as materializing
 // conveniences for operator-level work. There is no selection function: an
 // E-selection is the one-row E-join (Section II.A.3), and the engine runs
-// it as one. The operators take FP32 only; FP16 storage (la/half.h) is
-// widened before a join.
+// it as one. Nor is there a decoding function: E^{-1} (Section III.C) is a
+// top-k E-join against a table of the decoded objects. The operators take
+// FP32 only.
 
 #ifndef CEJ_JOIN_JOIN_COMMON_H_
 #define CEJ_JOIN_JOIN_COMMON_H_

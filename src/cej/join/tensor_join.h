@@ -101,9 +101,7 @@ Result<JoinStats> TensorSweepToSink(const la::Matrix& left,
                                     const TensorJoinOptions& options,
                                     JoinSink* sink);
 
-/// Joins two embedded batches with the blocked-GEMM formulation. FP16
-/// embeddings (la::HalfMatrix, paper Section V.A.2) join here after one
-/// HalfMatrix::ToFloat() each: the sweep only reads FP32.
+/// Joins two embedded batches with the blocked-GEMM formulation.
 Result<JoinResult> TensorJoinMatrices(const la::Matrix& left,
                                       const la::Matrix& right,
                                       const JoinCondition& condition,

@@ -14,8 +14,7 @@
 // The scalar, AVX2 and AVX-512 kernels all implement this order (the
 // scalar one with std::fmaf, compiled with auto-vectorization disabled),
 // one row or an 8-row register block at a time. They return identical
-// bits; SimdMode picks speed only. FP16 data (half.h) is widened to FP32
-// before it reaches them.
+// bits; SimdMode picks speed only. They read FP32 only.
 
 #ifndef CEJ_LA_SIMD_H_
 #define CEJ_LA_SIMD_H_

@@ -1,30 +1,15 @@
 #include "cej/model/lookup_table_model.h"
 
 #include <algorithm>
-#include <chrono>
+#include <cstdint>
 
 #include "cej/common/rng.h"
 #include "cej/la/vector_ops.h"
 
 namespace cej::model {
-namespace {
-
-// Busy-waits for approximately `ns` nanoseconds. Spinning (rather than
-// sleeping) keeps the simulated model cost on the critical path exactly the
-// way real inference would be.
-void SpinFor(uint64_t ns) {
-  if (ns == 0) return;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::nanoseconds(ns);
-  while (std::chrono::steady_clock::now() < deadline) {
-  }
-}
-
-}  // namespace
 
 Result<std::unique_ptr<LookupTableModel>> LookupTableModel::Create(
-    const std::vector<std::string>& words, la::Matrix table,
-    LookupTableOptions options) {
+    const std::vector<std::string>& words, la::Matrix table) {
   if (words.empty()) {
     return Status::InvalidArgument("lookup model: empty vocabulary");
   }
@@ -44,19 +29,15 @@ Result<std::unique_ptr<LookupTableModel>> LookupTableModel::Create(
     vocab->AddOccurrence(w);
   }
   table.NormalizeRows();
-  return std::unique_ptr<LookupTableModel>(new LookupTableModel(
-      std::move(vocab), std::move(table), options));
+  return std::unique_ptr<LookupTableModel>(
+      new LookupTableModel(std::move(vocab), std::move(table)));
 }
 
 LookupTableModel::LookupTableModel(std::shared_ptr<Vocab> vocab,
-                                   la::Matrix table,
-                                   LookupTableOptions options)
-    : vocab_(std::move(vocab)),
-      table_(std::move(table)),
-      options_(options) {}
+                                   la::Matrix table)
+    : vocab_(std::move(vocab)), table_(std::move(table)) {}
 
 void LookupTableModel::EmbedImpl(std::string_view input, float* out) const {
-  SpinFor(options_.access_cost_ns);
   const int64_t id = vocab_->Lookup(input);
   const size_t d = dim();
   if (id >= 0) {
@@ -64,6 +45,8 @@ void LookupTableModel::EmbedImpl(std::string_view input, float* out) const {
     std::copy(row, row + d, out);
     return;
   }
+  // OOV fallback: deterministic hash vector (keeps the model total; real
+  // FastText would back off to subword n-grams here).
   uint64_t state = 0x5bd1e995ULL;
   for (char c : input) state = state * 131 + static_cast<unsigned char>(c);
   for (size_t i = 0; i < d; ++i) {

@@ -1,16 +1,14 @@
-// Precomputed-embedding lookup model with a simulated access cost.
+// Word-table embedding model: one unit row per known word.
 //
-// The paper's cost model (Section IV.A) treats the model term M as anything
-// from "random access to a lookup table (several times slower than a
-// sequential scan)" to "expensive computation over a deep network" — or even
-// a paid per-embedding API call. LookupTableModel makes M an explicit,
-// controllable knob so experiments can sweep the model-cost axis without
-// changing anything else.
+// This is the paper's cheapest model term M, "random access to a lookup
+// table" (Section IV.A). It serves precomputed tables and the trained
+// skip-gram table alike (TrainSkipGram returns one). The reverse mapping,
+// E^{-1} (Section III.C), needs no class of its own: register the words as
+// a table and top-k E-join a query against it through cej::Engine.
 
 #ifndef CEJ_MODEL_LOOKUP_TABLE_MODEL_H_
 #define CEJ_MODEL_LOOKUP_TABLE_MODEL_H_
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,13 +20,6 @@
 
 namespace cej::model {
 
-/// Options for LookupTableModel.
-struct LookupTableOptions {
-  /// Artificial per-access model cost in nanoseconds (busy-wait), simulating
-  /// expensive inference / remote model access. 0 = raw table lookup.
-  uint64_t access_cost_ns = 0;
-};
-
 /// EmbeddingModel backed by an explicit (vocab -> row) table. Unknown words
 /// embed to a deterministic hash vector.
 class LookupTableModel final : public EmbeddingModel {
@@ -36,8 +27,7 @@ class LookupTableModel final : public EmbeddingModel {
   /// Builds a model from parallel `words` / `table` rows. The table is
   /// L2-normalized on ingestion. Fails if sizes mismatch or are empty.
   static Result<std::unique_ptr<LookupTableModel>> Create(
-      const std::vector<std::string>& words, la::Matrix table,
-      LookupTableOptions options = {});
+      const std::vector<std::string>& words, la::Matrix table);
 
   size_t dim() const override { return table_.cols(); }
   const Vocab& vocab() const { return *vocab_; }
@@ -47,12 +37,10 @@ class LookupTableModel final : public EmbeddingModel {
   void EmbedImpl(std::string_view input, float* out) const override;
 
  private:
-  LookupTableModel(std::shared_ptr<Vocab> vocab, la::Matrix table,
-                   LookupTableOptions options);
+  LookupTableModel(std::shared_ptr<Vocab> vocab, la::Matrix table);
 
   std::shared_ptr<Vocab> vocab_;
-  la::Matrix table_;
-  LookupTableOptions options_;
+  la::Matrix table_;  // One L2-normalized row per vocab word.
 };
 
 }  // namespace cej::model

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "cej/common/rng.h"
-#include "cej/la/vector_ops.h"
+#include "cej/model/vocab.h"
 
 namespace cej::model {
 namespace {
@@ -18,31 +18,7 @@ float Sigmoid(float x) {
 
 }  // namespace
 
-TrainedModel::TrainedModel(std::shared_ptr<const Vocab> vocab,
-                           la::Matrix table, uint64_t seed)
-    : vocab_(std::move(vocab)), table_(std::move(table)), seed_(seed) {
-  table_.NormalizeRows();
-}
-
-void TrainedModel::EmbedImpl(std::string_view input, float* out) const {
-  const int64_t id = vocab_->Lookup(input);
-  const size_t d = dim();
-  if (id >= 0) {
-    const float* row = table_.Row(static_cast<size_t>(id));
-    std::copy(row, row + d, out);
-    return;
-  }
-  // OOV fallback: deterministic hash vector (keeps the model total; real
-  // FastText would back off to subword n-grams here).
-  uint64_t state = seed_;
-  for (char c : input) state = state * 131 + static_cast<unsigned char>(c);
-  for (size_t i = 0; i < d; ++i) {
-    out[i] = static_cast<float>((SplitMix64(state) >> 40) * 0x1.0p-24) - 0.5f;
-  }
-  la::NormalizeInPlace(out, d);
-}
-
-Result<std::unique_ptr<TrainedModel>> TrainSkipGram(
+Result<std::unique_ptr<LookupTableModel>> TrainSkipGram(
     const std::vector<std::string>& tokens, const SkipGramOptions& options) {
   if (tokens.empty()) {
     return Status::InvalidArgument("skip-gram: empty corpus");
@@ -51,17 +27,17 @@ Result<std::unique_ptr<TrainedModel>> TrainSkipGram(
     return Status::InvalidArgument("skip-gram: dim must be > 0");
   }
 
-  auto vocab = std::make_shared<Vocab>();
+  Vocab vocab;
   std::vector<uint32_t> stream;
   stream.reserve(tokens.size());
-  for (const auto& tok : tokens) stream.push_back(vocab->AddOccurrence(tok));
-  if (vocab->size() < 2) {
+  for (const auto& tok : tokens) stream.push_back(vocab.AddOccurrence(tok));
+  if (vocab.size() < 2) {
     return Status::InvalidArgument(
         "skip-gram: need at least 2 distinct tokens");
   }
-  vocab->BuildSamplingTable();
+  vocab.BuildSamplingTable();
 
-  const size_t v = vocab->size();
+  const size_t v = vocab.size();
   const size_t d = options.dim;
   Rng rng(options.seed);
 
@@ -106,7 +82,7 @@ Result<std::unique_ptr<TrainedModel>> TrainSkipGram(
             target = stream[ctx];
             label = 1.0f;
           } else {
-            target = vocab->SampleNegative(rng);
+            target = vocab.SampleNegative(rng);
             if (target == stream[ctx]) continue;
             label = 0.0f;
           }
@@ -124,8 +100,10 @@ Result<std::unique_ptr<TrainedModel>> TrainSkipGram(
     }
   }
 
-  return std::make_unique<TrainedModel>(std::move(vocab), std::move(in),
-                                        options.seed);
+  std::vector<std::string> words;
+  words.reserve(v);
+  for (uint32_t id = 0; id < v; ++id) words.push_back(vocab.WordOf(id));
+  return LookupTableModel::Create(words, std::move(in));
 }
 
 }  // namespace cej::model

@@ -16,9 +16,7 @@
 #include <vector>
 
 #include "cej/common/status.h"
-#include "cej/la/matrix.h"
-#include "cej/model/embedding_model.h"
-#include "cej/model/vocab.h"
+#include "cej/model/lookup_table_model.h"
 
 namespace cej::model {
 
@@ -32,30 +30,11 @@ struct SkipGramOptions {
   uint64_t seed = 7;           ///< RNG seed (init + sampling).
 };
 
-/// A trained word-embedding table exposed as an EmbeddingModel. Unknown
-/// words embed to a deterministic hash vector so the model stays total.
-class TrainedModel final : public EmbeddingModel {
- public:
-  TrainedModel(std::shared_ptr<const Vocab> vocab, la::Matrix table,
-               uint64_t seed);
-
-  size_t dim() const override { return table_.cols(); }
-  const Vocab& vocab() const { return *vocab_; }
-  const la::Matrix& table() const { return table_; }
-
- protected:
-  void EmbedImpl(std::string_view input, float* out) const override;
-
- private:
-  std::shared_ptr<const Vocab> vocab_;
-  la::Matrix table_;  // One L2-normalized row per vocab word.
-  uint64_t seed_;
-};
-
-/// Trains skip-gram/negative-sampling embeddings over `tokens`.
-/// Returns an error if the corpus is empty or has fewer than 2 distinct
-/// tokens (nothing to contrast against).
-Result<std::unique_ptr<TrainedModel>> TrainSkipGram(
+/// Trains skip-gram/negative-sampling embeddings over `tokens` and returns
+/// the trained table as a word-table model: one row per distinct token, in
+/// first-seen order. Returns an error if the corpus is empty or has fewer
+/// than 2 distinct tokens (nothing to contrast against).
+Result<std::unique_ptr<LookupTableModel>> TrainSkipGram(
     const std::vector<std::string>& tokens, const SkipGramOptions& options);
 
 }  // namespace cej::model

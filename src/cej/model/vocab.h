@@ -1,5 +1,6 @@
 // Vocabulary: word <-> id mapping with frequency counts and a unigram^0.75
-// negative-sampling table, shared by the skip-gram trainer and the decoder.
+// negative-sampling table, shared by the skip-gram trainer and the
+// word-table model.
 
 #ifndef CEJ_MODEL_VOCAB_H_
 #define CEJ_MODEL_VOCAB_H_

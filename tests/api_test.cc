@@ -734,7 +734,8 @@ TEST(EngineNanTest, NanSimilaritiesNeverEnterTopK) {
   // Two stored vectors hold a NaN, so every probe scores NaN against them.
   // No score compares greater than a NaN: one NaN admitted while a top-k
   // heap fills would hold its slot for good. Every exact path must return
-  // the top-k of the finite rows.
+  // the top-k of the finite rows. HNSW orders its beam outside the top-k
+  // collector; with ef_search = |S| its search is exhaustive here too.
   constexpr size_t kRows = 4096, kDim = 16, kProbes = 4, kTopK = 3;
   const float nan = std::numeric_limits<float>::quiet_NaN();
   la::Matrix db = workload::RandomUnitVectors(kRows, kDim, 74);
@@ -768,8 +769,14 @@ TEST(EngineNanTest, NanSimilaritiesNeverEnterTopK) {
   ivf.family = index::IndexFamily::kIvf;
   ivf.ivf.nlist = 16;
   ivf.ivf_nprobe = 16;  // Every list: an exhaustive search.
+  index::IndexBuildOptions hnsw;
+  hnsw.family = index::IndexFamily::kHnsw;
+  hnsw.hnsw_ef_search = kRows;
   const std::vector<std::pair<std::string, const index::IndexBuildOptions*>>
-      tables = {{"db", nullptr}, {"db_flat", &flat}, {"db_ivf", &ivf}};
+      tables = {{"db", nullptr},
+                {"db_flat", &flat},
+                {"db_ivf", &ivf},
+                {"db_hnsw", &hnsw}};
   for (const auto& [table, build] : tables) {
     ASSERT_TRUE(engine.RegisterTable(table, VectorTable(db.Clone())).ok());
     if (build != nullptr) {
@@ -779,7 +786,7 @@ TEST(EngineNanTest, NanSimilaritiesNeverEnterTopK) {
   const std::vector<std::pair<std::string, std::string>> runs = {
       {"db", "tensor"},        {"db", "sharded_tensor"},
       {"db", "prefetch_nlj"},  {"db_flat", "index"},
-      {"db_ivf", "index"}};
+      {"db_ivf", "index"},     {"db_hnsw", "index"}};
   for (const auto& [table, op] : runs) {
     join::MaterializingSink sink;
     plan::ExecStats stats;

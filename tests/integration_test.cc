@@ -8,12 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include "cej/api/engine.h"
 #include "cej/common/thread_pool.h"
 #include "cej/index/hnsw_index.h"
 #include "cej/join/index_join.h"
 #include "cej/join/nlj_prefetch.h"
 #include "cej/join/tensor_join.h"
-#include "cej/model/decoder.h"
 #include "cej/model/skipgram.h"
 #include "cej/model/subword_hash_model.h"
 #include "cej/plan/executor.h"
@@ -121,22 +121,33 @@ TEST(SemanticJoinIntegrationTest, TrainedSkipGramSupportsJoins) {
 // ---------------------------------------------------------------------------
 
 TEST(DecodeIntegrationTest, JoinResultsDecodeBackToWords) {
+  // A registered word table is the lookup table of E^-1: joining the words
+  // against themselves top-1, each row matches itself, and the matched row
+  // id decodes to the original string.
   model::SubwordHashModel model;
   auto words = workload::RandomStrings(50, 5, 9, 25);
-  la::Matrix table = model.EmbedBatch(words);
-  auto decoder = model::Decoder::Create(words, table.Clone());
-  ASSERT_TRUE(decoder.ok());
+  auto schema = Schema::Create({{"word", DataType::kString, 0}});
+  ASSERT_TRUE(schema.ok());
+  std::vector<Column> columns;
+  columns.push_back(Column::String(words));
+  auto table = Relation::Create(std::move(schema).value(), std::move(columns));
+  ASSERT_TRUE(table.ok());
 
-  // Join words against themselves top-1: each row matches itself; decoding
-  // the matched embedding recovers the original string.
-  auto result = join::TensorJoinMatrices(table, table,
-                                         join::JoinCondition::TopK(1));
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->pairs.size(), words.size());
-  for (const auto& p : result->pairs) {
-    EXPECT_EQ(p.left, p.right);
-    auto decoded = decoder->Decode(table.Row(p.right));
-    EXPECT_EQ(decoded.word, words[p.left]);
+  Engine engine;
+  ASSERT_TRUE(engine.RegisterModel("subword", &model).ok());
+  ASSERT_TRUE(engine.RegisterTable("words", std::move(table).value()).ok());
+  auto result = engine.Query("words")
+                    .EJoin("words", "word", join::JoinCondition::TopK(1))
+                    .Execute();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const auto& rel = result->relation;
+  ASSERT_EQ(rel.num_rows(), words.size());
+  const auto& left = rel.ColumnByName("word").value()->string_values();
+  const auto& right =
+      rel.ColumnByName("right_word").value()->string_values();
+  for (size_t i = 0; i < rel.num_rows(); ++i) {
+    EXPECT_EQ(left[i], words[i]);
+    EXPECT_EQ(right[i], left[i]);
   }
 }
 

@@ -71,7 +71,7 @@ TEST(JoinStatsTest, MergeAccumulatesCountsAndMaxesBuffers) {
 
 TEST(ValidationTest, DimMismatchTextIsIdenticalAcrossOperators) {
   // Every operator must report the same message for mismatched dims —
-  // FP32 tensor, NLJ, FP16, and index-backed alike.
+  // the tensor sweep and the index-backed probe alike.
   const Status direct = ValidateJoinDims(8, 16);
   ASSERT_FALSE(direct.ok());
 

@@ -113,9 +113,9 @@ INSTANTIATE_TEST_SUITE_P(Dims, DotKernelTest,
 
 // ---------------------------------------------------------------------------
 // One dot-product order: every kernel variant this binary holds and this CPU
-// runs (scalar, AVX2, AVX-512), in FP32 and FP16, one row or in 8-row blocks
-// at any row position, through Dot, DotOneToMany, SquaredNorm and GemmTile,
-// returns the same bits for the same pair.
+// runs (scalar, AVX2, AVX-512), one row or in 8-row blocks at any row
+// position, through Dot, DotOneToMany, SquaredNorm and GemmTile, returns the
+// same bits for the same pair.
 // ---------------------------------------------------------------------------
 
 constexpr size_t kMaxRows = 17;  // Row positions 0..15, plus one past.

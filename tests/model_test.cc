@@ -1,7 +1,7 @@
 // Tests for cej/model: subword hashing embedder (determinism, OOV,
 // misspelling tolerance, concept semantics), skip-gram training (real
-// representation learning on a planted corpus), lookup model, decoder,
-// vocab, and model-call accounting.
+// representation learning on a planted corpus), lookup model, decoding
+// (E^-1) as a top-k E-join, vocab, and model-call accounting.
 
 #include <algorithm>
 #include <cmath>
@@ -10,9 +10,8 @@
 
 #include <gtest/gtest.h>
 
-#include "cej/common/timer.h"
+#include "cej/cej.h"
 #include "cej/la/vector_ops.h"
-#include "cej/model/decoder.h"
 #include "cej/model/embedding_model.h"
 #include "cej/model/lookup_table_model.h"
 #include "cej/model/skipgram.h"
@@ -301,42 +300,75 @@ TEST(LookupTableModelTest, OovIsDeterministicUnitVector) {
   EXPECT_NEAR(la::L2Norm(v1.data(), v1.size()), 1.0f, 1e-4f);
 }
 
-TEST(LookupTableModelTest, SimulatedAccessCostSlowsEmbedding) {
-  la::Matrix fast_table = workload::RandomUnitVectors(4, 16, 2);
-  la::Matrix slow_table = workload::RandomUnitVectors(4, 16, 2);
-  LookupTableOptions slow_options;
-  slow_options.access_cost_ns = 200000;  // 0.2 ms per access.
-  auto fast = LookupTableModel::Create({"a", "b", "c", "d"},
-                                       std::move(fast_table));
-  auto slow = LookupTableModel::Create({"a", "b", "c", "d"},
-                                       std::move(slow_table), slow_options);
-  ASSERT_TRUE(fast.ok() && slow.ok());
-  WallTimer timer;
-  for (int i = 0; i < 20; ++i) (*fast)->EmbedToVector("a");
-  const double fast_s = timer.ElapsedSeconds();
-  timer.Restart();
-  for (int i = 0; i < 20; ++i) (*slow)->EmbedToVector("a");
-  const double slow_s = timer.ElapsedSeconds();
-  EXPECT_GT(slow_s, fast_s);
-  EXPECT_GE(slow_s, 20 * 0.0002 * 0.8);  // Within 20% of the configured cost.
+// ---------------------------------------------------------------------------
+// E^-1 (paper Section III.C) as the engine runs it: a registered word table
+// is the lookup table (row id -> word), and a word decodes by a top-k
+// E-join against it. The suite keeps the name of the class it replaced.
+// ---------------------------------------------------------------------------
+
+std::shared_ptr<const storage::Relation> WordsTable(
+    std::vector<std::string> words, la::Matrix vectors = {}) {
+  std::vector<storage::Field> fields = {
+      {"word", storage::DataType::kString, 0}};
+  std::vector<storage::Column> columns;
+  columns.push_back(storage::Column::String(std::move(words)));
+  if (!vectors.empty()) {
+    fields.push_back({"emb", storage::DataType::kVector, vectors.cols()});
+    columns.push_back(storage::Column::Vector(std::move(vectors)));
+  }
+  auto schema = storage::Schema::Create(std::move(fields));
+  CEJ_CHECK(schema.ok());
+  auto rel = storage::Relation::Create(std::move(schema).value(),
+                                       std::move(columns));
+  CEJ_CHECK(rel.ok());
+  return std::make_shared<const storage::Relation>(std::move(rel).value());
 }
 
-// ---------------------------------------------------------------------------
-// Decoder (E^-1)
-// ---------------------------------------------------------------------------
+struct DecodedWord {
+  std::string query;
+  std::string word;
+  double similarity;
+};
+
+// Runs `query` and returns its (word, right_word, similarity) rows: query
+// words in string order, each one's rows best-first. The join returns rows
+// in (left, right) order; a stable sort keeps the smaller right id first on
+// ties, as a top-k does.
+std::vector<DecodedWord> Decode(const QueryBuilder& query) {
+  auto result = query.Execute();
+  CEJ_CHECK(result.ok());
+  const auto& rel = result->relation;
+  const auto& left = rel.ColumnByName("word").value()->string_values();
+  const auto& right =
+      rel.ColumnByName("right_word").value()->string_values();
+  const auto& sims = rel.ColumnByName("similarity").value()->double_values();
+  std::vector<DecodedWord> out;
+  for (size_t i = 0; i < rel.num_rows(); ++i) {
+    out.push_back({left[i], right[i], sims[i]});
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const DecodedWord& a, const DecodedWord& b) {
+                     if (a.query != b.query) return a.query < b.query;
+                     return a.similarity > b.similarity;
+                   });
+  return out;
+}
 
 TEST(DecoderTest, RoundTripsModelEmbeddings) {
   // E^-1(E(w)) = w for every vocabulary word (paper Section III.C).
   SubwordHashModel model;
   std::vector<std::string> words = {"dbms", "postgres", "clothes", "query",
                                     "join"};
-  auto decoder = Decoder::Create(words, model.EmbedBatch(words));
-  ASSERT_TRUE(decoder.ok());
-  for (const auto& w : words) {
-    auto v = model.EmbedToVector(w);
-    Decoded d = decoder->Decode(v.data());
-    EXPECT_EQ(d.word, w);
-    EXPECT_NEAR(d.similarity, 1.0f, 1e-4f);
+  Engine engine;
+  ASSERT_TRUE(engine.RegisterModel("subword", &model).ok());
+  ASSERT_TRUE(engine.RegisterTable("vocab", WordsTable(words)).ok());
+  ASSERT_TRUE(engine.RegisterTable("queries", WordsTable(words)).ok());
+  auto decoded = Decode(engine.Query("queries").EJoin(
+      "vocab", "word", join::JoinCondition::TopK(1)));
+  ASSERT_EQ(decoded.size(), words.size());
+  for (const auto& d : decoded) {
+    EXPECT_EQ(d.word, d.query);
+    EXPECT_NEAR(d.similarity, 1.0, 1e-4);
   }
 }
 
@@ -344,10 +376,12 @@ TEST(DecoderTest, TopKReturnsBestFirst) {
   SubwordHashModel model;
   std::vector<std::string> words = {"barbecue", "barbecues", "barbicue",
                                     "mountain", "computer"};
-  auto decoder = Decoder::Create(words, model.EmbedBatch(words));
-  ASSERT_TRUE(decoder.ok());
-  auto q = model.EmbedToVector("barbecue");
-  auto top = decoder->DecodeTopK(q.data(), 3);
+  Engine engine;
+  ASSERT_TRUE(engine.RegisterModel("subword", &model).ok());
+  ASSERT_TRUE(engine.RegisterTable("vocab", WordsTable(words)).ok());
+  ASSERT_TRUE(engine.RegisterTable("query", WordsTable({"barbecue"})).ok());
+  auto top = Decode(engine.Query("query").EJoin(
+      "vocab", "word", join::JoinCondition::TopK(3)));
   ASSERT_EQ(top.size(), 3u);
   EXPECT_EQ(top[0].word, "barbecue");
   // The two surface variants outrank the unrelated words.
@@ -357,18 +391,24 @@ TEST(DecoderTest, TopKReturnsBestFirst) {
   EXPECT_GE(top[1].similarity, top[2].similarity);
 }
 
-TEST(DecoderTest, RejectsMismatchedInputs) {
-  EXPECT_FALSE(Decoder::Create({}, la::Matrix(0, 4)).ok());
-  EXPECT_FALSE(Decoder::Create({"a"}, la::Matrix(2, 4)).ok());
-}
-
 TEST(DecoderTest, WordOfIsExactInverse) {
+  // A stored vector decodes to the word of its own row: the row id is the
+  // lookup key, and no model is involved.
   std::vector<std::string> words = {"p", "q"};
-  auto decoder =
-      Decoder::Create(words, workload::RandomUnitVectors(2, 8, 3));
-  ASSERT_TRUE(decoder.ok());
-  EXPECT_EQ(decoder->WordOf(0), "p");
-  EXPECT_EQ(decoder->WordOf(1), "q");
+  const la::Matrix vectors = workload::RandomUnitVectors(2, 8, 3);
+  Engine engine;
+  ASSERT_TRUE(
+      engine.RegisterTable("vocab", WordsTable(words, vectors.Clone())).ok());
+  ASSERT_TRUE(
+      engine.RegisterTable("queries", WordsTable(words, vectors.Clone()))
+          .ok());
+  auto decoded = Decode(engine.Query("queries").EJoin(
+      "vocab", "emb", join::JoinCondition::TopK(1)));
+  ASSERT_EQ(decoded.size(), 2u);
+  EXPECT_EQ(decoded[0].query, "p");
+  EXPECT_EQ(decoded[0].word, "p");
+  EXPECT_EQ(decoded[1].query, "q");
+  EXPECT_EQ(decoded[1].word, "q");
 }
 
 }  // namespace
