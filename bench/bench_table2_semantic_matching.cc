@@ -3,8 +3,8 @@
 //
 // Substitution: the concept-aware subword model plays the role of the
 // trained FastText model (surface-form n-grams + planted synonym semantics;
-// see DESIGN.md). A second section repeats the exercise with real skip-gram
-// embeddings trained on the synthetic corpus.
+// see cej/model/subword_hash_model.h). A second section repeats the
+// exercise with real skip-gram embeddings trained on the synthetic corpus.
 //
 // Decoding (E^{-1}, paper Section III.C) is the paper's lookup table: the
 // corpus vocabulary is a registered one-column table, so a row id maps to
