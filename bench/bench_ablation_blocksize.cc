@@ -1,8 +1,9 @@
 // Ablation: GEMM/tensor-join tile-size sweep (google-benchmark).
 //
-// DESIGN.md calls out block-matrix tile shape as the knob that turns the
-// NLJ into a cache-efficient kernel; this ablation quantifies the
-// sensitivity so the defaults in TensorJoinOptions are evidence-based.
+// The paper's batching and mini-batch results (Figs 12/13) show tile shape
+// as the knob that turns the NLJ into a cache-efficient kernel; this
+// ablation quantifies the sensitivity so the defaults in TensorJoinOptions
+// are evidence-based.
 
 #include <benchmark/benchmark.h>
 

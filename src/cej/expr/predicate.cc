@@ -1,6 +1,7 @@
 #include "cej/expr/predicate.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace cej::expr {
 namespace {
@@ -116,38 +117,21 @@ class CmpPredicate final : public Predicate {
     CEJ_CHECK(false);
   }
 
-  bool Matches(const Relation& rel, uint32_t row) const override {
-    const Column* col = rel.ColumnByName(column_).value();
-    switch (col->type()) {
-      case DataType::kInt64:
-        return Compare(col->int64_values()[row], op_,
-                       std::get<int64_t>(value_));
-      case DataType::kDate:
-        return Compare(static_cast<int64_t>(col->date_values()[row]), op_,
-                       std::get<int64_t>(value_));
-      case DataType::kDouble: {
-        const double rhs = std::holds_alternative<double>(value_)
-                               ? std::get<double>(value_)
-                               : static_cast<double>(
-                                     std::get<int64_t>(value_));
-        return Compare(col->double_values()[row], op_, rhs);
-      }
-      case DataType::kString:
-        return Compare(col->string_values()[row], op_,
-                       std::get<std::string>(value_));
-      case DataType::kVector:
-        break;
-    }
-    CEJ_CHECK(false);
-    return false;
-  }
-
  private:
   std::string column_;
   CmpOp op_;
   Literal value_;
 };
 
+// The sorted rows `predicate` selects in `rel`.
+std::vector<uint32_t> RowsOf(const Predicate& predicate, const Relation& rel) {
+  std::vector<uint32_t> rows;
+  predicate.Eval(rel, &rows);
+  return rows;
+}
+
+// Compound predicates combine their children's sorted row lists, so each
+// leaf runs its typed loop once instead of one column lookup per row.
 class AndPredicate final : public Predicate {
  public:
   AndPredicate(PredicatePtr lhs, PredicatePtr rhs)
@@ -159,13 +143,10 @@ class AndPredicate final : public Predicate {
   }
 
   void Eval(const Relation& rel, std::vector<uint32_t>* out) const override {
-    for (uint32_t r = 0; r < rel.num_rows(); ++r) {
-      if (Matches(rel, r)) out->push_back(r);
-    }
-  }
-
-  bool Matches(const Relation& rel, uint32_t row) const override {
-    return lhs_->Matches(rel, row) && rhs_->Matches(rel, row);
+    const std::vector<uint32_t> lhs = RowsOf(*lhs_, rel);
+    const std::vector<uint32_t> rhs = RowsOf(*rhs_, rel);
+    std::set_intersection(lhs.begin(), lhs.end(), rhs.begin(), rhs.end(),
+                          std::back_inserter(*out));
   }
 
  private:
@@ -183,13 +164,10 @@ class OrPredicate final : public Predicate {
   }
 
   void Eval(const Relation& rel, std::vector<uint32_t>* out) const override {
-    for (uint32_t r = 0; r < rel.num_rows(); ++r) {
-      if (Matches(rel, r)) out->push_back(r);
-    }
-  }
-
-  bool Matches(const Relation& rel, uint32_t row) const override {
-    return lhs_->Matches(rel, row) || rhs_->Matches(rel, row);
+    const std::vector<uint32_t> lhs = RowsOf(*lhs_, rel);
+    const std::vector<uint32_t> rhs = RowsOf(*rhs_, rel);
+    std::set_union(lhs.begin(), lhs.end(), rhs.begin(), rhs.end(),
+                   std::back_inserter(*out));
   }
 
  private:
@@ -204,14 +182,18 @@ class NotPredicate final : public Predicate {
     return inner_->Validate(schema);
   }
 
+  // The complement over [0, n): rows the child rejects, NaN rows of a
+  // comparison included.
   void Eval(const Relation& rel, std::vector<uint32_t>* out) const override {
+    const std::vector<uint32_t> inner = RowsOf(*inner_, rel);
+    auto next = inner.begin();
     for (uint32_t r = 0; r < rel.num_rows(); ++r) {
-      if (Matches(rel, r)) out->push_back(r);
+      if (next != inner.end() && *next == r) {
+        ++next;
+      } else {
+        out->push_back(r);
+      }
     }
-  }
-
-  bool Matches(const Relation& rel, uint32_t row) const override {
-    return !inner_->Matches(rel, row);
   }
 
  private:
@@ -226,8 +208,6 @@ class TruePredicate final : public Predicate {
     out->reserve(out->size() + rel.num_rows());
     for (uint32_t r = 0; r < rel.num_rows(); ++r) out->push_back(r);
   }
-
-  bool Matches(const Relation&, uint32_t) const override { return true; }
 };
 
 }  // namespace

@@ -37,10 +37,6 @@ class Predicate {
   /// in ascending order. `rel` must satisfy Validate.
   virtual void Eval(const storage::Relation& rel,
                     std::vector<uint32_t>* out) const = 0;
-
-  /// Row-level evaluation (used by operators that interleave relational
-  /// filtering with vector processing, e.g. pre-filtered index probes).
-  virtual bool Matches(const storage::Relation& rel, uint32_t row) const = 0;
 };
 
 using PredicatePtr = std::shared_ptr<const Predicate>;

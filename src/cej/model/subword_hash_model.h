@@ -1,6 +1,6 @@
 // FastText-style subword hashing embedder.
 //
-// Substitution note (see DESIGN.md): the paper uses a FastText model trained
+// Substitution note: the paper uses a FastText model trained
 // on Wikipedia. FastText inference is the sum of hashed character-n-gram
 // vectors; this model reproduces exactly that access/compute profile with
 // deterministic pseudo-random n-gram vectors, so it is (a) OOV-capable,

@@ -90,14 +90,20 @@ Result<Relation> MaterializeJoinOutput(const Schema& output_schema,
     right_rows.push_back(p.right);
     sims.push_back(static_cast<double>(p.similarity));
   }
-  std::vector<Column> columns;
+  // One row-id list per side, shared by every column of that side.
+  auto gather_side = [](const Relation& side, std::vector<uint32_t> rows) {
+    std::vector<const Column*> columns;
+    columns.reserve(side.num_columns());
+    for (size_t i = 0; i < side.num_columns(); ++i) {
+      columns.push_back(&side.column(i));
+    }
+    return Column::GatherAll(columns, std::move(rows));
+  };
+  std::vector<Column> columns = gather_side(left, std::move(left_rows));
+  std::vector<Column> right_columns =
+      gather_side(right, std::move(right_rows));
   columns.reserve(output_schema.num_fields());
-  for (size_t i = 0; i < left.num_columns(); ++i) {
-    columns.push_back(left.column(i).Gather(left_rows));
-  }
-  for (size_t i = 0; i < right.num_columns(); ++i) {
-    columns.push_back(right.column(i).Gather(right_rows));
-  }
+  for (Column& c : right_columns) columns.push_back(std::move(c));
   columns.push_back(Column::Double(std::move(sims)));
   return Relation::Create(output_schema, std::move(columns));
 }

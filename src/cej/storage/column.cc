@@ -1,30 +1,50 @@
 #include "cej/storage/column.h"
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
 
 namespace cej::storage {
+namespace {
+
+template <typename T>
+std::shared_ptr<const std::vector<T>> Share(std::vector<T> values) {
+  return std::make_shared<const std::vector<T>>(std::move(values));
+}
+
+// source[rows[i]] for each i: a view's dense copy.
+template <typename T>
+std::vector<T> GatherValues(const std::vector<T>& source,
+                            const std::vector<uint32_t>& rows) {
+  std::vector<T> out;
+  out.reserve(rows.size());
+  for (uint32_t r : rows) out.push_back(source[r]);
+  return out;
+}
+
+}  // namespace
 
 Column Column::Int64(std::vector<int64_t> values) {
   Column c(DataType::kInt64);
-  c.int64_ = std::move(values);
+  c.int64_ = Share(std::move(values));
   return c;
 }
 
 Column Column::Double(std::vector<double> values) {
   Column c(DataType::kDouble);
-  c.double_ = std::move(values);
+  c.double_ = Share(std::move(values));
   return c;
 }
 
 Column Column::String(std::vector<std::string> values) {
   Column c(DataType::kString);
-  c.string_ = std::move(values);
+  c.string_ = Share(std::move(values));
   return c;
 }
 
 Column Column::Date(std::vector<int32_t> values) {
   Column c(DataType::kDate);
-  c.date_ = std::move(values);
+  c.date_ = Share(std::move(values));
   return c;
 }
 
@@ -40,17 +60,18 @@ Column Column::Vector(std::shared_ptr<const la::Matrix> values) {
 }
 
 size_t Column::size() const {
+  if (view_ != nullptr) return view_->rows->size();
   switch (type_) {
     case DataType::kInt64:
-      return int64_.size();
+      return int64_->size();
     case DataType::kDouble:
-      return double_.size();
+      return double_->size();
     case DataType::kString:
-      return string_.size();
+      return string_->size();
     case DataType::kDate:
-      return date_.size();
+      return date_->size();
     case DataType::kVector:
-      return view_ != nullptr ? view_->rows.size() : matrix_->rows();
+      return matrix_->rows();
   }
   return 0;
 }
@@ -59,64 +80,86 @@ size_t Column::vector_dim() const {
   return type_ == DataType::kVector ? matrix_->cols() : 0;
 }
 
-const std::shared_ptr<const la::Matrix>& Column::shared_vector_values()
-    const {
-  CEJ_CHECK(type_ == DataType::kVector);
-  if (view_ == nullptr) return matrix_;
+const Column& Column::Dense() const {
+  if (view_ == nullptr) return *this;
   std::call_once(view_->densify_once, [this] {
-    const size_t dim = matrix_->cols();
-    la::Matrix dense(view_->rows.size(), dim);
-    for (size_t i = 0; i < view_->rows.size(); ++i) {
-      std::memcpy(dense.Row(i), matrix_->Row(view_->rows[i]),
-                  dim * sizeof(float));
+    const RowIds& rows = *view_->rows;
+    Column dense(type_);
+    switch (type_) {
+      case DataType::kInt64:
+        dense.int64_ = Share(GatherValues(*int64_, rows));
+        break;
+      case DataType::kDouble:
+        dense.double_ = Share(GatherValues(*double_, rows));
+        break;
+      case DataType::kString:
+        dense.string_ = Share(GatherValues(*string_, rows));
+        break;
+      case DataType::kDate:
+        dense.date_ = Share(GatherValues(*date_, rows));
+        break;
+      case DataType::kVector: {
+        const size_t dim = matrix_->cols();
+        la::Matrix m(rows.size(), dim);
+        for (size_t i = 0; i < rows.size(); ++i) {
+          std::memcpy(m.Row(i), matrix_->Row(rows[i]), dim * sizeof(float));
+        }
+        dense.matrix_ = std::make_shared<const la::Matrix>(std::move(m));
+        break;
+      }
     }
-    view_->dense = std::make_shared<const la::Matrix>(std::move(dense));
+    view_->dense = std::make_unique<const Column>(std::move(dense));
   });
-  return view_->dense;
+  return *view_->dense;
+}
+
+Column Column::ViewOf(std::shared_ptr<const RowIds> rows) const {
+  Column c(type_);
+  c.int64_ = int64_;
+  c.double_ = double_;
+  c.string_ = string_;
+  c.date_ = date_;
+  c.matrix_ = matrix_;
+  c.view_ = std::make_shared<View>();
+  c.view_->rows = std::move(rows);
+  return c;
 }
 
 Column Column::Gather(const std::vector<uint32_t>& rows) const {
-  switch (type_) {
-    case DataType::kInt64: {
-      std::vector<int64_t> out;
-      out.reserve(rows.size());
-      for (uint32_t r : rows) out.push_back(int64_.at(r));
-      return Int64(std::move(out));
+  return std::move(GatherAll({this}, rows).front());
+}
+
+std::vector<Column> Column::GatherAll(
+    const std::vector<const Column*>& columns, std::vector<uint32_t> rows) {
+  // One bound for every column: each tuple must exist in each column.
+  const size_t needed =
+      rows.empty() ? 0
+                   : size_t{*std::max_element(rows.begin(), rows.end())} + 1;
+  const auto ids = std::make_shared<const RowIds>(std::move(rows));
+  // A view's ids composed with `ids`, once per distinct id list.
+  std::vector<std::pair<const RowIds*, std::shared_ptr<const RowIds>>>
+      composed;
+  std::vector<Column> out;
+  out.reserve(columns.size());
+  for (const Column* column : columns) {
+    CEJ_CHECK(needed <= column->size());
+    if (column->view_ == nullptr) {
+      out.push_back(column->ViewOf(ids));
+      continue;
     }
-    case DataType::kDouble: {
-      std::vector<double> out;
-      out.reserve(rows.size());
-      for (uint32_t r : rows) out.push_back(double_.at(r));
-      return Double(std::move(out));
+    const RowIds* source = column->view_->rows.get();
+    auto it = std::find_if(composed.begin(), composed.end(),
+                           [&](const auto& e) { return e.first == source; });
+    if (it == composed.end()) {
+      RowIds base(ids->size());
+      for (size_t i = 0; i < base.size(); ++i) base[i] = (*source)[(*ids)[i]];
+      composed.emplace_back(source,
+                            std::make_shared<const RowIds>(std::move(base)));
+      it = composed.end() - 1;
     }
-    case DataType::kString: {
-      std::vector<std::string> out;
-      out.reserve(rows.size());
-      for (uint32_t r : rows) out.push_back(string_.at(r));
-      return String(std::move(out));
-    }
-    case DataType::kDate: {
-      std::vector<int32_t> out;
-      out.reserve(rows.size());
-      for (uint32_t r : rows) out.push_back(date_.at(r));
-      return Date(std::move(out));
-    }
-    case DataType::kVector: {
-      const size_t n = size();
-      auto view = std::make_shared<View>();
-      view->rows.resize(rows.size());
-      for (size_t i = 0; i < rows.size(); ++i) {
-        CEJ_CHECK(rows[i] < n);
-        view->rows[i] = view_ != nullptr ? view_->rows[rows[i]] : rows[i];
-      }
-      Column c(DataType::kVector);
-      c.matrix_ = matrix_;
-      c.view_ = std::move(view);
-      return c;
-    }
+    out.push_back(column->ViewOf(it->second));
   }
-  CEJ_CHECK(false);
-  return Int64({});
+  return out;
 }
 
 }  // namespace cej::storage

@@ -106,10 +106,13 @@ Relation Relation::Take(const std::vector<uint32_t>& rows) const {
   Relation out;
   out.schema_ = schema_;
   out.num_rows_ = rows.size();
-  out.columns_.reserve(columns_.size());
-  for (const auto& c : columns_) {
-    out.columns_.push_back(
-        std::make_shared<const Column>(c->Gather(rows)));
+  std::vector<const Column*> sources;
+  sources.reserve(columns_.size());
+  for (const auto& c : columns_) sources.push_back(c.get());
+  std::vector<Column> gathered = Column::GatherAll(sources, rows);
+  out.columns_.reserve(gathered.size());
+  for (Column& c : gathered) {
+    out.columns_.push_back(std::make_shared<const Column>(std::move(c)));
   }
   return out;
 }

@@ -31,10 +31,10 @@ class Relation {
   /// Column lookup by field name.
   Result<const Column*> ColumnByName(const std::string& name) const;
 
-  /// Materializes the subset of rows given by `rows` (in order, possibly
-  /// with repeats) across all columns. Vector columns come out as views of
-  /// this relation's matrices (see Column::Gather); no embedding row is
-  /// copied.
+  /// The subset of rows given by `rows` (in order, possibly with repeats)
+  /// across all columns. Every column comes out as a view of this
+  /// relation's values sharing one row-id list (see Column::GatherAll); no
+  /// value is copied.
   Relation Take(const std::vector<uint32_t>& rows) const;
 
   /// Returns a new relation sharing this one's columns plus `column`

@@ -1,5 +1,6 @@
 // Synthetic corpus with planted semantics — the stand-in for the paper's
-// Wikipedia training corpus (see DESIGN.md substitutions).
+// Wikipedia training corpus (see the substitution note in
+// cej/model/subword_hash_model.h).
 //
 // The generator plants *synonym families*: groups of surface forms (base
 // word, tense/plural variants, misspellings, and unrelated-looking aliases

@@ -1,6 +1,8 @@
 // Tests for cej/expr: predicate typing, evaluation, composition, and the
 // selectivity behaviour the access-path experiments depend on.
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "cej/expr/predicate.h"
@@ -123,16 +125,61 @@ TEST(PredicateTest, ValidateRejectsVectorColumn) {
   EXPECT_FALSE(Filter(*rel, Cmp("v", CmpOp::kEq, int64_t{0})).ok());
 }
 
-TEST(PredicateTest, RowLevelMatchesAgreesWithEval) {
+TEST(PredicateTest, AndIntersectsChildRows) {
   Relation rel = MakeRelation();
-  auto p = And(Cmp("price", CmpOp::kGt, 2.0),
-               Not(Cmp("name", CmpOp::kEq, std::string("cherry"))));
-  auto rows = Rows(rel, p);
-  std::vector<uint32_t> via_matches;
-  for (uint32_t r = 0; r < rel.num_rows(); ++r) {
-    if (p->Matches(rel, r)) via_matches.push_back(r);
-  }
-  EXPECT_EQ(rows, via_matches);
+  EXPECT_EQ(Rows(rel, And(Cmp("id", CmpOp::kGe, int64_t{2}),
+                          Cmp("when", CmpOp::kLt, int64_t{50}))),
+            (std::vector<uint32_t>{1, 2, 3}));
+  EXPECT_EQ(Rows(rel, And(Cmp("name", CmpOp::kEq, std::string("apple")),
+                          Cmp("price", CmpOp::kGt, 2.0))),
+            (std::vector<uint32_t>{3}));
+  EXPECT_EQ(Rows(rel, And(Cmp("id", CmpOp::kGt, int64_t{5}),
+                          Cmp("when", CmpOp::kGe, int64_t{10}))),
+            (std::vector<uint32_t>{}));
+}
+
+TEST(PredicateTest, OrUnitesChildRows) {
+  Relation rel = MakeRelation();
+  EXPECT_EQ(Rows(rel, Or(Cmp("name", CmpOp::kEq, std::string("banana")),
+                         Cmp("when", CmpOp::kGe, int64_t{40}))),
+            (std::vector<uint32_t>{1, 3, 4}));
+  // Rows both children select appear once.
+  EXPECT_EQ(Rows(rel, Or(Cmp("price", CmpOp::kLt, 2.0),
+                         Cmp("id", CmpOp::kLe, int64_t{2}))),
+            (std::vector<uint32_t>{0, 1}));
+}
+
+TEST(PredicateTest, NotComplementsChildRows) {
+  Relation rel = MakeRelation();
+  EXPECT_EQ(Rows(rel, Not(Cmp("name", CmpOp::kEq, std::string("apple")))),
+            (std::vector<uint32_t>{1, 2, 4}));
+  EXPECT_EQ(Rows(rel, Not(Cmp("when", CmpOp::kGe, int64_t{30}))),
+            (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(Rows(rel, Not(Not(Cmp("id", CmpOp::kEq, int64_t{3})))),
+            (std::vector<uint32_t>{2}));
+  EXPECT_EQ(Rows(rel, Not(True())), (std::vector<uint32_t>{}));
+}
+
+TEST(PredicateTest, CompoundsKeepNanRowsOutOfComparisonsOnly) {
+  // A comparison with NaN is false, so NaN rows fail `x < 1` and `x >= 1`
+  // alike; negation keeps them.
+  auto schema = Schema::Create({{"x", DataType::kDouble, 0}});
+  CEJ_CHECK(schema.ok());
+  const double nan = std::nan("");
+  std::vector<Column> columns;
+  columns.push_back(Column::Double({0.5, nan, 2.0, -1.0, nan, 1.0}));
+  auto rel = Relation::Create(std::move(schema).value(), std::move(columns));
+  ASSERT_TRUE(rel.ok());
+  auto below = Cmp("x", CmpOp::kLt, 1.0);
+  auto at_or_above = Cmp("x", CmpOp::kGe, int64_t{1});
+  EXPECT_EQ(Rows(*rel, below), (std::vector<uint32_t>{0, 3}));
+  EXPECT_EQ(Rows(*rel, Not(below)), (std::vector<uint32_t>{1, 2, 4, 5}));
+  EXPECT_EQ(Rows(*rel, Not(at_or_above)),
+            (std::vector<uint32_t>{0, 1, 3, 4}));
+  EXPECT_EQ(Rows(*rel, Or(below, at_or_above)),
+            (std::vector<uint32_t>{0, 2, 3, 5}));
+  EXPECT_EQ(Rows(*rel, And(Not(below), Not(at_or_above))),
+            (std::vector<uint32_t>{1, 4}));
 }
 
 TEST(PredicateTest, SelectivityColumnGivesRequestedSelectivity) {

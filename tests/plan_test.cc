@@ -572,9 +572,6 @@ class CountingPredicate : public expr::Predicate {
     ++evals_;
     inner_->Eval(rel, out);
   }
-  bool Matches(const Relation& rel, uint32_t row) const override {
-    return inner_->Matches(rel, row);
-  }
   int evals() const { return evals_; }
 
  private:

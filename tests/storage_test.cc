@@ -1,10 +1,13 @@
 // Tests for cej/storage: schema validation, typed columns, relation
-// assembly, gather/take, column appending, and gathered vector columns as
-// zero-copy views (id composition, lazy thread-safe densification).
+// assembly, gather/take, column appending, and gathered columns of every
+// type as zero-copy views (id composition, lazy thread-safe densification).
 
 #include <atomic>
 #include <cstring>
+#include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -204,6 +207,167 @@ TEST(ColumnTest, GatherEmptyProducesEmpty) {
   EXPECT_EQ(v.vector_dim(), 4u);
   EXPECT_EQ(v.vector_values().rows(), 0u);
   EXPECT_EQ(v.vector_values().cols(), 4u);
+}
+
+// Int64, double, date and string columns gather to views as vectors do.
+// Each kind builds a column from six distinct values and reads it back.
+struct Int64Kind {
+  using Value = int64_t;
+  static std::vector<Value> Base() { return {70, -3, 42, 0, 9, 11}; }
+  static Column Make(std::vector<Value> v) { return Column::Int64(v); }
+  static const std::vector<Value>& Values(const Column& c) {
+    return c.int64_values();
+  }
+};
+struct DoubleKind {
+  using Value = double;
+  static std::vector<Value> Base() {
+    return {0.5, -1.25, 3.0, 1e9, -2.0, 7.75};
+  }
+  static Column Make(std::vector<Value> v) { return Column::Double(v); }
+  static const std::vector<Value>& Values(const Column& c) {
+    return c.double_values();
+  }
+};
+struct DateKind {
+  using Value = int32_t;
+  static std::vector<Value> Base() { return {19000, 1, -365, 20500, 0, 7}; }
+  static Column Make(std::vector<Value> v) { return Column::Date(v); }
+  static const std::vector<Value>& Values(const Column& c) {
+    return c.date_values();
+  }
+};
+struct StringKind {
+  using Value = std::string;
+  static std::vector<Value> Base() {
+    return {"alpha", "", "a somewhat longer string than SSO holds", "d",
+            "epsilon", "zeta"};
+  }
+  static Column Make(std::vector<Value> v) { return Column::String(v); }
+  static const std::vector<Value>& Values(const Column& c) {
+    return c.string_values();
+  }
+};
+
+template <typename Kind>
+class ScalarViewTest : public ::testing::Test {
+ protected:
+  using Value = typename Kind::Value;
+  // The base values at `rows`, gathered by hand.
+  static std::vector<Value> At(const std::vector<uint32_t>& rows) {
+    const std::vector<Value> base = Kind::Base();
+    std::vector<Value> out;
+    for (uint32_t r : rows) out.push_back(base[r]);
+    return out;
+  }
+};
+using ScalarKinds =
+    ::testing::Types<Int64Kind, DoubleKind, DateKind, StringKind>;
+TYPED_TEST_SUITE(ScalarViewTest, ScalarKinds);
+
+TYPED_TEST(ScalarViewTest, GatherReordersAndRepeats) {
+  Column base = TypeParam::Make(TypeParam::Base());
+  Column view = base.Gather({5, 0, 5, 2});
+  EXPECT_EQ(view.type(), base.type());
+  ASSERT_EQ(view.size(), 4u);
+  EXPECT_EQ(TypeParam::Values(view), this->At({5, 0, 5, 2}));
+  // The source is untouched.
+  EXPECT_EQ(TypeParam::Values(base), TypeParam::Base());
+}
+
+TYPED_TEST(ScalarViewTest, GatherOfGatherComposesToBaseRows) {
+  Column base = TypeParam::Make(TypeParam::Base());
+  Column first = base.Gather({5, 3, 1, 0});
+  Column second = first.Gather({2, 0, 2, 3});
+  // 2 -> 1, 0 -> 5, 2 -> 1, 3 -> 0 in base rows.
+  EXPECT_EQ(TypeParam::Values(second), this->At({1, 5, 1, 0}));
+  // Densifying the intermediate view does not redirect later gathers.
+  EXPECT_EQ(TypeParam::Values(first), this->At({5, 3, 1, 0}));
+  Column third = first.Gather({1, 3});
+  EXPECT_EQ(TypeParam::Values(third), this->At({3, 0}));
+  // Nor does dropping it: the composed view holds the base values.
+  { Column dropped = std::move(first); }
+  Column fourth = second.Gather({3, 1});
+  EXPECT_EQ(TypeParam::Values(fourth), this->At({0, 5}));
+}
+
+TYPED_TEST(ScalarViewTest, EmptyGatherIsEmpty) {
+  Column base = TypeParam::Make(TypeParam::Base());
+  Column view = base.Gather({});
+  EXPECT_EQ(view.size(), 0u);
+  EXPECT_EQ(view.type(), base.type());
+  EXPECT_TRUE(TypeParam::Values(view).empty());
+  EXPECT_EQ(view.Gather({}).size(), 0u);
+}
+
+TYPED_TEST(ScalarViewTest, ConcurrentFirstDensifyBuildsOneCopy) {
+  std::vector<typename TypeParam::Value> values;
+  for (int i = 0; i < 64; ++i) {
+    for (const auto& v : TypeParam::Base()) values.push_back(v);
+  }
+  Column base = TypeParam::Make(values);
+  std::vector<uint32_t> rows;
+  for (uint32_t r = 0; r < values.size(); r += 3) rows.push_back(r);
+  const auto view = std::make_shared<const Column>(base.Gather(rows));
+  constexpr int kThreads = 8;
+  std::vector<const void*> seen(kThreads, nullptr);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      seen[t] = &TypeParam::Values(*view);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t], seen[0]);
+  std::vector<typename TypeParam::Value> expected;
+  for (uint32_t r : rows) expected.push_back(values[r]);
+  EXPECT_EQ(TypeParam::Values(*view), expected);
+  EXPECT_EQ(&TypeParam::Values(*view), seen[0]);
+}
+
+template <typename Kind>
+class ScalarViewDeathTest : public ScalarViewTest<Kind> {};
+TYPED_TEST_SUITE(ScalarViewDeathTest, ScalarKinds);
+
+TYPED_TEST(ScalarViewDeathTest, OutOfRangeGatherDies) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Column base = TypeParam::Make(TypeParam::Base());
+  EXPECT_DEATH(base.Gather({0, 6}), "CEJ_CHECK");
+  // A view is bounded by its own length, not its source's.
+  Column view = base.Gather({3, 1});
+  EXPECT_DEATH(view.Gather({2}), "CEJ_CHECK");
+}
+
+TEST(ColumnTest, GatherAllMixesDenseAndViewColumns) {
+  // The shape of a join input built from an earlier join: views over two
+  // id lists, plus a dense column the earlier join appended.
+  Column ids = Column::Int64({0, 10, 20, 30});
+  Column words = Column::String({"w", "x", "y", "z"});
+  std::vector<Column> left = Column::GatherAll({&ids, &words}, {3, 1, 2});
+  Column names = Column::String({"p", "q"});
+  Column right = names.Gather({1, 0, 0});
+  Column sims = Column::Double({0.5, 0.25, 0.125});
+
+  std::vector<Column> out =
+      Column::GatherAll({&left[0], &left[1], &right, &sims}, {2, 2, 0});
+  ASSERT_EQ(out.size(), 4u);
+  EXPECT_EQ(out[0].int64_values(), (std::vector<int64_t>{20, 20, 30}));
+  EXPECT_EQ(out[1].string_values(),
+            (std::vector<std::string>{"y", "y", "z"}));
+  EXPECT_EQ(out[2].string_values(),
+            (std::vector<std::string>{"p", "p", "q"}));
+  EXPECT_EQ(out[3].double_values(),
+            (std::vector<double>{0.125, 0.125, 0.5}));
+}
+
+TEST(ColumnDeathTest, GatherAllChecksEveryColumn) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Column longer = Column::Int64({1, 2, 3});
+  Column shorter = Column::Date({4, 5});
+  EXPECT_DEATH(Column::GatherAll({&longer, &shorter}, {2}), "CEJ_CHECK");
 }
 
 // ---------------------------------------------------------------------------
