@@ -7,23 +7,19 @@
 //   [1] the original tensor-vs-NLJ sweep over prefetched matrices;
 //   [2] EmbedBatch throughput, sequential vs pool-parallel;
 //   [3] end-to-end string joins through the Engine for the scan-family
-//       operators, including `pipelined_tensor` (embedding overlapped
-//       with the sweep on the streaming surface), with a NON-OVERLAPPING
-//       time breakdown: embed[ms] + join[ms] components sum to the
-//       end-to-end wall, the pipelined operator's hidden model time is
-//       the separate "hidden" column (a subset of join, never added);
+//       operators, with a NON-OVERLAPPING time breakdown: embed[ms] +
+//       join[ms] components sum to (at most) the end-to-end wall;
 //   [4] cold vs warm embedding-cache runs of the same query;
 //   [5] the tensor sweep's right-shard layout across shard counts on
 //       one prefetched matrix join (whole-right-relation parallelism vs
 //       the left-tile layout of the `tensor` operator).
 //
 // Expected shape: [1] tensor ~an order of magnitude faster, both linear
-// in |R|*|S|; [2] parallel embedding scales with cores; [3] pipelined <=
-// tensor < prefetch_nlj end-to-end, with the pipelined gap widest when
-// embed and sweep cost are balanced; [4] warm runs report zero model
-// calls and drop the embedding term entirely; [5] sharded time falls
-// with shard count until the pool saturates, identical pair counts
-// throughout.
+// in |R|*|S|; [2] parallel embedding scales with cores; [3] tensor <
+// prefetch_nlj end-to-end, both paying |R| + |S| model calls; [4] warm
+// runs report zero model calls and drop the embedding term entirely; [5]
+// sharded time falls with shard count until the pool saturates,
+// identical pair counts throughout.
 
 #include <cstdio>
 #include <string>
@@ -169,10 +165,7 @@ E2eRun RunE2e(const std::vector<std::string>& left_words,
 
 // [3] End-to-end string joins: the scan-family operators, with a
 // NON-OVERLAPPING component breakdown. embed[ms] + join[ms] add up to
-// (at most) the e2e wall; the model time a pipelined operator hides
-// inside its sweep is the separate "hidden" column — a subset of join,
-// reported informationally and never summed (summing it used to
-// double-count the overlapped embedding in e2e reports).
+// (at most) the e2e wall.
 void BenchE2eOperators(const model::SubwordHashModel& model) {
   std::vector<E2eCase> cases;
   if (bench::FullScale()) {
@@ -180,42 +173,32 @@ void BenchE2eOperators(const model::SubwordHashModel& model) {
   } else if (bench::SmokeScale()) {
     cases = {{100, 2000}};
   } else {
-    // Spans embed-dominant (small |R|) to sweep-dominant (large |R|): the
-    // pipelined win peaks where the two phases are balanced.
+    // Spans embed-dominant (small |R|) to sweep-dominant (large |R|).
     cases = {{200, 30000}, {2000, 30000}, {10000, 30000}};
   }
 
   std::printf(
       "\n[3] end-to-end string join, dim %zu, threshold 0.8, cold cache\n",
       model.dim());
-  std::printf("%-16s %-18s %10s %10s %10s %10s %10s\n", "|R| x |S|",
-              "operator", "e2e[ms]", "embed[ms]", "join[ms]", "hidden[ms]",
-              "calls");
+  std::printf("%-16s %-18s %10s %10s %10s %10s\n", "|R| x |S|", "operator",
+              "e2e[ms]", "embed[ms]", "join[ms]", "calls");
   for (const auto& c : cases) {
     auto left_words = workload::RandomStrings(c.m, 6, 14, 21);
     auto right_words = workload::RandomStrings(c.n, 6, 14, 22);
     char label[40];
     std::snprintf(label, sizeof(label), "%zu x %zu", c.m, c.n);
-    uint64_t prefetch_calls = 0, pipelined_calls = 0;
-    for (const char* op : {"prefetch_nlj", "tensor", "pipelined_tensor"}) {
+    for (const char* op : {"prefetch_nlj", "tensor"}) {
       const E2eRun run = RunE2e(left_words, right_words, model, op);
-      if (std::string(op) == "prefetch_nlj") prefetch_calls = run.model_calls;
-      if (std::string(op) == "pipelined_tensor") {
-        pipelined_calls = run.model_calls;
-      }
-      std::printf("%-16s %-18s %10.1f %10.1f %10.1f %10.1f %10llu\n", label,
-                  op, run.ms, run.join_stats.embed_seconds * 1e3,
+      std::printf("%-16s %-18s %10.1f %10.1f %10.1f %10llu\n", label, op,
+                  run.ms, run.join_stats.embed_seconds * 1e3,
                   run.join_stats.join_seconds * 1e3,
-                  run.join_stats.embed_overlapped_seconds * 1e3,
                   static_cast<unsigned long long>(run.model_calls));
-      // The component sum must never exceed the measured wall: the
-      // overlapped model time lives inside join[ms], not next to it.
+      // The component sum must never exceed the measured wall.
       CEJ_CHECK(run.join_stats.embed_seconds + run.join_stats.join_seconds <=
                 run.ms / 1e3 * 1.05 + 1e-3);
+      // Each side is embedded exactly once on a cold cache.
+      CEJ_CHECK(run.model_calls == c.m + c.n);
     }
-    // The fused path must still pay exactly |R| + |S| model calls.
-    CEJ_CHECK(pipelined_calls == prefetch_calls &&
-              pipelined_calls == c.m + c.n);
   }
 }
 
@@ -295,9 +278,9 @@ void BenchShardSweep() {
     join::CountingSink sink;
     size_t shards_used = 0;
     const double ms = bench::TimeMs([&] {
-      auto r = join::TensorSweepToSink(
-          left, join::SweepRight::Vectors(right), condition,
-          join::SweepLayout::kRightShards, options, &sink);
+      auto r = join::TensorSweepToSink(left, right, condition,
+                                       join::SweepLayout::kRightShards,
+                                       options, &sink);
       CEJ_CHECK(r.ok());
       shards_used = r->shards_used;
     });
@@ -327,9 +310,8 @@ int main() {
 
   std::printf(
       "\n# shape check: [1] tensor ~an order of magnitude faster; "
-      "[2] parallel EmbedBatch scales with cores; [3] pipelined_tensor <= "
-      "tensor < prefetch_nlj, embed+join components never double-count the "
-      "hidden overlap; [4] warm runs report zero model calls; [5] sharded "
+      "[2] parallel EmbedBatch scales with cores; [3] tensor < prefetch_nlj, "
+      "embed+join components never exceed the wall; [4] warm runs report zero model calls; [5] sharded "
       "speedup grows with shards until the pool saturates, pair counts "
       "identical.\n");
   return 0;

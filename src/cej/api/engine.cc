@@ -732,8 +732,6 @@ Result<std::string> QueryBuilder::Explain() const {
                 current.probe_per_candidate);
     coefficient("parallel_efficiency", seed.parallel_efficiency,
                 current.parallel_efficiency);
-    coefficient("pipeline_overlap", seed.pipeline_overlap,
-                current.pipeline_overlap);
     std::snprintf(line, sizeof(line),
                   "  %llu explorations, %.3f ms exploration overhead%s\n",
                   static_cast<unsigned long long>(

@@ -97,9 +97,9 @@ void ThreadPool::ParallelForRange(
     return;
   }
   // Completion is tracked per call, NOT via the pool-global in-flight
-  // counter: concurrent ParallelForRange calls sharing the pool (e.g. a
-  // pipelined producer embedding one tile while the consumer sweeps
-  // another) must not serialize on each other's chunks.
+  // counter: concurrent ParallelForRange calls sharing the pool (e.g. two
+  // queries sweeping on one engine pool) must not serialize on each
+  // other's chunks.
   auto state = std::make_shared<RangeRun>();
   state->begin = begin;
   state->end = end;

@@ -83,19 +83,16 @@ struct JoinCondition {
 /// Execution counters shared by all operators.
 ///
 /// The time components are NON-OVERLAPPING by contract: embed_seconds +
-/// join_seconds is a faithful end-to-end total. Pipelined operators whose
-/// model time is hidden inside the sweep report it separately as
-/// embed_overlapped_seconds (informational — already contained in
-/// join_seconds, never added into a total).
+/// join_seconds is a faithful end-to-end total.
 struct JoinStats {
   uint64_t model_calls = 0;          ///< Embedding invocations.
   uint64_t similarity_computations = 0;  ///< Pairwise similarity evals.
   size_t peak_buffer_bytes = 0;      ///< Largest intermediate buffer.
   double embed_seconds = 0.0;        ///< Model time outside the join phase.
   double join_seconds = 0.0;         ///< Wall time of the join phase.
-  /// Model time overlapped WITH the join phase (pipelined operators): a
-  /// subset of join_seconds, reported so the hidden embedding is visible
-  /// without double-counting it in component sums.
+  /// Always 0: no operator overlaps model time with the join phase. Kept
+  /// only because the benchmark suite still reads it (as
+  /// `join.hidden_embed_ms`); the next benchmark change drops both.
   double embed_overlapped_seconds = 0.0;
   /// Relation shards the join ran over (sharded operators partition the
   /// right relation; the index join partitions its LEFT probe batch;

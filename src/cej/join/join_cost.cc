@@ -58,23 +58,9 @@ double ParallelSpeedup(size_t shards, size_t workers, const CostParams& p) {
 
 double PriceFeatures(const CostFeatures& f, const CostParams& p) {
   const double pair_cost = p.access + p.compute;
-  double price = f.fixed + f.model * p.model + f.pair * pair_cost +
-                 f.sweep * pair_cost * p.tensor_efficiency +
-                 f.probe * pair_cost * p.probe_per_candidate;
-  if (f.hidden_model > 0.0) {
-    // max(E, W) + (1 - rho) * min(E, W) = W + E - rho * min(E, W): the
-    // sweep W is already in the sum, so the hidden embedding E adds what
-    // the overlap failed to hide. rho = 1 hides the cheaper phase entirely
-    // (the ideal max(E, W)); a calibrated rho < 1 degrades the quote
-    // continuously toward the un-overlapped E + W. W is re-derived in
-    // another association so the linear sum above keeps its exact
-    // floating-point form (and the other operators' quotes their bits).
-    const double embed = f.hidden_model * p.model;
-    const double sweep = f.sweep * (pair_cost * p.tensor_efficiency);
-    const double rho = std::clamp(p.pipeline_overlap, 0.0, 1.0);
-    price += embed - rho * std::min(embed, sweep);
-  }
-  return price;
+  return f.fixed + f.model * p.model + f.pair * pair_cost +
+         f.sweep * pair_cost * p.tensor_efficiency +
+         f.probe * pair_cost * p.probe_per_candidate;
 }
 
 CostFeatures FeaturesForOperator(std::string_view op_name,
@@ -122,21 +108,6 @@ CostFeatures FeaturesForOperator(std::string_view op_name,
     f.probe = m * ProbeCandidateMultiplier(w, p) / speedup;
     f.fixed = m * p.probe_base / speedup;
     f.eligible = w.index_available;
-  } else if (op_name == "pipelined_tensor") {
-    // The left side is embedded up front; the right side's embedding of
-    // tile k+1 hides behind the sweep of tile k. max(embed, sweep) is not
-    // linear in the coefficients, so the observation is history-only (the
-    // overlap fit reads its `sweep`). Without a string-streamable right
-    // side there is nothing to overlap and plain `tensor` covers the
-    // shape. Returns before the intermediate and fused-demux terms below,
-    // which this layout's quote does not include.
-    f.model = w.left_embed_cached ? 0.0 : m;
-    f.hidden_model = w.right_embed_cached ? 0.0 : filtered;
-    f.sweep = m * filtered;
-    f.fixed = scan_access;
-    f.calibratable = false;
-    f.eligible = w.right_strings_streamable;
-    return f;
   } else {
     f.calibratable = false;
     f.eligible = false;

@@ -17,7 +17,7 @@
 // code. Every operator is priced by ONE rule,
 // PriceFeatures(FeaturesForOperator(name, w, p), p), which adds the terms
 // the paper's formulas leave implicit (the |S| * A scan of a filtered
-// right side, cache-aware model terms, shard and beam factors, overlap).
+// right side, cache-aware model terms, shard and beam factors).
 // plan/cost_model.h adds host calibration (plan::Calibrate).
 
 #ifndef CEJ_JOIN_JOIN_COST_H_
@@ -53,12 +53,6 @@ struct CostParams {
   /// (1 = perfect scaling, the seed assumption; the calibrator lowers it
   /// when measured sharded runs scale worse than linearly).
   double parallel_efficiency = 1.0;
-  /// Realized embed/sweep overlap of the pipelined tensor join in [0, 1]:
-  /// 1 = perfect overlap (the two phases cost max(embed, sweep), the seed
-  /// assumption), 0 = no overlap (they cost their sum). The adaptive
-  /// calibrator fits it from measured JoinStats::embed_overlapped_seconds
-  /// so the pipelined quote stops assuming the hidden phase is free.
-  double pipeline_overlap = 1.0;
 };
 
 /// The realized speedup of `min(shards, workers)`-way parallel work under
@@ -90,11 +84,6 @@ struct JoinWorkload {
   /// (|R| + |S|) * M.
   bool left_embed_cached = false;
   bool right_embed_cached = false;
-  /// True when the planner can hand the right relation to the operator as
-  /// raw strings plus a model (an un-materialized Embed pipeline), letting
-  /// pipelined operators overlap embedding with the sweep. Operators that
-  /// need that fusion price themselves infinite when it is unavailable.
-  bool right_strings_streamable = false;
   /// The side is a materialized intermediate join result (a chained
   /// multi-join pipeline), not a base relation: its carried columns are
   /// gathered row-by-row when it was built, so the join pays one extra
@@ -129,34 +118,24 @@ struct JoinWorkload {
 ///   predicted = fixed
 ///            + model * p.model                                 (theta_M)
 ///            + pair  * (p.access + p.compute)                  (theta_P)
-///            + max(E, W) + (1 - rho) * min(E, W)
+///            + sweep * (p.access + p.compute) * p.tensor_efficiency
 ///            + probe * (p.access + p.compute) * p.probe_per_candidate
 ///
-///   with E = hidden_model * p.model,
-///        W = sweep * (p.access + p.compute) * p.tensor_efficiency,
-///        rho = p.pipeline_overlap.
-///
-/// With hidden_model = 0 the overlap term is exactly W, so every operator
-/// but the pipelined one is linear in the coefficients.
+/// so every built-in operator is linear in the coefficients.
 struct CostFeatures {
   double model = 0.0;  ///< Expected model invocations (cache-discounted).
   double pair = 0.0;   ///< Per-pair NLJ work units (incl. merge fan-in).
   double sweep = 0.0;  ///< Blocked-GEMM pair units, post parallel speedup.
   double probe = 0.0;  ///< Index candidate traversals, post speedup.
-  /// Right-side model invocations overlapped with the sweep (the pipelined
-  /// layout embeds tile k+1 while sweeping tile k): priced through the
-  /// max(E, W) overlap term instead of adding to the quote.
-  double hidden_model = 0.0;
   /// Cost priced with NON-calibrated parameters (linear access scans,
   /// probe_base), evaluated at estimate time.
   double fixed = 0.0;
-  /// False when the operator's cost is not linear in the coefficients
-  /// (the pipelined max(embed, sweep) overlap): the observation is kept
-  /// for history but excluded from the least-squares fit.
+  /// False when the features do not describe the operator (a name the
+  /// built-ins do not know): the observation is kept for history but
+  /// excluded from the least-squares fit.
   bool calibratable = true;
   /// False when the operator cannot serve the workload: no index for the
-  /// probe path, no string-streamable right side for the pipelined
-  /// layout, no workers or a single shard for the sharded layout (the
+  /// probe path, no workers or a single shard for the sharded layout (the
   /// plain tensor operator covers those shapes). Such an operator quotes
   /// +infinity and leaves the cost scan.
   bool eligible = true;
@@ -166,9 +145,8 @@ struct CostFeatures {
 double PriceFeatures(const CostFeatures& f, const CostParams& p);
 
 /// The feature decomposition for the named built-in operator
-/// ("naive_nlj", "prefetch_nlj", "tensor", "sharded_tensor", "index",
-/// "pipelined_tensor"). Unknown names return an all-zero, ineligible,
-/// non-calibratable vector.
+/// ("naive_nlj", "prefetch_nlj", "tensor", "sharded_tensor", "index").
+/// Unknown names return an all-zero, ineligible, non-calibratable vector.
 CostFeatures FeaturesForOperator(std::string_view op_name,
                                  const JoinWorkload& w, const CostParams& p);
 

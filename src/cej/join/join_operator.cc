@@ -121,8 +121,8 @@ class PrefetchNljOperator : public JoinOperator {
 };
 
 // ---------------------------------------------------------------------------
-// tensor, sharded_tensor, pipelined_tensor — the blocked-GEMM similarity
-// sweep (Figures 6/7) under one of its three layouts (TensorSweepToSink).
+// tensor, sharded_tensor — the blocked-GEMM similarity sweep (Figures 6/7)
+// under one of its two layouts (TensorSweepToSink).
 // Each name is a separate candidate in the registry cost scan, which is
 // the one place a layout is chosen.
 // ---------------------------------------------------------------------------
@@ -131,18 +131,14 @@ class TensorSweepOperator : public JoinOperator {
   explicit TensorSweepOperator(SweepLayout layout) : layout_(layout) {}
 
   std::string_view Name() const override {
-    if (layout_ == SweepLayout::kRightShards) return "sharded_tensor";
-    if (layout_ == SweepLayout::kRightStream) return "pipelined_tensor";
-    return "tensor";
+    return layout_ == SweepLayout::kRightShards ? "sharded_tensor"
+                                                : "tensor";
   }
 
   JoinOperatorTraits Traits() const override {
     JoinOperatorTraits t;
-    // Validation-wise every layout accepts vectors, or strings plus a
-    // model, per side; the right-stream layout also tells the planner it
-    // prefers the right side as a raw string stream.
+    // Every layout accepts vectors, or strings plus a model, per side.
     t.needs_vectors = true;
-    t.streams_right_strings = layout_ == SweepLayout::kRightStream;
     return t;
   }
 
@@ -157,23 +153,14 @@ class TensorSweepOperator : public JoinOperator {
         const la::Matrix* left,
         SideVectors(inputs.left_vectors, inputs.left_strings, inputs,
                     options.pool, &left_storage, &total));
-    SweepRight right;
-    // Stream only when the right side NEEDS embedding: supplied vectors
-    // are never ignored or recomputed (the SideVectors contract).
-    if (layout_ == SweepLayout::kRightStream &&
-        inputs.right_vectors == nullptr && inputs.right_strings != nullptr &&
-        HasModel(inputs)) {
-      right = SweepRight::Stream(*inputs.right_strings, *inputs.model);
-    } else {
-      CEJ_ASSIGN_OR_RETURN(
-          right.vectors,
-          SideVectors(inputs.right_vectors, inputs.right_strings, inputs,
-                      options.pool, &right_storage, &total));
-    }
+    CEJ_ASSIGN_OR_RETURN(
+        const la::Matrix* right,
+        SideVectors(inputs.right_vectors, inputs.right_strings, inputs,
+                    options.pool, &right_storage, &total));
     TensorJoinOptions tensor_options;
     static_cast<JoinOptions&>(tensor_options) = options;
     CEJ_ASSIGN_OR_RETURN(JoinStats join_stats,
-                         TensorSweepToSink(*left, right, condition, layout_,
+                         TensorSweepToSink(*left, *right, condition, layout_,
                                            tensor_options, sink));
     total += join_stats;
     return total;
@@ -275,9 +262,6 @@ JoinOperatorRegistry& JoinOperatorRegistry::Global() {
                    MakeTensorSweepOperator(SweepLayout::kLeftTiles))
                   .ok());
     CEJ_CHECK(r->Register(MakeIndexJoinOperator()).ok());
-    CEJ_CHECK(r->Register(
-                   MakeTensorSweepOperator(SweepLayout::kRightStream))
-                  .ok());
     CEJ_CHECK(r->Register(
                    MakeTensorSweepOperator(SweepLayout::kRightShards))
                   .ok());

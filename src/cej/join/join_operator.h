@@ -11,21 +11,18 @@
 // registering — the planner and the cej::Engine facade pick them up
 // without modification.
 //
-// The six built-ins (registered by default in the global registry):
+// The five built-ins (registered by default in the global registry):
 //
 //   naive_nlj        embeds inside the pair loop  — |R|·|S| model calls
 //   prefetch_nlj     embeds once, then NLJ        — |R|+|S| model calls
 //   tensor           blocked GEMM formulation     — Figure 6/7
 //   index            per-tuple index probes       — Section IV.B
-//   pipelined_tensor tiled right-side embedding overlapped with the
-//                    GEMM sweep — max(embed, sweep) per tile instead of
-//                    their sum (the Section V model-cost bottleneck)
 //   sharded_tensor   the blocked sweep partitioned over right-relation
 //                    row shards, one shard per pool worker, merged
 //                    through one sink — whole-right-relation parallelism
 //                    (the `tensor` operator only splits the left side)
 //
-// The three tensor names are one operator class over one driver
+// The two tensor names are one operator class over one driver
 // (TensorSweepToSink), each constructed with its SweepLayout. They stay
 // separate registry entries so the cost scan chooses the layout.
 
@@ -79,11 +76,6 @@ struct JoinOperatorTraits {
   bool exact = true;           ///< False: may miss pairs (recall < 1).
   bool supports_threshold = true;
   bool supports_topk = true;
-  /// The operator can consume the right side as raw strings plus a model,
-  /// embedding lazily (tile by tile) instead of requiring a prefetched
-  /// matrix. The planner uses this to leave an Embed pipeline
-  /// un-materialized and hand the operator strings for overlap.
-  bool streams_right_strings = false;
 };
 
 /// A physical implementation of the E-join.
@@ -141,7 +133,7 @@ struct OperatorQuote {
 };
 
 /// Name-keyed catalog of physical join operators. The global instance is
-/// pre-seeded with the six built-ins; extensions register at startup.
+/// pre-seeded with the five built-ins; extensions register at startup.
 class JoinOperatorRegistry {
  public:
   /// The process-wide registry (thread-safe).
@@ -178,8 +170,8 @@ class JoinOperatorRegistry {
 /// registries; the global registry already holds one of each).
 std::unique_ptr<const JoinOperator> MakeNaiveNljOperator();
 std::unique_ptr<const JoinOperator> MakePrefetchNljOperator();
-/// The tensor family: `tensor` (kLeftTiles), `sharded_tensor`
-/// (kRightShards) or `pipelined_tensor` (kRightStream).
+/// The tensor family: `tensor` (kLeftTiles) or `sharded_tensor`
+/// (kRightShards).
 std::unique_ptr<const JoinOperator> MakeTensorSweepOperator(
     SweepLayout layout);
 std::unique_ptr<const JoinOperator> MakeIndexJoinOperator();

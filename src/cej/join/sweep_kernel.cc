@@ -39,8 +39,7 @@ void SweepLeftRows(const SweepSpec& spec, size_t i_begin, size_t i_end) {
           for (size_t j = 0; j < tile_cols; ++j) {
             if (row[j] >= spec.condition.threshold) {
               local.push_back(
-                  {static_cast<uint32_t>(i),
-                   static_cast<uint32_t>(spec.right_id_offset + j0 + j),
+                  {static_cast<uint32_t>(i), static_cast<uint32_t>(j0 + j),
                    row[j]});
             }
           }
@@ -53,9 +52,7 @@ void SweepLeftRows(const SweepSpec& spec, size_t i_begin, size_t i_end) {
                                 ? (*spec.collectors)[i]
                                 : own[i - i0];
           for (size_t j = 0; j < tile_cols; ++j) {
-            collector.Push(
-                row[j],
-                static_cast<uint64_t>(spec.right_id_offset + j0 + j));
+            collector.Push(row[j], static_cast<uint64_t>(j0 + j));
           }
         }
       }

@@ -4,21 +4,15 @@
 //
 // Exactly ONE copy of this loop exists. The tensor-sweep driver
 // (TensorSweepToSink in tensor_join.h) runs it for every layout, so the
-// byte-identity of `tensor`, `sharded_tensor` and `pipelined_tensor`
-// results holds by construction rather than only by cross-validation
-// tests. A sweep covers one right-relation *slice*; the spec
-// parameterizes what differs between slices:
-//
-//   * the right-side coordinate frame — a slice of the whole right matrix
-//     is the range [s0, s1) with ids as-is (one slice [0, n) for left
-//     tiles, a shard otherwise), while an embedded pipeline tile is a
-//     small local matrix whose row 0 is global row `tile.begin`
-//     (right_id_offset) — and
-//   * collector ownership for top-k — a sweep over the whole right range
-//     finalizes per-left-tile collectors itself, while a sweep covering
-//     only a SLICE of the right relation pushes into externally-owned
-//     collectors that survive across sweeps, because a per-slice top-k
-//     alone would be wrong; the driver merges them once at the end.
+// byte-identity of `tensor` and `sharded_tensor` results holds by
+// construction rather than only by cross-validation tests. A sweep covers
+// one right-relation *slice* [s0, s1) of the right matrix, with ids as-is
+// (one slice [0, n) for left tiles, a shard otherwise). What differs
+// between slices is collector ownership for top-k: a sweep over the whole
+// right range finalizes per-left-tile collectors itself, while a sweep
+// covering only a SLICE of the right relation pushes into externally-owned
+// collectors that survive across sweeps, because a per-slice top-k alone
+// would be wrong; the driver merges them once at the end.
 //
 // Threshold conditions stream row by row (early termination bites inside a
 // tile); the cooperative stop flag is polled at tile and row granularity.
@@ -45,19 +39,15 @@ namespace cej::join {
 /// `left` against rows of `right`, in those matrices' own coordinates.
 struct SweepSpec {
   const la::Matrix* left = nullptr;
-  /// The right matrix, or an embedded pipeline tile.
   const la::Matrix* right = nullptr;
   la::SimdMode simd = la::SimdMode::kAuto;
   /// Left rows covered by the whole sweep.
   size_t left_begin = 0;
   size_t left_end = 0;
   /// Rows of `right` covered: [0, n) for left tiles, [s0, s1) for a
-  /// shard, [0, tile_rows) for an embedded pipeline tile.
+  /// shard.
   size_t right_begin = 0;
   size_t right_end = 0;
-  /// Added to rows of `right` when emitting pair ids / pushing into
-  /// collectors (pipelined tiles: the tile's global begin).
-  size_t right_id_offset = 0;
   /// Inner (L1-resident) blocking of the dense tile buffer.
   TileShape tile;
   JoinCondition condition;

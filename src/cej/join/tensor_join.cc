@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
-#include <deque>
-#include <mutex>
-#include <thread>
 
 #include "cej/common/timer.h"
 #include "cej/join/join_sink.h"
@@ -25,23 +21,9 @@ constexpr size_t kL1BudgetFloats = 4096;  // 16 KB of B-tile per sweep.
 // pass. Coarse enough to amortize scheduling, fine enough to balance.
 constexpr size_t kMergeGrainRows = 64;
 
-// Auto pipeline tile bounds: small enough that a handful of tiles exist to
-// overlap (and that two in-flight tiles stay cheap to hold), large enough
-// that one embed batch amortizes pool scheduling.
-constexpr size_t kMinPipelineTile = 512;
-constexpr size_t kMaxPipelineTile = 8192;
-
 size_t DefaultRightBatch(size_t dim) {
   const size_t rows = kL1BudgetFloats / std::max<size_t>(dim, 1);
   return std::clamp<size_t>(rows, 16, 2048);
-}
-
-// The pipeline tile height for a right stream of `right_rows` > 0 rows:
-// sized so several tiles exist to overlap.
-size_t ResolvePipelineTileRows(size_t right_rows) {
-  const size_t target = right_rows / 8 + 1;
-  return std::min(right_rows,
-                  std::clamp(target, kMinPipelineTile, kMaxPipelineTile));
 }
 
 // The one place that decides how a layout splits the right relation
@@ -52,11 +34,6 @@ std::vector<size_t> SliceBounds(SweepLayout layout, size_t n,
   if (layout == SweepLayout::kRightShards) {
     const size_t shards = ResolveShardCount(n, options);
     for (size_t s = 1; s < shards; ++s) bounds.push_back(n * s / shards);
-  } else if (layout == SweepLayout::kRightStream) {
-    const size_t rows = ResolvePipelineTileRows(n);
-    for (size_t begin = rows; begin < n; begin += rows) {
-      bounds.push_back(begin);
-    }
   }
   bounds.push_back(n);
   return bounds;
@@ -128,9 +105,8 @@ class SweepRun {
   }
 
   // The one top-k finalize: per left row, re-collects the k best across
-  // every collector set and emits them. Then fills the shared counters —
-  // join_seconds excludes embed_seconds the caller paid inside the span —
-  // and finishes the sink.
+  // every collector set and emits them. Then fills the shared counters and
+  // finishes the sink.
   void Finish(ThreadPool* pool, JoinStats* stats) {
     if (!sets_.empty() && !feed_.stopped()) {
       // Workers own disjoint left-row ranges, so collector access stays
@@ -160,8 +136,7 @@ class SweepRun {
         merge_rows(0, m_);
       }
     }
-    stats->join_seconds =
-        std::max(0.0, timer_.ElapsedSeconds() - stats->embed_seconds);
+    stats->join_seconds = timer_.ElapsedSeconds();
     stats->similarity_computations = sims_.load(std::memory_order_relaxed);
     sink_->Finish();
   }
@@ -225,151 +200,6 @@ void SweepRightShards(const std::vector<size_t>& bounds,
            : 0);
 }
 
-// One embedded pipeline tile covering right rows [begin, begin + rows).
-struct EmbeddedTile {
-  size_t begin = 0;
-  la::Matrix vectors;
-};
-
-// Bounded single-producer/single-consumer handoff. Capacity 2 is double
-// buffering: one tile being swept while the next is being embedded — more
-// depth only grows memory without adding overlap.
-class TileQueue {
- public:
-  void Push(EmbeddedTile tile) {
-    std::unique_lock<std::mutex> lock(mu_);
-    space_.wait(lock, [this] { return tiles_.size() < 2 || aborted_; });
-    if (aborted_) return;
-    tiles_.push_back(std::move(tile));
-    ready_.notify_one();
-  }
-
-  // Blocks for the next tile; false once the producer is done and the
-  // queue has drained.
-  bool Pop(EmbeddedTile* out) {
-    std::unique_lock<std::mutex> lock(mu_);
-    ready_.wait(lock, [this] { return !tiles_.empty() || done_; });
-    if (tiles_.empty()) return false;
-    *out = std::move(tiles_.front());
-    tiles_.pop_front();
-    space_.notify_one();
-    return true;
-  }
-
-  void MarkDone() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      done_ = true;
-    }
-    ready_.notify_all();
-  }
-
-  // Early termination: unblocks a Push-waiting producer and stops further
-  // tiles from entering. Idempotent.
-  void Abort() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      aborted_ = true;
-    }
-    space_.notify_all();
-  }
-
-  bool aborted() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return aborted_;
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::condition_variable ready_, space_;
-  std::deque<EmbeddedTile> tiles_;
-  bool done_ = false;
-  bool aborted_ = false;
-};
-
-// kRightStream: a producer thread embeds pipeline tile t+1 (in parallel
-// over the pool) while the caller sweeps tile t against all of R, every
-// tile pushing into one shared top-k collector set. Without a pool, or
-// with a single tile, embedding and sweeping alternate on the caller.
-void SweepRightStream(const la::Matrix& left,
-                      const std::vector<std::string>& right,
-                      const model::EmbeddingModel& model,
-                      const std::vector<size_t>& bounds,
-                      const TensorJoinOptions& options, SweepRun* run,
-                      JoinStats* stats) {
-  const size_t num_tiles = bounds.size() - 1;
-  run->ReserveCollectorSets(1);
-  std::vector<la::TopKCollector>* collectors = run->CollectorSet(0);
-
-  // Sweeps one embedded tile, a SLICE of the right stream: the tile's row
-  // 0 is global row tile.begin. Concurrently live sweep buffers are
-  // measured by the shared kernel (written by the consumer only).
-  size_t sweep_buffers = 0;
-  auto sweep_tile = [&](const EmbeddedTile& tile) {
-    SweepSpec spec = run->Spec(tile.vectors, 0, tile.vectors.rows());
-    spec.right_id_offset = tile.begin;
-    spec.collectors = collectors;
-    sweep_buffers = std::max(sweep_buffers, RunSweep(spec, options.pool));
-  };
-
-  // Producer state: written by the embedder, read by the caller only after
-  // the join() below (which synchronizes).
-  double embed_seconds = 0.0;
-  uint64_t embedded_rows = 0;
-  auto embed_tile = [&](size_t t) {
-    WallTimer timer;
-    EmbeddedTile tile{bounds[t], model.EmbedRange(right, bounds[t],
-                                                  bounds[t + 1],
-                                                  options.pool)};
-    embed_seconds += timer.ElapsedSeconds();
-    embedded_rows += bounds[t + 1] - bounds[t];
-    return tile;
-  };
-
-  const bool overlapped = options.pool != nullptr && num_tiles > 1;
-  if (!overlapped) {
-    // The memory bound — at most one embedded tile live — still holds.
-    for (size_t t = 0; t < num_tiles && !run->stopped(); ++t) {
-      sweep_tile(embed_tile(t));
-    }
-  } else {
-    TileQueue queue;
-    std::thread producer([&] {
-      for (size_t t = 0; t < num_tiles; ++t) {
-        if (queue.aborted()) break;
-        queue.Push(embed_tile(t));
-      }
-      queue.MarkDone();
-    });
-    EmbeddedTile tile;
-    while (!run->stopped() && queue.Pop(&tile)) {
-      sweep_tile(tile);
-    }
-    queue.Abort();
-    producer.join();
-  }
-
-  if (overlapped) {
-    // The producer's model time runs CONCURRENTLY with the sweep, inside
-    // the join_seconds wall span: report it as the overlapped component so
-    // embed_seconds + join_seconds stays a faithful end-to-end total.
-    stats->embed_overlapped_seconds = embed_seconds;
-  } else {
-    // Nothing overlapped: the model time is ordinary embed_seconds, which
-    // SweepRun::Finish carves out of the wall span.
-    stats->embed_seconds = embed_seconds;
-  }
-  stats->model_calls = embedded_rows;
-  // Embedded tiles live at once in the overlapped path: one held by the
-  // consumer during its sweep, up to two parked in the queue, one being
-  // embedded by the producer.
-  const size_t live_tiles = overlapped ? std::min<size_t>(num_tiles, 4) : 1;
-  const size_t tile_rows = bounds[1] - bounds[0];
-  stats->peak_buffer_bytes =
-      live_tiles * tile_rows * left.cols() * sizeof(float) +
-      sweep_buffers * run->tile().buffer_bytes();
-}
-
 }  // namespace
 
 size_t AutoShardCount(size_t rows, size_t workers, size_t min_shard_rows) {
@@ -426,31 +256,15 @@ TileShape ResolveTileShape(size_t left_rows, size_t right_rows, size_t dim,
 }
 
 Result<JoinStats> TensorSweepToSink(const la::Matrix& left,
-                                    const SweepRight& right,
+                                    const la::Matrix& right,
                                     const JoinCondition& condition,
                                     SweepLayout layout,
                                     const TensorJoinOptions& options,
                                     JoinSink* sink) {
-  const bool streamed = right.vectors == nullptr;
-  if (streamed) {
-    CEJ_RETURN_IF_ERROR(ValidateJoinCondition(condition));
-    if (layout != SweepLayout::kRightStream || right.strings == nullptr ||
-        right.model == nullptr) {
-      return Status::InvalidArgument(
-          "tensor join: needs a right matrix, or right strings plus a "
-          "model under the right-stream layout");
-    }
-    if (right.model->dim() == 0) {
-      return Status::InvalidArgument("pipelined tensor join: model has dim 0");
-    }
-    CEJ_RETURN_IF_ERROR(ValidateJoinDims(left.cols(), right.model->dim()));
-  } else {
-    CEJ_RETURN_IF_ERROR(ValidateJoinInputs(left, *right.vectors));
-    CEJ_RETURN_IF_ERROR(ValidateJoinCondition(condition));
-    if (layout == SweepLayout::kRightStream) layout = SweepLayout::kLeftTiles;
-  }
+  CEJ_RETURN_IF_ERROR(ValidateJoinInputs(left, right));
+  CEJ_RETURN_IF_ERROR(ValidateJoinCondition(condition));
   const size_t m = left.rows();
-  const size_t n = streamed ? right.strings->size() : right.vectors->rows();
+  const size_t n = right.rows();
   if (m == 0 || n == 0) {
     sink->Finish();
     return JoinStats{};
@@ -463,13 +277,10 @@ Result<JoinStats> TensorSweepToSink(const la::Matrix& left,
       ResolveTileShape(m, MaxSliceRows(bounds), left.cols(), options);
   SweepRun run(left, options.simd, tile, condition, sink);
   JoinStats stats;
-  if (streamed) {
-    SweepRightStream(left, *right.strings, *right.model, bounds, options,
-                     &run, &stats);
-  } else if (layout == SweepLayout::kRightShards) {
-    SweepRightShards(bounds, *right.vectors, options.pool, &run, &stats);
+  if (layout == SweepLayout::kRightShards) {
+    SweepRightShards(bounds, right, options.pool, &run, &stats);
   } else {
-    SweepLeftTiles(*right.vectors, options.pool, &run, &stats);
+    SweepLeftTiles(right, options.pool, &run, &stats);
   }
   run.Finish(options.pool, &stats);
   return stats;
@@ -480,8 +291,8 @@ Result<JoinStats> TensorJoinMatricesToSink(const la::Matrix& left,
                                            const JoinCondition& condition,
                                            const TensorJoinOptions& options,
                                            JoinSink* sink) {
-  return TensorSweepToSink(left, SweepRight::Vectors(right), condition,
-                           SweepLayout::kLeftTiles, options, sink);
+  return TensorSweepToSink(left, right, condition, SweepLayout::kLeftTiles,
+                           options, sink);
 }
 
 Result<JoinResult> TensorJoinMatrices(const la::Matrix& left,

@@ -18,13 +18,11 @@
 //   kRightShards  |S| split into contiguous row shards, one pool worker
 //                 per shard sweeping all of R — parallelism that keeps
 //                 scaling when |R| is below one left tile
-//                 (`sharded_tensor`);
-//   kRightStream  S consumed as raw strings in pipeline tiles: a producer
-//                 thread embeds tile t+1 while the caller sweeps tile t,
-//                 so a tile costs max(embed, sweep) instead of their sum
-//                 and only a bounded number of embedded tiles is live
-//                 (`pipelined_tensor`; paper Section V observes that model
-//                 cost dominates end-to-end join time).
+//                 (`sharded_tensor`).
+//
+// Both read an embedded right matrix: a string column is embedded once,
+// before the sweep, and kept in the engine's embedding cache (paper Section
+// V hoists Embed out of the join for the same reason).
 //
 // Threshold slices stream pairs through one locked sink as they are found,
 // with early termination biting mid-slice. Top-k over one whole-relation
@@ -64,38 +62,15 @@ struct TensorJoinOptions : JoinOptions {
 enum class SweepLayout {
   kLeftTiles,
   kRightShards,
-  kRightStream,
-};
-
-/// The right side of a tensor sweep: a prefetched embedding matrix, or raw
-/// strings plus the model that embeds them (kRightStream only). Borrowed.
-struct SweepRight {
-  const la::Matrix* vectors = nullptr;
-  const std::vector<std::string>* strings = nullptr;
-  const model::EmbeddingModel* model = nullptr;
-
-  static SweepRight Vectors(const la::Matrix& vectors) {
-    return {&vectors, nullptr, nullptr};
-  }
-  static SweepRight Stream(const std::vector<std::string>& strings,
-                           const model::EmbeddingModel& model) {
-    return {nullptr, &strings, &model};
-  }
 };
 
 /// The one tensor-sweep driver: joins `left` against `right` under
 /// `layout`, emitting pair chunks into `sink` (unordered; early
 /// termination honoured at row granularity). Pair right-ids address rows
-/// of the right matrix or positions of the right strings. A supplied right
-/// matrix has nothing to stream, so kRightStream over one runs kLeftTiles.
-///
-/// Stats: kRightShards reports its shard count in shards_used. A streamed
-/// right side reports one model call per embedded row; when the stream
-/// overlaps (pool + several tiles) the hidden model time is
-/// embed_overlapped_seconds, a subset of join_seconds, and otherwise it is
-/// ordinary embed_seconds, carved out of join_seconds.
+/// of the right matrix. kRightShards reports its shard count in
+/// shards_used.
 Result<JoinStats> TensorSweepToSink(const la::Matrix& left,
-                                    const SweepRight& right,
+                                    const la::Matrix& right,
                                     const JoinCondition& condition,
                                     SweepLayout layout,
                                     const TensorJoinOptions& options,

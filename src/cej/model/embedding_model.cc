@@ -13,22 +13,14 @@ constexpr size_t kMinRowsPerChunk = 8;
 
 la::Matrix EmbeddingModel::EmbedBatch(const std::vector<std::string>& inputs,
                                       ThreadPool* pool) const {
-  return EmbedRange(inputs, 0, inputs.size(), pool);
-}
-
-la::Matrix EmbeddingModel::EmbedRange(const std::vector<std::string>& inputs,
-                                      size_t begin, size_t end,
-                                      ThreadPool* pool) const {
-  la::Matrix out(end - begin, dim());
-  auto embed_rows = [this, &inputs, &out, begin](size_t b, size_t e) {
-    for (size_t r = b; r < e; ++r) {
-      Embed(inputs[r], out.Row(r - begin));
-    }
+  la::Matrix out(inputs.size(), dim());
+  auto embed_rows = [this, &inputs, &out](size_t begin, size_t end) {
+    for (size_t r = begin; r < end; ++r) Embed(inputs[r], out.Row(r));
   };
-  if (pool != nullptr && end - begin > kMinRowsPerChunk) {
-    pool->ParallelForRange(begin, end, embed_rows, kMinRowsPerChunk);
+  if (pool != nullptr && inputs.size() > kMinRowsPerChunk) {
+    pool->ParallelForRange(0, inputs.size(), embed_rows, kMinRowsPerChunk);
   } else {
-    embed_rows(begin, end);
+    embed_rows(0, inputs.size());
   }
   return out;
 }

@@ -56,12 +56,6 @@ class EmbeddingModel {
   la::Matrix EmbedBatch(const std::vector<std::string>& inputs,
                         ThreadPool* pool = nullptr) const;
 
-  /// Embeds the sub-range inputs[begin, end) into a fresh
-  /// (end - begin) x dim matrix — the tile primitive pipelined operators
-  /// build on. EmbedBatch is EmbedRange over the whole vector.
-  la::Matrix EmbedRange(const std::vector<std::string>& inputs, size_t begin,
-                        size_t end, ThreadPool* pool = nullptr) const;
-
   /// Number of Embed() invocations since construction or ResetStats().
   uint64_t embed_calls() const {
     return embed_calls_.load(std::memory_order_relaxed);

@@ -475,9 +475,6 @@ class PlanExecutor {
     if (adaptive) {
       workload = Workload(*node, left_key.string_values().size(),
                           right.num_rows(), node->model->dim());
-      // The operators receive raw right strings: with workers to overlap
-      // against, the pipelined operator can hide the right embedding.
-      workload.right_strings_streamable = context_.pool != nullptr;
       CEJ_ASSIGN_OR_RETURN(selection,
                            SelectOperator(workload, join::JoinDomain::kStrings));
     } else {
@@ -503,7 +500,6 @@ class PlanExecutor {
     const LogicalNode* embed = nullptr;  // The probe-shaped pipeline's.
     const index::IndexCatalogEntry* catalog_entry = nullptr;
     bool embed_cached = false;  // No right model term in the quotes.
-    bool fusion_candidate = false;
     index::FilterBitmap bitmap;  // Probe pre-filter over base-table rows.
     size_t rows = 0;
     double selectivity = 1.0;
@@ -514,8 +510,7 @@ class PlanExecutor {
     }
   };
 
-  Result<RightInput> PlanRightInput(const LogicalNode& node,
-                                    bool streaming) {
+  Result<RightInput> PlanRightInput(const LogicalNode& node) {
     RightInput in;
     in.pipeline = MatchScanPipeline(node.right);
     in.probe_shaped = ProbeShaped(in.pipeline, node.right_key);
@@ -570,33 +565,18 @@ class PlanExecutor {
       in.embed_cached = warm != nullptr && warm->rows() == in.rows &&
                         warm->cols() == in.embed->model->dim();
     }
-    // String-stream fusion candidacy: on streaming execution a right-side
-    // Embed pipeline producing the join key can stay un-materialized — a
-    // streams_right_strings operator then embeds tiles itself, overlapped
-    // with its sweep, instead of the executor embedding everything first.
-    // Overlap needs workers: without a pool the pipelined operator
-    // phase-alternates and its max(embed, sweep) quote would underbid its
-    // real embed + sweep cost, so fusion is offered only with a pool. A
-    // warm embedding cache also withdraws the offer: the cached column
-    // costs no model calls, so there is nothing to overlap — fusing would
-    // re-embed tile by tile what the cache would have served for free.
-    in.fusion_candidate =
-        streaming && context_.pool != nullptr && !in.embed_cached &&
-        in.embed->output_column == node.right_key &&
-        in.embed->model != nullptr && in.embed->model->dim() > 0;
-
     const index::VectorIndex* idx = in.index();
     if (idx != nullptr && idx->size() != in.rows) {
       return Status::InvalidArgument(
           "EJoin: registered index size does not match base table '" +
           pipeline.scan->table_name + "'");
     }
-    // The predicate is evaluated up front only when some consumer needs
-    // the row set before materialization: probe pre-filtering (bitmap +
-    // selectivity steering scan-vs-probe) or string-stream fusion.
-    // Otherwise it would scale every eligible (scan-family) operator
-    // identically, so the Select is applied once, downstream.
-    if (idx != nullptr || in.fusion_candidate) {
+    // The predicate is evaluated up front only when probe pre-filtering
+    // needs the row set before materialization (bitmap + selectivity
+    // steering scan-vs-probe). Otherwise it would scale every eligible
+    // (scan-family) operator identically, so the Select is applied once,
+    // downstream.
+    if (idx != nullptr) {
       CEJ_RETURN_IF_ERROR(EvaluateSelect(&pipeline));
     }
     if (pipeline.rows.has_value()) {
@@ -615,9 +595,8 @@ class PlanExecutor {
   }
 
   // Vector-key join: registry-wide access-path selection over the planned
-  // right input. A probe-shaped input is probed, fused into a
-  // string-streaming operator, or materialized for a scan, as the chosen
-  // operator needs.
+  // right input. A probe-shaped input is probed or materialized for a
+  // scan, as the chosen operator needs.
   Result<JoinStats> RunVectorKeyJoin(const NodePtr& node,
                                      const Column& left_key,
                                      join::JoinSink* sink, JoinedSides* sides,
@@ -625,8 +604,7 @@ class PlanExecutor {
     if (left_key.type() != DataType::kVector) {
       return Status::InvalidArgument("EJoin: left key is not a vector");
     }
-    CEJ_ASSIGN_OR_RETURN(RightInput right,
-                         PlanRightInput(*node, /*streaming=*/sides == nullptr));
+    CEJ_ASSIGN_OR_RETURN(RightInput right, PlanRightInput(*node));
 
     join::JoinWorkload workload =
         Workload(*node, left_key.size(), right.rows, left_key.vector_dim());
@@ -648,7 +626,6 @@ class PlanExecutor {
     // it before pricing, so no operator pays a left model term here.
     workload.left_embed_cached = true;
     workload.right_embed_cached = right.embed_cached;
-    workload.right_strings_streamable = right.fusion_candidate;
 
     CEJ_ASSIGN_OR_RETURN(Selection selection,
                          SelectOperator(workload, join::JoinDomain::kVectors));
@@ -663,7 +640,6 @@ class PlanExecutor {
     join::JoinWorkload observed = workload;
     JoinInputs inputs;
     inputs.left_vectors = &left_key.vector_values();
-    std::optional<Column> gathered;  // Fused: the filtered key strings.
     Relation right_side = std::move(right.materialized);
     double right_prep_seconds = 0.0;
     if (selection.op->Traits().needs_index) {
@@ -678,25 +654,6 @@ class PlanExecutor {
                                              &right.pipeline,
                                              /*filtered=*/false));
       }
-    } else if (right.fusion_candidate &&
-               selection.op->Traits().streams_right_strings) {
-      // Fused path: hand the operator the (filtered) join-key strings and
-      // the model; it embeds tiles itself, overlapped with the sweep,
-      // inside the measured window. Pair right-ids address the same
-      // filtered positions the scan path emits. Only the key column is
-      // gathered — the whole point of this path is not materializing the
-      // rest.
-      const ScanPipeline& pipeline = right.pipeline;
-      CEJ_ASSIGN_OR_RETURN(
-          const Column* base_col,
-          EmbedInput(*pipeline.scan->relation, *right.embed));
-      if (pipeline.rows.has_value()) {
-        gathered.emplace(base_col->Gather(*pipeline.rows));
-      }
-      inputs.right_strings = gathered.has_value()
-                                 ? &gathered->string_values()
-                                 : &base_col->string_values();
-      inputs.model = right.embed->model;
     } else {
       // Scan path: the right-side preparation (predicate Take, cache
       // gather, or a full embedding on a cold cache) is part of the cost
@@ -937,11 +894,8 @@ class PlanExecutor {
                               context_.cost_params);
     obs.explored = selection.explored;
     // Fused batches are recorded ONCE, with the member-query count as the
-    // per-query attribution; pipelined runs carry their overlap timings
-    // for the rho fit.
+    // per-query attribution.
     obs.fused_queries = workload.fused_queries;
-    obs.embed_overlapped_ns = run_stats.embed_overlapped_seconds * 1e9;
-    obs.join_phase_ns = run_stats.join_seconds * 1e9;
     // Graph-lowered joins: one observation per EDGE, carrying the
     // estimated-vs-observed cardinality pair for the learned-cardinality
     // feed. The counter reads complete here — the operator's Run has

@@ -73,9 +73,7 @@ struct ExecContext {
   /// cached full-table matrix on a hit. The executor also PEEKS it at
   /// plan time: a warm right column drops its model term from every
   /// quote (cache-aware costing; the left key is always embedded before
-  /// pricing, so no quote carries a left model term), and withdraws
-  /// string-stream fusion (nothing left to overlap — plain `tensor` takes
-  /// the tie from `pipelined_tensor`).
+  /// pricing, so no quote carries a left model term).
   EmbeddingCache* embedding_cache = nullptr;
   /// Adaptive cost calibration (cej/stats): when set, every executed join
   /// is recorded as an observation (workload features, quote, measured

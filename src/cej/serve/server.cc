@@ -277,7 +277,6 @@ void Server::WorkerLoop() {
     }
 
     ++batches_formed_;
-    if (batch.size() > 1) queries_fused_ += batch.size();
     const Clock::time_point dispatched = Clock::now();
     for (const PendingPtr& pending : batch) {
       pending->queue_wait_seconds =
@@ -285,7 +284,7 @@ void Server::WorkerLoop() {
       queue_wait_seconds_ += pending->queue_wait_seconds;
     }
     lock.unlock();
-    ExecuteBatch(batch);
+    ExecuteBatch(std::move(batch));
     lock.lock();
   }
 }
@@ -411,6 +410,7 @@ void Server::ResolveLocked(const PendingPtr& pending, QueryResponse response,
       ++completed_;
       ++tenant.stats.completed;
       if (response.fused) {
+        ++queries_fused_;
         ++tenant.stats.fused;
       }
       if (latency_ring_.size() < kLatencyRingCapacity) {
@@ -448,12 +448,11 @@ void Server::Resolve(const PendingPtr& pending, QueryResponse response,
   ResolveLocked(pending, std::move(response), outcome);
 }
 
-void Server::ExecuteBatch(const std::vector<PendingPtr>& batch) {
-  const Status status = RunBatch(batch);
+void Server::ExecuteBatch(std::vector<PendingPtr> batch) {
+  const Status status = RunBatch(&batch);
   if (!status.ok()) {
-    // Setup failed before any ticket resolved: every member fails with
-    // the same status (deep per-query errors cannot exist — the fusion
-    // key guarantees members are plan-identical).
+    // Setup failed before any remaining ticket resolved: every remaining
+    // member fails with the same status.
     for (const PendingPtr& pending : batch) {
       QueryResponse response;
       response.status = status;
@@ -463,9 +462,9 @@ void Server::ExecuteBatch(const std::vector<PendingPtr>& batch) {
   }
 }
 
-Status Server::RunBatch(const std::vector<PendingPtr>& batch) {
-  CEJ_CHECK(!batch.empty());
-  const ServeQuery& q0 = batch.front()->query;
+Status Server::RunBatch(std::vector<PendingPtr>* members) {
+  CEJ_CHECK(!members->empty());
+  const ServeQuery& q0 = members->front()->query;
   CEJ_ASSIGN_OR_RETURN(std::shared_ptr<const storage::Relation> table,
                        engine_->Table(q0.table));
   CEJ_ASSIGN_OR_RETURN(const size_t field_index,
@@ -486,33 +485,58 @@ Status Server::RunBatch(const std::vector<PendingPtr>& batch) {
         "serve: join key column must be a string or vector column");
   }
 
+  // The fusion key leaves the probes out, so each member is checked here:
+  // one whose probes cannot join the key column fails alone and is
+  // removed, and the rest of the batch still runs. String probes against
+  // a stored vector column need the query's model at the column's width.
+  const model::EmbeddingModel* probe_model = right_model;
+  Status string_probes = Status::OK();
+  const bool any_strings =
+      std::any_of(members->begin(), members->end(), [](const PendingPtr& p) {
+        return !p->query.probe_strings.empty();
+      });
+  if (any_strings && probe_model == nullptr) {
+    Result<const model::EmbeddingModel*> resolved =
+        engine_->ResolveModel(q0.model);
+    if (!resolved.ok()) {
+      string_probes = resolved.status();
+    } else if ((*resolved)->dim() != dim) {
+      string_probes = Status::InvalidArgument(
+          "serve: probe model dimensionality does not match the stored "
+          "vector column");
+    } else {
+      probe_model = *resolved;
+    }
+  }
+  size_t total_rows = 0;
+  for (auto it = members->begin(); it != members->end();) {
+    const ServeQuery& q = (*it)->query;
+    Status status = Status::OK();
+    if (!q.probe_strings.empty()) {
+      status = string_probes;
+    } else if (q.probe_vectors.cols() != dim) {
+      status = Status::InvalidArgument(
+          "serve: probe vector dimensionality does not match the join key "
+          "column");
+    }
+    if (status.ok()) {
+      total_rows += (*it)->probe_rows;
+      ++it;
+      continue;
+    }
+    QueryResponse response;
+    response.status = std::move(status);
+    response.batch_queries = 1;
+    Resolve(*it, std::move(response), Outcome::kFailed);
+    it = members->erase(it);
+  }
+  if (members->empty()) return Status::OK();
+  const std::vector<PendingPtr>& batch = *members;
+
   // Stack every member's probes into ONE left matrix. String probes are
   // embedded in a single pool-parallel EmbedBatch across the whole batch —
   // the model-amortization half of the fusion win (the other half is the
   // single taller sweep).
-  size_t total_rows = 0;
-  bool any_strings = false;
-  for (const PendingPtr& pending : batch) {
-    const ServeQuery& q = pending->query;
-    if (!q.probe_strings.empty()) {
-      any_strings = true;
-    } else if (q.probe_vectors.cols() != dim) {
-      return Status::InvalidArgument(
-          "serve: probe vector dimensionality does not match the join key "
-          "column");
-    }
-    total_rows += pending->probe_rows;
-  }
-  const model::EmbeddingModel* probe_model = right_model;
-  if (any_strings && probe_model == nullptr) {
-    CEJ_ASSIGN_OR_RETURN(probe_model, engine_->ResolveModel(q0.model));
-    if (probe_model->dim() != dim) {
-      return Status::InvalidArgument(
-          "serve: probe model dimensionality does not match the stored "
-          "vector column");
-    }
-  }
-
   la::Matrix stacked(total_rows, dim);
   std::vector<std::string> strings;
   std::vector<size_t> string_rows;  // Destination row per strings[] entry.

@@ -275,8 +275,10 @@ class Server {
   void Resolve(const PendingPtr& pending, QueryResponse response,
                Outcome outcome);
   // Executes one formed batch end-to-end (no lock held).
-  void ExecuteBatch(const std::vector<PendingPtr>& batch);
-  Status RunBatch(const std::vector<PendingPtr>& batch);
+  void ExecuteBatch(std::vector<PendingPtr> batch);
+  // Resolves and removes each member that cannot run, then runs the rest
+  // as one fused query; an error leaves the remaining members unresolved.
+  Status RunBatch(std::vector<PendingPtr>* members);
 
   Engine* const engine_;
   const ServerOptions options_;

@@ -257,43 +257,8 @@ TEST_F(EngineCrossValidationTest, ApproximateIndexIsRecallChecked) {
       << "HNSW probe recall degraded";
 }
 
-TEST_F(EngineCrossValidationTest, PipelinedTensorMatchesTensorThroughEngine) {
-  // The fifth operator, through both execution surfaces. Via Execute the
-  // plan's right side is materialized, so pipelined degrades to the plain
-  // sweep; via Stream the fused string path runs — both must reproduce the
-  // tensor relation exactly.
-  const auto condition = join::JoinCondition::TopK(3);
-  auto tensor = engine_.Query("l")
-                    .EJoin("r", "word", condition)
-                    .Via("tensor")
-                    .Execute();
-  ASSERT_TRUE(tensor.ok()) << tensor.status().ToString();
-  auto pipelined = engine_.Query("l")
-                       .EJoin("r", "word", condition)
-                       .Via("pipelined_tensor")
-                       .Execute();
-  ASSERT_TRUE(pipelined.ok()) << pipelined.status().ToString();
-  EXPECT_EQ(pipelined->stats.join_operator, "pipelined_tensor");
-  EXPECT_EQ(RenderPairs(pipelined->relation), RenderPairs(tensor->relation));
-
-  join::MaterializingSink tensor_sink, pipelined_sink;
-  ASSERT_TRUE(engine_.Query("l")
-                  .EJoin("r", "word", condition)
-                  .Via("tensor")
-                  .Stream(&tensor_sink)
-                  .ok());
-  plan::ExecStats stream_stats;
-  auto stats = engine_.Query("l")
-                   .EJoin("r", "word", condition)
-                   .Via("pipelined_tensor")
-                   .Stream(&pipelined_sink, &stream_stats);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stream_stats.join_operator, "pipelined_tensor");
-  EXPECT_EQ(pipelined_sink.pairs(), tensor_sink.pairs());
-}
-
 TEST_F(EngineCrossValidationTest, ShardedTensorMatchesTensorThroughEngine) {
-  // The sixth operator, forced on the pool-less fixture engine (a single
+  // The sharded layout, forced on the pool-less fixture engine (a single
   // shard), must reproduce the tensor relation exactly. Multi-shard runs
   // are checked through a pooled engine by EngineShardedSelectionTest and
   // at pinned shard counts by ShardedJoinTest.
@@ -379,7 +344,7 @@ TEST(EngineConcurrencyTest, ConcurrentStreamsShareRegistryCacheAndPool) {
     threads.emplace_back([&, t] {
       // Alternate forced operators so differently-parallel implementations
       // overlap on the one pool: sharded (right shards), tensor (left
-      // tiles), and the cost-based pick (pipelined on this surface).
+      // tiles), and the cost-based pick.
       auto builder = engine.Query("l").EJoin("r", "word", condition);
       if (t % 3 == 0) {
         builder.Via("sharded_tensor");
@@ -1076,11 +1041,11 @@ TEST_F(StaleSnapshotCacheTest, NewQueryBeforeOldPlanDoesNotServeItNewVectors) {
 // Streaming operator selection
 // ---------------------------------------------------------------------------
 
-TEST(EngineStreamTest, StreamingStringJoinPicksThePipelinedOperator) {
-  // On the streaming surface the right Embed pipeline stays
-  // un-materialized, so the cost scan sees a string-streamable right side
-  // and max(embed, sweep) wins over embed + sweep unforced. The overlap
-  // needs workers: fusion is only offered when the engine has a pool.
+TEST(EngineStreamTest, StreamingStringJoinPicksTensorWithOrWithoutAPool) {
+  // The streaming surface embeds the right Embed pipeline before the
+  // sweep, as Execute does, so the unforced cost scan picks the same
+  // phase-ordered operator with or without a pool (60 right rows are
+  // below the shard floor).
   Engine::Options options;
   options.num_threads = 2;
   Engine engine(options);
@@ -1097,13 +1062,12 @@ TEST(EngineStreamTest, StreamingStringJoinPicksThePipelinedOperator) {
                  .EJoin("r", "word", join::JoinCondition::TopK(2))
                  .Stream(&sink, &stats);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_EQ(stats.join_operator, "pipelined_tensor");
+  EXPECT_EQ(stats.join_operator, "tensor");
   EXPECT_EQ(sink.count(), left_words.size() * 2u);
-  // The fused right side embeds inside the operator: |R| + |S| calls total.
+  // Each side is embedded once: |R| + |S| calls total.
   EXPECT_EQ(stats.model_calls, left_words.size() + right_words.size());
 
-  // Without a pool there is no overlap to price: the cost scan must fall
-  // back to a phase-ordered operator on the identical query.
+  // The identical query on a pool-less engine.
   Engine poolless;
   ASSERT_TRUE(poolless.RegisterTable("l", WordsTable(left_words, 93)).ok());
   ASSERT_TRUE(poolless.RegisterTable("r", WordsTable(right_words, 94)).ok());
@@ -1116,6 +1080,51 @@ TEST(EngineStreamTest, StreamingStringJoinPicksThePipelinedOperator) {
                   .ok());
   EXPECT_EQ(poolless_stats.join_operator, "tensor");
   EXPECT_EQ(poolless_sink.count(), sink.count());
+
+  // `pipelined_tensor` is not a registered operator.
+  join::CountingSink removed_sink;
+  auto removed = engine.Query("l")
+                     .EJoin("r", "word", join::JoinCondition::TopK(2))
+                     .Via("pipelined_tensor")
+                     .Stream(&removed_sink);
+  EXPECT_EQ(removed.status().code(), StatusCode::kNotFound);
+}
+
+TEST(EngineStreamTest, SecondStreamOfAnUnchangedTableIsACacheHit) {
+  // A streamed join embeds each cold column once and puts it in the
+  // embedding cache, so a second Stream over the unchanged tables pays no
+  // model call. The right side is large enough to shard on the pool.
+  Engine::Options options;
+  options.num_threads = 3;
+  Engine engine(options);
+  model::SubwordHashModel model;
+  auto left_words = workload::RandomStrings(64, 4, 8, 95);
+  auto right_words = workload::RandomStrings(4096, 4, 8, 96);
+  ASSERT_TRUE(engine.RegisterTable("l", WordsTable(left_words, 97)).ok());
+  ASSERT_TRUE(engine.RegisterTable("r", WordsTable(right_words, 98)).ok());
+  ASSERT_TRUE(engine.RegisterModel("subword", &model).ok());
+
+  auto stream = [&](join::MaterializingSink* sink, plan::ExecStats* stats) {
+    return engine.Query("l")
+        .EJoin("r", "word", join::JoinCondition::Threshold(0.6f))
+        .Stream(sink, stats)
+        .status();
+  };
+  join::MaterializingSink cold_sink, warm_sink;
+  plan::ExecStats cold, warm;
+  ASSERT_TRUE(stream(&cold_sink, &cold).ok());
+  EXPECT_EQ(cold.model_calls, left_words.size() + right_words.size());
+  EXPECT_EQ(cold.embedding_cache_hits, 0u);
+  EXPECT_EQ(cold.embedding_cache_misses, 2u);
+
+  const uint64_t calls_before = model.embed_calls();
+  ASSERT_TRUE(stream(&warm_sink, &warm).ok());
+  EXPECT_EQ(warm.model_calls, 0u);
+  EXPECT_EQ(model.embed_calls(), calls_before);
+  EXPECT_EQ(warm.embedding_cache_hits, 2u);
+  EXPECT_EQ(warm.embedding_cache_misses, 0u);
+  EXPECT_EQ(warm.join_operator, cold.join_operator);
+  EXPECT_EQ(warm_sink.pairs(), cold_sink.pairs());
 }
 
 // ---------------------------------------------------------------------------

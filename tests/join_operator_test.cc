@@ -112,15 +112,18 @@ TEST(ValidationTest, ZeroKTopKRejectedEverywhere) {
 // Registry
 // ---------------------------------------------------------------------------
 
-TEST(RegistryTest, GlobalHoldsTheSixBuiltins) {
+TEST(RegistryTest, GlobalHoldsTheFiveBuiltins) {
   auto& registry = JoinOperatorRegistry::Global();
   for (const char* name : {"naive_nlj", "prefetch_nlj", "tensor", "index",
-                           "pipelined_tensor", "sharded_tensor"}) {
+                           "sharded_tensor"}) {
     auto op = registry.Find(name);
     ASSERT_TRUE(op.ok()) << name;
     EXPECT_EQ((*op)->Name(), name);
   }
-  EXPECT_GE(registry.operators().size(), 6u);
+  EXPECT_EQ(registry.operators().size(), 5u);
+  // `pipelined_tensor` is not a registered operator.
+  EXPECT_EQ(registry.Find("pipelined_tensor").status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST(RegistryTest, UnknownNameListsRegisteredOperators) {
@@ -147,9 +150,6 @@ TEST(RegistryTest, TraitsDescribeTheBuiltins) {
   EXPECT_TRUE((*registry.Find("tensor"))->Traits().needs_vectors);
   EXPECT_TRUE((*registry.Find("index"))->Traits().needs_index);
   EXPECT_FALSE((*registry.Find("index"))->Traits().exact);
-  EXPECT_TRUE(
-      (*registry.Find("pipelined_tensor"))->Traits().streams_right_strings);
-  EXPECT_TRUE((*registry.Find("pipelined_tensor"))->Traits().exact);
 }
 
 // ---------------------------------------------------------------------------
@@ -171,28 +171,6 @@ TEST(PricingTest, OperatorOrderingMatchesThePaper) {
   EXPECT_LT(prefetch, naive);
 }
 
-TEST(PricingTest, PipelinedPricesBelowTensorOnlyWhenStreamable) {
-  auto& registry = JoinOperatorRegistry::Global();
-  JoinWorkload w;
-  w.left_rows = 1000;
-  w.right_rows = 100000;
-  w.condition = JoinCondition::Threshold(0.9f);
-  CostParams p;
-  // Without a string-streamable right side there is nothing to overlap:
-  // the operator must stay out of the cost scan.
-  w.right_strings_streamable = false;
-  EXPECT_TRUE(std::isinf(
-      (*registry.Find("pipelined_tensor"))->EstimateCost(w, p)));
-  // With one, max(embed, sweep) per tile undercuts the phase-ordered
-  // embed + sweep of the tensor operator.
-  w.right_strings_streamable = true;
-  const double pipelined =
-      (*registry.Find("pipelined_tensor"))->EstimateCost(w, p);
-  const double tensor = (*registry.Find("tensor"))->EstimateCost(w, p);
-  EXPECT_TRUE(std::isfinite(pipelined));
-  EXPECT_LT(pipelined, tensor);
-}
-
 TEST(PricingTest, IndexOperatorIsInfiniteWithoutAnIndex) {
   auto& registry = JoinOperatorRegistry::Global();
   JoinWorkload w;
@@ -211,14 +189,13 @@ TEST(PricingTest, EveryBuiltinQuotesThroughItsFeatures) {
   // priced by PriceFeatures, and +infinity exactly when the features say
   // the operator cannot serve the workload.
   auto& registry = JoinOperatorRegistry::Global();
-  CostParams overlap_lossy;
-  overlap_lossy.pipeline_overlap = 0.4;
-  overlap_lossy.parallel_efficiency = 0.7;
+  CostParams scaling_lossy;
+  scaling_lossy.parallel_efficiency = 0.7;
   size_t finite = 0, infinite = 0;
   for (const char* name : {"naive_nlj", "prefetch_nlj", "tensor", "index",
-                           "pipelined_tensor", "sharded_tensor"}) {
+                           "sharded_tensor"}) {
     const JoinOperator* op = *registry.Find(name);
-    for (const CostParams& p : {CostParams{}, overlap_lossy})
+    for (const CostParams& p : {CostParams{}, scaling_lossy})
     for (const JoinCondition& condition :
          {JoinCondition::TopK(1), JoinCondition::TopK(8),
           JoinCondition::Threshold(0.9f)})
@@ -226,7 +203,6 @@ TEST(PricingTest, EveryBuiltinQuotesThroughItsFeatures) {
     for (int cache = 0; cache < 4; ++cache)
     for (size_t pool_threads : {size_t{1}, size_t{5}})
     for (size_t shard_count : {size_t{0}, size_t{3}})
-    for (bool streamable : {false, true})
     for (bool index : {false, true}) {
       JoinWorkload w;
       w.left_rows = 240;
@@ -238,7 +214,6 @@ TEST(PricingTest, EveryBuiltinQuotesThroughItsFeatures) {
       w.right_embed_cached = (cache & 2) != 0;
       w.pool_threads = pool_threads;
       w.shard_count = shard_count;
-      w.right_strings_streamable = streamable;
       w.index_available = index;
       const CostFeatures f = FeaturesForOperator(name, w, p);
       const double quote = op->EstimateCost(w, p);
@@ -290,7 +265,7 @@ TEST_F(OperatorRunTest, TensorAndPrefetchNljAgreeByteForByte) {
   }
 }
 
-// One dot-product order: the three tensor layouts at every right tile
+// One dot-product order: the two tensor layouts at every right tile
 // height (1 and 7 leave 1- and 7-row kernel calls; 64 and auto run 8-row
 // blocks plus a leftover tail), the prefetched NLJ's one-pair dots and the
 // flat index's probes all score a pair with the same bits, so they emit
@@ -335,23 +310,20 @@ TEST(OneDotOrderTest, EveryOperatorAndTileHeightEmitsTheSameBits) {
       options.pool = &pool;
       options.batch_rows_right = height;
       const std::string suffix = " right tile " + std::to_string(height);
-      auto sweep = [&](const std::string& name, const SweepRight& side,
-                       SweepLayout layout) {
+      auto sweep = [&](const std::string& name, SweepLayout layout) {
         MaterializingSink sink;
         ASSERT_TRUE(
-            TensorSweepToSink(left, side, condition, layout, options, &sink)
+            TensorSweepToSink(left, right, condition, layout, options, &sink)
                 .ok())
             << name;
         runs.emplace_back(name + suffix, triples(sink));
       };
-      sweep("tensor", SweepRight::Vectors(right), SweepLayout::kLeftTiles);
+      sweep("tensor", SweepLayout::kLeftTiles);
       for (size_t shards : {size_t{1}, size_t{3}, size_t{5}}) {
         options.shard_count = shards;
         sweep("sharded_tensor x" + std::to_string(shards),
-              SweepRight::Vectors(right), SweepLayout::kRightShards);
+              SweepLayout::kRightShards);
       }
-      sweep("pipelined_tensor", SweepRight::Stream(right_words, model),
-            SweepLayout::kRightStream);
     }
     JoinInputs inputs;
     inputs.left_vectors = &left;
@@ -464,146 +436,12 @@ TEST_F(OperatorRunTest, MissingInputsAreRejected) {
   JoinInputs empty;
   MaterializingSink sink;
   for (const char* name : {"naive_nlj", "prefetch_nlj", "tensor", "index",
-                           "pipelined_tensor"}) {
+                           "sharded_tensor"}) {
     auto result = (*registry.Find(name))
                       ->Run(empty, JoinCondition::Threshold(0.5f), {}, &sink);
     EXPECT_FALSE(result.ok()) << name;
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << name;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Pipelined tensor join
-// ---------------------------------------------------------------------------
-
-class PipelinedTensorTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    left_words_ = workload::RandomStrings(40, 4, 10, 71);
-    // 4140 right rows: the auto pipeline tile rule splits them into 8
-    // tiles of 518, enough for real overlap and for a tail that an early
-    // stop must keep away from the model.
-    right_words_ = workload::RandomStrings(4100, 4, 10, 72);
-    // Plant the left words into the right relation so threshold joins are
-    // guaranteed non-empty (identical strings embed identically).
-    right_words_.insert(right_words_.end(), left_words_.begin(),
-                        left_words_.end());
-    left_emb_ = model_.EmbedBatch(left_words_);
-  }
-  model::SubwordHashModel model_;
-  std::vector<std::string> left_words_, right_words_;
-  la::Matrix left_emb_;
-};
-
-TEST_F(PipelinedTensorTest, MatchesTensorAcrossTilesAndConditions) {
-  // The overlap must be invisible in the result: a multi-tile pipelined
-  // run over raw right strings reproduces the plain tensor sweep over the
-  // prefetched matrix byte for byte, for threshold and top-k alike.
-  ThreadPool pool(4);
-  la::Matrix right_emb = model_.EmbedBatch(right_words_);
-  for (const JoinCondition& condition :
-       {JoinCondition::Threshold(0.4f), JoinCondition::TopK(3)}) {
-    auto reference = TensorJoinMatrices(left_emb_, right_emb, condition);
-    ASSERT_TRUE(reference.ok());
-    ASSERT_GT(reference->pairs.size(), 0u);
-
-    TensorJoinOptions options;
-    options.pool = &pool;
-    MaterializingSink sink;
-    auto stats = TensorSweepToSink(
-        left_emb_, SweepRight::Stream(right_words_, model_), condition,
-        SweepLayout::kRightStream, options, &sink);
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    EXPECT_EQ(stats->model_calls, right_words_.size());
-    EXPECT_EQ(stats->similarity_computations,
-              left_emb_.rows() * right_words_.size());
-    // The producer's model time is hidden INSIDE the join wall time: it
-    // must be reported as the overlapped component, never as
-    // embed_seconds (summing embed + join would double-count it).
-    EXPECT_EQ(stats->embed_seconds, 0.0);
-    EXPECT_GT(stats->embed_overlapped_seconds, 0.0);
-    EXPECT_LE(stats->embed_overlapped_seconds, stats->join_seconds);
-    ASSERT_EQ(sink.pairs().size(), reference->pairs.size());
-    for (size_t i = 0; i < sink.pairs().size(); ++i) {
-      EXPECT_EQ(sink.pairs()[i], reference->pairs[i]) << i;
-    }
-  }
-}
-
-TEST_F(PipelinedTensorTest, OperatorAcceptsStringsAndVectorsAlike) {
-  auto& registry = JoinOperatorRegistry::Global();
-  const JoinOperator* pipelined = *registry.Find("pipelined_tensor");
-  const JoinOperator* tensor = *registry.Find("tensor");
-  const JoinCondition condition = JoinCondition::TopK(2);
-  JoinOptions options;
-
-  // Context domain on the right: the pipelined path proper.
-  JoinInputs string_inputs;
-  string_inputs.left_vectors = &left_emb_;
-  string_inputs.right_strings = &right_words_;
-  string_inputs.model = &model_;
-  MaterializingSink string_sink;
-  auto string_stats =
-      pipelined->Run(string_inputs, condition, options, &string_sink);
-  ASSERT_TRUE(string_stats.ok()) << string_stats.status().ToString();
-  EXPECT_EQ(string_stats->model_calls, right_words_.size());
-  // No pool: the phase-alternating fallback ran, so its model time is
-  // ordinary (non-overlapped) embed_seconds — nothing was hidden.
-  EXPECT_GT(string_stats->embed_seconds, 0.0);
-  EXPECT_EQ(string_stats->embed_overlapped_seconds, 0.0);
-
-  // Vector domain on both sides: degrades to the plain blocked sweep.
-  la::Matrix right_emb = model_.EmbedBatch(right_words_);
-  JoinInputs vector_inputs;
-  vector_inputs.left_vectors = &left_emb_;
-  vector_inputs.right_vectors = &right_emb;
-  MaterializingSink vector_sink;
-  ASSERT_TRUE(
-      pipelined->Run(vector_inputs, condition, options, &vector_sink).ok());
-
-  MaterializingSink tensor_sink;
-  ASSERT_TRUE(
-      tensor->Run(vector_inputs, condition, options, &tensor_sink).ok());
-  EXPECT_EQ(string_sink.pairs(), tensor_sink.pairs());
-  EXPECT_EQ(vector_sink.pairs(), tensor_sink.pairs());
-
-  // Both representations supplied: the supplied matrix wins — the right
-  // side is never re-embedded (the SideVectors contract).
-  JoinInputs both_inputs = vector_inputs;
-  both_inputs.right_strings = &right_words_;
-  both_inputs.model = &model_;
-  const uint64_t calls_before = model_.embed_calls();
-  MaterializingSink both_sink;
-  auto both_stats = pipelined->Run(both_inputs, condition, options,
-                                   &both_sink);
-  ASSERT_TRUE(both_stats.ok());
-  EXPECT_EQ(both_stats->model_calls, 0u);
-  EXPECT_EQ(model_.embed_calls(), calls_before);
-  EXPECT_EQ(both_sink.pairs(), tensor_sink.pairs());
-}
-
-TEST_F(PipelinedTensorTest, EarlyTerminationStopsMidTileAndAbortsEmbedding) {
-  // A bounded sink must stop the sweep inside a tile AND starve the
-  // producer: tiles past the double-buffer horizon are never embedded.
-  ThreadPool pool(4);
-  TensorJoinOptions options;
-  options.pool = &pool;
-  MaterializingSink::Options sink_options;
-  sink_options.max_pairs = 200;
-  MaterializingSink sink(sink_options);
-  // Threshold below -1: every pair qualifies, so the bound hits fast.
-  auto stats = TensorSweepToSink(
-      left_emb_, SweepRight::Stream(right_words_, model_),
-      JoinCondition::Threshold(-2.0f), SweepLayout::kRightStream, options,
-      &sink);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_TRUE(sink.truncated());
-  EXPECT_EQ(sink.pairs().size(), 200u);
-  const uint64_t full_sweep = left_emb_.rows() * right_words_.size();
-  EXPECT_LT(stats->similarity_computations, full_sweep);
-  // At most the consumed tile, the two queued tiles, and one in-flight
-  // embed can have run; the tail of the stream must never reach the model.
-  EXPECT_LT(stats->model_calls, right_words_.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -619,7 +457,7 @@ class ShardedJoinTest : public ::testing::Test {
   Result<JoinStats> Sharded(const JoinCondition& condition,
                             const TensorJoinOptions& options,
                             JoinSink* sink) {
-    return TensorSweepToSink(left_, SweepRight::Vectors(right_), condition,
+    return TensorSweepToSink(left_, right_, condition,
                              SweepLayout::kRightShards, options, sink);
   }
   la::Matrix left_, right_;
@@ -753,7 +591,7 @@ TEST_F(ShardedJoinTest, PricingRequiresWorkersAndEnoughRows) {
                      m * n / ParallelSpeedup(shards, w.pool_threads, p));
     EXPECT_DOUBLE_EQ(
         f.fixed, n * p.access + m * static_cast<double>(shards) * p.compute);
-    EXPECT_EQ(f.pair + f.probe + f.hidden_model, 0.0);
+    EXPECT_EQ(f.pair + f.probe, 0.0);
     EXPECT_DOUBLE_EQ(sharded->EstimateCost(w, p), PriceFeatures(f, p));
   };
   expect_priced_at(
@@ -789,19 +627,19 @@ TEST_F(ShardedJoinTest, EarlyTerminationStopsMidShard) {
 }
 
 // ---------------------------------------------------------------------------
-// The three tensor layouts at edge shapes
+// The two tensor layouts at edge shapes
 // ---------------------------------------------------------------------------
 
 TEST(TensorLayoutTest, EdgeShapesMatchTensorThroughTheRegistry) {
   // Every tensor-family name through the registry, on the shapes where a
   // split of the |R| x |S| frame goes wrong first: an empty side, a single
   // right row, k > |S|, and |S| one row past an inner tile (256 rows at
-  // dim 16), a pipeline tile (512), the shard floor (1024) and a
+  // dim 16), two inner tiles (512), the shard floor (1024) and a
   // two-shard boundary (2048). The right side is raw strings plus a
-  // model: pipelined_tensor streams it, the other two embed it up front.
-  // Every slice boundary these sizes produce lies on a multiple of the
-  // inner tile, so all layouts run the same tiles and the pairs match
-  // tensor's byte for byte under the default SIMD dispatch.
+  // model, which both layouts embed up front. Every slice boundary these
+  // sizes produce lies on a multiple of the inner tile, so both layouts
+  // run the same tiles and the pairs match tensor's byte for byte under
+  // the default SIMD dispatch.
   model::SubwordHashOptions model_options;
   model_options.dim = 16;
   model::SubwordHashModel model(model_options);
@@ -845,8 +683,7 @@ TEST(TensorLayoutTest, EdgeShapesMatchTensorThroughTheRegistry) {
           EXPECT_EQ(reference.pairs().size(), m * std::min(condition.k, n))
               << label;
         }
-        for (const char* name :
-             {"tensor", "sharded_tensor", "pipelined_tensor"}) {
+        for (const char* name : {"tensor", "sharded_tensor"}) {
           MaterializingSink sink;
           auto stats =
               (*registry.Find(name))->Run(inputs, condition, options, &sink);
@@ -854,12 +691,6 @@ TEST(TensorLayoutTest, EdgeShapesMatchTensorThroughTheRegistry) {
           EXPECT_EQ(sink.pairs(), reference.pairs()) << name << " " << label;
           EXPECT_EQ(stats->similarity_computations, m * n)
               << name << " " << label;
-          // The streamed right side reaches the model once per row; an
-          // empty left side leaves nothing to join, so nothing is embedded.
-          if (std::string(name) == "pipelined_tensor") {
-            EXPECT_EQ(stats->model_calls, m == 0 ? 0 : n)
-                << name << " " << label;
-          }
         }
       }
     }

@@ -865,8 +865,8 @@ TEST_F(RightShapeTableTest, EveryShapePathAndModeMatchesTheOracle) {
       {S::kEmbedScan, P::kSink, M::kForceTensor, true, kOk, "tensor", 0, 1, 0, 1, 0, 72000},
       {S::kEmbedScan, P::kSink, M::kForceIndex, false, kOk, "index", 0, 0, 0, 1, 0, 72000},
       {S::kEmbedScan, P::kSink, M::kForceIndex, true, kOk, "index", 0, 0, 0, 1, 0, 72000},
-      {S::kEmbedScan, P::kSink, M::kPooled, false, kOk, "pipelined_tensor", 3000, 0, 0, 1, 0, 72000},
-      {S::kEmbedScan, P::kSink, M::kPooled, true, kOk, "pipelined_tensor", 3000, 0, 0, 1, 0, 72000},
+      {S::kEmbedScan, P::kSink, M::kPooled, false, kOk, "sharded_tensor", 3000, 0, 1, 1, 0, 72000},
+      {S::kEmbedScan, P::kSink, M::kPooled, true, kOk, "sharded_tensor", 0, 1, 0, 1, 0, 72000},
       {S::kEmbedSelectScan, P::kExecute, M::kForceTensor, false, kOk, "tensor", 2248, 0, 1, 1, 0, 53952},
       {S::kEmbedSelectScan, P::kExecute, M::kForceTensor, true, kOk, "tensor", 2248, 0, 1, 1, 0, 53952},
       {S::kEmbedSelectScan, P::kExecute, M::kForceIndex, false, kOk, "index", 3000, 0, 1, 1, 0, 53952},
@@ -877,8 +877,8 @@ TEST_F(RightShapeTableTest, EveryShapePathAndModeMatchesTheOracle) {
       {S::kEmbedSelectScan, P::kSink, M::kForceTensor, true, kOk, "tensor", 2248, 0, 1, 1, 0, 53952},
       {S::kEmbedSelectScan, P::kSink, M::kForceIndex, false, kOk, "index", 0, 0, 0, 1, 0, 53952},
       {S::kEmbedSelectScan, P::kSink, M::kForceIndex, true, kOk, "index", 0, 0, 0, 1, 0, 53952},
-      {S::kEmbedSelectScan, P::kSink, M::kPooled, false, kOk, "pipelined_tensor", 2248, 0, 0, 1, 0, 53952},
-      {S::kEmbedSelectScan, P::kSink, M::kPooled, true, kOk, "pipelined_tensor", 2248, 0, 0, 1, 0, 53952},
+      {S::kEmbedSelectScan, P::kSink, M::kPooled, false, kOk, "sharded_tensor", 2248, 0, 1, 1, 0, 53952},
+      {S::kEmbedSelectScan, P::kSink, M::kPooled, true, kOk, "sharded_tensor", 2248, 0, 1, 1, 0, 53952},
       {S::kVectorScan, P::kExecute, M::kForceTensor, false, kOk, "tensor", 0, 0, 0, 1, 0, 72000},
       {S::kVectorScan, P::kExecute, M::kForceTensor, true, kOk, "tensor", 0, 0, 0, 1, 0, 72000},
       {S::kVectorScan, P::kExecute, M::kForceIndex, false, kOk, "index", 0, 0, 0, 1, 0, 72000},

@@ -2,9 +2,10 @@
 // execution across top-k and threshold conditions, submit storms racing
 // catalog churn (ReplaceTable / Recalibrate), deadline expiry and
 // queue-full shedding statuses, per-tenant memory budgets, condition
-// validation at Submit, round-robin fairness (a hog cannot starve a light
-// tenant), and clean shutdown with queries still queued. Runs under TSan
-// in CI.
+// validation at Submit, a malformed member failing alone inside its
+// batch, a cold corpus embedded once across solo queries, round-robin
+// fairness (a hog cannot starve a light tenant), and clean shutdown with
+// queries still queued. Runs under TSan in CI.
 
 #include <algorithm>
 #include <atomic>
@@ -411,6 +412,105 @@ TEST(ServeDegradationTest, MalformedConditionsFailAtSubmit) {
     EXPECT_EQ(ticket.status(), join::ValidateJoinCondition(condition));
   }
   EXPECT_EQ(server->stats().submitted, 0u);
+}
+
+TEST(ServeDegradationTest, MalformedMemberDoesNotFailItsBatch) {
+  // The fusion key leaves the probes out, so a probe of the wrong width
+  // can share a batch with well-formed queries. It must fail alone: the
+  // well-formed member returns the pairs of its solo run.
+  Engine::Options options;
+  options.serve.worker_threads = 1;
+  options.serve.min_fusion_queries = 2;
+  options.serve.fusion_wait = seconds(5);
+  Engine engine(options);
+  constexpr size_t kDim = 4;
+  ASSERT_TRUE(engine.RegisterTable(
+                        "db", VectorTable(workload::RandomUnitVectors(
+                                  64, kDim, 43)))
+                  .ok());
+  const auto condition = join::JoinCondition::TopK(3);
+  const la::Matrix good_probes = workload::RandomUnitVectors(2, kDim, 44);
+
+  serve::Server* server = engine.serve();
+  auto submit = [&](la::Matrix probes) {
+    serve::ServeQuery query;
+    query.table = "db";
+    query.column = "emb";
+    query.condition = condition;
+    query.probe_vectors = std::move(probes);
+    return server->Submit(std::move(query));
+  };
+  auto bad = submit(workload::RandomUnitVectors(2, kDim - 1, 45));
+  ASSERT_TRUE(bad.ok()) << bad.status().ToString();
+  auto good = submit(good_probes.Clone());
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+
+  ASSERT_TRUE(engine.RegisterTable("probe", VectorTable(good_probes.Clone()))
+                  .ok());
+  join::MaterializingSink sink;
+  ASSERT_TRUE(engine.Query("probe")
+                  .EJoin("db", "emb", "emb", condition)
+                  .Stream(&sink)
+                  .ok());
+  const std::vector<join::JoinPair> solo = sink.TakePairs();
+  ASSERT_EQ(solo.size(), 2 * condition.k);
+
+  const serve::QueryResponse& bad_response = bad->Get();
+  EXPECT_EQ(bad_response.status.code(), StatusCode::kInvalidArgument)
+      << bad_response.status.ToString();
+  EXPECT_EQ(bad_response.batch_queries, 1u);
+  const serve::QueryResponse& good_response = good->Get();
+  ASSERT_TRUE(good_response.status.ok()) << good_response.status.ToString();
+  EXPECT_EQ(good_response.pairs, solo);
+  const serve::ServeStats stats = server->stats();
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.failed, 1u);
+  // The well-formed member ran alone, so nothing completed fused.
+  EXPECT_FALSE(good_response.fused);
+  EXPECT_EQ(stats.queries_fused, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Embedding cache: served queries embed a cold corpus once
+// ---------------------------------------------------------------------------
+
+TEST(ServeCacheTest, SoloQueriesEmbedAColdCorpusOnlyOnce) {
+  // Unfused serve queries against a cold string corpus: the first one
+  // embeds the corpus once and puts it in the embedding cache, and every
+  // later query is a cache hit with no corpus model call.
+  Engine::Options options;
+  options.num_threads = 3;
+  options.serve.worker_threads = 1;
+  Engine engine(options);
+  model::SubwordHashModel model;
+  const auto corpus_words = workload::RandomStrings(2000, 3, 8, 911);
+  ASSERT_TRUE(engine.RegisterTable("corpus", WordsTable(corpus_words)).ok());
+  ASSERT_TRUE(engine.RegisterModel("subword", &model).ok());
+
+  serve::Server* server = engine.serve();
+  constexpr size_t kProbes = 8;
+  for (size_t q = 0; q < 4; ++q) {
+    serve::ServeQuery query;
+    query.table = "corpus";
+    query.column = "word";
+    query.condition = join::JoinCondition::TopK(4);
+    query.probe_strings = workload::RandomStrings(kProbes, 3, 8, 920 + q);
+    const uint64_t calls_before = model.embed_calls();
+    auto ticket = server->Submit(std::move(query));
+    ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+    const serve::QueryResponse& response = ticket->Get();
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    EXPECT_FALSE(response.fused);
+    EXPECT_EQ(response.pairs.size(), kProbes * 4);
+    const bool first = q == 0;
+    EXPECT_EQ(response.exec.model_calls, first ? corpus_words.size() : 0u)
+        << "query " << q;
+    EXPECT_EQ(model.embed_calls() - calls_before,
+              kProbes + (first ? corpus_words.size() : 0u))
+        << "query " << q;
+    EXPECT_EQ(response.exec.embedding_cache_hits, first ? 0u : 1u)
+        << "query " << q;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 // end-to-end skewed-seed operator flip through the Engine, snapshot
 // isolation of refits against running plans, calibration persistence with
 // corrupt-envelope rejection, cache-aware costing (partial hits priced
-// asymmetrically; warm scans prefer plain tensor over pipelined),
+// asymmetrically; a cold stream fills the cache for the next one),
 // exactness-aware probe traits under RequireExact(), the family-aware
 // auto-build policy, and concurrent adaptive streams (TSan suite).
 
@@ -431,7 +431,7 @@ TEST(CacheAwareCostingTest, PartialHitsArePricedAsymmetrically) {
   EXPECT_DOUBLE_EQ(cold - both_warm, 1100.0 * params.model);
 }
 
-TEST(CacheAwareCostingTest, WarmCacheStreamPicksPlainTensorOverPipelined) {
+TEST(CacheAwareCostingTest, ColdStreamFillsTheCacheForAWarmTensorStream) {
   Engine::Options options;
   options.num_threads = 2;
   Engine engine(options);
@@ -443,22 +443,21 @@ TEST(CacheAwareCostingTest, WarmCacheStreamPicksPlainTensorOverPipelined) {
   ASSERT_TRUE(engine.RegisterModel("subword", &model).ok());
   const auto condition = join::JoinCondition::TopK(2);
 
-  // Cold cache: the streaming scan fuses the right string stream and the
-  // pipelined operator's max(embed, sweep) quote wins.
+  // Cold cache: the stream embeds both columns once, before the sweep,
+  // and puts them in the embedding cache. 60 right rows are below the
+  // shard floor, so plain `tensor` wins the unforced scan.
   join::CountingSink cold_sink;
   plan::ExecStats cold_stats;
   ASSERT_TRUE(engine.Query("l")
                   .EJoin("r", "word", condition)
                   .Stream(&cold_sink, &cold_stats)
                   .ok());
-  EXPECT_EQ(cold_stats.join_operator, "pipelined_tensor");
+  EXPECT_EQ(cold_stats.join_operator, "tensor");
+  EXPECT_EQ(cold_stats.model_calls, left_words.size() + right_words.size());
 
-  // Materializing execution warms both columns in the embedding cache.
-  ASSERT_TRUE(engine.Query("l").EJoin("r", "word", condition).Execute().ok());
-
-  // Warm cache: there is no embedding left to hide — fusion is withdrawn,
-  // the model terms drop out of the quotes, and plain `tensor` wins the
-  // unforced scan (ROADMAP "cache-aware costing").
+  // Warm cache: the model terms drop out of the quotes, and plain
+  // `tensor` still wins the unforced scan (ROADMAP "cache-aware
+  // costing").
   join::CountingSink warm_sink;
   plan::ExecStats warm_stats;
   ASSERT_TRUE(engine.Query("l")
@@ -758,87 +757,6 @@ TEST(AdaptiveEngineTest, ExplorationBudgetStopsEngineExploration) {
 
   const auto unbounded = run(0.0);
   EXPECT_GE(unbounded.explorations, 2u);
-}
-
-// ---------------------------------------------------------------------------
-// Pipelined overlap calibration (rho)
-// ---------------------------------------------------------------------------
-
-TEST(CostCalibratorTest, PipelineOverlapIsFitFromOverlappedObservations) {
-  // Calibrate theta on synthetic tensor timings first (the rho fit prices
-  // the serial sweep with the fitted theta, and is gated until the first
-  // refit), then feed a pipelined observation whose overlap is known.
-  join::CostParams truth;
-  truth.access = 2.0;
-  truth.compute = 8.0;
-  truth.tensor_efficiency = 0.12;
-  stats::CostCalibrator::Options options;
-  options.seed = truth;  // Start at truth: the fit converges immediately.
-  options.refit_interval = 0;
-  stats::CostCalibrator calibrator(options);
-
-  // Gate check: an overlapped observation BEFORE any refit must not move
-  // rho off the seed's perfect-overlap assumption.
-  {
-    stats::Observation early;
-    early.op = "pipelined_tensor";
-    early.features.sweep = 1000.0;
-    early.embed_overlapped_ns = 500.0;
-    early.join_phase_ns = 10000.0;  // Terrible overlap, if it counted.
-    calibrator.Record(std::move(early));
-    calibrator.Refit();
-    EXPECT_EQ(calibrator.Current()->pipeline_overlap, 1.0);
-  }
-
-  for (int i = 0; i < 8; ++i) {
-    const join::JoinWorkload w = SyntheticWorkload(16 + i, 400, false);
-    const auto current = calibrator.Current();
-    stats::Observation obs;
-    obs.op = "tensor";
-    obs.features = join::FeaturesForOperator("tensor", w, *current);
-    obs.estimated_ns = join::PriceFeatures(obs.features, *current);
-    obs.measured_ns = join::PriceFeatures(
-        join::FeaturesForOperator("tensor", w, truth), truth);
-    calibrator.Record(std::move(obs));
-  }
-  calibrator.Refit();
-  ASSERT_GT(calibrator.stats().refits, 0u);
-
-  // The synthetic pipelined run: the fitted theta prices its sweep at
-  // s = sweep_feature * theta_S; report embedding e = s fully balanced
-  // and a join phase that hid exactly half the overlappable time.
-  const join::CostParams fitted = *calibrator.Current();
-  const double theta_s =
-      (fitted.access + fitted.compute) * fitted.tensor_efficiency;
-  const double sweep_feature = 1000.0;
-  const double s = sweep_feature * theta_s;
-  stats::Observation overlapped;
-  overlapped.op = "pipelined_tensor";
-  overlapped.features.sweep = sweep_feature;
-  overlapped.embed_overlapped_ns = s;
-  overlapped.join_phase_ns = s + 0.5 * s;  // e + s - hidden, hidden = s/2.
-  calibrator.Record(std::move(overlapped));
-  calibrator.Refit();
-  EXPECT_NEAR(calibrator.Current()->pipeline_overlap, 0.5, 1e-6);
-
-  // The calibrated rho reprices the pipelined quote away from the ideal
-  // max(embed, sweep) toward the un-overlapped sum.
-  join::CostParams ideal = fitted;
-  ideal.pipeline_overlap = 1.0;
-  const join::JoinOperator* pipelined =
-      *join::JoinOperatorRegistry::Global().Find("pipelined_tensor");
-  join::JoinWorkload w;
-  w.left_rows = 100;
-  w.right_rows = 1000;
-  w.condition = join::JoinCondition::Threshold(0.7f);
-  w.right_strings_streamable = true;
-  EXPECT_GT(pipelined->EstimateCost(w, *calibrator.Current()),
-            pipelined->EstimateCost(w, ideal));
-
-  // ResetSeed discards the learned overlap with the rest.
-  calibrator.ResetSeed(truth);
-  calibrator.Refit();
-  EXPECT_EQ(calibrator.Current()->pipeline_overlap, 1.0);
 }
 
 // ---------------------------------------------------------------------------
