@@ -111,6 +111,7 @@ int main() {
   rows[2].measured_ms = bench::TimeMs([&] {
     join::TensorJoinOptions options;
     options.pool = &bench::Pool();
+    options.shard_count = 1;  // Left tiles, as the serial quote prices.
     auto r = join::TensorJoin(left, right, model,
                               join::JoinCondition::Threshold(threshold),
                               options);

@@ -38,6 +38,7 @@ int main() {
 
       join::TensorJoinOptions batched;
       batched.pool = &bench::Pool();
+      batched.shard_count = 1;  // Left tiles: the batch height is measured.
       double batched_ms = 1e300;
       for (int r = 0; r < reps; ++r) {
         batched_ms = std::min(batched_ms, bench::TimeMs([&] {
@@ -49,6 +50,7 @@ int main() {
 
       join::TensorJoinOptions non_batched;
       non_batched.pool = &bench::Pool();
+      non_batched.shard_count = 1;
       non_batched.batch_rows_left = 1;  // One vector at a time.
       double non_batched_ms = 1e300;
       for (int r = 0; r < reps; ++r) {

@@ -49,6 +49,7 @@ int main() {
   for (const auto& c : cases) {
     join::TensorJoinOptions options;
     options.pool = &bench::Pool();
+    options.shard_count = 1;  // Left tiles: one buffer per worker.
     options.batch_rows_left = c.bl;
     options.batch_rows_right = c.br;
     size_t peak_bytes = 0;

@@ -103,6 +103,7 @@ inline int RunSelectivitySweep(const char* name, const char* paper_ref,
       });
       join::TensorJoinOptions options;
       options.pool = &Pool();
+      options.shard_count = 1;  // Left tiles.
       join_ms = TimeMs([&] {
         if (filtered.rows() == 0) return;
         auto r = join::TensorJoinMatrices(left, filtered, condition,

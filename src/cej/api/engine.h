@@ -354,7 +354,10 @@ class QueryBuilder {
   QueryBuilder& UsingModel(std::string model_name);
 
   /// Forces the named physical operator from the registry ("tensor",
-  /// "index", "prefetch_nlj", "naive_nlj", or an extension).
+  /// "index", "prefetch_nlj", "naive_nlj", or an extension). The operator
+  /// is a name, not a layout: "tensor" sweeps left tiles or, on a pooled
+  /// engine with at least 2 x join::kMinShardRows right rows, right
+  /// shards, by the same rule as an unforced run.
   QueryBuilder& Via(std::string operator_name);
 
   /// Restricts cost-based operator selection to exact implementations:

@@ -8,13 +8,12 @@
 //   NaiveNljJoin       embeds inside the pair loop — |R|·|S| model calls
 //   PrefetchNljJoin    embeds once, then NLJ       — |R|+|S| model calls
 //   TensorSweepToSink  blocked GEMM formulation    — Figure 6/7, with the
-//                      frame split over left tiles, right row shards, or
-//                      a right string stream embedded alongside the sweep
+//                      frame split over left tiles or right row shards
 //   IndexJoin          per-tuple index probes      — Section IV.B
 //
 // All return identical pairs on exact paths (the index path is
-// approximate); the tensor layouts share one driver and one sweep kernel,
-// and tests cross-validate everything.
+// approximate); both tensor splits share TensorSweepToSink and one sweep
+// kernel, and tests cross-validate everything.
 //
 // The operators are registrable implementations of the polymorphic
 // join::JoinOperator interface (join_operator.h) and stream their output
@@ -129,9 +128,9 @@ struct JoinOptions {
   /// Worker pool; nullptr = single-threaded on the caller.
   ThreadPool* pool = nullptr;
   /// Shard count (0 = auto, sized from the pool width and a shard-row
-  /// floor): right-relation row shards for `sharded_tensor`, left probe
-  /// shards for `index`; the other operators ignore it. Lives on the
-  /// common options so the knob survives the polymorphic
+  /// floor): right-relation row shards for `tensor` (1 = left tiles),
+  /// left probe shards for `index`; the other operators ignore it. Lives
+  /// on the common options so the knob survives the polymorphic
   /// JoinOperator::Run interface.
   size_t shard_count = 0;
 };

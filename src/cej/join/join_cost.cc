@@ -81,28 +81,25 @@ CostFeatures FeaturesForOperator(std::string_view op_name,
     f.pair = m * filtered;
     f.fixed = scan_access;
   } else if (op_name == "tensor") {
+    // The shard count the run resolves (TensorSweepToSink) with no pin.
+    const size_t shards = ResolveShardCount(FilteredRight(w), w.pool_threads,
+                                            0, kMinShardRows);
     f.model = UncachedModelCalls(w, FilteredRight(w));
     f.sweep = m * filtered;
     f.fixed = scan_access;
-  } else if (op_name == "sharded_tensor") {
-    const size_t shards =
-        ResolveShardCount(FilteredRight(w), w.pool_threads, w.shard_count,
-                          kMinShardRows);
-    const double speedup = ParallelSpeedup(shards, w.pool_threads, p);
-    f.model = UncachedModelCalls(w, FilteredRight(w));
-    f.sweep = m * filtered / speedup;
-    // The top-k re-collection fan-in, priced with the current compute
-    // coefficient (small; kept out of the regression).
-    f.fixed = scan_access +
-              m * static_cast<double>(std::max<size_t>(shards, 1)) * p.compute;
-    // With no workers to fan out across, or a single shard (below the
-    // shard-row floor), this IS the tensor operator: bow out.
-    f.eligible = w.pool_threads > 1 && shards > 1;
+    if (shards > 1) {
+      // Right shards: the sweep divides by the realized parallelism, and
+      // the top-k re-collection fans in per left row per shard (priced
+      // with the current compute coefficient; small, kept out of the
+      // regression).
+      f.sweep /= ParallelSpeedup(shards, w.pool_threads, p);
+      f.fixed += m * static_cast<double>(shards) * p.compute;
+    }
   } else if (op_name == "index") {
     // Probes traverse the FULL index (pre-filter semantics), over the
     // probe shards the run executes.
     const double speedup = ParallelSpeedup(
-        ResolveProbeShardCount(w.left_rows, w.pool_threads, w.shard_count),
+        ResolveProbeShardCount(w.left_rows, w.pool_threads, 0),
         w.pool_threads, p);
     f.model = w.left_embed_cached ? 0.0 : m;
     f.probe = m * ProbeCandidateMultiplier(w, p) / speedup;

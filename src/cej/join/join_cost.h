@@ -96,10 +96,6 @@ struct JoinWorkload {
   /// 1 = no pool). Partition-parallel operators price their speedup with
   /// it and bow out when there is nothing to fan out across.
   size_t pool_threads = 1;
-  /// Pinned right-relation shard count the operator will actually run
-  /// with (JoinOptions::shard_count; 0 = auto). Priced as-is so the
-  /// planner's quote matches the executed configuration.
-  size_t shard_count = 0;
   /// Client queries stacked into `left_rows` by the serving layer's
   /// multi-query fusion (1 = an ordinary solo plan). The sweep already
   /// scales with the taller left matrix; > 1 additionally prices the
@@ -134,10 +130,9 @@ struct CostFeatures {
   /// built-ins do not know): the observation is kept for history but
   /// excluded from the least-squares fit.
   bool calibratable = true;
-  /// False when the operator cannot serve the workload: no index for the
-  /// probe path, no workers or a single shard for the sharded layout (the
-  /// plain tensor operator covers those shapes). Such an operator quotes
-  /// +infinity and leaves the cost scan.
+  /// False when the operator cannot serve the workload (no index for the
+  /// probe path). Such an operator quotes +infinity and leaves the cost
+  /// scan.
   bool eligible = true;
 };
 
@@ -145,7 +140,9 @@ struct CostFeatures {
 double PriceFeatures(const CostFeatures& f, const CostParams& p);
 
 /// The feature decomposition for the named built-in operator
-/// ("naive_nlj", "prefetch_nlj", "tensor", "sharded_tensor", "index").
+/// ("naive_nlj", "prefetch_nlj", "tensor", "index"). The tensor features
+/// describe the split its run will use: right shards when the auto shard
+/// count over the filtered right side is above 1, else left tiles.
 /// Unknown names return an all-zero, ineligible, non-calibratable vector.
 CostFeatures FeaturesForOperator(std::string_view op_name,
                                  const JoinWorkload& w, const CostParams& p);

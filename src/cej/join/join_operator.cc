@@ -121,23 +121,17 @@ class PrefetchNljOperator : public JoinOperator {
 };
 
 // ---------------------------------------------------------------------------
-// tensor, sharded_tensor — the blocked-GEMM similarity sweep (Figures 6/7)
-// under one of its two layouts (TensorSweepToSink).
-// Each name is a separate candidate in the registry cost scan, which is
-// the one place a layout is chosen.
+// tensor — the blocked-GEMM similarity sweep (Figures 6/7,
+// TensorSweepToSink), over left tiles or right shards as the resolved
+// shard count decides.
 // ---------------------------------------------------------------------------
-class TensorSweepOperator : public JoinOperator {
+class TensorOperator : public JoinOperator {
  public:
-  explicit TensorSweepOperator(SweepLayout layout) : layout_(layout) {}
-
-  std::string_view Name() const override {
-    return layout_ == SweepLayout::kRightShards ? "sharded_tensor"
-                                                : "tensor";
-  }
+  std::string_view Name() const override { return "tensor"; }
 
   JoinOperatorTraits Traits() const override {
     JoinOperatorTraits t;
-    // Every layout accepts vectors, or strings plus a model, per side.
+    // Accepts vectors, or strings plus a model, per side.
     t.needs_vectors = true;
     return t;
   }
@@ -159,15 +153,12 @@ class TensorSweepOperator : public JoinOperator {
                     options.pool, &right_storage, &total));
     TensorJoinOptions tensor_options;
     static_cast<JoinOptions&>(tensor_options) = options;
-    CEJ_ASSIGN_OR_RETURN(JoinStats join_stats,
-                         TensorSweepToSink(*left, *right, condition, layout_,
-                                           tensor_options, sink));
+    CEJ_ASSIGN_OR_RETURN(
+        JoinStats join_stats,
+        TensorSweepToSink(*left, *right, condition, tensor_options, sink));
     total += join_stats;
     return total;
   }
-
- private:
-  const SweepLayout layout_;
 };
 
 // ---------------------------------------------------------------------------
@@ -225,11 +216,6 @@ Status JoinOperator::ValidateInputs(const JoinInputs& inputs,
         name + ": top-k conditions unsupported; run plan::Optimize (or use "
                "a prefetched operator) to enable top-k");
   }
-  if (condition.kind == JoinCondition::Kind::kThreshold &&
-      !traits.supports_threshold) {
-    return Status::Unimplemented(name +
-                                 ": threshold conditions unsupported");
-  }
   if (traits.needs_strings && !HasStrings(inputs)) {
     return Status::InvalidArgument(
         name + ": requires string inputs and an embedding model");
@@ -258,13 +244,8 @@ JoinOperatorRegistry& JoinOperatorRegistry::Global() {
     auto* r = new JoinOperatorRegistry();
     CEJ_CHECK(r->Register(MakeNaiveNljOperator()).ok());
     CEJ_CHECK(r->Register(MakePrefetchNljOperator()).ok());
-    CEJ_CHECK(r->Register(
-                   MakeTensorSweepOperator(SweepLayout::kLeftTiles))
-                  .ok());
+    CEJ_CHECK(r->Register(MakeTensorOperator()).ok());
     CEJ_CHECK(r->Register(MakeIndexJoinOperator()).ok());
-    CEJ_CHECK(r->Register(
-                   MakeTensorSweepOperator(SweepLayout::kRightShards))
-                  .ok());
     return r;
   }();
   return *registry;
@@ -332,10 +313,6 @@ std::vector<OperatorQuote> JoinOperatorRegistry::EligibleQuotes(
         !traits.supports_topk) {
       continue;
     }
-    if (workload.condition.kind == JoinCondition::Kind::kThreshold &&
-        !traits.supports_threshold) {
-      continue;
-    }
     const double cost = op->EstimateCost(workload, params);
     if (cost < kInf) quotes.push_back({op, cost, exact});
   }
@@ -348,9 +325,8 @@ std::unique_ptr<const JoinOperator> MakeNaiveNljOperator() {
 std::unique_ptr<const JoinOperator> MakePrefetchNljOperator() {
   return std::make_unique<PrefetchNljOperator>();
 }
-std::unique_ptr<const JoinOperator> MakeTensorSweepOperator(
-    SweepLayout layout) {
-  return std::make_unique<TensorSweepOperator>(layout);
+std::unique_ptr<const JoinOperator> MakeTensorOperator() {
+  return std::make_unique<TensorOperator>();
 }
 std::unique_ptr<const JoinOperator> MakeIndexJoinOperator() {
   return std::make_unique<IndexJoinOperator>();

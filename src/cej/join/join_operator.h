@@ -11,20 +11,17 @@
 // registering — the planner and the cej::Engine facade pick them up
 // without modification.
 //
-// The five built-ins (registered by default in the global registry):
+// The four built-ins (registered by default in the global registry):
 //
 //   naive_nlj        embeds inside the pair loop  — |R|·|S| model calls
 //   prefetch_nlj     embeds once, then NLJ        — |R|+|S| model calls
 //   tensor           blocked GEMM formulation     — Figure 6/7
 //   index            per-tuple index probes       — Section IV.B
-//   sharded_tensor   the blocked sweep partitioned over right-relation
-//                    row shards, one shard per pool worker, merged
-//                    through one sink — whole-right-relation parallelism
-//                    (the `tensor` operator only splits the left side)
 //
-// The two tensor names are one operator class over one driver
-// (TensorSweepToSink), each constructed with its SweepLayout. They stay
-// separate registry entries so the cost scan chooses the layout.
+// `tensor` runs one routine (TensorSweepToSink), which picks how the frame
+// is split — left tiles, or right-relation row shards one per pool worker
+// — from the shard count it resolves (ResolveShardCount). Its quote prices
+// the split the run will use, so the cost scan sees one tensor candidate.
 
 #ifndef CEJ_JOIN_JOIN_OPERATOR_H_
 #define CEJ_JOIN_JOIN_OPERATOR_H_
@@ -40,7 +37,6 @@
 #include "cej/join/join_common.h"
 #include "cej/join/join_cost.h"
 #include "cej/join/join_sink.h"
-#include "cej/join/tensor_join.h"
 #include "cej/la/matrix.h"
 #include "cej/model/embedding_model.h"
 
@@ -74,7 +70,6 @@ struct JoinOperatorTraits {
   bool needs_vectors = false;  ///< Requires left/right_vectors.
   bool needs_index = false;    ///< Requires left_vectors + right_index.
   bool exact = true;           ///< False: may miss pairs (recall < 1).
-  bool supports_threshold = true;
   bool supports_topk = true;
 };
 
@@ -133,7 +128,7 @@ struct OperatorQuote {
 };
 
 /// Name-keyed catalog of physical join operators. The global instance is
-/// pre-seeded with the five built-ins; extensions register at startup.
+/// pre-seeded with the four built-ins; extensions register at startup.
 class JoinOperatorRegistry {
  public:
   /// The process-wide registry (thread-safe).
@@ -152,7 +147,7 @@ class JoinOperatorRegistry {
 
   /// The ONE cost scan: every registered operator that can serve
   /// `workload` in `domain` — input representation, index availability,
-  /// `require_exact`, top-k / threshold support — with its finite
+  /// `require_exact`, top-k support — with its finite
   /// EstimateCost quote, registration-ordered. Operators quoting +infinity
   /// have bowed out and are omitted. The executor's access-path selection
   /// and the join-order DP both price through it.
@@ -170,10 +165,7 @@ class JoinOperatorRegistry {
 /// registries; the global registry already holds one of each).
 std::unique_ptr<const JoinOperator> MakeNaiveNljOperator();
 std::unique_ptr<const JoinOperator> MakePrefetchNljOperator();
-/// The tensor family: `tensor` (kLeftTiles) or `sharded_tensor`
-/// (kRightShards).
-std::unique_ptr<const JoinOperator> MakeTensorSweepOperator(
-    SweepLayout layout);
+std::unique_ptr<const JoinOperator> MakeTensorOperator();
 std::unique_ptr<const JoinOperator> MakeIndexJoinOperator();
 
 }  // namespace cej::join

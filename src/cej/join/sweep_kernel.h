@@ -3,8 +3,8 @@
 // pairs, stream them out, reuse the buffer.
 //
 // Exactly ONE copy of this loop exists. The tensor-sweep driver
-// (TensorSweepToSink in tensor_join.h) runs it for every layout, so the
-// byte-identity of `tensor` and `sharded_tensor` results holds by
+// (TensorSweepToSink in tensor_join.h) runs it for both splits of the
+// frame, so left tiles and right shards return the same bits by
 // construction rather than only by cross-validation tests. A sweep covers
 // one right-relation *slice* [s0, s1) of the right matrix, with ids as-is
 // (one slice [0, n) for left tiles, a shard otherwise). What differs

@@ -26,15 +26,11 @@ size_t DefaultRightBatch(size_t dim) {
   return std::clamp<size_t>(rows, 16, 2048);
 }
 
-// The one place that decides how a layout splits the right relation
-// [0, n), n > 0: slice s covers [bounds[s], bounds[s + 1]).
-std::vector<size_t> SliceBounds(SweepLayout layout, size_t n,
-                                const JoinOptions& options) {
+// The one place that splits the right relation [0, n), n > 0, into
+// `shards` slices: slice s covers [bounds[s], bounds[s + 1]).
+std::vector<size_t> SliceBounds(size_t n, size_t shards) {
   std::vector<size_t> bounds = {0};
-  if (layout == SweepLayout::kRightShards) {
-    const size_t shards = ResolveShardCount(n, options);
-    for (size_t s = 1; s < shards; ++s) bounds.push_back(n * s / shards);
-  }
+  for (size_t s = 1; s < shards; ++s) bounds.push_back(n * s / shards);
   bounds.push_back(n);
   return bounds;
 }
@@ -154,7 +150,7 @@ class SweepRun {
   std::vector<std::vector<la::TopKCollector>> sets_;
 };
 
-// kLeftTiles: the whole right range as one slice, its left tiles spread
+// Left tiles: the whole right range as one slice, its left tiles spread
 // over the pool; each left tile finalizes its own top-k.
 void SweepLeftTiles(const la::Matrix& right, ThreadPool* pool, SweepRun* run,
                     JoinStats* stats) {
@@ -163,7 +159,7 @@ void SweepLeftTiles(const la::Matrix& right, ThreadPool* pool, SweepRun* run,
   stats->peak_buffer_bytes = run->tile().buffer_bytes() * used_buffers;
 }
 
-// kRightShards: one worker owns each shard's whole sweep of R against its
+// Right shards: one worker owns each shard's whole sweep of R against its
 // slice — the parallelism is ACROSS shards, not within one — and top-k
 // keeps one collector set per shard.
 void SweepRightShards(const std::vector<size_t>& bounds,
@@ -202,20 +198,15 @@ void SweepRightShards(const std::vector<size_t>& bounds,
 
 }  // namespace
 
-size_t AutoShardCount(size_t rows, size_t workers, size_t min_shard_rows) {
-  if (rows == 0) return 1;
-  min_shard_rows = std::max<size_t>(min_shard_rows, 1);
-  workers = std::max<size_t>(workers, 1);
-  return std::clamp<size_t>(rows / min_shard_rows, 1, workers);
-}
-
 size_t ResolveShardCount(size_t rows, size_t workers,
                          size_t pinned_shard_count, size_t min_shard_rows) {
   if (rows == 0) return 1;
   if (pinned_shard_count != 0) {
     return std::min(rows, pinned_shard_count);
   }
-  return AutoShardCount(rows, workers, min_shard_rows);
+  min_shard_rows = std::max<size_t>(min_shard_rows, 1);
+  workers = std::max<size_t>(workers, 1);
+  return std::clamp<size_t>(rows / min_shard_rows, 1, workers);
 }
 
 size_t ResolveShardCount(size_t right_rows, const JoinOptions& options) {
@@ -258,7 +249,6 @@ TileShape ResolveTileShape(size_t left_rows, size_t right_rows, size_t dim,
 Result<JoinStats> TensorSweepToSink(const la::Matrix& left,
                                     const la::Matrix& right,
                                     const JoinCondition& condition,
-                                    SweepLayout layout,
                                     const TensorJoinOptions& options,
                                     JoinSink* sink) {
   CEJ_RETURN_IF_ERROR(ValidateJoinInputs(left, right));
@@ -270,29 +260,22 @@ Result<JoinStats> TensorSweepToSink(const la::Matrix& left,
     return JoinStats{};
   }
 
-  // Inner blocking is sized for ONE slice's sweep: the whole left side
-  // against at most the widest slice.
-  const std::vector<size_t> bounds = SliceBounds(layout, n, options);
+  // More than one shard runs right shards, otherwise left tiles. Inner
+  // blocking is sized for ONE slice's sweep: the whole left side against
+  // at most the widest slice.
+  const size_t shards = ResolveShardCount(n, options);
+  const std::vector<size_t> bounds = SliceBounds(n, shards);
   const TileShape tile =
       ResolveTileShape(m, MaxSliceRows(bounds), left.cols(), options);
   SweepRun run(left, options.simd, tile, condition, sink);
   JoinStats stats;
-  if (layout == SweepLayout::kRightShards) {
+  if (shards > 1) {
     SweepRightShards(bounds, right, options.pool, &run, &stats);
   } else {
     SweepLeftTiles(right, options.pool, &run, &stats);
   }
   run.Finish(options.pool, &stats);
   return stats;
-}
-
-Result<JoinStats> TensorJoinMatricesToSink(const la::Matrix& left,
-                                           const la::Matrix& right,
-                                           const JoinCondition& condition,
-                                           const TensorJoinOptions& options,
-                                           JoinSink* sink) {
-  return TensorSweepToSink(left, right, condition, SweepLayout::kLeftTiles,
-                           options, sink);
 }
 
 Result<JoinResult> TensorJoinMatrices(const la::Matrix& left,
@@ -302,7 +285,7 @@ Result<JoinResult> TensorJoinMatrices(const la::Matrix& left,
   MaterializingSink sink;
   CEJ_ASSIGN_OR_RETURN(
       JoinStats stats,
-      TensorJoinMatricesToSink(left, right, condition, options, &sink));
+      TensorSweepToSink(left, right, condition, options, &sink));
   JoinResult result;
   result.pairs = sink.TakePairs();
   result.stats = stats;

@@ -8,19 +8,22 @@
 // operator trades repeated kernel invocations for a constrained memory
 // footprint (Figure 13) instead of materializing the full |R| x |S| matrix.
 //
-// One driver, TensorSweepToSink, runs that sweep. Its layout decides how
-// the |R| x |S| frame is split into right-relation *slices* and how the
-// slices are scheduled; every slice runs the shared sweep kernel
-// (sweep_kernel.h), so per-pair similarities do not depend on the layout:
+// One routine, TensorSweepToSink, runs that sweep. It splits the |R| x |S|
+// frame in one of two ways, chosen from the shard count ResolveShardCount
+// gives for |S|; every split runs the shared sweep kernel
+// (sweep_kernel.h), so per-pair similarities do not depend on it:
 //
-//   kLeftTiles    one slice [0, |S|); the pool splits R into left tiles
-//                 (the `tensor` operator);
-//   kRightShards  |S| split into contiguous row shards, one pool worker
-//                 per shard sweeping all of R — parallelism that keeps
-//                 scaling when |R| is below one left tile
-//                 (`sharded_tensor`).
+//   left tiles    one shard: the whole right relation is one slice and
+//                 the pool splits R into left tiles;
+//   right shards  two or more: |S| split into contiguous row shards, one
+//                 pool worker per shard sweeping all of R — parallelism
+//                 that keeps scaling when |R| is below one left tile.
 //
-// Both read an embedded right matrix: a string column is embedded once,
+// So JoinOptions::shard_count = 1 pins left tiles, a pin above 1 runs that
+// many shards, and no pin (0) shards when a pool is attached and |S| is
+// at least 2 x kMinShardRows.
+//
+// The sweep reads an embedded right matrix: a string column is embedded once,
 // before the sweep, and kept in the engine's embedding cache (paper Section
 // V hoists Embed out of the join for the same reason).
 //
@@ -58,21 +61,14 @@ struct TensorJoinOptions : JoinOptions {
   size_t memory_budget_bytes = 0;
 };
 
-/// How the tensor sweep splits the |R| x |S| frame (see file comment).
-enum class SweepLayout {
-  kLeftTiles,
-  kRightShards,
-};
-
-/// The one tensor-sweep driver: joins `left` against `right` under
-/// `layout`, emitting pair chunks into `sink` (unordered; early
-/// termination honoured at row granularity). Pair right-ids address rows
-/// of the right matrix. kRightShards reports its shard count in
-/// shards_used.
+/// The one tensor-sweep entry point: joins `left` against `right`, emitting
+/// pair chunks into `sink` (unordered; early termination honoured at row
+/// granularity). Pair right-ids address rows of the right matrix. A run
+/// over right shards reports its shard count in shards_used; a left-tile
+/// run reports 0.
 Result<JoinStats> TensorSweepToSink(const la::Matrix& left,
                                     const la::Matrix& right,
                                     const JoinCondition& condition,
-                                    SweepLayout layout,
                                     const TensorJoinOptions& options,
                                     JoinSink* sink);
 
@@ -81,13 +77,6 @@ Result<JoinResult> TensorJoinMatrices(const la::Matrix& left,
                                       const la::Matrix& right,
                                       const JoinCondition& condition,
                                       const TensorJoinOptions& options = {});
-
-/// Streaming form of TensorJoinMatrices (TensorSweepToSink's kLeftTiles
-/// layout over a right matrix).
-Result<JoinStats> TensorJoinMatricesToSink(
-    const la::Matrix& left, const la::Matrix& right,
-    const JoinCondition& condition, const TensorJoinOptions& options,
-    JoinSink* sink);
 
 /// End-to-end variant: prefetch-embeds the string keys, then joins.
 Result<JoinResult> TensorJoin(const std::vector<std::string>& left,
@@ -111,24 +100,21 @@ struct TileShape {
 TileShape ResolveTileShape(size_t left_rows, size_t right_rows, size_t dim,
                            const TensorJoinOptions& options);
 
-/// kRightShards' auto-sharding floor: a shard never covers fewer right rows
-/// than this (amortizes per-shard scheduling and merge overhead).
+/// The right-shard floor: an auto-sized shard never covers fewer right
+/// rows than this (amortizes per-shard scheduling and merge overhead).
 inline constexpr size_t kMinShardRows = 1024;
 
-/// The auto-sharding rule shared by execution and pricing:
-/// clamp(rows / min_shard_rows, 1, workers). `workers` counts the caller
-/// too (a caller-runs pool of T threads supplies T + 1).
-size_t AutoShardCount(size_t rows, size_t workers, size_t min_shard_rows);
-
-/// The ONE shard-resolution rule — a pinned count wins (clamped to the
-/// row count), otherwise the auto rule above. The sharded sweep, the
-/// index join's probe shards and their cost quotes all call this, so a
-/// quoted shard count cannot drift from the one executed.
+/// The ONE shard-resolution rule: a pinned count wins (clamped to the row
+/// count); otherwise clamp(rows / min_shard_rows, 1, workers). `workers`
+/// counts the caller too (a caller-runs pool of T threads supplies T + 1).
+/// The tensor sweep, the index join's probe shards and their cost quotes
+/// all call this, so a quoted shard count cannot drift from the one run.
 size_t ResolveShardCount(size_t rows, size_t workers,
                          size_t pinned_shard_count, size_t min_shard_rows);
 
-/// The shard count kRightShards runs over `right_rows` rows: workers from
-/// options.pool, the pin from options.shard_count, the kMinShardRows floor.
+/// The shard count TensorSweepToSink runs over `right_rows` rows: workers
+/// from options.pool, the pin from options.shard_count, the kMinShardRows
+/// floor. Above 1 the sweep runs right shards, otherwise left tiles.
 size_t ResolveShardCount(size_t right_rows, const JoinOptions& options);
 
 }  // namespace cej::join

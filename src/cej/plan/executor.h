@@ -7,8 +7,8 @@
 // index-backed) prices itself through JoinOperator::EstimateCost, and the
 // cheapest eligible one runs. The scan is
 // join::JoinOperatorRegistry::EligibleQuotes, which the join-order DP
-// prices its edges with too. New operators (sharded, async, remote)
-// participate in planning by registering — no executor changes. The
+// prices its edges with too. New operators (async, remote) participate in
+// planning by registering — no executor changes. The
 // decision is reported in ExecStats::join_operator with its quote and the
 // rejected runner-up.
 //
@@ -89,7 +89,9 @@ struct ExecContext {
   /// immutable.
   stats::CostCalibrator* calibrator = nullptr;
   /// Forces the named registered operator for every EJoin ("" = cost
-  /// based): "tensor" forces the scan path, "index" the probe path.
+  /// based): "tensor" forces the scan path, "index" the probe path. The
+  /// tensor sweep still picks left tiles or right shards from the pool
+  /// width and the right side's rows (join::ResolveShardCount).
   std::string force_operator;
   /// Restricts cost-based selection to operators whose traits declare
   /// exact results (excludes approximate index probes). Ignored by

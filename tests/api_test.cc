@@ -258,55 +258,126 @@ TEST_F(EngineCrossValidationTest, ApproximateIndexIsRecallChecked) {
 }
 
 TEST_F(EngineCrossValidationTest, ShardedTensorMatchesTensorThroughEngine) {
-  // The sharded layout, forced on the pool-less fixture engine (a single
-  // shard), must reproduce the tensor relation exactly. Multi-shard runs
-  // are checked through a pooled engine by EngineShardedSelectionTest and
-  // at pinned shard counts by ShardedJoinTest.
+  // The right-shard split must reproduce the left-tile relation exactly.
+  // A pooled engine shards a right side of at least 2 x kMinShardRows
+  // rows; the pool-less fixture engine sweeps the same join in left tiles.
+  // Pinned shard counts are checked by ShardedJoinTest.
+  std::vector<std::string> wide_words = right_words_;
+  const std::vector<std::string> filler =
+      workload::RandomStrings(2 * join::kMinShardRows, 4, 8, 45);
+  wide_words.insert(wide_words.end(), filler.begin(), filler.end());
+  Engine::Options options;
+  options.num_threads = 3;
+  Engine pooled(options);
+  ASSERT_TRUE(pooled.RegisterTable("l", WordsTable(left_words_, 43)).ok());
+  ASSERT_TRUE(pooled.RegisterTable("r", WordsTable(wide_words, 44)).ok());
+  ASSERT_TRUE(pooled.RegisterModel("subword", &model_).ok());
+  ASSERT_TRUE(engine_.ReplaceTable("r", WordsTable(wide_words, 44)).ok());
+
   const auto condition = join::JoinCondition::TopK(3);
   auto tensor = engine_.Query("l")
                     .EJoin("r", "word", condition)
                     .Via("tensor")
                     .Execute();
   ASSERT_TRUE(tensor.ok()) << tensor.status().ToString();
-  auto sharded = engine_.Query("l")
+  EXPECT_EQ(tensor->stats.join_stats.shards_used, 0u);  // No pool.
+  auto sharded = pooled.Query("l")
                      .EJoin("r", "word", condition)
-                     .Via("sharded_tensor")
+                     .Via("tensor")
                      .Execute();
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-  EXPECT_EQ(sharded->stats.join_operator, "sharded_tensor");
-  EXPECT_EQ(sharded->stats.join_stats.shards_used, 1u);  // No pool.
+  EXPECT_EQ(sharded->stats.join_operator, "tensor");
+  EXPECT_GE(sharded->stats.join_stats.shards_used, 2u);
   EXPECT_EQ(RenderPairs(sharded->relation), RenderPairs(tensor->relation));
 }
 
 TEST(EngineShardedSelectionTest, LargeWideJoinSelectsShardedTensorByCost) {
   // The acceptance workload: a large vector-domain join on a pooled
-  // engine. The registry scan must pick sharded_tensor unforced — its
-  // per-shard sweep / parallelism quote undercuts the serial tensor sweep
-  // once the right side clears the shard floor — and the result must be
-  // byte-identical to the forced tensor run.
+  // engine. The unforced scan picks the one tensor operator, which runs
+  // right shards once the right side clears the shard floor — its quote
+  // prices that split — and the result must be byte-identical to a
+  // pool-less engine's left-tile run.
   Engine::Options options;
   options.num_threads = 4;
   Engine engine(options);
+  Engine serial;
   la::Matrix left = workload::RandomUnitVectors(512, 8, 95);
   la::Matrix right = workload::RandomUnitVectors(6000, 8, 96);
-  ASSERT_TRUE(engine.RegisterTable("l", VectorTable(left.Clone())).ok());
-  ASSERT_TRUE(engine.RegisterTable("r", VectorTable(right.Clone())).ok());
+  for (Engine* e : {&engine, &serial}) {
+    ASSERT_TRUE(e->RegisterTable("l", VectorTable(left.Clone())).ok());
+    ASSERT_TRUE(e->RegisterTable("r", VectorTable(right.Clone())).ok());
+  }
 
   const auto condition = join::JoinCondition::TopK(2);
-  join::MaterializingSink chosen_sink, tensor_sink;
-  plan::ExecStats stats;
+  join::MaterializingSink chosen_sink, serial_sink;
+  plan::ExecStats stats, serial_stats;
   auto run = engine.Query("l")
                  .EJoin("r", "emb", condition)
                  .Stream(&chosen_sink, &stats);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_EQ(stats.join_operator, "sharded_tensor");
+  EXPECT_EQ(stats.join_operator, "tensor");
   EXPECT_GE(stats.join_stats.shards_used, 2u);
-  ASSERT_TRUE(engine.Query("l")
+  ASSERT_TRUE(serial.Query("l")
                   .EJoin("r", "emb", condition)
-                  .Via("tensor")
-                  .Stream(&tensor_sink)
+                  .Stream(&serial_sink, &serial_stats)
                   .ok());
-  EXPECT_EQ(chosen_sink.pairs(), tensor_sink.pairs());
+  EXPECT_EQ(serial_stats.join_operator, "tensor");
+  EXPECT_EQ(serial_stats.join_stats.shards_used, 0u);
+  EXPECT_EQ(chosen_sink.pairs(), serial_sink.pairs());
+}
+
+TEST(EngineShardedSelectionTest,
+     FilteredRightBelowTheShardFloorRunsLeftTiles) {
+  // The right base table clears 2 x kMinShardRows but the rows surviving
+  // its Select do not. The sweep sizes its shards on the survivors, so it
+  // runs left tiles on the pool, not one right shard on the caller, and
+  // returns a pool-less engine's pairs.
+  constexpr size_t kLeftRows = 2048, kRightRows = 3000, kKept = 1500,
+                   kDim = 100;
+  const la::Matrix left = workload::RandomUnitVectors(kLeftRows, kDim, 97);
+  auto schema = Schema::Create(
+      {{"id", DataType::kInt64, 0}, {"emb", DataType::kVector, kDim}});
+  ASSERT_TRUE(schema.ok());
+  std::vector<int64_t> ids(kRightRows);
+  for (size_t i = 0; i < kRightRows; ++i) ids[i] = static_cast<int64_t>(i);
+  std::vector<Column> columns;
+  columns.push_back(Column::Int64(std::move(ids)));
+  columns.push_back(
+      Column::Vector(workload::RandomUnitVectors(kRightRows, kDim, 98)));
+  auto right =
+      Relation::Create(std::move(schema).value(), std::move(columns));
+  ASSERT_TRUE(right.ok());
+  const auto right_table =
+      std::make_shared<const Relation>(std::move(right).value());
+
+  Engine::Options options;
+  options.num_threads = 3;
+  Engine pooled(options);
+  Engine serial;
+  std::vector<join::JoinPair> pairs[2];
+  Engine* engines[2] = {&pooled, &serial};
+  for (int e = 0; e < 2; ++e) {
+    ASSERT_TRUE(
+        engines[e]->RegisterTable("l", VectorTable(left.Clone())).ok());
+    ASSERT_TRUE(engines[e]->RegisterTable("r", right_table).ok());
+    const plan::NodePtr plan = plan::EJoin(
+        plan::Scan("l", *engines[e]->Table("l")),
+        plan::Select(plan::Scan("r", *engines[e]->Table("r")),
+                     expr::Cmp("id", expr::CmpOp::kLt,
+                               static_cast<int64_t>(kKept))),
+        "emb", "emb", nullptr, join::JoinCondition::TopK(8));
+    join::MaterializingSink sink;
+    plan::ExecStats stats;
+    auto run = plan::ExecuteToSink(plan, engines[e]->MakeExecContext(),
+                                   &sink, &stats);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_EQ(stats.join_operator, "tensor");
+    EXPECT_LE(stats.join_stats.shards_used, 1u);
+    EXPECT_EQ(stats.join_stats.similarity_computations, kLeftRows * kKept);
+    pairs[e] = sink.TakePairs();
+  }
+  ASSERT_EQ(pairs[0].size(), kLeftRows * 8);
+  EXPECT_EQ(pairs[0], pairs[1]);
 }
 
 TEST(EngineConcurrencyTest, ConcurrentStreamsShareRegistryCacheAndPool) {
@@ -343,13 +414,14 @@ TEST(EngineConcurrencyTest, ConcurrentStreamsShareRegistryCacheAndPool) {
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       // Alternate forced operators so differently-parallel implementations
-      // overlap on the one pool: sharded (right shards), tensor (left
-      // tiles), and the cost-based pick.
+      // overlap on the one pool: tensor (right shards: 2230 rows clear the
+      // shard floor), the prefetched NLJ (left rows), and the cost-based
+      // pick.
       auto builder = engine.Query("l").EJoin("r", "word", condition);
       if (t % 3 == 0) {
-        builder.Via("sharded_tensor");
-      } else if (t % 3 == 1) {
         builder.Via("tensor");
+      } else if (t % 3 == 1) {
+        builder.Via("prefetch_nlj");
       }
       statuses[t] = builder.Stream(&sinks[t]).status();
     });
@@ -748,19 +820,32 @@ TEST(EngineNanTest, NanSimilaritiesNeverEnterTopK) {
       ASSERT_TRUE(engine.BuildIndex(table, "emb", *build).ok()) << table;
     }
   }
-  const std::vector<std::pair<std::string, std::string>> runs = {
-      {"db", "tensor"},        {"db", "sharded_tensor"},
-      {"db", "prefetch_nlj"},  {"db_flat", "index"},
-      {"db_ivf", "index"},     {"db_hnsw", "index"}};
-  for (const auto& [table, op] : runs) {
+  // The pooled engine's tensor run sweeps right shards (row 2048 sits on a
+  // shard boundary); the pool-less one sweeps left tiles.
+  Engine serial;
+  ASSERT_TRUE(serial.RegisterTable("probes", VectorTable(probes.Clone())).ok());
+  ASSERT_TRUE(serial.RegisterTable("db", VectorTable(db.Clone())).ok());
+  struct Run {
+    Engine* engine;
+    std::string table;
+    std::string op;
+  };
+  const std::vector<Run> runs = {
+      {&engine, "db", "tensor"},       {&serial, "db", "tensor"},
+      {&engine, "db", "prefetch_nlj"}, {&engine, "db_flat", "index"},
+      {&engine, "db_ivf", "index"},    {&engine, "db_hnsw", "index"}};
+  for (const auto& [run_engine, table, op] : runs) {
     join::MaterializingSink sink;
     plan::ExecStats stats;
-    auto streamed = engine.Query("probes")
+    auto streamed = run_engine->Query("probes")
                         .EJoin(table, "emb", join::JoinCondition::TopK(kTopK))
                         .Via(op)
                         .Stream(&sink, &stats);
     ASSERT_TRUE(streamed.ok()) << op << ": " << streamed.status().ToString();
     EXPECT_EQ(stats.join_operator, op);
+    if (op == "tensor") {
+      EXPECT_EQ(stats.join_stats.shards_used, run_engine == &engine ? 4u : 0u);
+    }
     std::vector<join::JoinPair> pairs = sink.TakePairs();
     join::SortPairs(&pairs);
     EXPECT_EQ(pairs, oracle) << op << " over " << table;

@@ -361,19 +361,16 @@ TEST(ShardedIndexProbeTest, CostPricesProbeParallelism) {
   w.condition = join::JoinCondition::TopK(1);
   w.index_available = true;
   const double serial = index->EstimateCost(w, params);
-  // One pinned shard on 8 workers, or 8 shards on no pool: no speedup.
-  w.pool_threads = 8;
-  w.shard_count = 1;
-  EXPECT_EQ(index->EstimateCost(w, params), serial);
-  w.pool_threads = 1;
-  w.shard_count = 8;
-  EXPECT_EQ(index->EstimateCost(w, params), serial);
+  // Auto probe shards on 8 workers divide the probe work.
   w.pool_threads = 8;
   const double sharded = index->EstimateCost(w, params);
   EXPECT_LT(sharded, serial);
-  // More shards than workers buy nothing.
-  w.shard_count = 64;
-  EXPECT_EQ(index->EstimateCost(w, params), sharded);
+  // Too few probes for a second shard: no speedup on any pool.
+  w.left_rows = join::kMinProbeShardRows;
+  w.pool_threads = 1;
+  const double one_shard = index->EstimateCost(w, params);
+  w.pool_threads = 8;
+  EXPECT_EQ(index->EstimateCost(w, params), one_shard);
 }
 
 // ---------------------------------------------------------------------------

@@ -112,18 +112,19 @@ TEST(ValidationTest, ZeroKTopKRejectedEverywhere) {
 // Registry
 // ---------------------------------------------------------------------------
 
-TEST(RegistryTest, GlobalHoldsTheFiveBuiltins) {
+TEST(RegistryTest, GlobalHoldsTheFourBuiltins) {
   auto& registry = JoinOperatorRegistry::Global();
-  for (const char* name : {"naive_nlj", "prefetch_nlj", "tensor", "index",
-                           "sharded_tensor"}) {
+  for (const char* name : {"naive_nlj", "prefetch_nlj", "tensor", "index"}) {
     auto op = registry.Find(name);
     ASSERT_TRUE(op.ok()) << name;
     EXPECT_EQ((*op)->Name(), name);
   }
-  EXPECT_EQ(registry.operators().size(), 5u);
-  // `pipelined_tensor` is not a registered operator.
-  EXPECT_EQ(registry.Find("pipelined_tensor").status().code(),
-            StatusCode::kNotFound);
+  EXPECT_EQ(registry.operators().size(), 4u);
+  // The tensor sweep's splits are not registered operators.
+  for (const char* name : {"sharded_tensor", "pipelined_tensor"}) {
+    EXPECT_EQ(registry.Find(name).status().code(), StatusCode::kNotFound)
+        << name;
+  }
 }
 
 TEST(RegistryTest, UnknownNameListsRegisteredOperators) {
@@ -135,11 +136,8 @@ TEST(RegistryTest, UnknownNameListsRegisteredOperators) {
 
 TEST(RegistryTest, DuplicateRegistrationFails) {
   JoinOperatorRegistry registry;
-  ASSERT_TRUE(
-      registry.Register(MakeTensorSweepOperator(SweepLayout::kLeftTiles))
-          .ok());
-  auto dup =
-      registry.Register(MakeTensorSweepOperator(SweepLayout::kLeftTiles));
+  ASSERT_TRUE(registry.Register(MakeTensorOperator()).ok());
+  auto dup = registry.Register(MakeTensorOperator());
   EXPECT_EQ(dup.code(), StatusCode::kAlreadyExists);
 }
 
@@ -192,8 +190,7 @@ TEST(PricingTest, EveryBuiltinQuotesThroughItsFeatures) {
   CostParams scaling_lossy;
   scaling_lossy.parallel_efficiency = 0.7;
   size_t finite = 0, infinite = 0;
-  for (const char* name : {"naive_nlj", "prefetch_nlj", "tensor", "index",
-                           "sharded_tensor"}) {
+  for (const char* name : {"naive_nlj", "prefetch_nlj", "tensor", "index"}) {
     const JoinOperator* op = *registry.Find(name);
     for (const CostParams& p : {CostParams{}, scaling_lossy})
     for (const JoinCondition& condition :
@@ -202,7 +199,6 @@ TEST(PricingTest, EveryBuiltinQuotesThroughItsFeatures) {
     for (size_t right_rows : {size_t{500}, size_t{100000}})
     for (int cache = 0; cache < 4; ++cache)
     for (size_t pool_threads : {size_t{1}, size_t{5}})
-    for (size_t shard_count : {size_t{0}, size_t{3}})
     for (bool index : {false, true}) {
       JoinWorkload w;
       w.left_rows = 240;
@@ -213,7 +209,6 @@ TEST(PricingTest, EveryBuiltinQuotesThroughItsFeatures) {
       w.left_embed_cached = (cache & 1) != 0;
       w.right_embed_cached = (cache & 2) != 0;
       w.pool_threads = pool_threads;
-      w.shard_count = shard_count;
       w.index_available = index;
       const CostFeatures f = FeaturesForOperator(name, w, p);
       const double quote = op->EstimateCost(w, p);
@@ -265,11 +260,12 @@ TEST_F(OperatorRunTest, TensorAndPrefetchNljAgreeByteForByte) {
   }
 }
 
-// One dot-product order: the two tensor layouts at every right tile
-// height (1 and 7 leave 1- and 7-row kernel calls; 64 and auto run 8-row
-// blocks plus a leftover tail), the prefetched NLJ's one-pair dots and the
-// flat index's probes all score a pair with the same bits, so they emit
-// the same (left, right, similarity) triples.
+// One dot-product order: the tensor sweep's left tiles and right shards
+// (selected by shard-count pins) at every right tile height (1 and 7
+// leave 1- and 7-row kernel calls; 64 and auto run 8-row blocks plus a
+// leftover tail), the prefetched NLJ's one-pair dots and the flat index's
+// probes all score a pair with the same bits, so they emit the same
+// (left, right, similarity) triples.
 TEST(OneDotOrderTest, EveryOperatorAndTileHeightEmitsTheSameBits) {
   using Triple = std::tuple<uint32_t, uint32_t, uint32_t>;
   auto triples = [](const MaterializingSink& sink) {
@@ -310,19 +306,16 @@ TEST(OneDotOrderTest, EveryOperatorAndTileHeightEmitsTheSameBits) {
       options.pool = &pool;
       options.batch_rows_right = height;
       const std::string suffix = " right tile " + std::to_string(height);
-      auto sweep = [&](const std::string& name, SweepLayout layout) {
+      // 0 = auto (left tiles below the shard floor), 1 = left tiles,
+      // 3 and 5 = right shards.
+      for (size_t shards : {size_t{0}, size_t{1}, size_t{3}, size_t{5}}) {
+        options.shard_count = shards;
+        const std::string name = "tensor x" + std::to_string(shards);
         MaterializingSink sink;
         ASSERT_TRUE(
-            TensorSweepToSink(left, right, condition, layout, options, &sink)
-                .ok())
+            TensorSweepToSink(left, right, condition, options, &sink).ok())
             << name;
         runs.emplace_back(name + suffix, triples(sink));
-      };
-      sweep("tensor", SweepLayout::kLeftTiles);
-      for (size_t shards : {size_t{1}, size_t{3}, size_t{5}}) {
-        options.shard_count = shards;
-        sweep("sharded_tensor x" + std::to_string(shards),
-              SweepLayout::kRightShards);
       }
     }
     JoinInputs inputs;
@@ -435,8 +428,7 @@ TEST_F(OperatorRunTest, MissingInputsAreRejected) {
   auto& registry = JoinOperatorRegistry::Global();
   JoinInputs empty;
   MaterializingSink sink;
-  for (const char* name : {"naive_nlj", "prefetch_nlj", "tensor", "index",
-                           "sharded_tensor"}) {
+  for (const char* name : {"naive_nlj", "prefetch_nlj", "tensor", "index"}) {
     auto result = (*registry.Find(name))
                       ->Run(empty, JoinCondition::Threshold(0.5f), {}, &sink);
     EXPECT_FALSE(result.ok()) << name;
@@ -457,25 +449,24 @@ class ShardedJoinTest : public ::testing::Test {
   Result<JoinStats> Sharded(const JoinCondition& condition,
                             const TensorJoinOptions& options,
                             JoinSink* sink) {
-    return TensorSweepToSink(left_, right_, condition,
-                             SweepLayout::kRightShards, options, sink);
+    return TensorSweepToSink(left_, right_, condition, options, sink);
   }
   la::Matrix left_, right_;
 };
 
 TEST_F(ShardedJoinTest, MatchesTensorAcrossShardCountsConditionsAndSinks) {
-  // The acceptance contract: byte-identical sorted pairs to the plain
-  // tensor sweep for every shard count, for threshold and top-k alike,
-  // through a materializing AND a callback sink. Both operators execute
-  // the one shared sweep kernel, so this holds by construction — the test
-  // guards the partition/merge plumbing around it. The scalar kernel is
-  // pinned because shard boundaries change tile widths, and kAuto's
-  // 8-dot/1-dot kernel split follows the width (last-ulp differences).
+  // The acceptance contract: byte-identical sorted pairs to the left-tile
+  // sweep for every shard count, for threshold and top-k alike, through a
+  // materializing AND a callback sink. Both splits execute the one shared
+  // sweep kernel, so this holds by construction — the test guards the
+  // partition/merge plumbing around it. A pin of 1 is the left-tile sweep
+  // itself, which reports no right shards.
   ThreadPool pool(4);
   for (const JoinCondition& condition :
        {JoinCondition::Threshold(0.35f), JoinCondition::TopK(3)}) {
     TensorJoinOptions tensor_options;
     tensor_options.pool = &pool;
+    tensor_options.shard_count = 1;
     auto reference =
         TensorJoinMatrices(left_, right_, condition, tensor_options);
     ASSERT_TRUE(reference.ok());
@@ -490,7 +481,7 @@ TEST_F(ShardedJoinTest, MatchesTensorAcrossShardCountsConditionsAndSinks) {
       MaterializingSink sink;
       auto stats = Sharded(condition, options, &sink);
       ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-      EXPECT_EQ(stats->shards_used, shard_count);
+      EXPECT_EQ(stats->shards_used, shard_count > 1 ? shard_count : 0);
       EXPECT_EQ(stats->similarity_computations,
                 left_.rows() * right_.rows());
       ASSERT_EQ(sink.pairs().size(), reference->pairs.size())
@@ -532,11 +523,49 @@ TEST_F(ShardedJoinTest, AutoShardingFollowsPoolAndFloor) {
   EXPECT_EQ(ResolveShardCount(5, options), 5u);
 }
 
+TEST_F(ShardedJoinTest, AutoRuleSplitsAtTwiceTheShardFloor) {
+  // With a pool and no pin, fewer than 2 x kMinShardRows right rows sweep
+  // left tiles (no right shards reported) and at least that many sweep
+  // right shards; either way the pairs are byte-identical to a pinned
+  // left-tile run.
+  ThreadPool pool(3);
+  for (size_t n : {2 * kMinShardRows - 1, 2 * kMinShardRows}) {
+    const la::Matrix right = workload::RandomUnitVectors(n, 16, 83);
+    for (const JoinCondition& condition :
+         {JoinCondition::Threshold(0.35f), JoinCondition::TopK(3)}) {
+      const std::string label =
+          std::to_string(n) + (condition.kind == JoinCondition::Kind::kTopK
+                                   ? " top-k"
+                                   : " threshold");
+      TensorJoinOptions options;
+      options.pool = &pool;
+      MaterializingSink sink;
+      auto stats = TensorSweepToSink(left_, right, condition, options, &sink);
+      ASSERT_TRUE(stats.ok()) << label;
+      if (n < 2 * kMinShardRows) {
+        EXPECT_EQ(stats->shards_used, 0u) << label;
+      } else {
+        EXPECT_GE(stats->shards_used, 2u) << label;
+      }
+      options.shard_count = 1;
+      MaterializingSink left_tiles;
+      auto pinned =
+          TensorSweepToSink(left_, right, condition, options, &left_tiles);
+      ASSERT_TRUE(pinned.ok()) << label;
+      EXPECT_EQ(pinned->shards_used, 0u) << label;
+      ASSERT_GT(left_tiles.pairs().size(), 0u) << label;
+      EXPECT_EQ(sink.pairs(), left_tiles.pairs()) << label;
+    }
+  }
+}
+
 TEST_F(ShardedJoinTest, OperatorRegisteredWithTensorSemantics) {
+  // The registry's one tensor operator runs right shards when the options
+  // pin them, and returns the pinned left-tile run's pairs.
   auto& registry = JoinOperatorRegistry::Global();
-  const JoinOperator* sharded = *registry.Find("sharded_tensor");
-  EXPECT_TRUE(sharded->Traits().needs_vectors);
-  EXPECT_TRUE(sharded->Traits().exact);
+  const JoinOperator* tensor = *registry.Find("tensor");
+  EXPECT_TRUE(tensor->Traits().needs_vectors);
+  EXPECT_TRUE(tensor->Traits().exact);
 
   ThreadPool pool(4);
   JoinOptions options;
@@ -546,63 +575,66 @@ TEST_F(ShardedJoinTest, OperatorRegisteredWithTensorSemantics) {
   inputs.left_vectors = &left_;
   inputs.right_vectors = &right_;
   MaterializingSink sharded_sink, tensor_sink;
-  auto stats = sharded->Run(inputs, JoinCondition::TopK(2), options,
-                            &sharded_sink);
+  auto stats = tensor->Run(inputs, JoinCondition::TopK(2), options,
+                           &sharded_sink);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->shards_used, 5u);
-  ASSERT_TRUE((*registry.Find("tensor"))
-                  ->Run(inputs, JoinCondition::TopK(2), options, &tensor_sink)
-                  .ok());
+  options.shard_count = 1;
+  ASSERT_TRUE(
+      tensor->Run(inputs, JoinCondition::TopK(2), options, &tensor_sink)
+          .ok());
   EXPECT_EQ(sharded_sink.pairs(), tensor_sink.pairs());
 }
 
 TEST_F(ShardedJoinTest, PricingRequiresWorkersAndEnoughRows) {
+  // The tensor quote prices the split its run resolves: left tiles without
+  // workers or below the shard floor, right shards otherwise.
   auto& registry = JoinOperatorRegistry::Global();
-  const JoinOperator* sharded = *registry.Find("sharded_tensor");
+  const JoinOperator* tensor = *registry.Find("tensor");
   CostParams p;
   JoinWorkload w;
   w.left_rows = 5000;
   w.right_rows = 100000;
   w.condition = JoinCondition::Threshold(0.9f);
-  // No workers: a single shard is the tensor operator — bow out.
+  const double m = static_cast<double>(w.left_rows);
+  auto expect_left_tiles = [&] {
+    const double n = static_cast<double>(w.right_rows);
+    const CostFeatures f = FeaturesForOperator("tensor", w, p);
+    EXPECT_DOUBLE_EQ(f.model, m + n);
+    EXPECT_DOUBLE_EQ(f.sweep, m * n);
+    EXPECT_DOUBLE_EQ(f.fixed, n * p.access);
+    EXPECT_EQ(f.pair + f.probe, 0.0);
+    EXPECT_DOUBLE_EQ(tensor->EstimateCost(w, p), PriceFeatures(f, p));
+  };
+  // No workers: one shard, the left-tile sweep.
   w.pool_threads = 1;
-  EXPECT_TRUE(std::isinf(sharded->EstimateCost(w, p)));
+  expect_left_tiles();
+  const double serial_cost = tensor->EstimateCost(w, p);
   // Too few right rows to clear the shard floor: likewise.
   w.pool_threads = 8;
   w.right_rows = 500;
-  EXPECT_TRUE(std::isinf(sharded->EstimateCost(w, p)));
-  // Large wide join with real parallelism: undercuts the plain tensor.
+  expect_left_tiles();
+  // Large wide join with real parallelism: undercuts the serial quote.
   w.right_rows = 100000;
-  const double sharded_cost = sharded->EstimateCost(w, p);
-  const double tensor_cost =
-      (*registry.Find("tensor"))->EstimateCost(w, p);
+  const double sharded_cost = tensor->EstimateCost(w, p);
   EXPECT_TRUE(std::isfinite(sharded_cost));
-  EXPECT_LT(sharded_cost, tensor_cost);
+  EXPECT_LT(sharded_cost, serial_cost);
   // The quote prices the sharded decomposition at the shard count Run()
   // resolves: embed both sides, divide the sweep by the realized
   // parallelism, filter S and fan the top-k re-collection in per left row
   // per shard.
-  const double m = static_cast<double>(w.left_rows);
   const double n = static_cast<double>(w.right_rows);
-  auto expect_priced_at = [&](size_t shards) {
-    const CostFeatures f = FeaturesForOperator("sharded_tensor", w, p);
-    EXPECT_DOUBLE_EQ(f.model, m + n);
-    EXPECT_DOUBLE_EQ(f.sweep,
-                     m * n / ParallelSpeedup(shards, w.pool_threads, p));
-    EXPECT_DOUBLE_EQ(
-        f.fixed, n * p.access + m * static_cast<double>(shards) * p.compute);
-    EXPECT_EQ(f.pair + f.probe, 0.0);
-    EXPECT_DOUBLE_EQ(sharded->EstimateCost(w, p), PriceFeatures(f, p));
-  };
-  expect_priced_at(
-      AutoShardCount(w.right_rows, w.pool_threads, kMinShardRows));
-  // A pinned shard count is priced AS PINNED — the quote must track the
-  // configuration Run() will execute, not the auto shape (over-sharding
-  // past the worker count pays its merge term without extra speedup).
-  w.shard_count = 64;
-  const double pinned_cost = sharded->EstimateCost(w, p);
-  expect_priced_at(64);
-  EXPECT_GT(pinned_cost, sharded_cost);
+  const size_t shards =
+      ResolveShardCount(w.right_rows, w.pool_threads, 0, kMinShardRows);
+  ASSERT_GT(shards, 1u);
+  const CostFeatures f = FeaturesForOperator("tensor", w, p);
+  EXPECT_DOUBLE_EQ(f.model, m + n);
+  EXPECT_DOUBLE_EQ(f.sweep,
+                   m * n / ParallelSpeedup(shards, w.pool_threads, p));
+  EXPECT_DOUBLE_EQ(
+      f.fixed, n * p.access + m * static_cast<double>(shards) * p.compute);
+  EXPECT_EQ(f.pair + f.probe, 0.0);
+  EXPECT_DOUBLE_EQ(sharded_cost, PriceFeatures(f, p));
 }
 
 TEST_F(ShardedJoinTest, EarlyTerminationStopsMidShard) {
@@ -627,19 +659,18 @@ TEST_F(ShardedJoinTest, EarlyTerminationStopsMidShard) {
 }
 
 // ---------------------------------------------------------------------------
-// The two tensor layouts at edge shapes
+// The tensor sweep's two splits at edge shapes
 // ---------------------------------------------------------------------------
 
 TEST(TensorLayoutTest, EdgeShapesMatchTensorThroughTheRegistry) {
-  // Every tensor-family name through the registry, on the shapes where a
-  // split of the |R| x |S| frame goes wrong first: an empty side, a single
-  // right row, k > |S|, and |S| one row past an inner tile (256 rows at
-  // dim 16), two inner tiles (512), the shard floor (1024) and a
-  // two-shard boundary (2048). The right side is raw strings plus a
-  // model, which both layouts embed up front. Every slice boundary these
-  // sizes produce lies on a multiple of the inner tile, so both layouts
-  // run the same tiles and the pairs match tensor's byte for byte under
-  // the default SIMD dispatch.
+  // The tensor operator through the registry under shard-count pins (auto,
+  // 1 = left tiles, 3 = right shards), on the shapes where a split of the
+  // |R| x |S| frame goes wrong first: an empty side, a single right row,
+  // k > |S|, and |S| one row past an inner tile (256 rows at dim 16), two
+  // inner tiles (512), the shard floor (1024) and a two-shard boundary
+  // (2048). The right side is raw strings plus a model, which every split
+  // embeds up front. Every kernel scores a pair in one order, so the pairs
+  // match the left-tile run's byte for byte.
   model::SubwordHashOptions model_options;
   model_options.dim = 16;
   model::SubwordHashModel model(model_options);
@@ -677,16 +708,18 @@ TEST(TensorLayoutTest, EdgeShapesMatchTensorThroughTheRegistry) {
                                  ? " top-" + std::to_string(condition.k)
                                  : " threshold");
         MaterializingSink reference;
+        options.shard_count = 1;
         ASSERT_TRUE(tensor->Run(inputs, condition, options, &reference).ok())
             << label;
         if (condition.kind == JoinCondition::Kind::kTopK) {
           EXPECT_EQ(reference.pairs().size(), m * std::min(condition.k, n))
               << label;
         }
-        for (const char* name : {"tensor", "sharded_tensor"}) {
+        for (size_t shards : {size_t{0}, size_t{1}, size_t{3}}) {
+          const std::string name = "shard_count " + std::to_string(shards);
+          options.shard_count = shards;
           MaterializingSink sink;
-          auto stats =
-              (*registry.Find(name))->Run(inputs, condition, options, &sink);
+          auto stats = tensor->Run(inputs, condition, options, &sink);
           ASSERT_TRUE(stats.ok()) << name << " " << label;
           EXPECT_EQ(sink.pairs(), reference.pairs()) << name << " " << label;
           EXPECT_EQ(stats->similarity_computations, m * n)

@@ -859,74 +859,74 @@ TEST_F(RightShapeTableTest, EveryShapePathAndModeMatchesTheOracle) {
       {S::kEmbedScan, P::kExecute, M::kForceTensor, true, kOk, "tensor", 0, 1, 0, 1, 0, 72000},
       {S::kEmbedScan, P::kExecute, M::kForceIndex, false, kOk, "index", 3000, 0, 1, 1, 0, 72000},
       {S::kEmbedScan, P::kExecute, M::kForceIndex, true, kOk, "index", 0, 1, 0, 1, 0, 72000},
-      {S::kEmbedScan, P::kExecute, M::kPooled, false, kOk, "sharded_tensor", 3000, 0, 1, 1, 0, 72000},
-      {S::kEmbedScan, P::kExecute, M::kPooled, true, kOk, "sharded_tensor", 0, 1, 0, 1, 0, 72000},
+      {S::kEmbedScan, P::kExecute, M::kPooled, false, kOk, "tensor", 3000, 0, 1, 1, 0, 72000},
+      {S::kEmbedScan, P::kExecute, M::kPooled, true, kOk, "tensor", 0, 1, 0, 1, 0, 72000},
       {S::kEmbedScan, P::kSink, M::kForceTensor, false, kOk, "tensor", 3000, 0, 1, 1, 0, 72000},
       {S::kEmbedScan, P::kSink, M::kForceTensor, true, kOk, "tensor", 0, 1, 0, 1, 0, 72000},
       {S::kEmbedScan, P::kSink, M::kForceIndex, false, kOk, "index", 0, 0, 0, 1, 0, 72000},
       {S::kEmbedScan, P::kSink, M::kForceIndex, true, kOk, "index", 0, 0, 0, 1, 0, 72000},
-      {S::kEmbedScan, P::kSink, M::kPooled, false, kOk, "sharded_tensor", 3000, 0, 1, 1, 0, 72000},
-      {S::kEmbedScan, P::kSink, M::kPooled, true, kOk, "sharded_tensor", 0, 1, 0, 1, 0, 72000},
+      {S::kEmbedScan, P::kSink, M::kPooled, false, kOk, "tensor", 3000, 0, 1, 1, 0, 72000},
+      {S::kEmbedScan, P::kSink, M::kPooled, true, kOk, "tensor", 0, 1, 0, 1, 0, 72000},
       {S::kEmbedSelectScan, P::kExecute, M::kForceTensor, false, kOk, "tensor", 2248, 0, 1, 1, 0, 53952},
       {S::kEmbedSelectScan, P::kExecute, M::kForceTensor, true, kOk, "tensor", 2248, 0, 1, 1, 0, 53952},
       {S::kEmbedSelectScan, P::kExecute, M::kForceIndex, false, kOk, "index", 3000, 0, 1, 1, 0, 53952},
       {S::kEmbedSelectScan, P::kExecute, M::kForceIndex, true, kOk, "index", 0, 1, 0, 1, 0, 53952},
-      {S::kEmbedSelectScan, P::kExecute, M::kPooled, false, kOk, "sharded_tensor", 2248, 0, 1, 1, 0, 53952},
-      {S::kEmbedSelectScan, P::kExecute, M::kPooled, true, kOk, "sharded_tensor", 2248, 0, 1, 1, 0, 53952},
+      {S::kEmbedSelectScan, P::kExecute, M::kPooled, false, kOk, "tensor", 2248, 0, 1, 1, 0, 53952},
+      {S::kEmbedSelectScan, P::kExecute, M::kPooled, true, kOk, "tensor", 2248, 0, 1, 1, 0, 53952},
       {S::kEmbedSelectScan, P::kSink, M::kForceTensor, false, kOk, "tensor", 2248, 0, 1, 1, 0, 53952},
       {S::kEmbedSelectScan, P::kSink, M::kForceTensor, true, kOk, "tensor", 2248, 0, 1, 1, 0, 53952},
       {S::kEmbedSelectScan, P::kSink, M::kForceIndex, false, kOk, "index", 0, 0, 0, 1, 0, 53952},
       {S::kEmbedSelectScan, P::kSink, M::kForceIndex, true, kOk, "index", 0, 0, 0, 1, 0, 53952},
-      {S::kEmbedSelectScan, P::kSink, M::kPooled, false, kOk, "sharded_tensor", 2248, 0, 1, 1, 0, 53952},
-      {S::kEmbedSelectScan, P::kSink, M::kPooled, true, kOk, "sharded_tensor", 2248, 0, 1, 1, 0, 53952},
+      {S::kEmbedSelectScan, P::kSink, M::kPooled, false, kOk, "tensor", 2248, 0, 1, 1, 0, 53952},
+      {S::kEmbedSelectScan, P::kSink, M::kPooled, true, kOk, "tensor", 2248, 0, 1, 1, 0, 53952},
       {S::kVectorScan, P::kExecute, M::kForceTensor, false, kOk, "tensor", 0, 0, 0, 1, 0, 72000},
       {S::kVectorScan, P::kExecute, M::kForceTensor, true, kOk, "tensor", 0, 0, 0, 1, 0, 72000},
       {S::kVectorScan, P::kExecute, M::kForceIndex, false, kOk, "index", 0, 0, 0, 1, 0, 72000},
       {S::kVectorScan, P::kExecute, M::kForceIndex, true, kOk, "index", 0, 0, 0, 1, 0, 72000},
-      {S::kVectorScan, P::kExecute, M::kPooled, false, kOk, "sharded_tensor", 0, 0, 0, 1, 0, 72000},
-      {S::kVectorScan, P::kExecute, M::kPooled, true, kOk, "sharded_tensor", 0, 0, 0, 1, 0, 72000},
+      {S::kVectorScan, P::kExecute, M::kPooled, false, kOk, "tensor", 0, 0, 0, 1, 0, 72000},
+      {S::kVectorScan, P::kExecute, M::kPooled, true, kOk, "tensor", 0, 0, 0, 1, 0, 72000},
       {S::kVectorScan, P::kSink, M::kForceTensor, false, kOk, "tensor", 0, 0, 0, 1, 0, 72000},
       {S::kVectorScan, P::kSink, M::kForceTensor, true, kOk, "tensor", 0, 0, 0, 1, 0, 72000},
       {S::kVectorScan, P::kSink, M::kForceIndex, false, kOk, "index", 0, 0, 0, 1, 0, 72000},
       {S::kVectorScan, P::kSink, M::kForceIndex, true, kOk, "index", 0, 0, 0, 1, 0, 72000},
-      {S::kVectorScan, P::kSink, M::kPooled, false, kOk, "sharded_tensor", 0, 0, 0, 1, 0, 72000},
-      {S::kVectorScan, P::kSink, M::kPooled, true, kOk, "sharded_tensor", 0, 0, 0, 1, 0, 72000},
+      {S::kVectorScan, P::kSink, M::kPooled, false, kOk, "tensor", 0, 0, 0, 1, 0, 72000},
+      {S::kVectorScan, P::kSink, M::kPooled, true, kOk, "tensor", 0, 0, 0, 1, 0, 72000},
       {S::kVectorSelectScan, P::kExecute, M::kForceTensor, false, kOk, "tensor", 0, 0, 0, 1, 0, 53952},
       {S::kVectorSelectScan, P::kExecute, M::kForceTensor, true, kOk, "tensor", 0, 0, 0, 1, 0, 53952},
       {S::kVectorSelectScan, P::kExecute, M::kForceIndex, false, kOk, "index", 0, 0, 0, 1, 0, 53952},
       {S::kVectorSelectScan, P::kExecute, M::kForceIndex, true, kOk, "index", 0, 0, 0, 1, 0, 53952},
-      {S::kVectorSelectScan, P::kExecute, M::kPooled, false, kOk, "sharded_tensor", 0, 0, 0, 1, 0, 53952},
-      {S::kVectorSelectScan, P::kExecute, M::kPooled, true, kOk, "sharded_tensor", 0, 0, 0, 1, 0, 53952},
+      {S::kVectorSelectScan, P::kExecute, M::kPooled, false, kOk, "tensor", 0, 0, 0, 1, 0, 53952},
+      {S::kVectorSelectScan, P::kExecute, M::kPooled, true, kOk, "tensor", 0, 0, 0, 1, 0, 53952},
       {S::kVectorSelectScan, P::kSink, M::kForceTensor, false, kOk, "tensor", 0, 0, 0, 1, 0, 53952},
       {S::kVectorSelectScan, P::kSink, M::kForceTensor, true, kOk, "tensor", 0, 0, 0, 1, 0, 53952},
       {S::kVectorSelectScan, P::kSink, M::kForceIndex, false, kOk, "index", 0, 0, 0, 1, 0, 53952},
       {S::kVectorSelectScan, P::kSink, M::kForceIndex, true, kOk, "index", 0, 0, 0, 1, 0, 53952},
-      {S::kVectorSelectScan, P::kSink, M::kPooled, false, kOk, "sharded_tensor", 0, 0, 0, 1, 0, 53952},
-      {S::kVectorSelectScan, P::kSink, M::kPooled, true, kOk, "sharded_tensor", 0, 0, 0, 1, 0, 53952},
+      {S::kVectorSelectScan, P::kSink, M::kPooled, false, kOk, "tensor", 0, 0, 0, 1, 0, 53952},
+      {S::kVectorSelectScan, P::kSink, M::kPooled, true, kOk, "tensor", 0, 0, 0, 1, 0, 53952},
       {S::kStackedEmbed, P::kExecute, M::kForceTensor, false, kOk, "tensor", 4496, 0, 2, 0, 0, 53952},
       {S::kStackedEmbed, P::kExecute, M::kForceTensor, true, kOk, "tensor", 4496, 0, 2, 0, 0, 53952},
       {S::kStackedEmbed, P::kExecute, M::kForceIndex, false, kInvalid, "", 0, 0, 0, 0, 0, 0},
       {S::kStackedEmbed, P::kExecute, M::kForceIndex, true, kInvalid, "", 0, 0, 0, 0, 0, 0},
-      {S::kStackedEmbed, P::kExecute, M::kPooled, false, kOk, "sharded_tensor", 4496, 0, 2, 0, 0, 53952},
-      {S::kStackedEmbed, P::kExecute, M::kPooled, true, kOk, "sharded_tensor", 4496, 0, 2, 0, 0, 53952},
+      {S::kStackedEmbed, P::kExecute, M::kPooled, false, kOk, "tensor", 4496, 0, 2, 0, 0, 53952},
+      {S::kStackedEmbed, P::kExecute, M::kPooled, true, kOk, "tensor", 4496, 0, 2, 0, 0, 53952},
       {S::kStackedEmbed, P::kSink, M::kForceTensor, false, kOk, "tensor", 4496, 0, 2, 0, 0, 53952},
       {S::kStackedEmbed, P::kSink, M::kForceTensor, true, kOk, "tensor", 4496, 0, 2, 0, 0, 53952},
       {S::kStackedEmbed, P::kSink, M::kForceIndex, false, kInvalid, "", 0, 0, 0, 0, 0, 0},
       {S::kStackedEmbed, P::kSink, M::kForceIndex, true, kInvalid, "", 0, 0, 0, 0, 0, 0},
-      {S::kStackedEmbed, P::kSink, M::kPooled, false, kOk, "sharded_tensor", 4496, 0, 2, 0, 0, 53952},
-      {S::kStackedEmbed, P::kSink, M::kPooled, true, kOk, "sharded_tensor", 4496, 0, 2, 0, 0, 53952},
+      {S::kStackedEmbed, P::kSink, M::kPooled, false, kOk, "tensor", 4496, 0, 2, 0, 0, 53952},
+      {S::kStackedEmbed, P::kSink, M::kPooled, true, kOk, "tensor", 4496, 0, 2, 0, 0, 53952},
       {S::kJoin, P::kExecute, M::kForceTensor, false, kOk, "tensor", 3001, 0, 2, 1, 0, 75000},
       {S::kJoin, P::kExecute, M::kForceTensor, true, kOk, "tensor", 0, 2, 0, 1, 0, 75000},
       {S::kJoin, P::kExecute, M::kForceIndex, false, kInvalid, "", 0, 0, 0, 0, 0, 0},
       {S::kJoin, P::kExecute, M::kForceIndex, true, kInvalid, "", 0, 0, 0, 0, 0, 0},
-      {S::kJoin, P::kExecute, M::kPooled, false, kOk, "sharded_tensor", 3001, 0, 2, 1, 0, 75000},
-      {S::kJoin, P::kExecute, M::kPooled, true, kOk, "sharded_tensor", 0, 2, 0, 1, 0, 75000},
+      {S::kJoin, P::kExecute, M::kPooled, false, kOk, "tensor", 3001, 0, 2, 1, 0, 75000},
+      {S::kJoin, P::kExecute, M::kPooled, true, kOk, "tensor", 0, 2, 0, 1, 0, 75000},
       {S::kJoin, P::kSink, M::kForceTensor, false, kOk, "tensor", 3001, 0, 2, 1, 0, 75000},
       {S::kJoin, P::kSink, M::kForceTensor, true, kOk, "tensor", 0, 2, 0, 1, 0, 75000},
       {S::kJoin, P::kSink, M::kForceIndex, false, kInvalid, "", 0, 0, 0, 0, 0, 0},
       {S::kJoin, P::kSink, M::kForceIndex, true, kInvalid, "", 0, 0, 0, 0, 0, 0},
-      {S::kJoin, P::kSink, M::kPooled, false, kOk, "sharded_tensor", 3001, 0, 2, 1, 0, 75000},
-      {S::kJoin, P::kSink, M::kPooled, true, kOk, "sharded_tensor", 0, 2, 0, 1, 0, 75000},
+      {S::kJoin, P::kSink, M::kPooled, false, kOk, "tensor", 3001, 0, 2, 1, 0, 75000},
+      {S::kJoin, P::kSink, M::kPooled, true, kOk, "tensor", 0, 2, 0, 1, 0, 75000},
   };
   // clang-format on
   const char* shape_names[] = {"EmbedScan",        "EmbedSelectScan",
