@@ -95,14 +95,19 @@ int main() {
     CEJ_CHECK(r.ok());
   });
 
+  // The vector operators' quotes carry the right side's model term but not
+  // the left's: a plan embeds its left key before the join is priced. So
+  // the left side is embedded before the timer and the right inside it.
+  const la::Matrix left_emb = model.EmbedBatch(left, &bench::Pool());
+
   rows[1].name = "prefetch E-NLJ";
   rows[1].predicted_ns = Quote("prefetch_nlj", shape, params);
   rows[1].measured_ms = bench::TimeMs([&] {
     join::NljOptions options;
     options.pool = &bench::Pool();
-    auto r = join::PrefetchNljJoin(left, right, model,
-                                   join::JoinCondition::Threshold(threshold),
-                                   options);
+    auto r = join::NljJoinMatrices(
+        left_emb, model.EmbedBatch(right, options.pool),
+        join::JoinCondition::Threshold(threshold), options);
     CEJ_CHECK(r.ok());
   });
 
@@ -112,9 +117,9 @@ int main() {
     join::TensorJoinOptions options;
     options.pool = &bench::Pool();
     options.shard_count = 1;  // Left tiles, as the serial quote prices.
-    auto r = join::TensorJoin(left, right, model,
-                              join::JoinCondition::Threshold(threshold),
-                              options);
+    auto r = join::TensorJoinMatrices(
+        left_emb, model.EmbedBatch(right, options.pool),
+        join::JoinCondition::Threshold(threshold), options);
     CEJ_CHECK(r.ok());
   });
 
@@ -160,6 +165,7 @@ int main() {
   for (const auto& shape : shapes) {
     auto shape_left = workload::RandomStrings(shape.first, 5, 10, 11);
     auto shape_right = workload::RandomStrings(shape.second, 5, 10, 12);
+    const la::Matrix shape_left_emb = model.EmbedBatch(shape_left);
     const join::JoinWorkload w = ShapeWorkload(shape.first, shape.second);
     Measured row{shape, {}};
     for (const auto& op : scan_ops) {
@@ -170,14 +176,14 @@ int main() {
                                       threshold, options);
           CEJ_CHECK(r.ok());
         } else if (op == "prefetch_nlj") {
-          auto r = join::PrefetchNljJoin(
-              shape_left, shape_right, model,
-              join::JoinCondition::Threshold(threshold), join::NljOptions{});
+          auto r = join::NljJoinMatrices(
+              shape_left_emb, model.EmbedBatch(shape_right),
+              join::JoinCondition::Threshold(threshold));
           CEJ_CHECK(r.ok());
         } else {
-          auto r = join::TensorJoin(shape_left, shape_right, model,
-                                    join::JoinCondition::Threshold(threshold),
-                                    join::TensorJoinOptions{});
+          auto r = join::TensorJoinMatrices(
+              shape_left_emb, model.EmbedBatch(shape_right),
+              join::JoinCondition::Threshold(threshold));
           CEJ_CHECK(r.ok());
         }
       });
@@ -189,8 +195,6 @@ int main() {
       obs.features = join::FeaturesForOperator(op, w, *current);
       obs.estimated_ns = join::PriceFeatures(obs.features, *current);
       obs.measured_ns = ms * 1e6;
-      obs.left_rows = shape.first;
-      obs.right_rows = shape.second;
       calibrator.Record(std::move(obs));
     }
     table.push_back(std::move(row));

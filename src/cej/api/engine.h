@@ -120,12 +120,13 @@ class Engine {
     double index_auto_build_recall = 1.0;
 
     // --- Adaptive statistics & cost calibration (cej::stats) ------------
-    /// Master switch: record every executed join as an observation
-    /// (workload features, quote, measured nanoseconds), refit the cost
-    /// model online, and price new plans with the calibrated snapshot.
-    /// Also enables cost-scan exploration and extends the registry scan
-    /// to string-key joins (see plan::ExecContext::calibrator). Off by
-    /// default: the static seed/CalibrateCosts behaviour is unchanged.
+    /// Master switch: record every executed join over embedded keys as an
+    /// observation (workload features, quote, measured nanoseconds), refit
+    /// the cost model online, and price new plans with the calibrated
+    /// snapshot. Also enables cost-scan exploration (see
+    /// plan::ExecContext::calibrator). Un-optimized string-key joins run
+    /// the naive NLJ and are not recorded either way. Off by default: the
+    /// static seed/CalibrateCosts behaviour is unchanged.
     bool adaptive_stats = false;
     /// Auto-refit after this many calibratable observations (0 = refit
     /// only on Engine::Recalibrate()).
@@ -357,7 +358,10 @@ class QueryBuilder {
   /// "index", "prefetch_nlj", "naive_nlj", or an extension). The operator
   /// is a name, not a layout: "tensor" sweeps left tiles or, on a pooled
   /// engine with at least 2 x join::kMinShardRows right rows, right
-  /// shards, by the same rule as an unforced run.
+  /// shards, by the same rule as an unforced run. Operators take the
+  /// vectors the optimizer's Embed rewrite produces; under
+  /// WithoutOptimizer() only "naive_nlj" accepts string keys, and any
+  /// other forced operator is an InvalidArgument before a model call.
   QueryBuilder& Via(std::string operator_name);
 
   /// Restricts cost-based operator selection to exact implementations:
@@ -365,7 +369,9 @@ class QueryBuilder {
   /// explicit Via() still overrides.
   QueryBuilder& RequireExact();
 
-  /// Skips plan::Optimize — the Figure 8 naive baseline.
+  /// Skips plan::Optimize — the Figure 8 naive baseline: string keys stay
+  /// unembedded, so their joins run naive_nlj (2·|R|·|S| model calls),
+  /// unpriced and never recorded by adaptive stats.
   QueryBuilder& WithoutOptimizer();
 
   /// Join-order override for multi-join (graph) queries: executes the

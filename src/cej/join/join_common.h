@@ -6,10 +6,14 @@
 // implementing it (see join_operator.h for the full registry):
 //
 //   NaiveNljJoin       embeds inside the pair loop — |R|·|S| model calls
-//   PrefetchNljJoin    embeds once, then NLJ       — |R|+|S| model calls
+//   NljJoinMatrices    pairwise NLJ over embedded keys
 //   TensorSweepToSink  blocked GEMM formulation    — Figure 6/7, with the
 //                      frame split over left tiles or right row shards
 //   IndexJoin          per-tuple index probes      — Section IV.B
+//
+// Only the naive NLJ takes strings and a model; the others take vectors
+// the caller embedded once (|R|+|S| model calls), as the plan's Embed
+// nodes do.
 //
 // All return identical pairs on exact paths (the index path is
 // approximate); both tensor splits share TensorSweepToSink and one sweep

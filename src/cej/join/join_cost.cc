@@ -15,14 +15,11 @@ size_t FilteredRight(const JoinWorkload& w) {
   return static_cast<size_t>(static_cast<double>(w.right_rows) * sel + 0.5);
 }
 
-// Model invocations a prefetched operator pays per side, discounted by the
-// expected embedding-cache state (a warm left and cold right pays |S| * M
-// only — the partial hit is asymmetric by construction).
+// Model invocations a vector operator's right side costs: its surviving
+// rows, unless the embedding cache already holds them. The left key is
+// embedded before any join is priced.
 double UncachedModelCalls(const JoinWorkload& w, size_t filtered_right) {
-  double calls = 0.0;
-  if (!w.left_embed_cached) calls += static_cast<double>(w.left_rows);
-  if (!w.right_embed_cached) calls += static_cast<double>(filtered_right);
-  return calls;
+  return w.right_embed_cached ? 0.0 : static_cast<double>(filtered_right);
 }
 
 // The index operator's effective beam width: top-k > 1 widens the beam,
@@ -101,7 +98,6 @@ CostFeatures FeaturesForOperator(std::string_view op_name,
     const double speedup = ParallelSpeedup(
         ResolveProbeShardCount(w.left_rows, w.pool_threads, 0),
         w.pool_threads, p);
-    f.model = w.left_embed_cached ? 0.0 : m;
     f.probe = m * ProbeCandidateMultiplier(w, p) / speedup;
     f.fixed = m * p.probe_base / speedup;
     f.eligible = w.index_available;

@@ -17,7 +17,9 @@
 // code. Every operator is priced by ONE rule,
 // PriceFeatures(FeaturesForOperator(name, w, p), p), which adds the terms
 // the paper's formulas leave implicit (the |S| * A scan of a filtered
-// right side, cache-aware model terms, shard and beam factors).
+// right side, a cache-aware right model term, shard and beam factors).
+// The left key's |R| * M is paid by the plan's Embed before the join is
+// priced, so no feature carries it.
 // plan/cost_model.h adds host calibration (plan::Calibrate).
 
 #ifndef CEJ_JOIN_JOIN_COST_H_
@@ -76,13 +78,11 @@ struct JoinWorkload {
   /// planner's RequireExact() filter admits the probe path despite the
   /// index operator's conservative `exact = false` trait.
   bool index_exact = false;
-  /// Expected embedding-cache state per side: true means the side's model
-  /// term will NOT be paid (the engine cache already holds the full-column
-  /// embedding, or the side is already embedded — as a vector-key join's
-  /// left key always is). The features price a partial hit
-  /// asymmetrically: a warm left and cold right still pays |S| * M, never
-  /// (|R| + |S|) * M.
-  bool left_embed_cached = false;
+  /// Expected embedding-cache state of the right side: true means its
+  /// model term will NOT be paid (the engine cache already holds the
+  /// full-column embedding, or the side is already embedded). The left key
+  /// is always embedded before a join is priced, so no quote carries a
+  /// left model term.
   bool right_embed_cached = false;
   /// The side is a materialized intermediate join result (a chained
   /// multi-join pipeline), not a base relation: its carried columns are

@@ -2,7 +2,6 @@
 
 #include <limits>
 
-#include "cej/common/timer.h"
 #include "cej/join/index_join.h"
 #include "cej/join/nlj_naive.h"
 #include "cej/join/nlj_prefetch.h"
@@ -16,45 +15,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 bool HasStrings(const JoinInputs& in) {
   return in.left_strings != nullptr && in.right_strings != nullptr &&
          in.model != nullptr && in.model->dim() > 0;
-}
-
-bool HasModel(const JoinInputs& in) {
-  return in.model != nullptr && in.model->dim() > 0;
-}
-
-bool HasLeftSide(const JoinInputs& in) {
-  return in.left_vectors != nullptr ||
-         (in.left_strings != nullptr && HasModel(in));
-}
-
-bool HasRightSide(const JoinInputs& in) {
-  return in.right_vectors != nullptr ||
-         (in.right_strings != nullptr && HasModel(in));
-}
-
-// One side of the join in the vector domain: `vectors` when supplied,
-// else `strings` embedded under the inputs' model into `storage` (the
-// prefetch primitive), parallel over `pool` when one is supplied. Per
-// side, so a caller with one side already embedded (e.g. a cached left
-// batch plus a fresh right feed) never has its supplied vectors ignored or
-// recomputed. The model time, calls and buffer bytes are added to `stats`.
-Result<const la::Matrix*> SideVectors(const la::Matrix* vectors,
-                                      const std::vector<std::string>* strings,
-                                      const JoinInputs& in, ThreadPool* pool,
-                                      la::Matrix* storage, JoinStats* stats) {
-  if (vectors != nullptr) return vectors;
-  if (strings == nullptr || !HasModel(in)) {
-    return Status::InvalidArgument(
-        "E-join: operator needs embedded vectors (or strings plus a "
-        "model) on each side");
-  }
-  const uint64_t calls_before = in.model->embed_calls();
-  WallTimer timer;
-  *storage = in.model->EmbedBatch(*strings, pool);
-  stats->embed_seconds += timer.ElapsedSeconds();
-  stats->model_calls += in.model->embed_calls() - calls_before;
-  stats->peak_buffer_bytes += storage->MemoryBytes();
-  return storage;
 }
 
 // ---------------------------------------------------------------------------
@@ -100,23 +60,10 @@ class PrefetchNljOperator : public JoinOperator {
                         const JoinOptions& options,
                         JoinSink* sink) const override {
     CEJ_RETURN_IF_ERROR(ValidateInputs(inputs, condition));
-    JoinStats total;
-    la::Matrix left_storage, right_storage;
-    CEJ_ASSIGN_OR_RETURN(
-        const la::Matrix* left,
-        SideVectors(inputs.left_vectors, inputs.left_strings, inputs,
-                    options.pool, &left_storage, &total));
-    CEJ_ASSIGN_OR_RETURN(
-        const la::Matrix* right,
-        SideVectors(inputs.right_vectors, inputs.right_strings, inputs,
-                    options.pool, &right_storage, &total));
     NljOptions nlj_options;
     static_cast<JoinOptions&>(nlj_options) = options;
-    CEJ_ASSIGN_OR_RETURN(
-        JoinStats join_stats,
-        NljJoinMatricesToSink(*left, *right, condition, nlj_options, sink));
-    total += join_stats;
-    return total;
+    return NljJoinMatricesToSink(*inputs.left_vectors, *inputs.right_vectors,
+                                 condition, nlj_options, sink);
   }
 };
 
@@ -131,7 +78,6 @@ class TensorOperator : public JoinOperator {
 
   JoinOperatorTraits Traits() const override {
     JoinOperatorTraits t;
-    // Accepts vectors, or strings plus a model, per side.
     t.needs_vectors = true;
     return t;
   }
@@ -141,23 +87,10 @@ class TensorOperator : public JoinOperator {
                         const JoinOptions& options,
                         JoinSink* sink) const override {
     CEJ_RETURN_IF_ERROR(ValidateInputs(inputs, condition));
-    JoinStats total;
-    la::Matrix left_storage, right_storage;
-    CEJ_ASSIGN_OR_RETURN(
-        const la::Matrix* left,
-        SideVectors(inputs.left_vectors, inputs.left_strings, inputs,
-                    options.pool, &left_storage, &total));
-    CEJ_ASSIGN_OR_RETURN(
-        const la::Matrix* right,
-        SideVectors(inputs.right_vectors, inputs.right_strings, inputs,
-                    options.pool, &right_storage, &total));
     TensorJoinOptions tensor_options;
     static_cast<JoinOptions&>(tensor_options) = options;
-    CEJ_ASSIGN_OR_RETURN(
-        JoinStats join_stats,
-        TensorSweepToSink(*left, *right, condition, tensor_options, sink));
-    total += join_stats;
-    return total;
+    return TensorSweepToSink(*inputs.left_vectors, *inputs.right_vectors,
+                             condition, tensor_options, sink);
   }
 };
 
@@ -180,21 +113,11 @@ class IndexJoinOperator : public JoinOperator {
                         const JoinOptions& options,
                         JoinSink* sink) const override {
     CEJ_RETURN_IF_ERROR(ValidateInputs(inputs, condition));
-    JoinStats total;
-    la::Matrix left_storage;
-    CEJ_ASSIGN_OR_RETURN(
-        const la::Matrix* left,
-        SideVectors(inputs.left_vectors, inputs.left_strings, inputs,
-                    options.pool, &left_storage, &total));
     IndexJoinOptions index_options;
     static_cast<JoinOptions&>(index_options) = options;
     index_options.filter = inputs.right_filter;
-    CEJ_ASSIGN_OR_RETURN(
-        JoinStats join_stats,
-        IndexJoinToSink(*left, *inputs.right_index, condition, index_options,
-                        sink));
-    total += join_stats;
-    return total;
+    return IndexJoinToSink(*inputs.left_vectors, *inputs.right_index,
+                           condition, index_options, sink);
   }
 };
 
@@ -220,20 +143,23 @@ Status JoinOperator::ValidateInputs(const JoinInputs& inputs,
     return Status::InvalidArgument(
         name + ": requires string inputs and an embedding model");
   }
+  // String keys become vectors only through the plan's Embed nodes, which
+  // the optimizer's rewrite places below the join.
+  const std::string embed_hint =
+      " (string keys need the optimizer's Embed rewrite, plan::Optimize)";
   if (traits.needs_vectors &&
-      (!HasLeftSide(inputs) || !HasRightSide(inputs))) {
+      (inputs.left_vectors == nullptr || inputs.right_vectors == nullptr)) {
     return Status::InvalidArgument(
-        name + ": requires embedded vectors (or strings plus a model) on "
-               "both sides");
+        name + ": requires embedded vectors on both sides" + embed_hint);
   }
   if (traits.needs_index) {
     if (inputs.right_index == nullptr) {
       return Status::InvalidArgument(name +
                                      ": requires a right-side vector index");
     }
-    if (!HasLeftSide(inputs)) {
+    if (inputs.left_vectors == nullptr) {
       return Status::InvalidArgument(
-          name + ": requires left vectors (or strings plus a model)");
+          name + ": requires embedded left vectors" + embed_hint);
     }
   }
   return Status::OK();
@@ -290,19 +216,13 @@ std::vector<const JoinOperator*> JoinOperatorRegistry::operators() const {
 }
 
 std::vector<OperatorQuote> JoinOperatorRegistry::EligibleQuotes(
-    const JoinWorkload& workload, const CostParams& params, JoinDomain domain,
+    const JoinWorkload& workload, const CostParams& params,
     bool require_exact) const {
   std::vector<OperatorQuote> quotes;
   for (const JoinOperator* op : operators()) {
     const JoinOperatorTraits traits = op->Traits();
-    if (domain == JoinDomain::kStrings) {
-      // String domain: every non-index operator competes — the naive NLJ
-      // natively, the prefetched family by embedding on demand.
-      if (traits.needs_index) continue;
-    } else {
-      if (traits.needs_strings) continue;
-      if (traits.needs_index && !workload.index_available) continue;
-    }
+    if (traits.needs_strings) continue;
+    if (traits.needs_index && !workload.index_available) continue;
     // Exactness-aware probe traits: the index operator's static trait is
     // conservatively approximate, but a served FLAT entry is exact —
     // RequireExact() admits it.

@@ -2,21 +2,24 @@
 // join (paper Section III): *one logical operator* — R ⋈_{E,mu,theta} S —
 // with interchangeable physical implementations chosen by the cost model.
 //
-// Every operator consumes a uniform JoinInputs bundle (whichever
-// representations of R and S the caller has: raw strings + a model,
-// prefetched embedding matrices, or a prebuilt vector index), streams
-// matched pairs into a JoinSink, and prices itself via EstimateCost so the
-// planner's access-path selection is a registry scan instead of a
-// hard-wired if/else. New operators (a remote backend, say) plug in by
-// registering — the planner and the cej::Engine facade pick them up
-// without modification.
+// Embedding is the plan's job, not the join's: the Embed node (hoisted out
+// of the join by the optimizer's E-θ-join rewrite) turns keys into
+// vectors, and every operator consumes those vectors — except the paper's
+// Figure 8 baseline, naive_nlj, which takes the raw keys plus the model
+// and embeds inside its pair loop. An operator streams matched pairs into
+// a JoinSink and prices itself via EstimateCost, so the planner's
+// access-path selection is a registry scan instead of a hard-wired
+// if/else. New operators (a remote backend, say) plug in by registering —
+// the planner and the cej::Engine facade pick them up without
+// modification.
 //
 // The four built-ins (registered by default in the global registry):
 //
-//   naive_nlj        embeds inside the pair loop  — |R|·|S| model calls
-//   prefetch_nlj     embeds once, then NLJ        — |R|+|S| model calls
-//   tensor           blocked GEMM formulation     — Figure 6/7
-//   index            per-tuple index probes       — Section IV.B
+//   naive_nlj        strings + model, embeds inside the pair loop
+//                    — |R|·|S| model calls; un-optimized plans only
+//   prefetch_nlj     vectors, pairwise NLJ
+//   tensor           vectors, blocked GEMM formulation — Figure 6/7
+//   index            left vectors, per-tuple index probes — Section IV.B
 //
 // `tensor` runs one routine (TensorSweepToSink), which picks how the frame
 // is split — left tiles, or right-relation row shards one per pool worker
@@ -48,12 +51,13 @@ namespace cej::join {
 /// of whichever right-side representation it consumed (matrix rows or
 /// index entries — the caller keeps them aligned).
 struct JoinInputs {
-  // Context domain: raw join keys plus the embedding model mu.
+  // naive_nlj's inputs: raw join keys plus the embedding model mu, which
+  // it invokes per pair. No other operator reads them.
   const std::vector<std::string>* left_strings = nullptr;
   const std::vector<std::string>* right_strings = nullptr;
   const model::EmbeddingModel* model = nullptr;
 
-  // Vector domain: prefetched, L2-normalized embedding batches.
+  // Embedded, L2-normalized keys (the plan's Embed output).
   const la::Matrix* left_vectors = nullptr;
   const la::Matrix* right_vectors = nullptr;
 
@@ -107,16 +111,6 @@ class JoinOperator {
                         const JoinCondition& condition) const;
 };
 
-/// The input representation a cost scan's candidates must consume.
-enum class JoinDomain {
-  /// Raw keys plus a model: every non-index operator (the prefetched ones
-  /// embed on demand).
-  kStrings,
-  /// Embedded keys: every operator that does not need strings; the index
-  /// operator only when the workload has an index available.
-  kVectors,
-};
-
 /// One candidate of a cost scan: an eligible operator and its quote.
 struct OperatorQuote {
   const JoinOperator* op = nullptr;
@@ -145,15 +139,14 @@ class JoinOperatorRegistry {
   /// All registered operators, registration-ordered.
   std::vector<const JoinOperator*> operators() const;
 
-  /// The ONE cost scan: every registered operator that can serve
-  /// `workload` in `domain` — input representation, index availability,
-  /// `require_exact`, top-k support — with its finite
-  /// EstimateCost quote, registration-ordered. Operators quoting +infinity
-  /// have bowed out and are omitted. The executor's access-path selection
-  /// and the join-order DP both price through it.
+  /// The ONE cost scan over embedded keys: every registered operator that
+  /// can serve `workload` — no string inputs, an index when it needs one,
+  /// `require_exact`, top-k support — with its finite EstimateCost quote,
+  /// registration-ordered. Operators quoting +infinity have bowed out and
+  /// are omitted. The executor's access-path selection and the join-order
+  /// DP both price through it.
   std::vector<OperatorQuote> EligibleQuotes(const JoinWorkload& workload,
                                             const CostParams& params,
-                                            JoinDomain domain,
                                             bool require_exact) const;
 
  private:

@@ -2,7 +2,7 @@
 // Cost"): the model is invoked *inside* the pair loop, once per operand per
 // comparison, giving |R|·|S| model accesses. This operator exists to
 // reproduce the suboptimal baseline of Figure 8 and to validate the cost
-// model — production code should always use PrefetchNljJoin or TensorJoin.
+// model — production plans embed once through the optimizer's Embed rewrite.
 
 #ifndef CEJ_JOIN_NLJ_NAIVE_H_
 #define CEJ_JOIN_NLJ_NAIVE_H_

@@ -1,20 +1,17 @@
 // Prefetch-optimized E-NLJ (paper Eq. "E-NLJ Prefetch Optimization"):
-// every tuple is embedded exactly once (|R| + |S| model calls) before a
-// pairwise nested-loop join over the cached vectors. This is the logically
-// optimized formulation Figures 8-10 evaluate, with the classic
-// smaller-relation-inner heuristic exposed as a knob (Figure 10 quantifies
-// its ~35% effect at 1e10 operations).
+// every tuple is embedded exactly once (|R| + |S| model calls, paid by the
+// plan's Embed nodes) before a pairwise nested-loop join over the embedded
+// vectors. This is the logically optimized formulation Figures 8-10
+// evaluate, with the classic smaller-relation-inner heuristic exposed as a
+// knob (Figure 10 quantifies its ~35% effect at 1e10 operations).
 
 #ifndef CEJ_JOIN_NLJ_PREFETCH_H_
 #define CEJ_JOIN_NLJ_PREFETCH_H_
 
-#include <string>
-#include <vector>
-
 #include "cej/common/status.h"
 #include "cej/join/join_common.h"
 #include "cej/join/join_sink.h"
-#include "cej/model/embedding_model.h"
+#include "cej/la/matrix.h"
 
 namespace cej::join {
 
@@ -28,13 +25,6 @@ enum class LoopOrder {
 struct NljOptions : JoinOptions {
   LoopOrder loop_order = LoopOrder::kAsGiven;
 };
-
-/// Embeds both sides once, then runs the pairwise NLJ.
-Result<JoinResult> PrefetchNljJoin(const std::vector<std::string>& left,
-                                   const std::vector<std::string>& right,
-                                   const model::EmbeddingModel& model,
-                                   const JoinCondition& condition,
-                                   const NljOptions& options = {});
 
 /// Vector-domain core: joins two already-embedded batches (one unit vector
 /// per row). Supports threshold and top-k conditions.

@@ -292,27 +292,4 @@ Result<JoinResult> TensorJoinMatrices(const la::Matrix& left,
   return result;
 }
 
-Result<JoinResult> TensorJoin(const std::vector<std::string>& left,
-                              const std::vector<std::string>& right,
-                              const model::EmbeddingModel& model,
-                              const JoinCondition& condition,
-                              const TensorJoinOptions& options) {
-  if (model.dim() == 0) {
-    return Status::InvalidArgument("tensor join: model has dim 0");
-  }
-  JoinStats embed_stats;
-  const uint64_t model_calls_before = model.embed_calls();
-  WallTimer embed_timer;
-  la::Matrix left_emb = model.EmbedBatch(left, options.pool);
-  la::Matrix right_emb = model.EmbedBatch(right, options.pool);
-  embed_stats.embed_seconds = embed_timer.ElapsedSeconds();
-  embed_stats.model_calls = model.embed_calls() - model_calls_before;
-
-  CEJ_ASSIGN_OR_RETURN(JoinResult result,
-                       TensorJoinMatrices(left_emb, right_emb, condition,
-                                          options));
-  result.stats += embed_stats;
-  return result;
-}
-
 }  // namespace cej::join

@@ -23,9 +23,10 @@
 // many shards, and no pin (0) shards when a pool is attached and |S| is
 // at least 2 x kMinShardRows.
 //
-// The sweep reads an embedded right matrix: a string column is embedded once,
-// before the sweep, and kept in the engine's embedding cache (paper Section
-// V hoists Embed out of the join for the same reason).
+// The sweep reads embedded matrices: a string column is embedded once, by
+// the plan's Embed node before the sweep, and kept in the engine's
+// embedding cache (paper Section V hoists Embed out of the join for the
+// same reason).
 //
 // Threshold slices stream pairs through one locked sink as they are found,
 // with early termination biting mid-slice. Top-k over one whole-relation
@@ -37,14 +38,12 @@
 #ifndef CEJ_JOIN_TENSOR_JOIN_H_
 #define CEJ_JOIN_TENSOR_JOIN_H_
 
-#include <string>
-#include <vector>
+#include <cstddef>
 
 #include "cej/common/status.h"
 #include "cej/join/join_common.h"
 #include "cej/join/join_sink.h"
 #include "cej/la/matrix.h"
-#include "cej/model/embedding_model.h"
 
 namespace cej::join {
 
@@ -77,13 +76,6 @@ Result<JoinResult> TensorJoinMatrices(const la::Matrix& left,
                                       const la::Matrix& right,
                                       const JoinCondition& condition,
                                       const TensorJoinOptions& options = {});
-
-/// End-to-end variant: prefetch-embeds the string keys, then joins.
-Result<JoinResult> TensorJoin(const std::vector<std::string>& left,
-                              const std::vector<std::string>& right,
-                              const model::EmbeddingModel& model,
-                              const JoinCondition& condition,
-                              const TensorJoinOptions& options = {});
 
 /// The concrete tile shape the operator will use for the given inputs and
 /// options (exposed for tests and the Figure 13 bench). `dim` informs the

@@ -423,8 +423,7 @@ class PlanExecutor {
 
     Result<JoinStats> run =
         left_key->type() == DataType::kString
-            ? RunStringKeyJoin(node, *left_key, effective_sink, sides,
-                               edge_counter)
+            ? RunStringKeyJoin(node, *left_key, effective_sink, sides)
             : RunVectorKeyJoin(node, *left_key, effective_sink, sides,
                                edge_counter);
     if (run.ok()) {
@@ -446,17 +445,16 @@ class PlanExecutor {
     return run;
   }
 
-  // String-key join: the un-rewritten (naive) physical form, unless an
-  // operator override redirects it — or an adaptive calibrator is
-  // attached, in which case the registry cost scan competes every
-  // string-capable operator (naive natively; the prefetched family embeds
-  // on demand) and the run is recorded as an observation. Without a
-  // calibrator the naive NLJ stays hard-wired, deliberately: un-optimized
-  // plans keep behaving like Figure 8's baseline.
+  // String-key join: a plan the optimizer did not rewrite, so the keys
+  // reach the join unembedded. It runs Figure 8's baseline, naive_nlj,
+  // which embeds inside its pair loop — or the forced operator, which
+  // fails validation before any model call unless it takes strings. The
+  // run is neither priced nor recorded: the cost scan and the calibrator
+  // see embedded keys only.
   Result<JoinStats> RunStringKeyJoin(const NodePtr& node,
                                      const Column& left_key,
-                                     join::JoinSink* sink, JoinedSides* sides,
-                                     const EdgeCountingSink* edge_counter) {
+                                     join::JoinSink* sink,
+                                     JoinedSides* sides) {
     CEJ_ASSIGN_OR_RETURN(Relation right, Run(node->right));
     CEJ_ASSIGN_OR_RETURN(const Column* right_key,
                          right.ColumnByName(node->right_key));
@@ -467,27 +465,15 @@ class PlanExecutor {
     inputs.left_strings = &left_key.string_values();
     inputs.right_strings = &right_key->string_values();
     inputs.model = node->model;
-
-    const bool adaptive = context_.calibrator != nullptr &&
-                          node->model != nullptr && node->model->dim() > 0;
     Selection selection;
-    join::JoinWorkload workload;
-    if (adaptive) {
-      workload = Workload(*node, left_key.string_values().size(),
-                          right.num_rows(), node->model->dim());
-      CEJ_ASSIGN_OR_RETURN(selection,
-                           SelectOperator(workload, join::JoinDomain::kStrings));
-    } else {
-      CEJ_ASSIGN_OR_RETURN(selection.op,
-                           JoinOperatorRegistry::Global().Find(
-                               context_.force_operator.empty()
-                                   ? "naive_nlj"
-                                   : context_.force_operator));
-    }
-    return RunAndRecord(*node, selection, inputs,
-                        adaptive ? &workload : nullptr,
+    CEJ_ASSIGN_OR_RETURN(selection.op,
+                         JoinOperatorRegistry::Global().Find(
+                             context_.force_operator.empty()
+                                 ? "naive_nlj"
+                                 : context_.force_operator));
+    return RunAndRecord(*node, selection, inputs, /*observed=*/nullptr,
                         /*prep_seconds=*/0.0, std::move(right), sink, sides,
-                        edge_counter);
+                        /*edge_counter=*/nullptr);
   }
 
   // A vector-key join's right input, decided once before pricing: its scan
@@ -571,14 +557,9 @@ class PlanExecutor {
           "EJoin: registered index size does not match base table '" +
           pipeline.scan->table_name + "'");
     }
-    // The predicate is evaluated up front only when probe pre-filtering
-    // needs the row set before materialization (bitmap + selectivity
-    // steering scan-vs-probe). Otherwise it would scale every eligible
-    // (scan-family) operator identically, so the Select is applied once,
-    // downstream.
-    if (idx != nullptr) {
-      CEJ_RETURN_IF_ERROR(EvaluateSelect(&pipeline));
-    }
+    // Every quote prices the rows the Select leaves: a scan sweeps them,
+    // and a probe pre-filters with them.
+    CEJ_RETURN_IF_ERROR(EvaluateSelect(&pipeline));
     if (pipeline.rows.has_value()) {
       in.selectivity = in.rows == 0
                            ? 0.0
@@ -622,13 +603,9 @@ class PlanExecutor {
     // term — but its materialization gather was not free.
     workload.left_intermediate = node->left->kind == NodeKind::kEJoin;
     workload.right_intermediate = node->right->kind == NodeKind::kEJoin;
-    // The left key is already a vector column: Run(node->left) produced
-    // it before pricing, so no operator pays a left model term here.
-    workload.left_embed_cached = true;
     workload.right_embed_cached = right.embed_cached;
 
-    CEJ_ASSIGN_OR_RETURN(Selection selection,
-                         SelectOperator(workload, join::JoinDomain::kVectors));
+    CEJ_ASSIGN_OR_RETURN(Selection selection, SelectOperator(workload));
     if (right.probe_shaped && right.index() == nullptr) {
       ReportIndexLoss(right, *node, workload, selection);
     }
@@ -767,8 +744,7 @@ class PlanExecutor {
   // coefficients OVER-price it would never run, never be observed, and
   // never be repriced: the chosen operator's own observations cannot
   // correct a rival's distinct coefficients.
-  Result<Selection> SelectOperator(const join::JoinWorkload& workload,
-                                   join::JoinDomain domain) {
+  Result<Selection> SelectOperator(const join::JoinWorkload& workload) {
     const JoinOperatorRegistry& registry = JoinOperatorRegistry::Global();
     Selection selection;
     if (!context_.force_operator.empty()) {
@@ -778,7 +754,7 @@ class PlanExecutor {
     }
 
     const std::vector<join::OperatorQuote> eligible = registry.EligibleQuotes(
-        workload, context_.cost_params, domain, context_.require_exact);
+        workload, context_.cost_params, context_.require_exact);
     const join::OperatorQuote* best = nullptr;
     const join::OperatorQuote* second = nullptr;
     for (const join::OperatorQuote& quote : eligible) {
@@ -830,9 +806,9 @@ class PlanExecutor {
 
   // Feeds the adaptive calibrator — and the estimated-vs-actual ExecStats
   // fields — after `selection.op` ran. `workload` must describe the cost
-  // scope `measured_seconds` covers: in the vector domain the left side
-  // always arrives embedded (its model term was paid before pricing), so
-  // the workload there carries left_embed_cached = true.
+  // scope `measured_seconds` covers: the left key arrives embedded (its
+  // model term was paid before pricing), and the right side's model term
+  // only when its embedding ran inside the window.
   void RecordJoinObservation(const join::JoinWorkload& workload,
                              const Selection& selection,
                              double measured_seconds,
@@ -876,26 +852,17 @@ class PlanExecutor {
     if (context_.calibrator == nullptr || !comparable) return;
     stats::Observation obs;
     obs.op = std::string(op->Name());
-    obs.runner_up = runner_up;
     obs.estimated_ns = estimated_ns;
     obs.runner_up_ns = runner_up_ns;
     obs.measured_ns = measured_ns;
     obs.features =
         join::FeaturesForOperator(op->Name(), workload, context_.cost_params);
-    obs.left_rows = workload.left_rows;
-    obs.right_rows = workload.right_rows;
-    obs.dim = workload.dim;
-    obs.topk =
-        workload.condition.kind == join::JoinCondition::Kind::kTopK;
     const size_t shards = std::max<size_t>(run_stats.shards_used, 1);
     obs.parallel_workers = std::min(shards, workload.pool_threads);
     obs.speedup_estimated =
         join::ParallelSpeedup(shards, workload.pool_threads,
                               context_.cost_params);
     obs.explored = selection.explored;
-    // Fused batches are recorded ONCE, with the member-query count as the
-    // per-query attribution.
-    obs.fused_queries = workload.fused_queries;
     // Graph-lowered joins: one observation per EDGE, carrying the
     // estimated-vs-observed cardinality pair for the learned-cardinality
     // feed. The counter reads complete here — the operator's Run has

@@ -1,10 +1,10 @@
 // Physical planning and execution of logical plans.
 //
-// The executor materializes bottom-up. For EJoin it performs access-path
-// selection (Section VI.E) as a *registry scan*: every physical operator
-// registered in join::JoinOperatorRegistry::Global() that can serve the
-// workload (declared via its traits — string-domain, vector-domain, or
-// index-backed) prices itself through JoinOperator::EstimateCost, and the
+// The executor materializes bottom-up. For an EJoin over embedded keys it
+// performs access-path selection (Section VI.E) as a *registry scan*:
+// every physical operator registered in join::JoinOperatorRegistry::Global()
+// that can serve the workload (declared via its traits — vector inputs, or
+// an index) prices itself through JoinOperator::EstimateCost, and the
 // cheapest eligible one runs. The scan is
 // join::JoinOperatorRegistry::EligibleQuotes, which the join-order DP
 // prices its edges with too. New operators (async, remote) participate in
@@ -19,9 +19,10 @@
 // snapshot makes the index operator eligible (pre-filtered probes);
 // otherwise the scan-family operators compete. Any other right input is
 // materialized, and so embedded, before pricing. String-key joins
-// (un-rewritten plans) execute the naive NLJ — deliberately, so
-// un-optimized plans behave like Figure 8's baseline. Run plan::Optimize
-// first for production behaviour.
+// (un-rewritten plans) execute the naive NLJ, unpriced and unrecorded —
+// deliberately, so un-optimized plans behave like Figure 8's baseline; a
+// forced vector operator rejects them. Run plan::Optimize first for
+// production behaviour: its Embed rewrite is where keys are embedded.
 
 #ifndef CEJ_PLAN_EXECUTOR_H_
 #define CEJ_PLAN_EXECUTOR_H_
@@ -76,17 +77,15 @@ struct ExecContext {
   /// pricing, so no quote carries a left model term).
   EmbeddingCache* embedding_cache = nullptr;
   /// Adaptive cost calibration (cej/stats): when set, every executed join
-  /// is recorded as an observation (workload features, quote, measured
-  /// nanoseconds) — feeding online CostParams refits — and the cost scan
-  /// gains two behaviours: (a) exploration — an eligible exact operator
-  /// with no recorded observations is tried once when quoted within the
-  /// calibrator's explore ratio of the best quote, so over-priced seeds
-  /// cannot hide an operator forever; (b) string-key joins run the same
-  /// registry scan instead of hard-wiring the naive NLJ (the Figure 8
-  /// baseline is preserved when no calibrator is attached). `cost_params`
-  /// should be the calibrator's current snapshot: refits publish new
-  /// snapshots, never mutate old ones, so a running plan's prices are
-  /// immutable.
+  /// over embedded keys is recorded as an observation (workload features,
+  /// quote, measured nanoseconds) — feeding online CostParams refits — and
+  /// the cost scan explores: an eligible exact operator with no recorded
+  /// observations is tried once when quoted within the calibrator's
+  /// explore ratio of the best quote, so over-priced seeds cannot hide an
+  /// operator forever. String-key joins (un-optimized plans) always run
+  /// the naive NLJ and are not recorded. `cost_params` should be the
+  /// calibrator's current snapshot: refits publish new snapshots, never
+  /// mutate old ones, so a running plan's prices are immutable.
   stats::CostCalibrator* calibrator = nullptr;
   /// Forces the named registered operator for every EJoin ("" = cost
   /// based): "tensor" forces the scan path, "index" the probe path. The

@@ -108,7 +108,6 @@ JoinQuote PriceJoin(const GraphContext& ctx, const JoinOrderOptions& options,
       std::max(1.0, std::round(right.estimated_rows)));
   workload.dim = ctx.edge_dim[edge];
   workload.condition = ctx.graph->edges[edge].condition;
-  workload.left_embed_cached = true;
   workload.right_embed_cached = true;
   workload.left_intermediate = !left.IsLeaf();
   workload.right_intermediate = !right.IsLeaf();
@@ -121,8 +120,7 @@ JoinQuote PriceJoin(const GraphContext& ctx, const JoinOrderOptions& options,
   }
   JoinQuote best;
   for (const join::OperatorQuote& quote : registry.EligibleQuotes(
-           workload, options.cost_params, join::JoinDomain::kVectors,
-           /*require_exact=*/false)) {
+           workload, options.cost_params, /*require_exact=*/false)) {
     if (quote.cost < best.cost) {
       best.cost = quote.cost;
       best.op = std::string(quote.op->Name());

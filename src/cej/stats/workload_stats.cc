@@ -19,18 +19,6 @@ uint64_t WorkloadStats::Record(Observation obs) {
   return stamped;
 }
 
-std::vector<Observation> WorkloadStats::History(std::string_view op) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = rings_.find(std::string(op));
-  if (it == rings_.end()) return {};
-  std::vector<Observation> out = it->second.ring;
-  std::sort(out.begin(), out.end(),
-            [](const Observation& a, const Observation& b) {
-              return a.sequence < b.sequence;
-            });
-  return out;
-}
-
 std::vector<Observation> WorkloadStats::AllObservations() const {
   std::vector<Observation> out;
   {
@@ -50,17 +38,6 @@ uint64_t WorkloadStats::RecordedCount(std::string_view op) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = rings_.find(std::string(op));
   return it == rings_.end() ? 0 : it->second.recorded;
-}
-
-uint64_t WorkloadStats::TotalRecorded() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return sequence_;
-}
-
-void WorkloadStats::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  rings_.clear();
-  // sequence_ keeps counting: sequence numbers stay unique across Clear.
 }
 
 }  // namespace cej::stats

@@ -1,17 +1,18 @@
 // Adaptive workload statistics: the observation store behind the cost
 // calibrator (cej/stats/cost_calibrator.h).
 //
-// Every executed join produces one Observation — the workload shape the
-// planner priced, the quote it priced it at, the operator it chose (and
-// the runner-up it rejected), and the seconds the operator actually took.
-// WorkloadStats keeps a bounded ring of them per operator so the engine
-// can (a) refit the cost model against execution reality, (b) steer the
-// index auto-build policy from observed shapes instead of configuration,
-// and (c) show the per-join misprediction history in Explain().
+// Every executed join over embedded keys produces one Observation — the
+// cost features the planner priced, the quote it priced them at, the
+// operator it chose (and the runner-up's quote), and the seconds the
+// operator actually took. WorkloadStats keeps a bounded ring of them per
+// operator so the engine can show the per-join misprediction history in
+// Explain() and count each operator's observations for exploration; the
+// CostCalibrator refits the cost model from the same records.
 //
 // The store is deliberately dumb: it never interprets the features — the
-// CostCalibrator owns the regression, the IndexManager owns the build
-// policy. Thread-safe; recording is O(1).
+// CostCalibrator owns the regression. (The index auto-build policy reads
+// the losing queries' shapes from index::IndexLossContext, not from
+// here.) Thread-safe; recording is O(1).
 
 #ifndef CEJ_STATS_WORKLOAD_STATS_H_
 #define CEJ_STATS_WORKLOAD_STATS_H_
@@ -31,17 +32,13 @@ namespace cej::stats {
 /// One executed join, as the calibrator sees it: the cost decomposition
 /// the planner priced (join::CostFeatures), the quote, and reality.
 struct Observation {
-  std::string op;         ///< Chosen physical operator.
-  std::string runner_up;  ///< Second-cheapest eligible ("" = none).
+  std::string op;              ///< Chosen physical operator.
   double estimated_ns = 0.0;   ///< The chosen operator's quote at plan time.
-  double runner_up_ns = 0.0;   ///< The runner-up's quote.
+  /// The rejected runner-up's quote (0 = none): what an explored run's
+  /// overrun is charged against.
+  double runner_up_ns = 0.0;
   double measured_ns = 0.0;    ///< embed + join wall time actually spent.
   join::CostFeatures features; ///< Calibration features at plan time.
-  /// Workload shape, kept for Explain() and the family-aware build policy.
-  size_t left_rows = 0;
-  size_t right_rows = 0;
-  size_t dim = 0;
-  bool topk = false;
   /// Realized parallelism min(shards, workers) — feeds the pool-scaling
   /// efficiency estimate (1 = serial).
   size_t parallel_workers = 1;
@@ -53,10 +50,6 @@ struct Observation {
   /// it (see CostCalibrator exploration) rather than because it quoted
   /// cheapest.
   bool explored = false;
-  /// Client queries the serving layer fused into this single batched run
-  /// (1 = solo). A fused batch is recorded ONCE — this field carries the
-  /// per-query attribution.
-  size_t fused_queries = 1;
   /// Join-graph edge this join executed (submission index; -1 = a plain
   /// binary query outside a graph). Multi-join pipelines record one
   /// Observation per edge.
@@ -84,22 +77,12 @@ class WorkloadStats {
   /// capacity) and stamps `obs.sequence`. Returns the stamped sequence.
   uint64_t Record(Observation obs);
 
-  /// The retained observations for `op`, oldest first.
-  std::vector<Observation> History(std::string_view op) const;
-
   /// Every retained observation across operators, ordered by sequence.
   std::vector<Observation> AllObservations() const;
 
   /// Total observations EVER recorded for `op` (monotonic — unlike the
   /// ring, never forgets). The exploration policy keys off zero.
   uint64_t RecordedCount(std::string_view op) const;
-
-  /// Total observations ever recorded across all operators.
-  uint64_t TotalRecorded() const;
-
-  size_t ring_capacity() const { return ring_capacity_; }
-
-  void Clear();
 
  private:
   struct OperatorRing {

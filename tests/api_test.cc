@@ -203,6 +203,32 @@ TEST_F(EngineCrossValidationTest, ExactOperatorsAreByteIdentical) {
   EXPECT_EQ(RenderPairs(tensor->relation), reference);
 }
 
+TEST_F(EngineCrossValidationTest, ForcedVectorOperatorNeedsTheOptimizer) {
+  // Operators take embedded keys; only naive_nlj takes strings. Forcing a
+  // vector operator onto an un-optimized string join is rejected before
+  // the model embeds anything, and the error names the missing rewrite.
+  const auto condition = join::JoinCondition::Threshold(0.5f);
+  for (const char* name : {"prefetch_nlj", "tensor", "index"}) {
+    model_.ResetStats();
+    auto result = engine_.Query("l")
+                      .EJoin("r", "word", condition)
+                      .WithoutOptimizer()
+                      .Via(name)
+                      .Execute();
+    ASSERT_FALSE(result.ok()) << name;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_EQ(model_.embed_calls(), 0u) << name;
+  }
+  auto tensor = engine_.Query("l")
+                    .EJoin("r", "word", condition)
+                    .WithoutOptimizer()
+                    .Via("tensor")
+                    .Execute();
+  EXPECT_NE(tensor.status().message().find("Embed rewrite"),
+            std::string::npos)
+      << tensor.status().ToString();
+}
+
 TEST_F(EngineCrossValidationTest, ExactIndexMatchesScanExactly) {
   // A flat (exhaustive) index has recall 1: forcing the index operator on
   // the same top-k workload must reproduce the tensor relation exactly.
@@ -378,6 +404,67 @@ TEST(EngineShardedSelectionTest,
   }
   ASSERT_EQ(pairs[0].size(), kLeftRows * 8);
   EXPECT_EQ(pairs[0], pairs[1]);
+}
+
+TEST(EngineShardedSelectionTest, FilteredRightIsQuotedAtItsSurvivors) {
+  // The shape of FilteredRightBelowTheShardFloorRunsLeftTiles: the Select
+  // keeps 1500 of 3000 right rows, too few for two right shards. With no
+  // index, the quote still prices the rows the sweep covers — left tiles
+  // over the survivors — not right shards over the base table.
+  constexpr size_t kLeftRows = 2048, kRightRows = 3000, kKept = 1500,
+                   kDim = 100;
+  auto schema = Schema::Create(
+      {{"id", DataType::kInt64, 0}, {"emb", DataType::kVector, kDim}});
+  ASSERT_TRUE(schema.ok());
+  std::vector<int64_t> ids(kRightRows);
+  for (size_t i = 0; i < kRightRows; ++i) ids[i] = static_cast<int64_t>(i);
+  std::vector<Column> columns;
+  columns.push_back(Column::Int64(std::move(ids)));
+  columns.push_back(
+      Column::Vector(workload::RandomUnitVectors(kRightRows, kDim, 98)));
+  auto right =
+      Relation::Create(std::move(schema).value(), std::move(columns));
+  ASSERT_TRUE(right.ok());
+
+  Engine::Options options;
+  options.num_threads = 3;
+  Engine pooled(options);
+  ASSERT_TRUE(pooled
+                  .RegisterTable("l", VectorTable(workload::RandomUnitVectors(
+                                          kLeftRows, kDim, 97)))
+                  .ok());
+  ASSERT_TRUE(pooled
+                  .RegisterTable("r", std::make_shared<const Relation>(
+                                          std::move(right).value()))
+                  .ok());
+  const auto condition = join::JoinCondition::TopK(8);
+  const plan::NodePtr plan = plan::EJoin(
+      plan::Scan("l", *pooled.Table("l")),
+      plan::Select(plan::Scan("r", *pooled.Table("r")),
+                   expr::Cmp("id", expr::CmpOp::kLt,
+                             static_cast<int64_t>(kKept))),
+      "emb", "emb", nullptr, condition);
+  const plan::ExecContext context = pooled.MakeExecContext();
+  join::CountingSink sink;
+  plan::ExecStats stats;
+  auto run = plan::ExecuteToSink(plan, context, &sink, &stats);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_EQ(stats.join_operator, "tensor");
+  EXPECT_EQ(stats.join_stats.shards_used, 0u);
+
+  join::JoinWorkload swept;
+  swept.left_rows = kLeftRows;
+  swept.right_rows = kRightRows;
+  swept.dim = kDim;
+  swept.right_selectivity =
+      static_cast<double>(kKept) / static_cast<double>(kRightRows);
+  swept.condition = condition;
+  swept.right_embed_cached = true;  // A stored vector key.
+  swept.pool_threads = 4;           // Three workers plus the caller.
+  const join::JoinOperator* tensor =
+      *join::JoinOperatorRegistry::Global().Find("tensor");
+  EXPECT_DOUBLE_EQ(stats.estimated_cost_ns,
+                   tensor->EstimateCost(swept, context.cost_params));
 }
 
 TEST(EngineConcurrencyTest, ConcurrentStreamsShareRegistryCacheAndPool) {

@@ -56,8 +56,9 @@ TEST(SemanticJoinIntegrationTest, FamilyMembersJoinWithHighRecall) {
   auto noise = corpus.SampleWords(150, 0.0, 22);
   right.insert(right.end(), noise.begin(), noise.end());
 
-  auto result = join::TensorJoin(left, right, model,
-                                 join::JoinCondition::Threshold(0.6f));
+  auto result = join::TensorJoinMatrices(
+      model.EmbedBatch(left), model.EmbedBatch(right),
+      join::JoinCondition::Threshold(0.6f));
   ASSERT_TRUE(result.ok());
 
   size_t true_positive = 0, false_positive = 0, expected_pairs = 0;
@@ -102,8 +103,8 @@ TEST(SemanticJoinIntegrationTest, TrainedSkipGramSupportsJoins) {
     left.push_back(corpus.Family(f)[0]);
     for (const auto& w : corpus.Family(f)) right.push_back(w);
   }
-  auto result = join::TensorJoin(
-      left, right, **trained,
+  auto result = join::TensorJoinMatrices(
+      (*trained)->EmbedBatch(left), (*trained)->EmbedBatch(right),
       join::JoinCondition::TopK(copts.variants_per_family));
   ASSERT_TRUE(result.ok());
   // Count how many of each left word's top-k matches are family members.

@@ -197,7 +197,7 @@ TEST(PricingTest, EveryBuiltinQuotesThroughItsFeatures) {
          {JoinCondition::TopK(1), JoinCondition::TopK(8),
           JoinCondition::Threshold(0.9f)})
     for (size_t right_rows : {size_t{500}, size_t{100000}})
-    for (int cache = 0; cache < 4; ++cache)
+    for (bool right_cached : {false, true})
     for (size_t pool_threads : {size_t{1}, size_t{5}})
     for (bool index : {false, true}) {
       JoinWorkload w;
@@ -206,8 +206,7 @@ TEST(PricingTest, EveryBuiltinQuotesThroughItsFeatures) {
       w.dim = 64;
       w.right_selectivity = 0.5;
       w.condition = condition;
-      w.left_embed_cached = (cache & 1) != 0;
-      w.right_embed_cached = (cache & 2) != 0;
+      w.right_embed_cached = right_cached;
       w.pool_threads = pool_threads;
       w.index_available = index;
       const CostFeatures f = FeaturesForOperator(name, w, p);
@@ -340,68 +339,6 @@ TEST(OneDotOrderTest, EveryOperatorAndTileHeightEmitsTheSameBits) {
                                                           : " (threshold)");
     }
   }
-}
-
-TEST_F(OperatorRunTest, OperatorsEmbedStringsOnDemand) {
-  // The vector-domain operators accept the context domain too: strings
-  // plus a model produce the same result as pre-embedded matrices.
-  model::SubwordHashModel model;
-  auto left_words = workload::RandomStrings(15, 4, 8, 13);
-  auto right_words = workload::RandomStrings(20, 4, 8, 14);
-  la::Matrix left_emb = model.EmbedBatch(left_words);
-  la::Matrix right_emb = model.EmbedBatch(right_words);
-
-  auto& registry = JoinOperatorRegistry::Global();
-  const JoinOperator* tensor = *registry.Find("tensor");
-  const JoinCondition condition = JoinCondition::Threshold(0.4f);
-
-  JoinInputs string_inputs;
-  string_inputs.left_strings = &left_words;
-  string_inputs.right_strings = &right_words;
-  string_inputs.model = &model;
-  MaterializingSink string_sink;
-  auto string_stats = tensor->Run(string_inputs, condition, {}, &string_sink);
-  ASSERT_TRUE(string_stats.ok());
-  // On-demand embedding is counted: one model call per input tuple.
-  EXPECT_EQ(string_stats->model_calls, 15u + 20u);
-
-  JoinInputs vector_inputs;
-  vector_inputs.left_vectors = &left_emb;
-  vector_inputs.right_vectors = &right_emb;
-  MaterializingSink vector_sink;
-  ASSERT_TRUE(tensor->Run(vector_inputs, condition, {}, &vector_sink).ok());
-  EXPECT_EQ(string_sink.pairs(), vector_sink.pairs());
-}
-
-TEST_F(OperatorRunTest, MixedDomainInputsUseSuppliedVectors) {
-  // One side pre-embedded, the other raw strings: the supplied matrix
-  // must be used as-is (no silent re-embedding) and only the missing
-  // side pays model calls.
-  model::SubwordHashModel model;
-  auto left_words = workload::RandomStrings(10, 4, 8, 15);
-  auto right_words = workload::RandomStrings(12, 4, 8, 16);
-  la::Matrix left_emb = model.EmbedBatch(left_words);
-
-  JoinInputs mixed;
-  mixed.left_vectors = &left_emb;
-  mixed.right_strings = &right_words;
-  mixed.model = &model;
-  MaterializingSink mixed_sink;
-  auto& registry = JoinOperatorRegistry::Global();
-  auto stats = (*registry.Find("tensor"))
-                   ->Run(mixed, JoinCondition::TopK(2), {}, &mixed_sink);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->model_calls, 12u);  // Right side only.
-
-  la::Matrix right_emb = model.EmbedBatch(right_words);
-  JoinInputs vectors;
-  vectors.left_vectors = &left_emb;
-  vectors.right_vectors = &right_emb;
-  MaterializingSink vector_sink;
-  ASSERT_TRUE((*registry.Find("tensor"))
-                  ->Run(vectors, JoinCondition::TopK(2), {}, &vector_sink)
-                  .ok());
-  EXPECT_EQ(mixed_sink.pairs(), vector_sink.pairs());
 }
 
 TEST_F(OperatorRunTest, IndexOperatorUsesFilter) {
@@ -600,7 +537,7 @@ TEST_F(ShardedJoinTest, PricingRequiresWorkersAndEnoughRows) {
   auto expect_left_tiles = [&] {
     const double n = static_cast<double>(w.right_rows);
     const CostFeatures f = FeaturesForOperator("tensor", w, p);
-    EXPECT_DOUBLE_EQ(f.model, m + n);
+    EXPECT_DOUBLE_EQ(f.model, n);  // The left key arrives embedded.
     EXPECT_DOUBLE_EQ(f.sweep, m * n);
     EXPECT_DOUBLE_EQ(f.fixed, n * p.access);
     EXPECT_EQ(f.pair + f.probe, 0.0);
@@ -620,7 +557,7 @@ TEST_F(ShardedJoinTest, PricingRequiresWorkersAndEnoughRows) {
   EXPECT_TRUE(std::isfinite(sharded_cost));
   EXPECT_LT(sharded_cost, serial_cost);
   // The quote prices the sharded decomposition at the shard count Run()
-  // resolves: embed both sides, divide the sweep by the realized
+  // resolves: embed the right side, divide the sweep by the realized
   // parallelism, filter S and fan the top-k re-collection in per left row
   // per shard.
   const double n = static_cast<double>(w.right_rows);
@@ -628,7 +565,7 @@ TEST_F(ShardedJoinTest, PricingRequiresWorkersAndEnoughRows) {
       ResolveShardCount(w.right_rows, w.pool_threads, 0, kMinShardRows);
   ASSERT_GT(shards, 1u);
   const CostFeatures f = FeaturesForOperator("tensor", w, p);
-  EXPECT_DOUBLE_EQ(f.model, m + n);
+  EXPECT_DOUBLE_EQ(f.model, n);
   EXPECT_DOUBLE_EQ(f.sweep,
                    m * n / ParallelSpeedup(shards, w.pool_threads, p));
   EXPECT_DOUBLE_EQ(
@@ -668,9 +605,9 @@ TEST(TensorLayoutTest, EdgeShapesMatchTensorThroughTheRegistry) {
   // |R| x |S| frame goes wrong first: an empty side, a single right row,
   // k > |S|, and |S| one row past an inner tile (256 rows at dim 16), two
   // inner tiles (512), the shard floor (1024) and a two-shard boundary
-  // (2048). The right side is raw strings plus a model, which every split
-  // embeds up front. Every kernel scores a pair in one order, so the pairs
-  // match the left-tile run's byte for byte.
+  // (2048). Both sides are words embedded once before the runs, as the
+  // plan's Embed nodes embed them. Every kernel scores a pair in one order,
+  // so the pairs match the left-tile run's byte for byte.
   model::SubwordHashOptions model_options;
   model_options.dim = 16;
   model::SubwordHashModel model(model_options);
@@ -691,11 +628,11 @@ TEST(TensorLayoutTest, EdgeShapesMatchTensorThroughTheRegistry) {
     const size_t n = shape.right_rows;
     const la::Matrix left =
         model.EmbedBatch(workload::RandomStrings(m, 4, 10, 91));
-    const auto right_words = workload::RandomStrings(n, 4, 10, 92);
+    const la::Matrix right =
+        model.EmbedBatch(workload::RandomStrings(n, 4, 10, 92));
     JoinInputs inputs;
     inputs.left_vectors = &left;
-    inputs.right_strings = &right_words;
-    inputs.model = &model;
+    inputs.right_vectors = &right;
     for (ThreadPool* workers : {&pool, static_cast<ThreadPool*>(nullptr)}) {
       JoinOptions options;
       options.pool = workers;

@@ -6,10 +6,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cej/api/engine.h"
 #include "cej/common/thread_pool.h"
 #include "cej/index/flat_index.h"
 #include "cej/index/hnsw_index.h"
@@ -179,7 +183,8 @@ TEST(JoinAgreementTest, NaiveNljMatchesPrefetchNlj) {
   auto right = workload::RandomStrings(25, 4, 8, 6);
   const float threshold = 0.4f;
   auto naive = NaiveNljJoin(left, right, model, threshold);
-  auto prefetch = PrefetchNljJoin(left, right, model,
+  auto prefetch = NljJoinMatrices(model.EmbedBatch(left),
+                                  model.EmbedBatch(right),
                                   JoinCondition::Threshold(threshold));
   ASSERT_TRUE(naive.ok() && prefetch.ok());
   EXPECT_EQ(PairSet(naive->pairs), PairSet(prefetch->pairs));
@@ -198,24 +203,55 @@ TEST(ModelCostTest, NaiveNljPaysQuadraticModelCost) {
   EXPECT_EQ(result->stats.model_calls, 2u * 12u * 9u);
 }
 
+// Runs one optimized string join forced onto `op` through the Engine with
+// the embedding cache off, and returns the model calls it made: the plan's
+// Embed nodes embed each side once, whichever vector operator joins them.
+uint64_t OptimizedJoinModelCalls(const std::string& op,
+                                 const std::vector<std::string>& left,
+                                 const std::vector<std::string>& right,
+                                 model::SubwordHashModel* model) {
+  auto words_table = [](const std::vector<std::string>& words) {
+    auto schema =
+        storage::Schema::Create({{"word", storage::DataType::kString, 0}});
+    CEJ_CHECK(schema.ok());
+    std::vector<storage::Column> columns;
+    columns.push_back(storage::Column::String(words));
+    auto rel = storage::Relation::Create(std::move(schema).value(),
+                                         std::move(columns));
+    CEJ_CHECK(rel.ok());
+    return std::make_shared<const storage::Relation>(std::move(rel).value());
+  };
+  Engine::Options options;
+  options.embedding_cache_bytes = 0;
+  Engine engine(options);
+  CEJ_CHECK(engine.RegisterTable("l", words_table(left)).ok());
+  CEJ_CHECK(engine.RegisterTable("r", words_table(right)).ok());
+  CEJ_CHECK(engine.RegisterModel("subword", model).ok());
+  model->ResetStats();
+  auto result = engine.Query("l")
+                    .EJoin("r", "word", JoinCondition::Threshold(0.5f))
+                    .Via(op)
+                    .Execute();
+  CEJ_CHECK(result.ok());
+  EXPECT_EQ(result->stats.join_operator, op);
+  EXPECT_EQ(result->stats.model_calls, model->embed_calls());
+  return model->embed_calls();
+}
+
 TEST(ModelCostTest, PrefetchNljPaysLinearModelCost) {
   model::SubwordHashModel model;
   auto left = workload::RandomStrings(12, 4, 6, 7);
   auto right = workload::RandomStrings(9, 4, 6, 8);
-  auto result =
-      PrefetchNljJoin(left, right, model, JoinCondition::Threshold(0.5f));
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->stats.model_calls, 12u + 9u);
+  EXPECT_EQ(OptimizedJoinModelCalls("prefetch_nlj", left, right, &model),
+            12u + 9u);
 }
 
 TEST(ModelCostTest, TensorJoinPaysLinearModelCost) {
   model::SubwordHashModel model;
   auto left = workload::RandomStrings(10, 4, 6, 9);
   auto right = workload::RandomStrings(14, 4, 6, 10);
-  auto result =
-      TensorJoin(left, right, model, JoinCondition::Threshold(0.5f));
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->stats.model_calls, 10u + 14u);
+  EXPECT_EQ(OptimizedJoinModelCalls("tensor", left, right, &model),
+            10u + 14u);
 }
 
 TEST(ModelCostTest, SimilarityComputationCountIsCrossProduct) {

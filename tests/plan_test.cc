@@ -283,7 +283,6 @@ TEST(CostModelTest, ProbeCostGrowsLogarithmically) {
   w.left_rows = 1;
   w.condition = join::JoinCondition::TopK(1);
   w.index_available = true;
-  w.left_embed_cached = true;
   const join::JoinOperator* index =
       *join::JoinOperatorRegistry::Global().Find("index");
   w.right_rows = 1000;

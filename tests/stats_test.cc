@@ -1,6 +1,7 @@
 // The adaptive statistics & cost-calibration subsystem (cej::stats):
 // synthetic-timing convergence of the least-squares calibrator, the
-// end-to-end skewed-seed operator flip through the Engine, snapshot
+// end-to-end skewed-seed operator flip through the Engine, un-optimized
+// string joins staying on the naive baseline, snapshot
 // isolation of refits against running plans, calibration persistence with
 // corrupt-envelope rejection, cache-aware costing (partial hits priced
 // asymmetrically; a cold stream fills the cache for the next one),
@@ -119,8 +120,6 @@ TEST(CostCalibratorTest, ConvergesFromSkewedSeedOnSyntheticTimings) {
         // TRUE coefficients. Deterministic — no wall clocks involved.
         obs.measured_ns = join::PriceFeatures(
             join::FeaturesForOperator(op, w, truth), truth);
-        obs.left_rows = m;
-        obs.right_rows = n;
         calibrator.Record(std::move(obs));
       }
     }
@@ -176,32 +175,29 @@ TEST(CostCalibratorTest, ConvergesFromSkewedSeedOnSyntheticTimings) {
 // End-to-end: the acceptance flip
 // ---------------------------------------------------------------------------
 
-TEST(AdaptiveEngineTest, SkewedSeedScanFlipsFromNaiveToTensorWithinEight) {
-  // Seed CostParams deliberately skewed (model cost ~ 0): the string-key
-  // registry scan prices the naive NLJ at the prefetched operators' level,
-  // and exploration runs it first — on a join `tensor` genuinely wins.
-  // With calibration enabled, measured reality reprices the model
-  // coefficient and the unforced scan must flip to `tensor` within 8
+TEST(AdaptiveEngineTest, SkewedSeedScanFlipsFromPrefetchToTensorWithinEight) {
+  // Seed CostParams deliberately skewed: embedding and per-pair work
+  // nearly free, and the blocked sweep priced at half the NLJ's per-pair
+  // cost instead of a small fraction. The registry scan then
+  // quotes the exact rival prefetch_nlj at twice the sweep, and
+  // exploration runs it first — on an optimized join `tensor` genuinely
+  // wins. With calibration enabled, measured reality reprices the
+  // coefficients and the unforced scan must flip to `tensor` within 8
   // observed queries, with byte-identical results throughout and the
   // estimated-vs-actual error collapsing across refits.
   Engine::Options options;
-  options.num_threads = 0;  // No pool: the exact string-domain trio only.
+  options.num_threads = 0;  // No pool: left-tile tensor vs the NLJ.
   options.adaptive_stats = true;
   options.stats_refit_interval = 1;
-  // A tight exploration bound: the mispriced naive baseline (quoted
-  // ~6.6x the blocked sweep under the skew) gets its one exploratory run,
-  // while the prefetched NLJ never does. Once the model coefficient is
-  // learned its quote sits ~13-16x above the calibrated tensor quote, so
-  // a bound of 16 would let it run on some hosts, and the scan could then
-  // settle on either. A bound of 8 keeps the flip independent of timing
-  // noise.
+  // The mispriced prefetch NLJ (quoted 2x the sweep) gets its one
+  // exploratory run; tensor, the cheapest quote, runs by price.
   options.stats_explore_cost_ratio = 8.0;
   Engine engine(options);
   model::SubwordHashModel model;
-  // Sweep-dominant shape: |R| x |S| pair work dwarfs the |R| + |S| embed
-  // work, so the naive NLJ's per-pair model calls price it far above the
-  // embed-once operators once the model coefficient is learned.
-  auto left_words = workload::RandomStrings(96, 3, 6, 301);
+  // Sweep-dominant shape: |R| x |S| pair work dwarfs the |S| embed work,
+  // and a warm-cache sweep still runs for milliseconds, long enough that
+  // scheduler noise on a loaded host cannot pass for a misprice.
+  auto left_words = workload::RandomStrings(512, 3, 6, 301);
   auto right_words = workload::RandomStrings(1404, 3, 6, 302);
   // Guarantee matches: every left word appears verbatim on the right.
   right_words.insert(right_words.end(), left_words.begin(),
@@ -210,33 +206,36 @@ TEST(AdaptiveEngineTest, SkewedSeedScanFlipsFromNaiveToTensorWithinEight) {
   ASSERT_TRUE(engine.RegisterTable("r", WordsTable(right_words)).ok());
   ASSERT_TRUE(engine.RegisterModel("subword", &model).ok());
 
-  join::CostParams skewed;  // Default A/C/efficiency, but free embedding.
+  join::CostParams skewed;  // Every unit cost ~100x too cheap.
+  skewed.access = 0.01;
   skewed.model = 0.01;
+  skewed.compute = 0.01;
+  skewed.tensor_efficiency = 0.5;
   engine.set_cost_params(skewed);
 
   const auto condition = join::JoinCondition::Threshold(0.5f);
   std::vector<std::string> chosen;
+  std::vector<bool> explored;
   std::vector<std::vector<std::string>> rendered;
   for (int query = 0; query < 8; ++query) {
-    auto result = engine.Query("l")
-                      .EJoin("r", "word", condition)
-                      .WithoutOptimizer()
-                      .Execute();
+    auto result =
+        engine.Query("l").EJoin("r", "word", condition).Execute();
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     chosen.push_back(result->stats.join_operator);
+    explored.push_back(result->stats.explored_operator);
     rendered.push_back(RenderPairs(result->relation));
     EXPECT_GT(result->stats.estimated_cost_ns, 0.0) << "query " << query;
     EXPECT_GT(result->stats.measured_cost_ns, 0.0) << "query " << query;
   }
 
-  // Query 1 ran the mispriced naive baseline (exploration, earliest
+  // Query 1 ran the mispriced prefetch NLJ (exploration, earliest
   // registration order); by query 8 the unforced scan settled on tensor.
-  EXPECT_EQ(chosen.front(), "naive_nlj");
+  EXPECT_EQ(chosen.front(), "prefetch_nlj");
+  EXPECT_TRUE(explored.front());
   std::string sequence;
   for (const std::string& name : chosen) sequence += name + " ";
   EXPECT_EQ(chosen.back(), "tensor") << "operators chosen: " << sequence;
-  EXPECT_NE(std::find(chosen.begin(), chosen.end(), "tensor"),
-            chosen.end());
+  EXPECT_FALSE(explored.back());
 
   // Byte-identical results across every operator the scan tried.
   ASSERT_GT(rendered.front().size(), 0u);
@@ -255,6 +254,35 @@ TEST(AdaptiveEngineTest, SkewedSeedScanFlipsFromNaiveToTensorWithinEight) {
   const auto stats = engine.calibrator()->stats();
   EXPECT_EQ(stats.observations, 8u);
   EXPECT_GE(stats.explorations, 1u);
+}
+
+TEST(AdaptiveEngineTest, UnoptimizedStringJoinsAlwaysRunNaive) {
+  // Without the optimizer the keys reach the join as strings, so the join
+  // is Figure 8's baseline whatever the calibrator would price: naive_nlj
+  // embeds inside its pair loop, and the unpriced run is not recorded.
+  Engine::Options options;
+  options.adaptive_stats = true;
+  options.stats_refit_interval = 1;
+  Engine engine(options);
+  model::SubwordHashModel model;
+  auto left_words = workload::RandomStrings(12, 3, 6, 311);
+  auto right_words = workload::RandomStrings(30, 3, 6, 312);
+  ASSERT_TRUE(engine.RegisterTable("l", WordsTable(left_words)).ok());
+  ASSERT_TRUE(engine.RegisterTable("r", WordsTable(right_words)).ok());
+  ASSERT_TRUE(engine.RegisterModel("subword", &model).ok());
+
+  for (int query = 0; query < 3; ++query) {
+    model.ResetStats();
+    auto result = engine.Query("l")
+                      .EJoin("r", "word", join::JoinCondition::Threshold(0.5f))
+                      .WithoutOptimizer()
+                      .Execute();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->stats.join_operator, "naive_nlj") << "query " << query;
+    EXPECT_EQ(result->stats.model_calls, 2u * 12u * 30u) << "query " << query;
+    EXPECT_EQ(model.embed_calls(), 2u * 12u * 30u) << "query " << query;
+  }
+  EXPECT_EQ(engine.calibrator()->stats().observations, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -410,25 +438,28 @@ TEST(AdaptiveEngineTest, CalibrationSaveLoadRoundTripAndCorruptRejection) {
 // ---------------------------------------------------------------------------
 
 TEST(CacheAwareCostingTest, PartialHitsArePricedAsymmetrically) {
+  // The left key is embedded before a join is priced, so no quote carries
+  // a left model term; a warm right side drops exactly its own |S| * M.
   auto& registry = join::JoinOperatorRegistry::Global();
-  const join::JoinOperator* tensor = *registry.Find("tensor");
   join::CostParams params;
   join::JoinWorkload w;
   w.left_rows = 100;
   w.right_rows = 1000;
   w.dim = 32;
-  const double cold = tensor->EstimateCost(w, params);
-  w.left_embed_cached = true;  // Warm left, cold right.
-  const double left_warm = tensor->EstimateCost(w, params);
-  w.left_embed_cached = false;
-  w.right_embed_cached = true;  // Cold left, warm right.
-  const double right_warm = tensor->EstimateCost(w, params);
-  w.left_embed_cached = true;  // Both warm.
-  const double both_warm = tensor->EstimateCost(w, params);
-  // Each side drops exactly its own model term — never all-or-nothing.
-  EXPECT_DOUBLE_EQ(cold - left_warm, 100.0 * params.model);
-  EXPECT_DOUBLE_EQ(cold - right_warm, 1000.0 * params.model);
-  EXPECT_DOUBLE_EQ(cold - both_warm, 1100.0 * params.model);
+  for (const char* name : {"prefetch_nlj", "tensor"}) {
+    const join::JoinOperator* op = *registry.Find(name);
+    w.right_embed_cached = false;
+    const double cold = op->EstimateCost(w, params);
+    w.right_embed_cached = true;
+    const double warm = op->EstimateCost(w, params);
+    EXPECT_DOUBLE_EQ(cold - warm, 1000.0 * params.model) << name;
+    EXPECT_EQ(join::FeaturesForOperator(name, w, params).model, 0.0)
+        << name;
+  }
+  // Probes never embed the right side: the index has no model term.
+  w.index_available = true;
+  w.right_embed_cached = false;
+  EXPECT_EQ(join::FeaturesForOperator("index", w, params).model, 0.0);
 }
 
 TEST(CacheAwareCostingTest, ColdStreamFillsTheCacheForAWarmTensorStream) {
@@ -717,12 +748,13 @@ TEST(CostCalibratorTest, ExplorationBudgetGatesOnCumulativeOverrun) {
 }
 
 TEST(AdaptiveEngineTest, ExplorationBudgetStopsEngineExploration) {
-  // Skewed seed (free embedding) quotes the naive NLJ at parity, so query
-  // 1 explores it and overruns its displaced quote by orders of
+  // Three exact candidates on an optimized join: prefetch_nlj, tensor and
+  // a flat index. The seed quotes the sweep cheapest, so query 1 explores
+  // the prefetch NLJ and overruns the sweep's displaced quote by orders of
   // magnitude. With a 1 ns budget that single overrun must end
   // exploration for good; unbounded, the wide-open explore ratio keeps
-  // exploring the remaining unobserved operators (the prefetched NLJ on
-  // query 2, priced far above the sweep by then).
+  // exploring the remaining unobserved operator (the flat index on query
+  // 2).
   const auto run = [](double budget_ns) {
     Engine::Options options;
     options.num_threads = 0;
@@ -737,14 +769,13 @@ TEST(AdaptiveEngineTest, ExplorationBudgetStopsEngineExploration) {
     CEJ_CHECK(engine.RegisterTable("l", WordsTable(left_words)).ok());
     CEJ_CHECK(engine.RegisterTable("r", WordsTable(right_words)).ok());
     CEJ_CHECK(engine.RegisterModel("subword", &model).ok());
-    join::CostParams skewed;
-    skewed.model = 0.01;
-    engine.set_cost_params(skewed);
+    index::IndexBuildOptions flat;
+    flat.family = index::IndexFamily::kFlat;
+    CEJ_CHECK(engine.BuildIndex("r", "word", flat).ok());
     for (int query = 0; query < 5; ++query) {
       auto result = engine.Query("l")
                         .EJoin("r", "word",
                                join::JoinCondition::Threshold(0.5f))
-                        .WithoutOptimizer()
                         .Execute();
       CEJ_CHECK(result.ok());
     }
